@@ -33,11 +33,11 @@ from .forms import (
     FormInstance,
     OmegaPair,
     PositiveFunctional,
-    check_com,
+    _omega_from_edges,
+    _root_commutation,
     check_re_condition,
     check_star1,
     form_eval,
-    omega_from_spectra,
 )
 from .matalg import (
     DEFAULT_TOL,
@@ -237,19 +237,6 @@ def _scalar_report(
 # ---------------------------------------------------------------------------
 
 
-def _matrix_preconditions(
-    form: FormInstance, x, y, pair: OmegaPair, tol: Tolerance, with_com: bool
-) -> tuple[PreconditionCheck, ...]:
-    s_ok, s_dev = check_star1(form, x, y, tol)
-    checks = [PreconditionCheck("adjoint_symmetry", s_ok, s_dev)]
-    if with_com:
-        c_ok, c_dev = check_com(form, x, y, tol)
-        checks.append(PreconditionCheck("root_commutation", c_ok, c_dev))
-    r_ok, r_margin = check_re_condition(form, x, y, pair, tol)
-    checks.append(PreconditionCheck("re_term_positive", r_ok, r_margin))
-    return tuple(checks)
-
-
 def additive_matrix_bound(
     form: FormInstance, x, y, pair: OmegaPair, tol: Tolerance = DEFAULT_TOL
 ) -> BoundReport:
@@ -262,9 +249,16 @@ def additive_matrix_bound(
     """
     yy = form_eval(form, y, y)
     root = sqrt_psd(yy, tol)
-    preconditions = _matrix_preconditions(form, x, y, pair, tol, with_com=True)
-    xx = form_eval(form, x, x)
     xy = form_eval(form, x, y)
+    s_ok, s_dev = check_star1(form, x, y, tol)
+    c_ok, c_dev = _root_commutation(root, xy, tol)
+    r_ok, r_margin = check_re_condition(form, x, y, pair, tol)
+    preconditions = (
+        PreconditionCheck("adjoint_symmetry", s_ok, s_dev),
+        PreconditionCheck("root_commutation", c_ok, c_dev),
+        PreconditionCheck("re_term_positive", r_ok, r_margin),
+    )
+    xx = form_eval(form, x, x)
     yx = form_eval(form, y, x)
     lhs = re_part(root @ xx @ root - xy @ yx)
     rhs = re_part(0.25 * pair.spread() ** 2 * (yy @ yy))
@@ -528,8 +522,10 @@ def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairR
     if nv == 0.0:
         raise ValueError("v must be nonzero")
     phi = PositiveFunctional.vector_state(vv / nv)
-    pair_ts = omega_from_spectra(tm, sm, tol)
-    pair_st = omega_from_spectra(sm, tm, tol)
+    lo_t, hi_t = spectrum_bounds(tm, tol)
+    lo_s, hi_s = spectrum_bounds(sm, tol)
+    pair_ts = _omega_from_edges(tm, sm, (lo_t, hi_t), (lo_s, hi_s), tol)
+    pair_st = _omega_from_edges(sm, tm, (lo_s, hi_s), (lo_t, hi_t), tol)
 
     rep_ts = functional_additive_bound(phi, tm, sm, pair_ts, tol)
     rep_st = functional_additive_bound(phi, sm, tm, pair_st, tol)
@@ -542,8 +538,6 @@ def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairR
     lhs_add = rep_ts.lhs * scale4
     rhs_add = min(rep_ts.rhs, rep_st.rhs) * scale4
 
-    lo_t, hi_t = spectrum_bounds(tm, tol)
-    lo_s, hi_s = spectrum_bounds(sm, tol)
     tv = tm @ vv
     sv = sm @ vv
     nt2 = float(np.vdot(tv, tv).real)

@@ -60,10 +60,11 @@ from .bounds import (
     sharpness_witness,
     weighted_additive,
 )
-from .forms import FormInstance, OmegaPair, PositiveFunctional
+from .forms import FormError, FormInstance, OmegaPair, PositiveFunctional
 from .harness import (
     FuzzSummary,
     GeneratorConfig,
+    RejectionCapExceededError,
     fuzz_run,
     gen_argmin_families,
     gen_bounded_sequences,
@@ -227,8 +228,8 @@ def _resolve_tolerance(args: argparse.Namespace, file_tol: Optional[dict] = None
             value = float(raw)
         except ValueError as exc:
             raise _UsageError(f"{env_name}={raw!r} is not a number") from exc
-        if value <= 0:
-            raise _UsageError(f"{env_name} must be positive")
+        if not 0 < value < math.inf:
+            raise _UsageError(f"{env_name} must be positive and finite")
         if env_name == ENV_RTOL:
             rtol = value
         else:
@@ -240,8 +241,8 @@ def _resolve_tolerance(args: argparse.Namespace, file_tol: Optional[dict] = None
         rtol = args.tol_rtol
     if args.tol_atol is not None:
         atol = args.tol_atol
-    if rtol <= 0 or atol <= 0:
-        raise _UsageError("tolerances must be positive")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise _UsageError("tolerances must be positive and finite")
     return Tolerance(rtol=rtol, atol=atol)
 
 
@@ -399,6 +400,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.inequality_id not in INEQUALITY_IDS:
         known = ", ".join(sorted(INEQUALITY_IDS))
         raise _UsageError(f"unknown inequality id {args.inequality_id!r}; known: {known}")
+    tol = _resolve_tolerance(args)
     try:
         config = GeneratorConfig(
             seed=args.seed,
@@ -408,10 +410,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if args.replay is not None:
-        report = run_trial(config, args.inequality_id, args.replay)
+        try:
+            report = run_trial(config, args.inequality_id, args.replay, tol)
+        except (RejectionCapExceededError, FormError) as exc:
+            print(f"precondition failed: {exc}", file=sys.stderr)
+            return 3
         _print_report(report, args.json)
         return _exit_code(report.verdict)
-    summary = fuzz_run(config, args.inequality_id)
+    summary = fuzz_run(config, args.inequality_id, tol)
     _print_summary(summary, args.json)
     return 0 if summary.violated == 0 else 2
 

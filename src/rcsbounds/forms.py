@@ -45,6 +45,7 @@ __all__ = [
     "FormError",
     "NotStrictlyPositiveError",
     "NotCommutingError",
+    "WindowCheckError",
     "OmegaPair",
     "PositiveFunctional",
     "FormInstance",
@@ -68,6 +69,10 @@ class NotStrictlyPositiveError(FormError):
 
 class NotCommutingError(FormError):
     """A pair of matrices required to commute does not, within tolerance."""
+
+
+class WindowCheckError(FormError, KernelError):
+    """A spectral window pair fails omega * y <= x <= Omega * y within tolerance."""
 
 
 @dataclass(frozen=True)
@@ -377,9 +382,14 @@ def check_com(
     Raises NotPositiveError (from sqrt_psd) when <y, y> is not positive
     semidefinite within tolerance.
     """
-    yy = form_eval(form, y, y)
-    root = sqrt_psd(yy, tol)
-    xy = form_eval(form, x, y)
+    root = sqrt_psd(form_eval(form, y, y), tol)
+    return _root_commutation(root, form_eval(form, x, y), tol)
+
+
+def _root_commutation(
+    root: np.ndarray, xy: np.ndarray, tol: Tolerance
+) -> tuple[bool, float]:
+    """The check_com test for a precomputed root = <y, y>^(1/2) and xy = <x, y>."""
     dev = float(np.linalg.norm(root @ xy - xy @ root))
     scale = max(frobenius(root) * frobenius(xy), 1.0)
     return dev <= tol.band(scale), dev
@@ -409,8 +419,22 @@ def omega_from_spectra(x, y, tol: Tolerance = DEFAULT_TOL) -> OmegaPair:
     ym = as_element(y)
     if xm.shape != ym.shape:
         raise DimMismatchError(f"shape mismatch {xm.shape} vs {ym.shape}")
-    lo_x, hi_x = spectrum_bounds(xm, tol)
-    lo_y, hi_y = spectrum_bounds(ym, tol)
+    return _omega_from_edges(
+        xm, ym, spectrum_bounds(xm, tol), spectrum_bounds(ym, tol), tol
+    )
+
+
+def _omega_from_edges(
+    xm: np.ndarray,
+    ym: np.ndarray,
+    edges_x: tuple[float, float],
+    edges_y: tuple[float, float],
+    tol: Tolerance,
+) -> OmegaPair:
+    """omega_from_spectra for same-shape matrices whose spectral edges
+    (least, greatest eigenvalue) are already known."""
+    lo_x, hi_x = edges_x
+    lo_y, hi_y = edges_y
     for name, lo in (("x", lo_x), ("y", lo_y)):
         if lo <= tol.atol:
             raise NotStrictlyPositiveError(
@@ -423,7 +447,7 @@ def omega_from_spectra(x, y, tol: Tolerance = DEFAULT_TOL) -> OmegaPair:
     ok_lo, _ = loewner_leq(pair.omega.real * ym, xm, tol)
     ok_hi, _ = loewner_leq(xm, pair.Omega.real * ym, tol)
     if not (ok_lo and ok_hi):
-        raise KernelError("spectral window failed its Loewner sanity check")
+        raise WindowCheckError("spectral window failed its Loewner sanity check")
     return pair
 
 

@@ -49,6 +49,7 @@ from .bounds import (
     weighted_additive,
 )
 from .forms import (
+    FormError,
     FormInstance,
     OmegaPair,
     PositiveFunctional,
@@ -194,6 +195,7 @@ def gen_re_valid_instance(
     rng: RngLike = 0,
     spectrum_range: tuple[float, float] = (0.1, 10.0),
     cap: int = REJECTION_CAP,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[FormInstance, np.ndarray, np.ndarray, OmegaPair]:
     """Instance (form, x, y, pair) satisfying the Re hypothesis.
 
@@ -205,11 +207,13 @@ def gen_re_valid_instance(
     perturbation, resampled until the Re check passes (cap attempts, then
     RejectionCapExceededError).  The window pair always satisfies
     Re(conj(omega) * Omega) > 0.
+
+    tol is the band of the window and Re checks.
     """
     g = _as_rng(rng)
     if kind == "module":
         t, s = gen_commuting_positive_pair(d, g, spectrum_range)
-        pair = omega_from_spectra(t, s)
+        pair = omega_from_spectra(t, s, tol)
         return FormInstance.module_form(d), t, s, pair
     if kind != "functional":
         raise ValueError(f"unknown instance kind {kind!r}")
@@ -242,7 +246,7 @@ def gen_re_valid_instance(
         rho = g.uniform(0.0, 0.9)
         p = p * np.sqrt(rho * radius**2 * fyy / fpp)
         x = lam * y + p
-        ok, _ = check_re_condition(form, x, y, pair)
+        ok, _ = check_re_condition(form, x, y, pair, tol)
         if ok:
             return form, x, y, pair
     raise RejectionCapExceededError(
@@ -364,61 +368,77 @@ def _sequence_data(
     return data
 
 
-def run_trial(config: GeneratorConfig, inequality_id: str, trial_index: int) -> BoundReport:
-    """Evaluate one fuzz trial; pure function of (config, id, trial_index)."""
+def run_trial(
+    config: GeneratorConfig,
+    inequality_id: str,
+    trial_index: int,
+    tol: Tolerance = DEFAULT_TOL,
+) -> BoundReport:
+    """Evaluate one fuzz trial; pure function of (config, id, trial_index, tol).
+
+    tol is the band of the generators' window and Re checks and of the
+    evaluator.
+    """
     if inequality_id not in INEQUALITY_IDS:
         raise ValueError(f"unknown inequality id {inequality_id!r}")
     g = stream(config.seed, trial_index)
     if inequality_id in (ADD_MATRIX, MULT_MATRIX):
         d = int(g.choice(np.asarray(config.dims)))
-        form, x, y, pair = gen_re_valid_instance("module", d, g, config.spectrum_range)
+        form, x, y, pair = gen_re_valid_instance(
+            "module", d, g, config.spectrum_range, tol=tol
+        )
         if inequality_id == ADD_MATRIX:
-            return additive_matrix_bound(form, x, y, pair)
-        return multiplicative_matrix_bound(form, x, y, pair)
+            return additive_matrix_bound(form, x, y, pair, tol)
+        return multiplicative_matrix_bound(form, x, y, pair, tol)
     if inequality_id in (ADD_FUNCTIONAL, MULT_FUNCTIONAL):
         d = int(g.choice(np.asarray(config.dims)))
-        form, x, y, pair = gen_re_valid_instance("functional", d, g)
+        form, x, y, pair = gen_re_valid_instance("functional", d, g, tol=tol)
         phi = form.functional
         if inequality_id == ADD_FUNCTIONAL:
-            return functional_additive_bound(phi, x, y, pair)
-        return functional_multiplicative_bound(phi, x, y, pair)
+            return functional_additive_bound(phi, x, y, pair, tol)
+        return functional_multiplicative_bound(phi, x, y, pair, tol)
     if inequality_id in (OP_PAIR_ADD, OP_PAIR_MULT):
         d = int(g.choice(np.asarray(config.dims)))
         t, s = gen_commuting_positive_pair(d, g, config.spectrum_range)
         v = g.standard_normal(d) + 1j * g.standard_normal(d)
         while np.linalg.norm(v) < 1e-6:
             v = g.standard_normal(d) + 1j * g.standard_normal(d)
-        result = operator_pair_bounds(t, s, v)
+        result = operator_pair_bounds(t, s, v, tol)
         return result.additive if inequality_id == OP_PAIR_ADD else result.multiplicative
     unit = inequality_id in (PS_MULT, PS_ADD, PS_IMPROVED)
     data = _sequence_data(config, g, unit_weights=unit)
     if inequality_id == INT_ADD:
-        return integral_bounds(data).additive
+        return integral_bounds(data, tol).additive
     if inequality_id == INT_MULT:
-        return integral_bounds(data).multiplicative
+        return integral_bounds(data, tol).multiplicative
     if inequality_id == GREUB_RHEINBOLDT:
-        return greub_rheinboldt(data)
+        return greub_rheinboldt(data, tol)
     if inequality_id == WEIGHTED_ADD:
-        return weighted_additive(data)
+        return weighted_additive(data, tol)
     if inequality_id == PS_MULT:
-        return polya_szego_multiplicative(data)
+        return polya_szego_multiplicative(data, tol)
     if inequality_id == PS_ADD:
-        return polya_szego_additive(data)
-    return polya_szego_improved(data).report
+        return polya_szego_additive(data, tol)
+    return polya_szego_improved(data, tol).report
 
 
-def fuzz_run(config: GeneratorConfig, inequality_id: str) -> FuzzSummary:
-    """Run config.trials independent trials and aggregate verdicts.
+def fuzz_run(
+    config: GeneratorConfig, inequality_id: str, tol: Tolerance = DEFAULT_TOL
+) -> FuzzSummary:
+    """Run config.trials independent trials at band tol and aggregate verdicts.
 
     The aggregation (counts, least margin, lowest tying trial index) is
-    invariant under any reordering of the trials.
+    invariant under any reordering of the trials.  A trial whose generator
+    finds no instance meeting the hypotheses at band tol (rejection cap
+    reached, or a pair failing its commutation or strict-positivity
+    check) counts as a precondition failure.
     """
     holds = violated = precondition_failed = 0
     worst: Optional[tuple[float, int]] = None
     for i in range(config.trials):
         try:
-            report = run_trial(config, inequality_id, i)
-        except RejectionCapExceededError:
+            report = run_trial(config, inequality_id, i, tol)
+        except (RejectionCapExceededError, FormError):
             precondition_failed += 1
             continue
         if report.verdict == PRECONDITION_FAILED:

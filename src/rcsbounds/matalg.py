@@ -1,14 +1,15 @@
 """Hermitian matrix kernel for d x d complex matrices, d <= 16.
 
 Provides the small set of algebra primitives everything else is built on:
-adjoints, Hermitian parts, a cyclic complex Jacobi eigensolver, positive
-square roots, absolute values, spectral bounds, the Loewner order, and a
-normality check.  All matrices are numpy arrays of dtype complex128; all
-norms are Frobenius norms.
+adjoints, Hermitian parts, a parallel-ordering two-sided complex Jacobi
+eigensolver, positive square roots, absolute values, spectral bounds, the
+Loewner order, and a normality check.  All matrices are numpy arrays of
+dtype complex128; all norms are Frobenius norms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,13 @@ MAX_DIM = 16
 JACOBI_REL_TARGET = 1e-14
 JACOBI_MAX_SWEEPS = 60
 
+# Floor on the Jacobi rotation denominator, which is zero only for a zero
+# pivot over a zero diagonal gap: there 2 / _TINY times the pivot gives 0.
+_TINY = np.finfo(np.float64).tiny
+# Signs of the closed-form diagonal shift t |h[p, q]| for the p and q rows.
+_SIGNS = np.array([[1.0], [-1.0]])
+_SIGNS.flags.writeable = False
+
 
 class KernelError(Exception):
     """Base class for matrix-kernel failures."""
@@ -76,8 +84,9 @@ class Tolerance:
     atol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.rtol < 0 or self.atol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        for value in (self.rtol, self.atol):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError("tolerances must be finite and nonnegative")
 
     def band(self, scale: float) -> float:
         return self.atol + self.rtol * scale
@@ -146,61 +155,91 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _jacobi_rotate(h: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Two-sided unitary rotation zeroing the (p, q) entry of Hermitian h.
+@functools.lru_cache(maxsize=None)
+def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Flat index sets for one parallel-ordering Jacobi sweep over d x d.
 
-    Updates h <- J* h J and v <- v J in place, where J is the identity
-    outside rows/columns p, q and equals
+    Round-robin (circle method) ordering: d - 1 steps for even d and d
+    steps for odd d, where one index sits out each step.  Each step pairs
+    the indices into disjoint pivots (p, q), p < q, and every pivot occurs
+    exactly once per sweep.  A step is three arrays of row-major flat
+    indices into a d x d matrix:
 
-        [[c, -s], [s * conj(u), c * conj(u)]]
-
-    on them, with c^2 + s^2 = 1 real and u the phase of h[p, q].
+    * diagonal, shape (2, k): the (p, p) entries over the (q, q) entries;
+    * pivots, shape (2, k): the (p, q) entries over the (q, p) entries;
+    * block, shape (4, k): the (p, p), (p, q), (q, p), (q, q) entries.
     """
-    beta = h[p, q]
-    ab = abs(beta)
-    if ab == 0.0:
-        h[q, p] = 0.0
-        return
-    alpha = h[p, p].real
-    gamma = h[q, q].real
-    phase = beta / ab
-    phase_c = phase.conjugate()
+    n = d + d % 2
+    players = list(range(n))
+    steps = []
+    for _ in range(n - 1):
+        pairs = sorted(
+            (min(a, b), max(a, b))
+            for a, b in zip(players[: n // 2], reversed(players[n // 2 :]))
+            if max(a, b) < d
+        )
+        p = np.array([a for a, _ in pairs])
+        q = np.array([b for _, b in pairs])
+        pp, pq, qp, qq = p * (d + 1), p * d + q, q * d + p, q * (d + 1)
+        step = (np.stack((pp, qq)), np.stack((pq, qp)), np.stack((pp, pq, qp, qq)))
+        for arr in step:
+            arr.flags.writeable = False
+        steps.append(step)
+        players = [players[0], players[-1], *players[1:-1]]
+    return tuple(steps)
 
-    tau = (alpha - gamma) / (2.0 * ab)
-    if abs(tau) > 1e150:
-        t = 1.0 / (2.0 * tau)
-    elif tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
 
-    cp = h[:, p].copy()
-    cq = h[:, q].copy()
-    h[:, p] = c * cp + (s * phase_c) * cq
-    h[:, q] = -s * cp + (c * phase_c) * cq
-    rp = h[p, :].copy()
-    rq = h[q, :].copy()
-    h[p, :] = c * rp + (s * phase) * rq
-    h[q, :] = -s * rp + (c * phase) * rq
-    # The transformed 2x2 block is known in closed form; writing it back
-    # directly keeps the pivot exactly zero and the diagonal exactly real.
-    h[p, p] = alpha + t * ab
-    h[q, q] = gamma - t * ab
-    h[p, q] = 0.0
-    h[q, p] = 0.0
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp + (s * phase_c) * vq
-    v[:, q] = -s * vp + (c * phase_c) * vq
+@functools.lru_cache(maxsize=None)
+def _off_diagonal_mask(d: int) -> np.ndarray:
+    mask = ~np.eye(d, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _off_diagonal_norm(h: np.ndarray) -> float:
-    d = h.shape[0]
-    mask = ~np.eye(d, dtype=bool)
-    return float(np.linalg.norm(h[mask]))
+    return float(np.linalg.norm(h[_off_diagonal_mask(h.shape[0])]))
+
+
+def _jacobi_sweep(
+    h: np.ndarray, v: np.ndarray, eye: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One parallel-ordering sweep over Hermitian h; returns the new (h, v).
+
+    Each step zeroes its disjoint pivots (p, q) at once with one block
+    rotation J, the identity outside rows and columns p, q and
+
+        [[c, -c * w], [c * conj(w), c]],   w = t * u,   c = 1 / sqrt(1 + t^2)
+
+    on them, where u is the phase of h[p, q] and t the smaller root of
+    t^2 + 2 tau t = 1, tau = (h[p, p] - h[q, q]) / (2 |h[p, q]|).  It applies
+    h <- J* h J and v <- v J as matrix products; J* h J has a zero (p, q)
+    entry and diagonal h[p, p] + t |h[p, q]|, h[q, q] - t |h[p, q]|.  With
+    delta = h[p, p] - h[q, q], the code forms
+
+        g = t / |h[p, q]| = sign(delta) * 2 / (|delta| + hypot(delta, 2 |h[p, q]|))
+
+    with the denominator floored at _TINY, so g is finite, |t| <= 1, and a
+    zero pivot gives w = 0 and J = identity without dividing by the pivot.
+    """
+    for diagonal, pivots, block in _round_robin(h.shape[0]):
+        beta = h.take(pivots[0])
+        dg = h.take(diagonal)
+        diff = (dg[0] - dg[1]).real
+        ab = np.abs(beta)
+        den = np.abs(diff) + np.hypot(diff, ab + ab)
+        g = np.copysign(2.0 / np.maximum(den, _TINY), diff)
+        t = g * ab
+        c = 1.0 / np.hypot(1.0, t)
+        cw = (c * g) * beta
+        j = eye.copy()
+        j.put(block, np.concatenate((c, -cw, cw.conj(), c)))
+        h = j.conj().T @ h @ j
+        v = v @ j
+        # The rotated 2x2 blocks are known in closed form; writing them
+        # back keeps the pivots exactly zero and the diagonal exactly real.
+        h.put(diagonal, dg + (t * ab) * _SIGNS)
+        h.put(pivots, 0.0)
+    return h, v
 
 
 def eig_hermitian(
@@ -208,10 +247,11 @@ def eig_hermitian(
     tol: Tolerance = DEFAULT_TOL,
     max_sweeps: int = JACOBI_MAX_SWEEPS,
 ) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
+    """Eigendecomposition of a Hermitian matrix by parallel-ordering two-sided Jacobi.
 
-    Sweeps every off-diagonal pivot (p, q) in row-cyclic order with
-    two-sided unitary rotations until the off-diagonal Frobenius mass
+    Each sweep visits every off-diagonal pivot once in round-robin order:
+    d - 1 steps (d for odd d), each zeroing d // 2 disjoint pivots with one
+    block rotation.  Sweeps repeat until the off-diagonal Frobenius mass
     drops to JACOBI_REL_TARGET times the Frobenius norm of the input.
 
     Parameters
@@ -236,21 +276,24 @@ def eig_hermitian(
             eigenvalues=np.array([h[0, 0].real]),
             eigenvectors=np.eye(1, dtype=np.complex128),
         )
-    h = h.copy()
-    v = np.eye(d, dtype=np.complex128)
+    # Jacobi commutes with scaling by a power of two, which is exact:
+    # iterating on h * 2^-e with max |h| near 1 keeps the rotations and
+    # norms clear of overflow and subnormals at any input scale.
+    shrink = math.ldexp(1.0, min(-math.frexp(float(np.max(np.abs(h))))[1], 1023))
+    h = h * shrink
+    eye = np.eye(d, dtype=np.complex128)
+    v = eye
     target = JACOBI_REL_TARGET * frobenius(h)
     sweeps = 0
     while _off_diagonal_norm(h) > target:
         if sweeps >= max_sweeps:
             raise NoConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal mass {_off_diagonal_norm(h):.3e}, target {target:.3e})"
+                f"Jacobi did not converge in {max_sweeps} sweeps (off-diagonal "
+                f"mass {_off_diagonal_norm(h) / shrink:.3e}, target {target / shrink:.3e})"
             )
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                _jacobi_rotate(h, v, p, q)
+        h, v = _jacobi_sweep(h, v, eye)
         sweeps += 1
-    lam = np.real(np.diag(h)).copy()
+    lam = np.real(np.diag(h)) / shrink
     order = np.argsort(lam, kind="stable")
     return SpectralDecomposition(
         eigenvalues=lam[order],

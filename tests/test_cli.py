@@ -169,6 +169,52 @@ def test_fuzz_invalid_trials(capsys):
     assert "nonnegative" in err
 
 
+def test_fuzz_tolerance_env_garbage(monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_RTOL, "garbage")
+    code, out, err = run(capsys, "fuzz", "ADD_MATRIX", "--trials", "2")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and cli.ENV_RTOL in err
+
+
+def test_fuzz_tolerance_takes_effect(monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_RTOL, raising=False)
+    monkeypatch.delenv(cli.ENV_ATOL, raising=False)
+    campaign = ["fuzz", "ADD_MATRIX", "--dims", "2", "--trials", "30", "--seed", "4", "--json"]
+    strict = ["--tol-rtol", "3e-17", "--tol-atol", "3e-17"]
+    code, out, _ = run(capsys, *campaign)
+    assert code == 0
+    assert json.loads(out)["precondition_failed"] == 0
+
+    # Below roundoff the generator's checks fail for some trials.
+    code, out, _ = run(capsys, *campaign, *strict)
+    assert code == 0
+    tight = json.loads(out)
+    assert tight["precondition_failed"] > 0
+
+    # The environment sets the same band.
+    monkeypatch.setenv(cli.ENV_RTOL, "3e-17")
+    monkeypatch.setenv(cli.ENV_ATOL, "3e-17")
+    code, out, _ = run(capsys, *campaign)
+    assert json.loads(out) == tight
+    monkeypatch.delenv(cli.ENV_RTOL)
+    monkeypatch.delenv(cli.ENV_ATOL)
+
+    # --replay uses the band too: the worst trial replays bit-equal, and a
+    # trial whose instance fails a generator check exits 3 with one line.
+    code, out, _ = run(capsys, *campaign, *strict, "--replay", str(tight["worst_seed"]))
+    assert json.loads(out)["margin"] == tight["worst_margin"]
+    failed = []
+    for i in range(30):
+        code, out, err = run(capsys, *campaign, *strict, "--replay", str(i))
+        if code == 3 and out == "":
+            assert err.count("\n") == 1 and "precondition failed" in err
+            failed.append(i)
+    assert failed
+    code, _, _ = run(capsys, *campaign, "--replay", str(failed[0]))
+    assert code == 0
+
+
 def test_sharpness_default_hits_quarter(capsys):
     code, out, _ = run(capsys, "sharpness")
     assert code == 0
@@ -277,3 +323,15 @@ def test_tolerance_flag_validation(capsys):
     code, _, err = run(capsys, "sharpness", "--tol-rtol", "-1")
     assert code == 1
     assert "positive" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_tolerance_non_finite_rejected(tmp_path, capsys, bad):
+    doc = matrix_doc()
+    doc["tolerance"] = {"rtol": bad}
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    code, _, err = run(capsys, "fuzz", "PS_ADD", "--trials", "1", "--tol-atol", str(bad))
+    assert code == 1
+    assert "finite" in err

@@ -1,16 +1,24 @@
 """Generators, the exact-minor oracle, and the deterministic fuzz loop."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from rcsbounds import (
     ADD_MATRIX,
     INEQUALITY_IDS,
+    MULT_MATRIX,
+    OP_PAIR_ADD,
+    OP_PAIR_MULT,
     PS_IMPROVED,
     DimTooLargeError,
+    FormError,
     FuzzSummary,
     GeneratorConfig,
     NotHermitianError,
+    Tolerance,
+    WindowCheckError,
     additive_matrix_bound,
     check_re_condition,
     eig_hermitian,
@@ -144,6 +152,32 @@ def test_run_trial_is_pure():
     assert first.rhs == second.rhs
 
 
+@pytest.mark.parametrize(
+    "inequality_id, solves",
+    [(ADD_MATRIX, 7), (MULT_MATRIX, 9), (OP_PAIR_ADD, 9), (OP_PAIR_MULT, 9)],
+)
+def test_eigensolves_per_report(monkeypatch, inequality_id, solves):
+    # Generator plus evaluator: each spectral decomposition of a report is
+    # computed once.  Every module binding of eig_hermitian is counted.
+    calls = []
+    original = eig_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name in ("", ".matalg", ".forms", ".bounds", ".harness", ".cli"):
+        module = importlib.import_module(f"rcsbounds{name}")
+        if getattr(module, "eig_hermitian", None) is original:
+            monkeypatch.setattr(module, "eig_hermitian", counted)
+    config = GeneratorConfig(seed=3, trials=8, dims=(1, 2, 4, 8))
+    for i in range(config.trials):
+        calls.clear()
+        report = run_trial(config, inequality_id, i)
+        assert report.verdict == "HOLDS"
+        assert len(calls) == solves, f"trial {i}"
+
+
 def test_run_trial_rejects_unknown_id():
     with pytest.raises(ValueError):
         run_trial(GeneratorConfig(), "NOT_AN_ID", 0)
@@ -164,6 +198,25 @@ def test_fuzz_counts_are_consistent(inequality_id):
     total = summary.holds + summary.violated + summary.precondition_failed
     assert total == summary.trials_run == 40
     assert summary.violated == 0
+
+
+def test_fuzz_strict_band_counts_generator_failures():
+    # Below roundoff the module generator's commutation and window checks
+    # fail; fuzz_run counts those trials as precondition failures.
+    tol = Tolerance(rtol=3e-17, atol=3e-17)
+    config = GeneratorConfig(seed=4, trials=30, dims=(2,))
+    raised = set()
+    for i in range(config.trials):
+        try:
+            run_trial(config, ADD_MATRIX, i, tol)
+        except FormError as exc:
+            raised.add(type(exc))
+    assert WindowCheckError in raised
+    for inequality_id in (ADD_MATRIX, MULT_MATRIX, OP_PAIR_ADD, OP_PAIR_MULT):
+        strict = fuzz_run(config, inequality_id, tol)
+        assert strict.precondition_failed > 0
+        assert strict.holds + strict.violated + strict.precondition_failed == 30
+        assert fuzz_run(config, inequality_id).precondition_failed == 0
 
 
 def test_fuzz_replay_reproduces_worst_margin():

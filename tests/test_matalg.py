@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcsbounds.harness import gen_random_unitary
 from rcsbounds.matalg import (
     DEFAULT_TOL,
+    JACOBI_MAX_SWEEPS,
     MAX_DIM,
     DimMismatchError,
     NoConvergenceError,
@@ -224,6 +226,92 @@ def test_is_normal_examples():
 def test_tolerance_band():
     tol = Tolerance(rtol=1e-6, atol=1e-9)
     assert tol.band(2.0) == 1e-9 + 2e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
+def test_tolerance_rejects_non_finite_and_negative(bad):
+    with pytest.raises(ValueError):
+        Tolerance(rtol=bad)
+    with pytest.raises(ValueError):
+        Tolerance(atol=bad)
+    assert Tolerance(rtol=0.0, atol=0.0).band(1.0) == 0.0
+
+
+def adversarial_hermitian(kind, d, g):
+    """Inputs that stress the Jacobi rotation formulas and its stopping rule."""
+    if kind == "zero":
+        return np.zeros((d, d), dtype=np.complex128)
+    if kind == "identity":
+        return np.eye(d, dtype=np.complex128)
+    if kind == "graded":
+        grade = np.logspace(-8, 8, d)
+        return grade[:, None] * rand_hermitian(d, g) * grade[None, :]
+    if kind in ("huge", "tiny"):
+        return (1e150 if kind == "huge" else 1e-150) * rand_hermitian(d, g)
+    if kind == "repeated":
+        lam = np.where(np.arange(d) % 2 == 0, 1.0, 2.0)
+    elif kind == "clustered":
+        lam = 1.0 + 1e-10 * np.arange(d)
+    elif kind == "rank1":
+        lam = np.zeros(d)
+        lam[-1] = float(g.uniform(0.5, 2.0))
+    else:
+        raise ValueError(kind)
+    u = gen_random_unitary(d, g)
+    return re_part((u * lam) @ u.conj().T)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind",
+    ["zero", "identity", "repeated", "clustered", "graded", "rank1", "huge", "tiny"],
+)
+def test_eig_adversarial_inputs_every_dim(kind):
+    # Converging within JACOBI_MAX_SWEEPS means no NoConvergenceError; any
+    # overflow, division by zero or invalid operation raises here.
+    for d in range(1, MAX_DIM + 1):
+        for trial in range(3):
+            a = adversarial_hermitian(kind, d, stream(700 + d, trial))
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                dec = eig_hermitian(a, max_sweeps=JACOBI_MAX_SWEEPS)
+            norm = frobenius(a)
+            assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+            assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(a))) <= 1e-12 * norm
+            assert frobenius(dec.reconstruct() - a) <= 1e-12 * norm
+            gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+            assert frobenius(gram - np.eye(d)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_eig_2x2_closed_form_edge_pivots():
+    # Equal diagonals (tau = 0), a zero pivot, and pivots far below or
+    # far above the diagonal gap.
+    cases = [
+        [[1.0, 1j], [-1j, 1.0]],
+        [[2.0, 0.0], [0.0, -3.0]],
+        [[1.0, 1e-300], [1e-300, 2.0]],
+        [[1e-300, 1.0 + 1.0j], [1.0 - 1.0j, -1e-300]],
+    ]
+    for case in cases:
+        a = np.array(case, dtype=np.complex128)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            dec = eig_hermitian(a)
+        lo, hi = eig2_closed_form(a)
+        scale = max(abs(lo), abs(hi))
+        assert abs(dec.eigenvalues[0] - lo) <= 1e-15 * scale
+        assert abs(dec.eigenvalues[1] - hi) <= 1e-15 * scale
+        assert frobenius(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(2)) <= 1e-15
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        # A subnormal pivot over equal diagonals, where the closed form's
+        # determinant underflows: the eigenvalues are -|b| and |b|.
+        dec = eig_hermitian([[0.0, 1e-310j], [-1e-310j, 0.0]])
+        np.testing.assert_allclose(dec.eigenvalues, [-1e-310, 1e-310], rtol=1e-15, atol=0.0)
+        # The first step's pivots are (0, 3) and (1, 2): a zero pivot over a
+        # zero diagonal gap is rotated next to a nonzero one.
+        a = np.array([[1, 0, 0, 0], [0, 2, 1j, 0], [0, -1j, 3, 0], [0, 0, 0, 1]])
+        np.testing.assert_allclose(
+            eig_hermitian(a).eigenvalues, np.linalg.eigvalsh(a), rtol=0.0, atol=1e-15
+        )
 
 
 @settings(max_examples=60, deadline=None)
