@@ -33,10 +33,12 @@ from .forms import (
     FormInstance,
     OmegaPair,
     PositiveFunctional,
+    _adjoint_symmetry,
+    _form_eval,
     _omega_from_edges,
+    _re_term,
     _root_commutation,
     check_re_condition,
-    check_star1,
     form_eval,
 )
 from .matalg import (
@@ -46,7 +48,6 @@ from .matalg import (
     Tolerance,
     abs_element,
     as_element,
-    frobenius,
     is_normal,
     loewner_leq,
     re_part,
@@ -247,31 +248,8 @@ def additive_matrix_bound(
     |<x,x>^(1/2) <y,y>^(1/2)|^2 - |<y,x>|^2.
     rhs = (1/4) |Omega - omega|^2 <y,y>^2.
     """
-    yy = form_eval(form, y, y)
-    root = sqrt_psd(yy, tol)
-    xy = form_eval(form, x, y)
-    s_ok, s_dev = check_star1(form, x, y, tol)
-    c_ok, c_dev = _root_commutation(root, xy, tol)
-    r_ok, r_margin = check_re_condition(form, x, y, pair, tol)
-    preconditions = (
-        PreconditionCheck("adjoint_symmetry", s_ok, s_dev),
-        PreconditionCheck("root_commutation", c_ok, c_dev),
-        PreconditionCheck("re_term_positive", r_ok, r_margin),
-    )
-    xx = form_eval(form, x, x)
-    yx = form_eval(form, y, x)
-    lhs = re_part(root @ xx @ root - xy @ yx)
-    rhs = re_part(0.25 * pair.spread() ** 2 * (yy @ yy))
-    holds, margin = loewner_leq(lhs, rhs, tol)
-    return BoundReport(
-        inequality_id=ADD_MATRIX,
-        preconditions=preconditions,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        verdict=_verdict(preconditions, holds),
-        details={"omega": pair.omega, "Omega": pair.Omega},
-    )
+    values = _form_values(form, x, y, pair.omega, pair.Omega)
+    return _matrix_reports(ADD_MATRIX, values, [pair], tol)[0]
 
 
 def multiplicative_matrix_bound(
@@ -284,37 +262,93 @@ def multiplicative_matrix_bound(
 
     Requires Re(conj(omega) * Omega) > 0 and a normal <x, y>.
     """
+    _positive_re_cross(pair)
+    values = _form_values(form, x, y, pair.omega, pair.Omega)
+    return _matrix_reports(MULT_MATRIX, values, [pair], tol)[0]
+
+
+def _positive_re_cross(pair: OmegaPair) -> float:
+    """Re(conj(omega) * Omega), which the multiplicative bounds require positive."""
     re_cross = pair.re_cross()
     if re_cross <= 0.0:
         raise NonPositiveReOmegaError(
             f"Re(conj(omega) * Omega) = {re_cross:.6e} must be positive"
         )
-    xx = form_eval(form, x, x)
-    yy = form_eval(form, y, y)
-    root_x = sqrt_psd(xx, tol)
-    root_y = sqrt_psd(yy, tol)
-    xy = form_eval(form, x, y)
-    s_ok, s_dev = check_star1(form, x, y, tol)
-    n_ok, n_dev = is_normal(xy, tol)
-    r_ok, r_margin = check_re_condition(form, x, y, pair, tol)
-    preconditions = (
-        PreconditionCheck("adjoint_symmetry", s_ok, s_dev),
-        PreconditionCheck("cross_term_normal", n_ok, n_dev),
-        PreconditionCheck("re_term_positive", r_ok, r_margin),
+    return re_cross
+
+
+def _form_values(
+    form: FormInstance, x, y, omega, Omega, stacked: bool = False
+) -> tuple[np.ndarray, ...]:
+    """<x,x>, <y,y>, <x,y>, <y,x> and the Re term, each an (N, k, k) stack.
+
+    N = 1 for one argument pair with complex omega, Omega.  With stacked,
+    x and y are module-form stacks of shape (N, d, d) and omega, Omega
+    arrays of shape (N, 1, 1).
+    """
+    values = (
+        _form_eval(form, x, x, stacked),
+        _form_eval(form, y, y, stacked),
+        _form_eval(form, x, y, stacked),
+        _form_eval(form, y, x, stacked),
+        _re_term(form, x, y, omega, Omega, stacked),
     )
-    lhs = re_part(root_x @ root_y + root_y @ root_x)
-    coeff = (abs(pair.Omega) + abs(pair.omega)) / math.sqrt(re_cross)
-    rhs = re_part(coeff * abs_element(xy, tol))
+    return tuple(v.reshape(-1, *v.shape[-2:]) for v in values)
+
+
+def _matrix_reports(
+    inequality_id: str,
+    values: tuple[np.ndarray, ...],
+    pairs: list[OmegaPair],
+    tol: Tolerance,
+) -> list[BoundReport]:
+    """ADD_MATRIX or MULT_MATRIX reports for N instances given by their
+    _form_values and window pairs.  Each square root, Re-term check,
+    absolute value and Loewner margin is one call over the stack, so a
+    report does not depend on the other instances."""
+    xx, yy, xy, yx, re_term = values
+    s_ok, s_dev = _adjoint_symmetry(xy, yx, tol)
+    if inequality_id == ADD_MATRIX:
+        root = sqrt_psd(yy, tol)
+        name = "root_commutation"
+        ok, value = _root_commutation(root, xy, tol)
+        lhs = re_part(root @ xx @ root - xy @ yx)
+        quarter_spread = np.array([0.25 * p.spread() ** 2 for p in pairs])
+        rhs = re_part(quarter_spread[:, None, None] * (yy @ yy))
+    else:
+        coeffs = [
+            (abs(p.Omega) + abs(p.omega)) / math.sqrt(_positive_re_cross(p)) for p in pairs
+        ]
+        root_x = sqrt_psd(xx, tol)
+        root_y = sqrt_psd(yy, tol)
+        name = "cross_term_normal"
+        ok, value = is_normal(xy, tol)
+        lhs = re_part(root_x @ root_y + root_y @ root_x)
+        rhs = re_part(np.array(coeffs)[:, None, None] * abs_element(xy, tol))
+    r_ok, r_margin = loewner_leq(np.zeros_like(re_term), re_term, tol)
     holds, margin = loewner_leq(lhs, rhs, tol)
-    return BoundReport(
-        inequality_id=MULT_MATRIX,
-        preconditions=preconditions,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        verdict=_verdict(preconditions, holds),
-        details={"omega": pair.omega, "Omega": pair.Omega, "coefficient": coeff},
-    )
+    reports = []
+    for k, pair in enumerate(pairs):
+        preconditions = (
+            PreconditionCheck("adjoint_symmetry", bool(s_ok[k]), float(s_dev[k])),
+            PreconditionCheck(name, bool(ok[k]), float(value[k])),
+            PreconditionCheck("re_term_positive", bool(r_ok[k]), float(r_margin[k])),
+        )
+        details = {"omega": pair.omega, "Omega": pair.Omega}
+        if inequality_id == MULT_MATRIX:
+            details["coefficient"] = coeffs[k]
+        reports.append(
+            BoundReport(
+                inequality_id=inequality_id,
+                preconditions=preconditions,
+                lhs=lhs[k],
+                rhs=rhs[k],
+                margin=float(margin[k]),
+                verdict=_verdict(preconditions, bool(holds[k])),
+                details=details,
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +378,15 @@ def functional_additive_bound(
     is checked.
     """
     form, fxx, fyy, cross = _functional_values(phi, x, y)
-    r_ok, r_margin = check_re_condition(form, x, y, pair, tol)
-    preconditions = (PreconditionCheck("re_term_positive", r_ok, r_margin),)
+    re_check = check_re_condition(form, x, y, pair, tol)
+    return _functional_additive_report(fxx, fyy, cross, pair, re_check, tol)
+
+
+def _functional_additive_report(
+    fxx: float, fyy: float, cross: complex, pair: OmegaPair, re_check, tol: Tolerance
+) -> BoundReport:
+    """functional_additive_bound from its _functional_values and Re check (ok, margin)."""
+    preconditions = (PreconditionCheck("re_term_positive", bool(re_check[0]), float(re_check[1])),)
     lhs = fxx * fyy - abs(cross) ** 2
     rhs = 0.25 * pair.spread() ** 2 * fyy**2
     return _scalar_report(
@@ -372,16 +413,19 @@ def functional_multiplicative_bound(
     phi(x*x)^(1/2) phi(y*y)^(1/2)
         <= (1/2) (|Omega| + |omega|) / sqrt(Re(conj(omega) Omega)) |phi(y*x)|
     """
-    re_cross = pair.re_cross()
-    if re_cross <= 0.0:
-        raise NonPositiveReOmegaError(
-            f"Re(conj(omega) * Omega) = {re_cross:.6e} must be positive"
-        )
+    _positive_re_cross(pair)
     form, fxx, fyy, cross = _functional_values(phi, x, y)
-    r_ok, r_margin = check_re_condition(form, x, y, pair, tol)
-    preconditions = (PreconditionCheck("re_term_positive", r_ok, r_margin),)
+    re_check = check_re_condition(form, x, y, pair, tol)
+    return _functional_multiplicative_report(fxx, fyy, cross, pair, re_check, tol)
+
+
+def _functional_multiplicative_report(
+    fxx: float, fyy: float, cross: complex, pair: OmegaPair, re_check, tol: Tolerance
+) -> BoundReport:
+    """functional_multiplicative_bound from its _functional_values and Re check (ok, margin)."""
+    preconditions = (PreconditionCheck("re_term_positive", bool(re_check[0]), float(re_check[1])),)
     lhs = math.sqrt(max(fxx, 0.0)) * math.sqrt(max(fyy, 0.0))
-    coeff = 0.5 * (abs(pair.Omega) + abs(pair.omega)) / math.sqrt(re_cross)
+    coeff = 0.5 * (abs(pair.Omega) + abs(pair.omega)) / math.sqrt(_positive_re_cross(pair))
     rhs = coeff * abs(cross)
     return _scalar_report(
         MULT_FUNCTIONAL,
@@ -518,17 +562,62 @@ def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairR
     vv = np.asarray(v, dtype=np.complex128).reshape(-1)
     if tm.shape != sm.shape or vv.size != tm.shape[0]:
         raise DimMismatchError("operator pair and vector dimensions disagree")
-    nv = float(np.linalg.norm(vv))
-    if nv == 0.0:
+    if float(np.linalg.norm(vv)) == 0.0:
         raise ValueError("v must be nonzero")
-    phi = PositiveFunctional.vector_state(vv / nv)
-    lo_t, hi_t = spectrum_bounds(tm, tol)
-    lo_s, hi_s = spectrum_bounds(sm, tol)
-    pair_ts = _omega_from_edges(tm, sm, (lo_t, hi_t), (lo_s, hi_s), tol)
-    pair_st = _omega_from_edges(sm, tm, (lo_s, hi_s), (lo_t, hi_t), tol)
+    return _operator_pair_results(tm[None], sm[None], vv[None], tol)[0]
 
-    rep_ts = functional_additive_bound(phi, tm, sm, pair_ts, tol)
-    rep_st = functional_additive_bound(phi, sm, tm, pair_st, tol)
+
+def _operator_pair_results(
+    t: np.ndarray, s: np.ndarray, v: np.ndarray, tol: Tolerance
+) -> list[OperatorPairResult]:
+    """operator_pair_bounds for (N, d, d) stacks t, s and nonzero vectors v
+    of shape (N, d).  The spectra, the window checks and the Re-term
+    checks each run once over the stack, so a result does not depend on
+    the other instances."""
+    lo_t, hi_t = spectrum_bounds(t, tol)
+    lo_s, hi_s = spectrum_bounds(s, tol)
+    pairs_ts = _omega_from_edges(t, s, (lo_t, hi_t), (lo_s, hi_s), tol)
+    pairs_st = _omega_from_edges(s, t, (lo_s, hi_s), (lo_t, hi_t), tol)
+    instances = []
+    re_terms = []
+    for tm, sm, vv, pair_ts, pair_st in zip(t, s, v, pairs_ts, pairs_st):
+        nv = float(np.linalg.norm(vv))
+        phi = PositiveFunctional.vector_state(vv / nv)
+        values_ts = _functional_values(phi, tm, sm)
+        values_st = _functional_values(phi, sm, tm)
+        # The Re terms of the ts and st additive reports and of the
+        # multiplicative report, in that order.
+        for (form, *_), x, y, pair in (
+            (values_ts, tm, sm, pair_ts),
+            (values_st, sm, tm, pair_st),
+            (values_ts, tm, sm, pair_ts),
+        ):
+            re_terms.append(_re_term(form, x, y, pair.omega, pair.Omega))
+        instances.append((tm, vv, nv, values_ts[1:], values_st[1:]))
+    re_terms = np.stack(re_terms)
+    re_ok, re_margin = loewner_leq(np.zeros_like(re_terms), re_terms, tol)
+    results = []
+    for k, (tm, vv, nv, values_ts, values_st) in enumerate(instances):
+        sm, pair_ts, pair_st = s[k], pairs_ts[k], pairs_st[k]
+        edges = (float(lo_t[k]), float(hi_t[k]), float(lo_s[k]), float(hi_s[k]))
+        checks = [(re_ok[3 * k + i], re_margin[3 * k + i]) for i in range(3)]
+        rep_ts = _functional_additive_report(*values_ts, pair_ts, checks[0], tol)
+        rep_st = _functional_additive_report(*values_st, pair_st, checks[1], tol)
+        rep_mult = _functional_multiplicative_report(*values_ts, pair_ts, checks[2], tol)
+        results.append(
+            _operator_pair_result(
+                tm, sm, vv, nv, edges, pair_ts, pair_st, rep_ts, rep_st, rep_mult, tol
+            )
+        )
+    return results
+
+
+def _operator_pair_result(
+    tm, sm, vv, nv, edges, pair_ts, pair_st, rep_ts, rep_st, rep_mult, tol
+) -> OperatorPairResult:
+    """Both operator-pair reports from the functional reports, rescaled by
+    ||v||, and cross-checked against the closed forms."""
+    lo_t, hi_t, lo_s, hi_s = edges
     add_preconditions = tuple(
         PreconditionCheck(f"{p.name}_{tag}", p.passed, p.value)
         for tag, rep in (("ts", rep_ts), ("st", rep_st))
@@ -573,7 +662,6 @@ def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairR
         },
     )
 
-    rep_mult = functional_multiplicative_bound(phi, tm, sm, pair_ts, tol)
     lhs_mult = rep_mult.lhs * nv**2
     rhs_mult = rep_mult.rhs * nv**2
     ratio = (lo_t * lo_s) / (hi_t * hi_s)

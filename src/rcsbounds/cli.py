@@ -12,6 +12,7 @@ any overrides stored in an instance file.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -60,7 +61,7 @@ from .bounds import (
     sharpness_witness,
     weighted_additive,
 )
-from .forms import FormError, FormInstance, OmegaPair, PositiveFunctional
+from .forms import FormError, FormInstance, OmegaPair, PositiveFunctional, _coerce_argument
 from .harness import (
     FuzzSummary,
     GeneratorConfig,
@@ -71,7 +72,15 @@ from .harness import (
     run_trial,
     sample_window,
 )
-from .matalg import DEFAULT_TOL, Tolerance
+from .matalg import (
+    DEFAULT_TOL,
+    MAX_DIM,
+    DimMismatchError,
+    NotHermitianError,
+    NotPositiveError,
+    Tolerance,
+    as_element,
+)
 from .rng import stream
 
 __all__ = ["main", "INSTANCE_SCHEMA", "CSV_HEADER"]
@@ -325,12 +334,22 @@ def _load_instance(path: str) -> dict:
     return doc
 
 
+def _at(path: str, fn, *args):
+    """fn(*args), with a dimension error reported as a usage error at path."""
+    try:
+        return fn(*args)
+    except DimMismatchError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _report_from_instance(doc: dict, tol: Tolerance) -> BoundReport:
     target = doc["target"]
     if target in _MATRIX_IDS or target in _FUNCTIONAL_IDS:
-        form = FormInstance.from_dict(doc["form"], "$.form")
+        form = _at("$.form", FormInstance.from_dict, doc["form"], "$.form")
         x = _decode_argument(doc["x"], "$.x")
         y = _decode_argument(doc["y"], "$.y")
+        for path, arg in (("$.x", x), ("$.y", y)):
+            _at(path, _coerce_argument, form, arg)
         pair = _decode_pair(doc["omega_pair"], "$.omega_pair")
         if target == ADD_MATRIX:
             return additive_matrix_bound(form, x, y, pair, tol)
@@ -344,12 +363,14 @@ def _report_from_instance(doc: dict, tol: Tolerance) -> BoundReport:
         return functional_multiplicative_bound(phi, x, y, pair, tol)
     if target in _OPERATOR_IDS:
         op = doc["operator_pair"]
-        t = jsonio.decode_matrix(op["t"], "$.operator_pair.t")
-        s = jsonio.decode_matrix(op["s"], "$.operator_pair.s")
+        t, s = (
+            _at(path, as_element, jsonio.decode_matrix(op[key], path))
+            for key, path in (("t", "$.operator_pair.t"), ("s", "$.operator_pair.s"))
+        )
         v = jsonio.decode_vector(op["v"], "$.operator_pair.v")
-        result = operator_pair_bounds(t, s, v, tol)
+        result = _at("$.operator_pair", operator_pair_bounds, t, s, v, tol)
         return result.additive if target == OP_PAIR_ADD else result.multiplicative
-    data = WeightedSequences.from_dict(doc["sequences"], "$.sequences")
+    data = _at("$.sequences", WeightedSequences.from_dict, doc["sequences"], "$.sequences")
     if target == INT_ADD:
         return integral_bounds(data, tol).additive
     if target == INT_MULT:
@@ -372,10 +393,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = _report_from_instance(doc, tol)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    except NonPositiveReOmegaError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 3
-    except WindowViolationError as exc:
+    except (
+        NotHermitianError,
+        NotPositiveError,
+        FormError,
+        NonPositiveReOmegaError,
+        WindowViolationError,
+    ) as exc:
+        # A hypothesis the instance's data fails.  Dimension errors are
+        # reported at their JSON path above.
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
     _print_report(report, args.json)
@@ -442,6 +468,10 @@ def _sharpness_inputs(
 
 def cmd_sharpness(args: argparse.Namespace) -> int:
     tol = _resolve_tolerance(args)
+    if not 1 <= args.dim <= MAX_DIM:
+        raise _UsageError(f"--dim must be in 1..{MAX_DIM}")
+    if not all(cmath.isfinite(w) for w in (args.omega, args.Omega)):
+        raise _UsageError("--omega and --Omega must be finite")
     pair = OmegaPair(omega=args.omega, Omega=getattr(args, "Omega"))
     phi, y = _sharpness_inputs(args.kind, args.dim, args.seed)
     try:

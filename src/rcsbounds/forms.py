@@ -30,6 +30,8 @@ from .matalg import (
     DimMismatchError,
     KernelError,
     Tolerance,
+    _as_stack,
+    _norms,
     as_element,
     eig_hermitian,
     frobenius,
@@ -321,8 +323,11 @@ def _first_column_matrix(u: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-def _coerce_argument(form: FormInstance, x) -> np.ndarray:
-    """Validate one form argument and normalize it to an ndarray."""
+def _coerce_argument(form: FormInstance, x, stacked: bool = False) -> np.ndarray:
+    """Validate one form argument and normalize it to an ndarray.
+
+    With stacked, a module-form argument is an (N, d, d) stack of them.
+    """
     arr = np.asarray(x, dtype=np.complex128)
     if form.kind == GRAM_TENSOR:
         arr = arr.reshape(-1) if arr.ndim == 0 else arr
@@ -332,8 +337,8 @@ def _coerce_argument(form: FormInstance, x) -> np.ndarray:
             )
         return arr
     if form.kind == MODULE_FORM:
-        m = as_element(arr)
-        if m.shape[0] != form.algebra_dim:
+        m = _as_stack(arr)[0] if stacked else as_element(arr)
+        if m.shape[-1] != form.algebra_dim:
             raise DimMismatchError(
                 f"module_form argument must be {form.algebra_dim} x {form.algebra_dim}"
             )
@@ -353,12 +358,18 @@ def _coerce_argument(form: FormInstance, x) -> np.ndarray:
 
 def form_eval(form: FormInstance, x, y) -> np.ndarray:
     """Evaluate <x, y> as an algebra_dim x algebra_dim matrix."""
-    xa = _coerce_argument(form, x)
-    ya = _coerce_argument(form, y)
+    return _form_eval(form, x, y)
+
+
+def _form_eval(form: FormInstance, x, y, stacked: bool = False) -> np.ndarray:
+    """form_eval; with stacked, the module-form arguments x and y are
+    (N, d, d) stacks, giving the (N, d, d) stack of values."""
+    xa = _coerce_argument(form, x, stacked)
+    ya = _coerce_argument(form, y, stacked)
     if form.kind == GRAM_TENSOR:
         return np.einsum("i,j,ijab->ab", xa, ya.conj(), form.gram)
     if form.kind == MODULE_FORM:
-        return ya.conj().T @ xa
+        return ya.conj().swapaxes(-1, -2) @ xa
     val = form.functional.value(ya.conj().T @ xa)
     return np.array([[val]], dtype=np.complex128)
 
@@ -367,10 +378,16 @@ def check_star1(
     form: FormInstance, x, y, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Check <x, y>* = <y, x> and report the Frobenius deviation."""
-    xy = form_eval(form, x, y)
-    yx = form_eval(form, y, x)
-    dev = float(np.linalg.norm(xy.conj().T - yx))
-    scale = max(frobenius(xy), frobenius(yx), 1.0)
+    ok, dev = _adjoint_symmetry(form_eval(form, x, y)[None], form_eval(form, y, x)[None], tol)
+    return bool(ok[0]), float(dev[0])
+
+
+def _adjoint_symmetry(
+    xy: np.ndarray, yx: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """The check_star1 test for (N, k, k) stacks of xy = <x, y> and yx = <y, x>."""
+    dev = _norms(xy.conj().swapaxes(1, 2) - yx)
+    scale = np.maximum(np.maximum(_norms(xy), _norms(yx)), 1.0)
     return dev <= tol.band(scale), dev
 
 
@@ -383,72 +400,87 @@ def check_com(
     semidefinite within tolerance.
     """
     root = sqrt_psd(form_eval(form, y, y), tol)
-    return _root_commutation(root, form_eval(form, x, y), tol)
+    ok, dev = _root_commutation(root[None], form_eval(form, x, y)[None], tol)
+    return bool(ok[0]), float(dev[0])
 
 
 def _root_commutation(
     root: np.ndarray, xy: np.ndarray, tol: Tolerance
-) -> tuple[bool, float]:
-    """The check_com test for a precomputed root = <y, y>^(1/2) and xy = <x, y>."""
-    dev = float(np.linalg.norm(root @ xy - xy @ root))
-    scale = max(frobenius(root) * frobenius(xy), 1.0)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The check_com test for (N, k, k) stacks of root = <y, y>^(1/2) and xy = <x, y>."""
+    dev = _norms(root @ xy - xy @ root)
+    scale = np.maximum(_norms(root) * _norms(xy), 1.0)
     return dev <= tol.band(scale), dev
+
+
+def _re_term(form: FormInstance, x, y, omega, Omega, stacked: bool = False) -> np.ndarray:
+    """Hermitian part of <Omega y - x, x - omega y>.
+
+    With stacked (see _form_eval), x and y are module-form stacks of
+    shape (N, d, d) and omega, Omega arrays of shape (N, 1, 1).
+    """
+    xa = np.asarray(x, dtype=np.complex128)
+    ya = np.asarray(y, dtype=np.complex128)
+    return re_part(_form_eval(form, Omega * ya - xa, xa - omega * ya, stacked))
 
 
 def check_re_condition(
     form: FormInstance, x, y, pair: OmegaPair, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Check Re <Omega y - x, x - omega y> >= 0; margin is its least eigenvalue."""
-    xa = np.asarray(x, dtype=np.complex128)
-    ya = np.asarray(y, dtype=np.complex128)
-    u = pair.Omega * ya - xa
-    v = xa - pair.omega * ya
-    m = re_part(form_eval(form, u, v))
-    zero = np.zeros_like(m)
-    return loewner_leq(zero, m, tol)
+    m = _re_term(form, x, y, pair.omega, pair.Omega)
+    return loewner_leq(np.zeros_like(m), m, tol)
 
 
-def omega_from_spectra(x, y, tol: Tolerance = DEFAULT_TOL) -> OmegaPair:
+def omega_from_spectra(x, y, tol: Tolerance = DEFAULT_TOL):
     """Window pair for commuting strictly positive matrices.
 
     Returns omega = min sigma(x) / max sigma(y) and
     Omega = max sigma(x) / min sigma(y), which satisfy
-    omega * y <= x <= Omega * y in the Loewner order.
+    omega * y <= x <= Omega * y in the Loewner order.  For (N, d, d)
+    stacks x, y, a list of N pairs, raising if any slice fails a check.
     """
-    xm = as_element(x)
-    ym = as_element(y)
+    xm, single = _as_stack(x)
+    ym, _ = _as_stack(y)
     if xm.shape != ym.shape:
-        raise DimMismatchError(f"shape mismatch {xm.shape} vs {ym.shape}")
-    return _omega_from_edges(
+        raise DimMismatchError(f"shape mismatch {np.shape(x)} vs {np.shape(y)}")
+    pairs = _omega_from_edges(
         xm, ym, spectrum_bounds(xm, tol), spectrum_bounds(ym, tol), tol
     )
+    return pairs[0] if single else pairs
 
 
 def _omega_from_edges(
     xm: np.ndarray,
     ym: np.ndarray,
-    edges_x: tuple[float, float],
-    edges_y: tuple[float, float],
+    edges_x: tuple[np.ndarray, np.ndarray],
+    edges_y: tuple[np.ndarray, np.ndarray],
     tol: Tolerance,
-) -> OmegaPair:
-    """omega_from_spectra for same-shape matrices whose spectral edges
-    (least, greatest eigenvalue) are already known."""
+) -> list[OmegaPair]:
+    """omega_from_spectra for same-shape (N, d, d) stacks whose spectral
+    edges (least, greatest eigenvalue; arrays of shape (N,)) are already
+    known.  One pair per slice; raises if any slice fails a check."""
     lo_x, hi_x = edges_x
     lo_y, hi_y = edges_y
     for name, lo in (("x", lo_x), ("y", lo_y)):
-        if lo <= tol.atol:
+        low = lo <= tol.atol
+        if np.count_nonzero(low):
             raise NotStrictlyPositiveError(
-                f"{name} must be strictly positive (min eigenvalue {lo:.6e})"
+                f"{name} must be strictly positive (min eigenvalue {lo[np.argmax(low)]:.6e})"
             )
-    comm = float(np.linalg.norm(xm @ ym - ym @ xm))
-    if comm > tol.atol + tol.rtol * frobenius(xm) * frobenius(ym):
-        raise NotCommutingError(f"inputs do not commute (||[x, y]|| = {comm:.6e})")
-    pair = OmegaPair(omega=complex(lo_x / hi_y), Omega=complex(hi_x / lo_y))
-    ok_lo, _ = loewner_leq(pair.omega.real * ym, xm, tol)
-    ok_hi, _ = loewner_leq(xm, pair.Omega.real * ym, tol)
-    if not (ok_lo and ok_hi):
+    comm = _norms(xm @ ym - ym @ xm)
+    apart = comm > tol.atol + tol.rtol * _norms(xm) * _norms(ym)
+    if np.count_nonzero(apart):
+        raise NotCommutingError(
+            f"inputs do not commute (||[x, y]|| = {comm[np.argmax(apart)]:.6e})"
+        )
+    omega = lo_x / hi_y
+    Omega = hi_x / lo_y
+    ok_lo, _ = loewner_leq(omega[:, None, None] * ym, xm, tol)
+    ok_hi, _ = loewner_leq(xm, Omega[:, None, None] * ym, tol)
+    if not (ok_lo.all() and ok_hi.all()):
         raise WindowCheckError("spectral window failed its Loewner sanity check")
-    return pair
+    return [OmegaPair(omega=complex(lo), Omega=complex(hi)) for lo, hi in zip(omega, Omega)]
 
 
 @dataclass(frozen=True)

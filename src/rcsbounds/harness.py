@@ -5,6 +5,12 @@ Determinism contract: every trial draws from a Philox stream keyed by
 configuration and its index, never on execution order.  Replaying one
 trial reproduces its report bit for bit, and summaries aggregated over
 trials are schedule-independent.
+
+Batch invariant: run_trials evaluates the matrix and operator-pair trials
+of a window in stacked kernel calls, and every stacked call treats each
+instance on its own, so a trial's outcome is also independent of which
+other trials share its batch; run_trial, a batch of one, replays it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -36,13 +42,13 @@ from .bounds import (
     BoundReport,
     ScalarWindow,
     WeightedSequences,
-    additive_matrix_bound,
+    _form_values,
+    _matrix_reports,
+    _operator_pair_results,
     functional_additive_bound,
     functional_multiplicative_bound,
     greub_rheinboldt,
     integral_bounds,
-    multiplicative_matrix_bound,
-    operator_pair_bounds,
     polya_szego_additive,
     polya_szego_improved,
     polya_szego_multiplicative,
@@ -79,11 +85,16 @@ __all__ = [
     "gen_argmin_families",
     "oracle_psd_minors",
     "sample_window",
+    "run_trials",
     "run_trial",
     "fuzz_run",
 ]
 
 REJECTION_CAP = 1000
+
+# Trials evaluated together by run_trials: at most this many instances
+# are held and stacked at once, whatever the campaign's trial count.
+TRIAL_WINDOW = 64
 
 RngLike = Union[int, np.random.Generator]
 
@@ -94,6 +105,14 @@ class RejectionCapExceededError(Exception):
 
 class DimTooLargeError(Exception):
     """The exact-minor oracle only supports d <= 4."""
+
+
+# Ids whose trials run_trials evaluates in stacked kernel calls.
+_STACKED_IDS = (ADD_MATRIX, MULT_MATRIX, OP_PAIR_ADD, OP_PAIR_MULT)
+# Raised by a generator that finds no instance meeting the hypotheses:
+# the trial counts as a precondition failure.
+_PRECONDITION_ERRORS = (RejectionCapExceededError, FormError)
+TrialOutcome = Union[BoundReport, RejectionCapExceededError, FormError]
 
 
 def _as_rng(rng: RngLike) -> np.random.Generator:
@@ -213,8 +232,8 @@ def gen_re_valid_instance(
     g = _as_rng(rng)
     if kind == "module":
         t, s = gen_commuting_positive_pair(d, g, spectrum_range)
-        pair = omega_from_spectra(t, s, tol)
-        return FormInstance.module_form(d), t, s, pair
+        form, pairs = _module_windows(t[None], s[None], tol)
+        return form, t, s, pairs[0]
     if kind != "functional":
         raise ValueError(f"unknown instance kind {kind!r}")
 
@@ -252,6 +271,15 @@ def gen_re_valid_instance(
     raise RejectionCapExceededError(
         f"no admissible x found in {cap} attempts (kind=functional, d={d})"
     )
+
+
+def _module_windows(
+    t: np.ndarray, s: np.ndarray, tol: Tolerance
+) -> tuple[FormInstance, list[OmegaPair]]:
+    """The window step of a module-form instance (x, y) = (t, s): for
+    (N, d, d) stacks of commuting strictly positive pairs, the module form
+    over M_d and each slice's window pair read off its spectra at band tol."""
+    return FormInstance.module_form(t.shape[-1]), omega_from_spectra(t, s, tol)
 
 
 def gen_argmin_families(n: int) -> list[tuple[str, WeightedSequences]]:
@@ -368,28 +396,10 @@ def _sequence_data(
     return data
 
 
-def run_trial(
-    config: GeneratorConfig,
-    inequality_id: str,
-    trial_index: int,
-    tol: Tolerance = DEFAULT_TOL,
+def _scalar_trial(
+    config: GeneratorConfig, inequality_id: str, g: np.random.Generator, tol: Tolerance
 ) -> BoundReport:
-    """Evaluate one fuzz trial; pure function of (config, id, trial_index, tol).
-
-    tol is the band of the generators' window and Re checks and of the
-    evaluator.
-    """
-    if inequality_id not in INEQUALITY_IDS:
-        raise ValueError(f"unknown inequality id {inequality_id!r}")
-    g = stream(config.seed, trial_index)
-    if inequality_id in (ADD_MATRIX, MULT_MATRIX):
-        d = int(g.choice(np.asarray(config.dims)))
-        form, x, y, pair = gen_re_valid_instance(
-            "module", d, g, config.spectrum_range, tol=tol
-        )
-        if inequality_id == ADD_MATRIX:
-            return additive_matrix_bound(form, x, y, pair, tol)
-        return multiplicative_matrix_bound(form, x, y, pair, tol)
+    """One trial of a functional or sequence id from its stream g."""
     if inequality_id in (ADD_FUNCTIONAL, MULT_FUNCTIONAL):
         d = int(g.choice(np.asarray(config.dims)))
         form, x, y, pair = gen_re_valid_instance("functional", d, g, tol=tol)
@@ -397,14 +407,6 @@ def run_trial(
         if inequality_id == ADD_FUNCTIONAL:
             return functional_additive_bound(phi, x, y, pair, tol)
         return functional_multiplicative_bound(phi, x, y, pair, tol)
-    if inequality_id in (OP_PAIR_ADD, OP_PAIR_MULT):
-        d = int(g.choice(np.asarray(config.dims)))
-        t, s = gen_commuting_positive_pair(d, g, config.spectrum_range)
-        v = g.standard_normal(d) + 1j * g.standard_normal(d)
-        while np.linalg.norm(v) < 1e-6:
-            v = g.standard_normal(d) + 1j * g.standard_normal(d)
-        result = operator_pair_bounds(t, s, v, tol)
-        return result.additive if inequality_id == OP_PAIR_ADD else result.multiplicative
     unit = inequality_id in (PS_MULT, PS_ADD, PS_IMPROVED)
     data = _sequence_data(config, g, unit_weights=unit)
     if inequality_id == INT_ADD:
@@ -422,6 +424,124 @@ def run_trial(
     return polya_szego_improved(data, tol).report
 
 
+def _draw_pair(
+    config: GeneratorConfig, inequality_id: str, g: np.random.Generator
+) -> tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The random part of a matrix or operator-pair trial: (d, t, s, v),
+    v None for the matrix ids.  t and s form the commuting strictly
+    positive pair, x and y of gen_re_valid_instance("module") for the
+    matrix ids."""
+    d = int(g.choice(np.asarray(config.dims)))
+    t, s = gen_commuting_positive_pair(d, g, config.spectrum_range)
+    if inequality_id in (ADD_MATRIX, MULT_MATRIX):
+        return d, t, s, None
+    v = g.standard_normal(d) + 1j * g.standard_normal(d)
+    while np.linalg.norm(v) < 1e-6:
+        v = g.standard_normal(d) + 1j * g.standard_normal(d)
+    return d, t, s, v
+
+
+def _stacked_trials(
+    config: GeneratorConfig, inequality_id: str, window: list[int], tol: Tolerance
+) -> list[BoundReport]:
+    """Matrix and operator-pair trials: each instance is drawn from its own
+    stream, then the instances of each d are evaluated together.  Raises if
+    any trial's generator checks or evaluator raise."""
+    draws = [_draw_pair(config, inequality_id, stream(config.seed, i)) for i in window]
+    reports: list[BoundReport] = [None] * len(window)
+    for d in sorted({draw[0] for draw in draws}):
+        positions = [k for k, draw in enumerate(draws) if draw[0] == d]
+        t = np.stack([draws[k][1] for k in positions])
+        s = np.stack([draws[k][2] for k in positions])
+        if inequality_id in (ADD_MATRIX, MULT_MATRIX):
+            form, pairs = _module_windows(t, s, tol)
+            omega = np.array([p.omega for p in pairs])[:, None, None]
+            Omega = np.array([p.Omega for p in pairs])[:, None, None]
+            values = _form_values(form, t, s, omega, Omega, stacked=True)
+            group = _matrix_reports(inequality_id, values, pairs, tol)
+        else:
+            v = np.stack([draws[k][3] for k in positions])
+            results = _operator_pair_results(t, s, v, tol)
+            group = [
+                r.additive if inequality_id == OP_PAIR_ADD else r.multiplicative
+                for r in results
+            ]
+        for k, report in zip(positions, group):
+            reports[k] = report
+    return reports
+
+
+def run_trials(
+    config: GeneratorConfig,
+    inequality_id: str,
+    indices,
+    tol: Tolerance = DEFAULT_TOL,
+) -> list[TrialOutcome]:
+    """Evaluate the fuzz trials with the given indices, one outcome each, in order.
+
+    A trial is a pure function of (config, id, trial_index, tol): it draws
+    from the Philox stream keyed by (seed, trial_index), and tol is the
+    band of the generators' window and Re checks and of the evaluator.  Its
+    outcome is its BoundReport, or the RejectionCapExceededError or
+    FormError raised when its generator finds no instance meeting the
+    hypotheses at band tol; any other exception propagates.
+
+    The indices are taken TRIAL_WINDOW at a time.  For the matrix and
+    operator-pair ids the trials of a window are grouped by d and each
+    group is evaluated in stacked kernel calls; if a stacked stage raises,
+    the window is evaluated again one trial at a time, so each failure
+    is the trial's own.  Every stacked call treats each slice on its own
+    (see matalg), so an outcome is bit-equal whatever other indices share
+    its window.
+    """
+    if inequality_id not in INEQUALITY_IDS:
+        raise ValueError(f"unknown inequality id {inequality_id!r}")
+    indices = [int(i) for i in indices]
+    outcomes: list[TrialOutcome] = []
+    for start in range(0, len(indices), TRIAL_WINDOW):
+        window = indices[start : start + TRIAL_WINDOW]
+        if inequality_id in _STACKED_IDS:
+            try:
+                outcomes += _stacked_trials(config, inequality_id, window, tol)
+            except Exception:
+                # Some trial of the window failed a stacked stage: one trial
+                # at a time, so each failure is the trial's own.
+                outcomes += [_trial_outcome(config, inequality_id, i, tol) for i in window]
+        else:
+            outcomes += [_trial_outcome(config, inequality_id, i, tol) for i in window]
+    return outcomes
+
+
+def _trial_outcome(
+    config: GeneratorConfig, inequality_id: str, trial_index: int, tol: Tolerance
+) -> TrialOutcome:
+    """One trial on its own: its report, or the precondition error its
+    generator raised.  Any other exception propagates."""
+    try:
+        if inequality_id in _STACKED_IDS:
+            return _stacked_trials(config, inequality_id, [trial_index], tol)[0]
+        return _scalar_trial(config, inequality_id, stream(config.seed, trial_index), tol)
+    except _PRECONDITION_ERRORS as exc:
+        return exc
+
+
+def run_trial(
+    config: GeneratorConfig,
+    inequality_id: str,
+    trial_index: int,
+    tol: Tolerance = DEFAULT_TOL,
+) -> BoundReport:
+    """Evaluate one fuzz trial: run_trials for the single index.
+
+    A generator that finds no instance meeting the hypotheses at band tol
+    raises its RejectionCapExceededError or FormError here.
+    """
+    outcome = run_trials(config, inequality_id, [trial_index], tol)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def fuzz_run(
     config: GeneratorConfig, inequality_id: str, tol: Tolerance = DEFAULT_TOL
 ) -> FuzzSummary:
@@ -431,26 +551,25 @@ def fuzz_run(
     invariant under any reordering of the trials.  A trial whose generator
     finds no instance meeting the hypotheses at band tol (rejection cap
     reached, or a pair failing its commutation or strict-positivity
-    check) counts as a precondition failure.
+    check) counts as a precondition failure.  Trials run through
+    run_trials a window at a time, so memory does not grow with
+    config.trials.
     """
     holds = violated = precondition_failed = 0
     worst: Optional[tuple[float, int]] = None
-    for i in range(config.trials):
-        try:
-            report = run_trial(config, inequality_id, i, tol)
-        except (RejectionCapExceededError, FormError):
-            precondition_failed += 1
-            continue
-        if report.verdict == PRECONDITION_FAILED:
-            precondition_failed += 1
-            continue
-        if report.verdict == HOLDS:
-            holds += 1
-        else:
-            violated += 1
-        candidate = (report.margin, i)
-        if worst is None or candidate < worst:
-            worst = candidate
+    for start in range(0, config.trials, TRIAL_WINDOW):
+        indices = range(start, min(start + TRIAL_WINDOW, config.trials))
+        for i, report in zip(indices, run_trials(config, inequality_id, indices, tol)):
+            if isinstance(report, Exception) or report.verdict == PRECONDITION_FAILED:
+                precondition_failed += 1
+                continue
+            if report.verdict == HOLDS:
+                holds += 1
+            else:
+                violated += 1
+            candidate = (report.margin, i)
+            if worst is None or candidate < worst:
+                worst = candidate
     return FuzzSummary(
         inequality_id=inequality_id,
         seed=config.seed,

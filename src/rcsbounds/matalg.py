@@ -5,6 +5,14 @@ adjoints, Hermitian parts, a parallel-ordering two-sided complex Jacobi
 eigensolver, positive square roots, absolute values, spectral bounds, the
 Loewner order, and a normality check.  All matrices are numpy arrays of
 dtype complex128; all norms are Frobenius norms.
+
+re_part, sqrt_psd, abs_element, spectrum_bounds, loewner_leq and is_normal
+also accept a stack of N same-size matrices, shape (N, d, d), and then
+return one result per slice; eig_hermitian_stack is the stacked
+eigensolver behind all of them.  Batch invariant: every slice is scaled,
+checked, iterated and stopped on its own, so slice k of a stacked result
+is bit-equal to the result for that matrix alone, whatever its
+batch-mates.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ __all__ = [
     "frobenius",
     "hermiticity_defect",
     "eig_hermitian",
+    "eig_hermitian_stack",
     "sqrt_psd",
     "abs_element",
     "spectrum_bounds",
@@ -88,11 +97,24 @@ class Tolerance:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError("tolerances must be finite and nonnegative")
 
-    def band(self, scale: float) -> float:
+    def band(self, scale):
         return self.atol + self.rtol * scale
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def _validated(m: np.ndarray) -> np.ndarray:
+    """Check that the last two axes of m form finite square d x d matrices, 1 <= d <= MAX_DIM."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if not 1 <= m.shape[-1] <= MAX_DIM:
+        raise DimMismatchError(
+            f"dimension {m.shape[-1]} outside supported range 1..{MAX_DIM}"
+        )
+    if np.count_nonzero(~np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def as_element(a) -> np.ndarray:
@@ -100,15 +122,21 @@ def as_element(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise DimMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
-        raise DimMismatchError(
-            f"dimension {m.shape[0]} outside supported range 1..{MAX_DIM}"
-        )
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _validated(np.ascontiguousarray(m))
+
+
+def _as_stack(a) -> tuple[np.ndarray, bool]:
+    """A matrix or an (N, d, d) stack as a validated stack, and whether it was one matrix."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim == 3:
+        return _validated(np.ascontiguousarray(m)), False
+    return as_element(m)[None], True
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def adjoint(a) -> np.ndarray:
@@ -117,56 +145,116 @@ def adjoint(a) -> np.ndarray:
 
 
 def re_part(a) -> np.ndarray:
-    """Hermitian part (a + a*) / 2.  Output is exactly Hermitian."""
-    m = as_element(a)
-    return (m + m.conj().T) / 2.0
+    """Hermitian part (a + a*) / 2, slice by slice for a stack.  Output is exactly Hermitian."""
+    m, single = _as_stack(a)
+    h = (m + _adjoint(m)) / 2.0
+    return h[0] if single else h
+
+
+def _flat(m: np.ndarray) -> np.ndarray:
+    """The matrices over the last two axes of m as row-major rows."""
+    return m.reshape(*m.shape[:-2], -1)
+
+
+def _shrink(m: np.ndarray) -> np.ndarray:
+    """Per matrix over the last two axes, the power of two 2^-e that brings
+    the largest entry into [0.5, 1), or below 0.5 when it is under the
+    least normal double.  Scaling by it is exact, and the scaled entries
+    can be squared and summed without overflow."""
+    big = np.maximum.reduce(np.abs(_flat(m)), axis=-1, initial=_TINY)
+    return np.ldexp(1.0, -np.frexp(big)[1])
+
+
+def _root_sumsq(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, without rescaling."""
+    parts = np.ascontiguousarray(rows).view(np.float64)
+    return np.sqrt(np.einsum("...i,...i->...", parts, parts))
+
+
+def _norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes, at an exact power-of-two scale."""
+    shrink = _shrink(m)
+    return _root_sumsq(_flat(m) * shrink[..., None]) / shrink
 
 
 def frobenius(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))
+    """Frobenius norm; finite entries of any size give a finite norm below overflow."""
+    return float(_norms(np.asarray(a, dtype=np.complex128).reshape(1, -1)))
 
 
 def hermiticity_defect(a) -> float:
     """Frobenius distance ||a - a*||_F from the Hermitian matrices."""
     m = as_element(a)
-    return float(np.linalg.norm(m - m.conj().T))
+    return frobenius(m - m.conj().T)
 
 
-def _require_hermitian(a: np.ndarray, tol: Tolerance, who: str) -> np.ndarray:
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > tol.band(frobenius(a)):
+def _hermitian_scaled(
+    m: np.ndarray, tol: Tolerance, names: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check each slice of an (N, d, d) stack for Hermiticity and symmetrize it.
+
+    Returns (h, shrink, norm): the Hermitian parts times their _shrink
+    factors (1 for 1 x 1 matrices), the factors, and the Frobenius norms
+    of the scaled inputs.  The defect and the norm are compared at that
+    exact scale, so finite inputs of any size neither overflow nor widen
+    the band.  The stack is
+    split into len(names) equal parts, and a failing slice is reported
+    under the name of its part.
+    """
+    if m.shape[-1] == 1:
+        # Closed form: the defect 2 |Im a| and the norm |a| of a 1 x 1
+        # matrix square nothing, so they need no scaling.
+        a = m[:, 0, 0]
+        shrink = np.ones(len(m))
+        defect, norm = 2.0 * np.abs(a.imag), np.abs(a)
+        h = a.real.astype(np.complex128).reshape(-1, 1, 1)
+    else:
+        shrink = _shrink(m)
+        s = m * shrink[:, None, None]
+        sh = _adjoint(s)
+        defect = _root_sumsq(_flat(s - sh))
+        norm = _root_sumsq(_flat(s))
+        # Symmetrize so downstream arithmetic sees an exactly Hermitian matrix.
+        h = (s + sh) / 2.0
+    bad = defect > tol.atol * shrink + tol.rtol * norm
+    if np.count_nonzero(bad):
+        k = int(np.argmax(bad))
         raise NotHermitianError(
-            f"{who}: input is not Hermitian (defect {defect:.3e})"
+            f"{names[k * len(names) // len(m)]}: input is not Hermitian "
+            f"(defect {float(defect[k]) / float(shrink[k]):.3e})"
         )
-    # Symmetrize so downstream arithmetic sees an exactly Hermitian matrix.
-    return (a + a.conj().T) / 2.0
+    return h, shrink, norm
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (real, ascending) and a unitary matrix of column eigenvectors."""
+    """Eigenvalues (real, ascending) and a unitary matrix of column eigenvectors.
+
+    For a stack the arrays carry a leading axis: eigenvalues (N, d) and
+    eigenvectors (N, d, d).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
 
 
 @functools.lru_cache(maxsize=None)
-def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+def _round_robin(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Flat index sets for one parallel-ordering Jacobi sweep over d x d.
 
     Round-robin (circle method) ordering: d - 1 steps for even d and d
     steps for odd d, where one index sits out each step.  Each step pairs
-    the indices into disjoint pivots (p, q), p < q, and every pivot occurs
-    exactly once per sweep.  A step is three arrays of row-major flat
-    indices into a d x d matrix:
+    the indices into k = d // 2 disjoint pivots (p, q), p < q, and every
+    pivot occurs exactly once per sweep.  A step is four arrays of
+    row-major flat indices into a d x d matrix:
 
     * diagonal, shape (2, k): the (p, p) entries over the (q, q) entries;
     * pivots, shape (2, k): the (p, q) entries over the (q, p) entries;
+    * upper, shape (k,): the (p, q) entries;
     * block, shape (4, k): the (p, p), (p, q), (q, p), (q, q) entries.
     """
     n = d + d % 2
@@ -181,7 +269,7 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
         p = np.array([a for a, _ in pairs])
         q = np.array([b for _, b in pairs])
         pp, pq, qp, qq = p * (d + 1), p * d + q, q * d + p, q * (d + 1)
-        step = (np.stack((pp, qq)), np.stack((pq, qp)), np.stack((pp, pq, qp, qq)))
+        step = (np.stack((pp, qq)), np.stack((pq, qp)), pq, np.stack((pp, pq, qp, qq)))
         for arr in step:
             arr.flags.writeable = False
         steps.append(step)
@@ -189,24 +277,36 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return tuple(steps)
 
 
+def _stack_steps(d: int, n: int):
+    """The _round_robin index sets of d for every matrix of a row-major
+    (n, d, d) stack, as indices into its flat buffer: each set repeated n
+    times along its last axis, matrix by matrix, with the matrix's offset
+    added.  Shifted one step at a time, so the index arrays never outgrow
+    one step."""
+    steps = _round_robin(d)
+    if n == 1:
+        return steps
+    base = np.repeat(np.arange(n) * (d * d), d // 2)
+    return (tuple(np.tile(idx, n) + base for idx in step) for step in steps)
+
+
 @functools.lru_cache(maxsize=None)
-def _off_diagonal_mask(d: int) -> np.ndarray:
-    mask = ~np.eye(d, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
-def _off_diagonal_norm(h: np.ndarray) -> float:
-    return float(np.linalg.norm(h[_off_diagonal_mask(h.shape[0])]))
+def _off_diagonal(d: int) -> np.ndarray:
+    """Row-major flat indices of the off-diagonal entries of d x d."""
+    off = np.flatnonzero(~np.eye(d, dtype=bool))
+    off.flags.writeable = False
+    return off
 
 
 def _jacobi_sweep(
-    h: np.ndarray, v: np.ndarray, eye: np.ndarray
+    h: np.ndarray, v: np.ndarray, eye: np.ndarray, steps
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One parallel-ordering sweep over Hermitian h; returns the new (h, v).
+    """One parallel-ordering sweep over a stack; returns the new (h, v).
 
+    h is an (n, d, d) stack of Hermitian matrices, v their accumulated
+    rotations, eye n identities and steps the _stack_steps of (d, n).
     Each step zeroes its disjoint pivots (p, q) at once with one block
-    rotation J, the identity outside rows and columns p, q and
+    rotation J per matrix, the identity outside rows and columns p, q and
 
         [[c, -c * w], [c * conj(w), c]],   w = t * u,   c = 1 / sqrt(1 + t^2)
 
@@ -220,9 +320,10 @@ def _jacobi_sweep(
 
     with the denominator floored at _TINY, so g is finite, |t| <= 1, and a
     zero pivot gives w = 0 and J = identity without dividing by the pivot.
+    Every operation acts on each matrix alone.
     """
-    for diagonal, pivots, block in _round_robin(h.shape[0]):
-        beta = h.take(pivots[0])
+    for diagonal, pivots, upper, block in steps:
+        beta = h.take(upper)
         dg = h.take(diagonal)
         diff = (dg[0] - dg[1]).real
         ab = np.abs(beta)
@@ -233,7 +334,7 @@ def _jacobi_sweep(
         cw = (c * g) * beta
         j = eye.copy()
         j.put(block, np.concatenate((c, -cw, cw.conj(), c)))
-        h = j.conj().T @ h @ j
+        h = j.conj().swapaxes(1, 2) @ h @ j
         v = v @ j
         # The rotated 2x2 blocks are known in closed form; writing them
         # back keeps the pivots exactly zero and the diagonal exactly real.
@@ -242,17 +343,100 @@ def _jacobi_sweep(
     return h, v
 
 
+def eig_hermitian_stack(
+    a,
+    tol: Tolerance = DEFAULT_TOL,
+    max_sweeps: int = JACOBI_MAX_SWEEPS,
+) -> SpectralDecomposition:
+    """Eigendecompositions of a stack of Hermitian matrices, shape (N, d, d).
+
+    Parallel-ordering two-sided Jacobi: each sweep visits every
+    off-diagonal pivot once in round-robin order, d - 1 steps (d for odd d)
+    that each zero d // 2 disjoint pivots with one block rotation, applied
+    to every unconverged matrix of the stack at once.
+
+    Each matrix is iterated at its own exact power-of-two scale and leaves
+    the active set as soon as its off-diagonal Frobenius mass drops to
+    JACOBI_REL_TARGET times its own Frobenius norm, so slice k of the
+    result is bit-equal to the decomposition of a[k] alone.
+
+    Parameters
+    ----------
+    a : array_like, shape (N, d, d)
+        Hermitian matrices (each within tol; symmetrized before iterating).
+    tol : Tolerance
+        Band for the Hermiticity precondition, checked slice by slice.
+    max_sweeps : int
+        Hard cap on full sweeps per matrix; NoConvergenceError beyond it.
+
+    Returns
+    -------
+    SpectralDecomposition
+        Eigenvalues of shape (N, d), ascending along the last axis, and
+        unitary eigenvectors of shape (N, d, d).
+    """
+    m = np.ascontiguousarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        raise DimMismatchError(f"expected a stack of square matrices, got shape {m.shape}")
+    # Jacobi commutes with scaling by a power of two, which is exact:
+    # iterating on h * 2^-e with max |h| near 1 keeps the rotations and
+    # norms clear of overflow and subnormals at any input scale.
+    h, shrink, norm = _hermitian_scaled(_validated(m), tol, ("eig_hermitian",))
+    n, d, _ = h.shape
+    if d == 1:
+        return SpectralDecomposition(
+            eigenvalues=h[:, 0, :].real / shrink[:, None],
+            eigenvectors=np.ones((n, 1, 1), dtype=np.complex128),
+        )
+    off = _off_diagonal(d)
+    target = JACOBI_REL_TARGET * norm
+    eye = np.eye(d, dtype=np.complex128)[None].repeat(n, axis=0)
+    # The active matrices and their rotations; a converged matrix is
+    # copied out and dropped, so no later sweep touches it.
+    active, hs, vs = np.arange(n), h, eye
+    out_h = out_v = None
+    for sweeps in range(max_sweeps + 1):
+        mass = _root_sumsq(hs.reshape(-1, d * d).take(off, axis=1))
+        done = mass <= target
+        if np.count_nonzero(done):
+            if out_h is None:
+                if done.all():
+                    out_h, out_v = hs, vs
+                    break
+                out_h, out_v = np.empty_like(h), np.empty_like(h)
+            out_h[active[done]] = hs[done]
+            out_v[active[done]] = vs[done]
+            keep = ~done
+            if not np.count_nonzero(keep):
+                break
+            active, target, mass = active[keep], target[keep], mass[keep]
+            hs, vs = hs[keep], vs[keep]
+        if sweeps == max_sweeps:
+            k = active[0]
+            raise NoConvergenceError(
+                f"Jacobi did not converge in {max_sweeps} sweeps (off-diagonal "
+                f"mass {mass[0] / shrink[k]:.3e}, target {target[0] / shrink[k]:.3e})"
+            )
+        hs, vs = _jacobi_sweep(hs, vs, eye[: active.size], _stack_steps(d, active.size))
+    lam = np.diagonal(out_h, axis1=1, axis2=2).real / shrink[:, None]
+    order = np.argsort(lam, axis=1, kind="stable")
+    rows = np.arange(n)[:, None]
+    return SpectralDecomposition(
+        eigenvalues=lam[rows, order],
+        eigenvectors=np.ascontiguousarray(out_v.swapaxes(1, 2)[rows, order].swapaxes(1, 2)),
+    )
+
+
 def eig_hermitian(
     a,
     tol: Tolerance = DEFAULT_TOL,
     max_sweeps: int = JACOBI_MAX_SWEEPS,
 ) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix by parallel-ordering two-sided Jacobi.
+    """Eigendecomposition of one Hermitian matrix by parallel-ordering two-sided Jacobi.
 
-    Each sweep visits every off-diagonal pivot once in round-robin order:
-    d - 1 steps (d for odd d), each zeroing d // 2 disjoint pivots with one
-    block rotation.  Sweeps repeat until the off-diagonal Frobenius mass
-    drops to JACOBI_REL_TARGET times the Frobenius norm of the input.
+    The N = 1 case of eig_hermitian_stack: sweeps repeat until the
+    off-diagonal Frobenius mass drops to JACOBI_REL_TARGET times the
+    Frobenius norm of the input.
 
     Parameters
     ----------
@@ -268,93 +452,82 @@ def eig_hermitian(
     SpectralDecomposition
         Real eigenvalues in ascending order and unitary eigenvectors.
     """
-    m = as_element(a)
-    h = _require_hermitian(m, tol, "eig_hermitian")
-    d = h.shape[0]
-    if d == 1:
-        return SpectralDecomposition(
-            eigenvalues=np.array([h[0, 0].real]),
-            eigenvectors=np.eye(1, dtype=np.complex128),
-        )
-    # Jacobi commutes with scaling by a power of two, which is exact:
-    # iterating on h * 2^-e with max |h| near 1 keeps the rotations and
-    # norms clear of overflow and subnormals at any input scale.
-    shrink = math.ldexp(1.0, min(-math.frexp(float(np.max(np.abs(h))))[1], 1023))
-    h = h * shrink
-    eye = np.eye(d, dtype=np.complex128)
-    v = eye
-    target = JACOBI_REL_TARGET * frobenius(h)
-    sweeps = 0
-    while _off_diagonal_norm(h) > target:
-        if sweeps >= max_sweeps:
-            raise NoConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps (off-diagonal "
-                f"mass {_off_diagonal_norm(h) / shrink:.3e}, target {target / shrink:.3e})"
-            )
-        h, v = _jacobi_sweep(h, v, eye)
-        sweeps += 1
-    lam = np.real(np.diag(h)) / shrink
-    order = np.argsort(lam, kind="stable")
-    return SpectralDecomposition(
-        eigenvalues=lam[order],
-        eigenvectors=np.ascontiguousarray(v[:, order]),
-    )
+    dec = eig_hermitian_stack(as_element(a)[None], tol, max_sweeps)
+    return SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
 
 
 def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Positive semidefinite square root.
+    """Positive semidefinite square root, slice by slice for a stack.
 
     Eigenvalues in [-band, 0), band = atol + rtol * max|eigenvalue|, are
     clamped to zero; anything below the band raises NotPositiveError.
     """
-    dec = eig_hermitian(a, tol)
+    m, single = _as_stack(a)
+    dec = eig_hermitian_stack(m, tol)
     lam = dec.eigenvalues
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    band = tol.band(scale)
-    if lam[0] < -band:
+    band = tol.band(np.max(np.abs(lam), axis=1))
+    low = lam[:, 0] < -band
+    if np.count_nonzero(low):
+        k = int(np.argmax(low))
         raise NotPositiveError(
-            f"matrix has eigenvalue {lam[0]:.6e} below -{band:.3e}"
+            f"matrix has eigenvalue {lam[k, 0]:.6e} below -{band[k]:.3e}"
         )
     clamped = np.where(lam < 0.0, 0.0, lam)
     v = dec.eigenvectors
-    root = (v * np.sqrt(clamped)) @ v.conj().T
-    return (root + root.conj().T) / 2.0
+    root = (v * np.sqrt(clamped)[:, None, :]) @ _adjoint(v)
+    root = (root + _adjoint(root)) / 2.0
+    return root[0] if single else root
 
 
 def abs_element(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Absolute value |a| = (a* a)^(1/2) for an arbitrary square matrix."""
-    m = as_element(a)
-    return sqrt_psd(m.conj().T @ m, tol)
+    """Absolute value |a| = (a* a)^(1/2) for an arbitrary square matrix or a stack."""
+    m, single = _as_stack(a)
+    root = sqrt_psd(_adjoint(m) @ m, tol)
+    return root[0] if single else root
 
 
-def spectrum_bounds(a, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a Hermitian matrix."""
-    dec = eig_hermitian(a, tol)
-    return float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
+def spectrum_bounds(a, tol: Tolerance = DEFAULT_TOL):
+    """Smallest and largest eigenvalue of a Hermitian matrix.
+
+    For a stack, two arrays of shape (N,)."""
+    m, single = _as_stack(a)
+    lam = eig_hermitian_stack(m, tol).eigenvalues
+    if single:
+        return float(lam[0, 0]), float(lam[0, -1])
+    return lam[:, 0], lam[:, -1]
 
 
-def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL):
     """Test a <= b in the Loewner order.
 
     Returns (verdict, margin) with margin = min eig(b - a).  The verdict
     is margin >= -(atol + rtol * scale), scale = max(||a||_F, ||b||_F, 1).
+    For stacks, a boolean and a float array of shape (N,).
     """
-    ma = as_element(a)
-    mb = as_element(b)
+    ma, single = _as_stack(a)
+    mb, _ = _as_stack(b)
     if ma.shape != mb.shape:
-        raise DimMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    ma = _require_hermitian(ma, tol, "loewner_leq lhs")
-    mb = _require_hermitian(mb, tol, "loewner_leq rhs")
-    diff = mb - ma
-    dec = eig_hermitian(diff, tol)
-    margin = float(dec.eigenvalues[0])
-    scale = max(frobenius(ma), frobenius(mb), 1.0)
-    return margin >= -tol.band(scale), margin
+        raise DimMismatchError(f"shape mismatch {np.shape(a)} vs {np.shape(b)}")
+    n = len(ma)
+    h, shrink, norm = _hermitian_scaled(
+        np.concatenate((ma, mb)), tol, ("loewner_leq lhs", "loewner_leq rhs")
+    )
+    h /= shrink[:, None, None]
+    norm /= shrink
+    margin = eig_hermitian_stack(h[n:] - h[:n], tol).eigenvalues[:, 0]
+    scale = np.maximum(np.maximum(norm[:n], norm[n:]), 1.0)
+    holds = margin >= -tol.band(scale)
+    if single:
+        return bool(holds[0]), float(margin[0])
+    return holds, margin
 
 
-def is_normal(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Check a* a = a a* and report the Frobenius deviation."""
-    m = as_element(a)
-    dev = float(np.linalg.norm(m.conj().T @ m - m @ m.conj().T))
-    scale = frobenius(m) ** 2
-    return dev <= tol.atol + tol.rtol * scale, dev
+def is_normal(a, tol: Tolerance = DEFAULT_TOL):
+    """Check a* a = a a* and report the Frobenius deviation (arrays for a stack)."""
+    m, single = _as_stack(a)
+    mh = _adjoint(m)
+    dev = _norms(mh @ m - m @ mh)
+    ok = dev <= tol.atol + tol.rtol * _norms(m) ** 2
+    if single:
+        return bool(ok[0]), float(dev[0])
+    return ok, dev

@@ -12,7 +12,7 @@ from rcsbounds.bounds import (
     multiplicative_matrix_bound,
 )
 from rcsbounds.forms import FormInstance, OmegaPair, PositiveFunctional, form_eval
-from rcsbounds.matalg import abs_element, frobenius, sqrt_psd
+from rcsbounds.matalg import DimMismatchError, abs_element, frobenius, sqrt_psd
 from rcsbounds.rng import stream
 
 
@@ -121,6 +121,16 @@ def test_multiplicative_rejects_nonpositive_re_cross():
     form = FormInstance.module_form(1)
     with pytest.raises(NonPositiveReOmegaError):
         multiplicative_matrix_bound(form, [[1.0]], [[1.0]], OmegaPair(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("bound", [additive_matrix_bound, multiplicative_matrix_bound])
+def test_matrix_bounds_reject_stacked_arguments(bound):
+    form = FormInstance.module_form(2)
+    stack = np.stack([np.diag([2.0, 3.0]), np.diag([4.0, 5.0])])
+    pair = OmegaPair(omega=1.0, Omega=6.0)
+    for x, y in ((stack, np.eye(2)), (np.eye(2), stack), (stack, stack)):
+        with pytest.raises(DimMismatchError):
+            bound(form, x, y, pair)
 
 
 def test_multiplicative_random_commuting_pairs_hold():

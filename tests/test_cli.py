@@ -8,6 +8,7 @@ import os
 import pytest
 
 from rcsbounds import cli
+from rcsbounds.matalg import NoConvergenceError
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "docs", "instances")
 
@@ -114,6 +115,95 @@ def test_verify_functional_target_needs_functional_form(capsys, tmp_path):
     code, _, err = run(capsys, "verify", path)
     assert code == 1
     assert "functional_form" in err
+
+
+def gram_doc(block00):
+    """ADD_MATRIX over a 2 x 2 Gram tensor on C^2 with <e_0, e_0> = block00."""
+    def matrix(m):
+        return [[[float(v), 0.0] for v in row] for row in m]
+
+    eye, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+    return {
+        "version": "1",
+        "target": "ADD_MATRIX",
+        "form": {
+            "kind": "gram_tensor",
+            "algebra_dim": 2,
+            "space_dim": 2,
+            "gram": [[matrix(block00), matrix(zero)], [matrix(zero), matrix(eye)]],
+        },
+        "x": [[2, 0], [0, 0]],
+        "y": [[1, 0], [0, 0]],
+        "omega_pair": {"omega": [1.0, 0.0], "Omega": [3.0, 0.0]},
+    }
+
+
+def one_line_error(code, out, err, expected_code):
+    assert code == expected_code
+    assert out == "" and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_non_commuting_operator_pair(capsys, tmp_path):
+    doc = {
+        "version": "1",
+        "target": "OP_PAIR_ADD",
+        "operator_pair": {
+            "t": [[[2, 0], [1, 0]], [[1, 0], [2, 0]]],
+            "s": [[[1, 0], [0, 0]], [[0, 0], [3, 0]]],
+            "v": [[1, 0], [1, 0]],
+        },
+    }
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 3)
+    assert err.startswith("precondition failed:") and "commute" in err
+
+
+def test_verify_non_psd_gram_block(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, gram_doc([[1, 0], [0, -1]])))
+    one_line_error(code, out, err, 3)
+    assert err.startswith("precondition failed:") and "eigenvalue" in err
+
+
+def test_verify_non_hermitian_gram_block(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, gram_doc([[1, 1], [0, 1]])))
+    one_line_error(code, out, err, 3)
+    assert err.startswith("precondition failed:") and "not Hermitian" in err
+
+
+def test_verify_vector_argument_for_module_form(capsys, tmp_path):
+    doc = matrix_doc()
+    doc["x"] = [[2, 0], [3, 0]]
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 1)
+    assert err.startswith("rcsbounds: error: $.x: ")
+
+
+def test_verify_matrix_above_max_dim(capsys, tmp_path):
+    big = [[[float(i == j), 0.0] for j in range(17)] for i in range(17)]
+    doc = matrix_doc()
+    doc["x"] = big
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 1)
+    assert err.startswith("rcsbounds: error: $.x: ") and "17" in err
+    doc = {
+        "version": "1",
+        "target": "OP_PAIR_MULT",
+        "operator_pair": {"t": big, "s": big, "v": [[1.0, 0.0]] * 17},
+    }
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 1)
+    assert err.startswith("rcsbounds: error: $.operator_pair.t: ") and "17" in err
+
+
+def test_verify_solver_failure_is_not_a_precondition(capsys, tmp_path, monkeypatch):
+    def no_convergence(*args):
+        raise NoConvergenceError("Jacobi did not converge")
+
+    monkeypatch.setattr(cli, "additive_matrix_bound", no_convergence)
+    with pytest.raises(NoConvergenceError):
+        cli.main(["verify", write_instance(tmp_path, matrix_doc())])
+    assert "precondition failed" not in capsys.readouterr().err
 
 
 def test_fuzz_small_run(capsys):
@@ -241,6 +331,16 @@ def test_sharpness_degenerate_window(capsys):
     code, out, _ = run(capsys, "sharpness", "--omega", "3", "--Omega", "3")
     assert code == 2
     assert "degenerate" in out
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [(("--dim", "0"), "--dim"), (("--dim", "17"), "--dim"), (("--omega", "nan"), "--omega")],
+)
+def test_sharpness_rejects_bad_flags(capsys, flags, flag):
+    code, out, err = run(capsys, "sharpness", *flags)
+    one_line_error(code, out, err, 1)
+    assert err.startswith("rcsbounds: error: ") and flag in err
 
 
 def test_compare_csv_contract(capsys, tmp_path):

@@ -16,7 +16,7 @@ from rcsbounds.forms import (
     omega_from_spectra,
     validate_positivity,
 )
-from rcsbounds.matalg import DEFAULT_TOL, frobenius, loewner_leq
+from rcsbounds.matalg import DEFAULT_TOL, DimMismatchError, frobenius, loewner_leq
 from rcsbounds.rng import stream
 
 
@@ -97,6 +97,15 @@ def test_sesquilinearity_all_kinds():
 
 
 # --- hypothesis checkers ---------------------------------------------------
+
+
+@pytest.mark.parametrize("check", [form_eval, check_star1, check_com])
+def test_module_form_rejects_stacked_arguments(check):
+    form = FormInstance.module_form(2)
+    stack = np.stack([np.eye(2), 2 * np.eye(2)])
+    for x, y in ((stack, np.eye(2)), (np.eye(2), stack), (stack, stack)):
+        with pytest.raises(DimMismatchError):
+            check(form, x, y)
 
 
 def test_star1_module_and_functional_always_pass():

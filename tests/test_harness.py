@@ -22,6 +22,7 @@ from rcsbounds import (
     additive_matrix_bound,
     check_re_condition,
     eig_hermitian,
+    eig_hermitian_stack,
     fuzz_run,
     gen_argmin_families,
     gen_bounded_sequences,
@@ -31,8 +32,10 @@ from rcsbounds import (
     omega_from_spectra,
     oracle_psd_minors,
     run_trial,
+    run_trials,
     sample_window,
 )
+from rcsbounds.harness import TRIAL_WINDOW
 from rcsbounds.rng import stream
 
 
@@ -158,24 +161,62 @@ def test_run_trial_is_pure():
 )
 def test_eigensolves_per_report(monkeypatch, inequality_id, solves):
     # Generator plus evaluator: each spectral decomposition of a report is
-    # computed once.  Every module binding of eig_hermitian is counted.
+    # computed once.  Every decomposed matrix is counted: each slice of an
+    # eig_hermitian_stack call, through every module binding.
     calls = []
-    original = eig_hermitian
+    original = eig_hermitian_stack
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return original(a, *args, **kwargs)
 
     for name in ("", ".matalg", ".forms", ".bounds", ".harness", ".cli"):
         module = importlib.import_module(f"rcsbounds{name}")
-        if getattr(module, "eig_hermitian", None) is original:
-            monkeypatch.setattr(module, "eig_hermitian", counted)
+        if getattr(module, "eig_hermitian_stack", None) is original:
+            monkeypatch.setattr(module, "eig_hermitian_stack", counted)
     config = GeneratorConfig(seed=3, trials=8, dims=(1, 2, 4, 8))
     for i in range(config.trials):
         calls.clear()
         report = run_trial(config, inequality_id, i)
         assert report.verdict == "HOLDS"
-        assert len(calls) == solves, f"trial {i}"
+        assert sum(calls) == solves, f"trial {i}"
+
+
+@pytest.mark.parametrize("inequality_id", [ADD_MATRIX, MULT_MATRIX, OP_PAIR_ADD, OP_PAIR_MULT])
+def test_campaign_margins_equal_replays(inequality_id):
+    # Batch invariant: in a campaign, same-d trials are evaluated in
+    # stacked calls; each trial's margin is bit-equal to replaying it
+    # alone.  70 trials span a full window and a partial one.
+    config = GeneratorConfig(seed=21, trials=70, dims=(1, 2, 4, 8, 16))
+    assert config.trials % TRIAL_WINDOW != 0
+    outcomes = run_trials(config, inequality_id, range(config.trials))
+    assert len(outcomes) == config.trials
+    for i, report in enumerate(outcomes):
+        replay = run_trial(config, inequality_id, i)
+        assert report.margin == replay.margin, f"trial {i}"
+        assert report.verdict == replay.verdict == "HOLDS"
+    summary = fuzz_run(config, inequality_id)
+    worst = min((r.margin, i) for i, r in enumerate(outcomes))
+    assert (summary.worst_margin, summary.worst_seed) == worst
+
+
+def test_failed_window_rerun_matches_replays():
+    # Below roundoff some generator checks fail, so the stacked window
+    # raises and is evaluated again trial by trial: each outcome is the
+    # trial's own, as in a replay.
+    tol = Tolerance(rtol=3e-17, atol=3e-17)
+    config = GeneratorConfig(seed=4, trials=30, dims=(2,))
+    outcomes = run_trials(config, ADD_MATRIX, range(config.trials), tol)
+    failures = 0
+    for i, outcome in enumerate(outcomes):
+        try:
+            replay = run_trial(config, ADD_MATRIX, i, tol)
+        except FormError as exc:
+            assert type(outcome) is type(exc), f"trial {i}"
+            failures += 1
+            continue
+        assert outcome.margin == replay.margin, f"trial {i}"
+    assert failures > 0
 
 
 def test_run_trial_rejects_unknown_id():

@@ -23,6 +23,7 @@ from rcsbounds.matalg import (
     adjoint,
     as_element,
     eig_hermitian,
+    eig_hermitian_stack,
     frobenius,
     is_normal,
     loewner_leq,
@@ -321,3 +322,82 @@ def test_eig_preserves_trace_and_det_sign(seed, d):
     vals = eig_hermitian(a).eigenvalues
     assert abs(vals.sum() - np.trace(a).real) <= 1e-10 * max(frobenius(a), 1.0)
     assert np.all(np.diff(vals) >= -1e-15)
+
+
+def test_eig_stack_slices_equal_single_calls_every_dim():
+    # Batch invariant: a slice's decomposition does not depend on its
+    # batch-mates.  Exactly repeated eigenvalues take many more sweeps
+    # than distinct spectra, so the slices leave the active set at
+    # different sweeps.
+    for d in range(1, MAX_DIM + 1):
+        g = stream(800 + d, 0)
+        slices = []
+        for k in range(6):
+            if k % 3 == 0:
+                slices.append(adversarial_hermitian("repeated", d, g))
+            elif k % 3 == 1:
+                slices.append(rand_hermitian(d, g, scale=float(g.uniform(0.1, 1e3))))
+            else:
+                slices.append(adversarial_hermitian("graded", d, g))
+        stack = np.stack(slices)
+        dec = eig_hermitian_stack(stack)
+        assert dec.eigenvalues.shape == (6, d) and dec.eigenvectors.shape == (6, d, d)
+        for k, a in enumerate(stack):
+            single = eig_hermitian(a)
+            np.testing.assert_array_equal(dec.eigenvalues[k], single.eigenvalues)
+            np.testing.assert_array_equal(dec.eigenvectors[k], single.eigenvectors)
+            assert np.max(np.abs(single.eigenvalues - np.linalg.eigvalsh(a))) <= 1e-12 * frobenius(a)
+        # The same slices in another order and in sub-stacks.
+        order = g.permutation(6)
+        shuffled = eig_hermitian_stack(stack[order])
+        np.testing.assert_array_equal(shuffled.eigenvalues, dec.eigenvalues[order])
+        np.testing.assert_array_equal(shuffled.eigenvectors, dec.eigenvectors[order])
+        part = eig_hermitian_stack(stack[1:4])
+        np.testing.assert_array_equal(part.eigenvalues, dec.eigenvalues[1:4])
+
+
+def test_stacked_primitives_equal_single_calls():
+    g = stream(850, 0)
+    for d in (1, 2, 5, 8, 16):
+        a = np.stack([rand_psd(d, g) for _ in range(4)])
+        b = a + np.stack([rand_psd(d, g, scale=0.1) for _ in range(4)])
+        roots = sqrt_psd(a)
+        absolutes = abs_element(b - 2 * a)
+        lo, hi = spectrum_bounds(a)
+        holds, margins = loewner_leq(a, b)
+        normal, devs = is_normal(b @ a)
+        for k in range(4):
+            np.testing.assert_array_equal(roots[k], sqrt_psd(a[k]))
+            np.testing.assert_array_equal(absolutes[k], abs_element(b[k] - 2 * a[k]))
+            assert (lo[k], hi[k]) == spectrum_bounds(a[k])
+            assert (holds[k], margins[k]) == loewner_leq(a[k], b[k])
+            assert (normal[k], devs[k]) == is_normal(b[k] @ a[k])
+    with pytest.raises(NotHermitianError, match="rhs"):
+        loewner_leq(np.stack([np.eye(2)] * 2), np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+
+
+@pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
+def test_kernel_near_overflow(d):
+    # Entries near 1e300 are finite; the Hermiticity check, the norms and
+    # the iteration all work at an exact power-of-two scale, so nothing
+    # overflows and a non-Hermitian input is still rejected.
+    g = stream(900, d)
+    h = rand_hermitian(d, g, scale=1e300)
+    p = rand_psd(d, g, scale=1e299 / d)
+    with np.errstate(over="raise"):
+        dec = eig_hermitian(h)
+        root = sqrt_psd(p)
+        ok, margin = loewner_leq(h, h + 1e300 * np.eye(d))
+        lo, _ = spectrum_bounds(p)
+    norm = frobenius(h)
+    assert math.isfinite(norm) and norm > 1e300
+    ref = np.linalg.eigvalsh(h / 1e300) * 1e300
+    assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * norm
+    assert frobenius(root @ root - p) <= 1e-10 * frobenius(p)
+    assert ok and abs(margin - 1e300) <= 1e-12 * norm
+    assert lo >= -1e-12 * frobenius(p)
+    skew = 1e300 * (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)))
+    with np.errstate(over="raise"):
+        for call in (eig_hermitian, sqrt_psd, lambda m: loewner_leq(m, m)):
+            with pytest.raises(NotHermitianError):
+                call(skew)
