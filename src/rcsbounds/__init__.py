@@ -3,195 +3,21 @@
 The package evaluates both sides of each reverse inequality, checks every
 hypothesis it needs, constructs witnesses attaining the sharp constant,
 and fuzz-tests the whole family against independent oracles.
+
+The package exports the public names of its layers, each listed once in
+its module's __all__.
 """
 
-from .bounds import (
-    ADD_FUNCTIONAL,
-    ADD_MATRIX,
-    GREUB_RHEINBOLDT,
-    HOLDS,
-    INEQUALITY_IDS,
-    INT_ADD,
-    INT_MULT,
-    MULT_FUNCTIONAL,
-    MULT_MATRIX,
-    OP_PAIR_ADD,
-    OP_PAIR_MULT,
-    PRECONDITION_FAILED,
-    PS_ADD,
-    PS_IMPROVED,
-    PS_MULT,
-    VIOLATED,
-    WEIGHTED_ADD,
-    BoundReport,
-    DegenerateSpaceError,
-    ImprovedResult,
-    IntegralBoundsResult,
-    NonPositiveReOmegaError,
-    OperatorPairResult,
-    PreconditionCheck,
-    ScalarWindow,
-    SharpnessResult,
-    WeightedSequences,
-    WindowViolationError,
-    additive_matrix_bound,
-    functional_additive_bound,
-    functional_multiplicative_bound,
-    greub_rheinboldt,
-    integral_bounds,
-    multiplicative_matrix_bound,
-    operator_pair_bounds,
-    polya_szego_additive,
-    polya_szego_improved,
-    polya_szego_multiplicative,
-    sharpness_witness,
-    weighted_additive,
-)
-from .forms import (
-    FormError,
-    FormInstance,
-    NotCommutingError,
-    NotStrictlyPositiveError,
-    OmegaPair,
-    PositiveFunctional,
-    PositivityReport,
-    WindowCheckError,
-    check_com,
-    check_re_condition,
-    check_star1,
-    form_eval,
-    omega_from_spectra,
-    validate_positivity,
-)
-from .harness import (
-    DimTooLargeError,
-    FuzzSummary,
-    GeneratorConfig,
-    RejectionCapExceededError,
-    fuzz_run,
-    gen_argmin_families,
-    gen_bounded_sequences,
-    gen_commuting_positive_pair,
-    gen_random_unitary,
-    gen_re_valid_instance,
-    oracle_psd_minors,
-    run_trial,
-    run_trials,
-    sample_window,
-)
-from .matalg import (
-    DEFAULT_TOL,
-    DimMismatchError,
-    KernelError,
-    NoConvergenceError,
-    NotHermitianError,
-    NotPositiveError,
-    SpectralDecomposition,
-    Tolerance,
-    abs_element,
-    adjoint,
-    as_element,
-    eig_hermitian,
-    eig_hermitian_stack,
-    frobenius,
-    is_normal,
-    loewner_leq,
-    re_part,
-    spectrum_bounds,
-    sqrt_psd,
-)
-from .rng import stream
+from . import bounds, forms, harness, matalg, rng
+from .bounds import *  # noqa: F403
+from .forms import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .matalg import *  # noqa: F403
+from .rng import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ADD_FUNCTIONAL",
-    "ADD_MATRIX",
-    "GREUB_RHEINBOLDT",
-    "HOLDS",
-    "INEQUALITY_IDS",
-    "INT_ADD",
-    "INT_MULT",
-    "MULT_FUNCTIONAL",
-    "MULT_MATRIX",
-    "OP_PAIR_ADD",
-    "OP_PAIR_MULT",
-    "PRECONDITION_FAILED",
-    "PS_ADD",
-    "PS_IMPROVED",
-    "PS_MULT",
-    "VIOLATED",
-    "WEIGHTED_ADD",
-    "BoundReport",
-    "DegenerateSpaceError",
-    "DimMismatchError",
-    "DimTooLargeError",
-    "DEFAULT_TOL",
-    "FormError",
-    "FormInstance",
-    "FuzzSummary",
-    "GeneratorConfig",
-    "ImprovedResult",
-    "IntegralBoundsResult",
-    "KernelError",
-    "NoConvergenceError",
-    "NonPositiveReOmegaError",
-    "NotCommutingError",
-    "NotHermitianError",
-    "NotPositiveError",
-    "NotStrictlyPositiveError",
-    "OmegaPair",
-    "OperatorPairResult",
-    "PositiveFunctional",
-    "PositivityReport",
-    "PreconditionCheck",
-    "RejectionCapExceededError",
-    "ScalarWindow",
-    "SharpnessResult",
-    "SpectralDecomposition",
-    "Tolerance",
-    "WeightedSequences",
-    "WindowCheckError",
-    "WindowViolationError",
-    "abs_element",
-    "additive_matrix_bound",
-    "adjoint",
-    "as_element",
-    "check_com",
-    "check_re_condition",
-    "check_star1",
-    "eig_hermitian",
-    "eig_hermitian_stack",
-    "form_eval",
-    "frobenius",
-    "functional_additive_bound",
-    "functional_multiplicative_bound",
-    "fuzz_run",
-    "gen_argmin_families",
-    "gen_bounded_sequences",
-    "gen_commuting_positive_pair",
-    "gen_random_unitary",
-    "gen_re_valid_instance",
-    "greub_rheinboldt",
-    "integral_bounds",
-    "is_normal",
-    "loewner_leq",
-    "multiplicative_matrix_bound",
-    "omega_from_spectra",
-    "operator_pair_bounds",
-    "oracle_psd_minors",
-    "polya_szego_additive",
-    "polya_szego_improved",
-    "polya_szego_multiplicative",
-    "re_part",
-    "run_trial",
-    "run_trials",
-    "sample_window",
-    "sharpness_witness",
-    "spectrum_bounds",
-    "sqrt_psd",
-    "stream",
-    "validate_positivity",
-    "weighted_additive",
+    *(name for layer in (bounds, forms, harness, matalg, rng) for name in layer.__all__),
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -116,21 +116,76 @@ PS_MULT = "PS_MULT"
 PS_ADD = "PS_ADD"
 PS_IMPROVED = "PS_IMPROVED"
 
-INEQUALITY_IDS = (
-    ADD_MATRIX,
-    MULT_MATRIX,
-    ADD_FUNCTIONAL,
-    MULT_FUNCTIONAL,
-    OP_PAIR_ADD,
-    OP_PAIR_MULT,
-    INT_ADD,
-    INT_MULT,
-    GREUB_RHEINBOLDT,
-    WEIGHTED_ADD,
-    PS_MULT,
-    PS_ADD,
-    PS_IMPROVED,
-)
+
+@dataclass(frozen=True)
+class _Inequality:
+    """What one inequality id needs and runs.
+
+    payload is the instance kind its evaluator takes: "form" (a
+    FormInstance, x, y and an OmegaPair), "functional_form" (the same over
+    a functional form), "operator_pair" (t, s, v) or "sequences" (a
+    WeightedSequences, with every weight 1 when unit_weights).
+    evaluate(payload, tol) returns the id's BoundReport.  stacked is set
+    for the ids that run_trials evaluates in stacked kernel calls: it takes
+    the payload of N instances, with (N, d, d) stacks for x, y, t and s,
+    (N, d) for v and a list of N window pairs, and returns the N reports.
+
+    The callables look the evaluators up in this module when called, so a
+    rebound evaluator is the one that runs.
+    """
+
+    payload: str
+    evaluate: Callable
+    stacked: Optional[Callable] = None
+    unit_weights: bool = False
+
+
+_REGISTRY = {
+    ADD_MATRIX: _Inequality(
+        "form",
+        lambda p, tol: additive_matrix_bound(*p, tol),
+        lambda p, tol: _matrix_stack(ADD_MATRIX, *p, tol),
+    ),
+    MULT_MATRIX: _Inequality(
+        "form",
+        lambda p, tol: multiplicative_matrix_bound(*p, tol),
+        lambda p, tol: _matrix_stack(MULT_MATRIX, *p, tol),
+    ),
+    ADD_FUNCTIONAL: _Inequality(
+        "functional_form", lambda p, tol: functional_additive_bound(p[0].functional, *p[1:], tol)
+    ),
+    MULT_FUNCTIONAL: _Inequality(
+        "functional_form",
+        lambda p, tol: functional_multiplicative_bound(p[0].functional, *p[1:], tol),
+    ),
+    OP_PAIR_ADD: _Inequality(
+        "operator_pair",
+        lambda p, tol: operator_pair_bounds(*p, tol).additive,
+        lambda p, tol: [r.additive for r in _operator_pair_results(*p, tol)],
+    ),
+    OP_PAIR_MULT: _Inequality(
+        "operator_pair",
+        lambda p, tol: operator_pair_bounds(*p, tol).multiplicative,
+        lambda p, tol: [r.multiplicative for r in _operator_pair_results(*p, tol)],
+    ),
+    INT_ADD: _Inequality("sequences", lambda data, tol: integral_bounds(data, tol).additive),
+    INT_MULT: _Inequality(
+        "sequences", lambda data, tol: integral_bounds(data, tol).multiplicative
+    ),
+    GREUB_RHEINBOLDT: _Inequality("sequences", lambda data, tol: greub_rheinboldt(data, tol)),
+    WEIGHTED_ADD: _Inequality("sequences", lambda data, tol: weighted_additive(data, tol)),
+    PS_MULT: _Inequality(
+        "sequences", lambda data, tol: polya_szego_multiplicative(data, tol), unit_weights=True
+    ),
+    PS_ADD: _Inequality(
+        "sequences", lambda data, tol: polya_szego_additive(data, tol), unit_weights=True
+    ),
+    PS_IMPROVED: _Inequality(
+        "sequences", lambda data, tol: polya_szego_improved(data, tol).report, unit_weights=True
+    ),
+}
+
+INEQUALITY_IDS = tuple(_REGISTRY)
 
 
 class NonPositiveReOmegaError(Exception):
@@ -294,6 +349,17 @@ def _form_values(
         _re_term(form, x, y, omega, Omega, stacked),
     )
     return tuple(v.reshape(-1, *v.shape[-2:]) for v in values)
+
+
+def _matrix_stack(
+    inequality_id: str, form: FormInstance, x, y, pairs: list[OmegaPair], tol: Tolerance
+) -> list[BoundReport]:
+    """ADD_MATRIX or MULT_MATRIX reports for module-form stacks x, y of
+    shape (N, d, d) and their N window pairs."""
+    omega = np.array([p.omega for p in pairs])[:, None, None]
+    Omega = np.array([p.Omega for p in pairs])[:, None, None]
+    values = _form_values(form, x, y, omega, Omega, stacked=True)
+    return _matrix_reports(inequality_id, values, pairs, tol)
 
 
 def _matrix_reports(
@@ -585,12 +651,11 @@ def _operator_pair_results(
         phi = PositiveFunctional.vector_state(vv / nv)
         values_ts = _functional_values(phi, tm, sm)
         values_st = _functional_values(phi, sm, tm)
-        # The Re terms of the ts and st additive reports and of the
-        # multiplicative report, in that order.
+        # The Re terms of the ts and st additive reports; the multiplicative
+        # report's Re check is the ts one.
         for (form, *_), x, y, pair in (
             (values_ts, tm, sm, pair_ts),
             (values_st, sm, tm, pair_st),
-            (values_ts, tm, sm, pair_ts),
         ):
             re_terms.append(_re_term(form, x, y, pair.omega, pair.Omega))
         instances.append((tm, vv, nv, values_ts[1:], values_st[1:]))
@@ -600,10 +665,10 @@ def _operator_pair_results(
     for k, (tm, vv, nv, values_ts, values_st) in enumerate(instances):
         sm, pair_ts, pair_st = s[k], pairs_ts[k], pairs_st[k]
         edges = (float(lo_t[k]), float(hi_t[k]), float(lo_s[k]), float(hi_s[k]))
-        checks = [(re_ok[3 * k + i], re_margin[3 * k + i]) for i in range(3)]
-        rep_ts = _functional_additive_report(*values_ts, pair_ts, checks[0], tol)
-        rep_st = _functional_additive_report(*values_st, pair_st, checks[1], tol)
-        rep_mult = _functional_multiplicative_report(*values_ts, pair_ts, checks[2], tol)
+        check_ts, check_st = ((re_ok[2 * k + i], re_margin[2 * k + i]) for i in range(2))
+        rep_ts = _functional_additive_report(*values_ts, pair_ts, check_ts, tol)
+        rep_st = _functional_additive_report(*values_st, pair_st, check_st, tol)
+        rep_mult = _functional_multiplicative_report(*values_ts, pair_ts, check_ts, tol)
         results.append(
             _operator_pair_result(
                 tm, sm, vv, nv, edges, pair_ts, pair_st, rep_ts, rep_st, rep_mult, tol
@@ -707,7 +772,7 @@ def _cross_check(label: str, via_functional: float, closed_form: float) -> None:
 
 @dataclass(frozen=True)
 class ScalarWindow:
-    """Window 0 < a <= values <= A and 0 < b <= values <= B."""
+    """Window 0 < a <= values <= A and 0 < b <= values <= B, A and B finite."""
 
     a: float
     A: float
@@ -715,9 +780,9 @@ class ScalarWindow:
     B: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a <= self.A) or not (0.0 < self.b <= self.B):
+        if not (0.0 < self.a <= self.A < math.inf) or not (0.0 < self.b <= self.B < math.inf):
             raise WindowViolationError(
-                f"window must satisfy 0 < a <= A and 0 < b <= B, got "
+                f"window must satisfy 0 < a <= A < inf and 0 < b <= B < inf, got "
                 f"(a={self.a}, A={self.A}, b={self.b}, B={self.B})"
             )
 
@@ -801,18 +866,40 @@ class WeightedSequences:
             if not isinstance(raw, list) or not raw:
                 raise ValueError(f"{path}.{name}: must be a nonempty array of numbers")
             seqs[name] = np.asarray(raw, dtype=np.float64)
-        return cls(seqs["a_seq"], seqs["b_seq"], seqs["w_seq"], window)
+        try:
+            return cls(seqs["a_seq"], seqs["b_seq"], seqs["w_seq"], window)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
-def _additive_sides(
+def _scaled_constants(
     sa2: float, sb2: float, sab: float, win: ScalarWindow
-) -> tuple[float, float, float, float]:
-    """lhs, rhs and the two candidate right-hand branches of the additive bound."""
-    lhs = sa2 * sb2 - sab * sab
+) -> tuple[float, float, float]:
+    """((AB - ab)^2 / 4) * Ck for the three constants of the refined
+    difference bound.  The first two are also the branches of the additive
+    bound for weighted sums, the third is the classical difference bound."""
     gap = (win.A * win.B - win.a * win.b) ** 2 / 4.0
-    branch_b = gap * sb2 * sb2 / (win.B * win.b) ** 2
-    branch_a = gap * sa2 * sa2 / (win.A * win.a) ** 2
-    return lhs, min(branch_a, branch_b), branch_a, branch_b
+    return (
+        gap * sa2 * sa2 / (win.A * win.a) ** 2,
+        gap * sb2 * sb2 / (win.B * win.b) ** 2,
+        gap * sab * sab / (win.a * win.b * win.A * win.B),
+    )
+
+
+def _additive_report(
+    inequality_id: str, data: WeightedSequences, tol: Tolerance
+) -> BoundReport:
+    """The additive bound for weighted sums under the given id."""
+    sa2, sb2, sab = data.sums()
+    branch_a, branch_b, _ = _scaled_constants(sa2, sb2, sab, data.window)
+    return _scalar_report(
+        inequality_id,
+        (),
+        sa2 * sb2 - sab * sab,
+        min(branch_a, branch_b),
+        tol,
+        details={"branch_a": branch_a, "branch_b": branch_b},
+    )
 
 
 def _multiplicative_sides(
@@ -822,6 +909,14 @@ def _multiplicative_sides(
     ratio = (win.a * win.b) / (win.A * win.B)
     coeff = 0.5 * (math.sqrt(ratio) + math.sqrt(1.0 / ratio))
     return lhs, coeff * sab, coeff
+
+
+def _product_sides(
+    sa2: float, sb2: float, sab: float, win: ScalarWindow
+) -> tuple[float, float]:
+    """lhs and rhs of the Greub-Rheinboldt product bound."""
+    prod = win.A * win.B * win.a * win.b
+    return sa2 * sb2, (win.A * win.B + win.a * win.b) ** 2 / (4.0 * prod) * sab * sab
 
 
 @dataclass(frozen=True)
@@ -844,22 +939,13 @@ def integral_bounds(
         sqrt(S_ff) sqrt(S_gg)
             <= (1/2) (sqrt(ab / AB) + sqrt(AB / ab)) * S_fg
     """
-    sa2, sb2, sab = data.sums()
-    win = data.window
-    lhs_a, rhs_a, branch_a, branch_b = _additive_sides(sa2, sb2, sab, win)
-    additive = _scalar_report(
-        INT_ADD,
-        (),
-        lhs_a,
-        rhs_a,
-        tol,
-        details={"branch_a": branch_a, "branch_b": branch_b},
-    )
-    lhs_m, rhs_m, coeff = _multiplicative_sides(sa2, sb2, sab, win)
+    lhs_m, rhs_m, coeff = _multiplicative_sides(*data.sums(), data.window)
     multiplicative = _scalar_report(
         INT_MULT, (), lhs_m, rhs_m, tol, details={"coefficient": coeff}
     )
-    return IntegralBoundsResult(additive=additive, multiplicative=multiplicative)
+    return IntegralBoundsResult(
+        additive=_additive_report(INT_ADD, data, tol), multiplicative=multiplicative
+    )
 
 
 def greub_rheinboldt(
@@ -874,11 +960,8 @@ def greub_rheinboldt(
     cross-checked.
     """
     sa2, sb2, sab = data.sums()
-    win = data.window
-    lhs = sa2 * sb2
-    prod = win.A * win.B * win.a * win.b
-    rhs = (win.A * win.B + win.a * win.b) ** 2 / (4.0 * prod) * sab * sab
-    lhs_m, rhs_m, _ = _multiplicative_sides(sa2, sb2, sab, win)
+    lhs, rhs = _product_sides(sa2, sb2, sab, data.window)
+    lhs_m, rhs_m, _ = _multiplicative_sides(sa2, sb2, sab, data.window)
     rhs_squared = rhs_m * rhs_m
     _cross_check("greub_rheinboldt rhs", rhs, rhs_squared)
     return _scalar_report(
@@ -898,18 +981,9 @@ def greub_rheinboldt(
 def weighted_additive(
     data: WeightedSequences, tol: Tolerance = DEFAULT_TOL
 ) -> BoundReport:
-    """Additive reverse bound for weighted sequences (same sides as the
-    additive half of integral_bounds, kept as its own inequality id)."""
-    sa2, sb2, sab = data.sums()
-    lhs, rhs, branch_a, branch_b = _additive_sides(sa2, sb2, sab, data.window)
-    return _scalar_report(
-        WEIGHTED_ADD,
-        (),
-        lhs,
-        rhs,
-        tol,
-        details={"branch_a": branch_a, "branch_b": branch_b},
-    )
+    """Additive reverse bound for weighted sequences: the additive half of
+    integral_bounds, kept as its own inequality id."""
+    return _additive_report(WEIGHTED_ADD, data, tol)
 
 
 def _require_unit_weights(data: WeightedSequences, who: str) -> None:
@@ -920,36 +994,26 @@ def _require_unit_weights(data: WeightedSequences, who: str) -> None:
 def polya_szego_multiplicative(
     data: WeightedSequences, tol: Tolerance = DEFAULT_TOL
 ) -> BoundReport:
-    """Classical product bound for unweighted sequences:
+    """Classical product bound for unweighted sequences, greub_rheinboldt
+    with unit weights:
 
     sum(a^2) sum(b^2) <= ((ab + AB)^2 / (4 ab AB)) * (sum(a b))^2.
     """
     _require_unit_weights(data, "polya_szego_multiplicative")
-    sa2, sb2, sab = data.sums()
-    win = data.window
-    lhs = sa2 * sb2
-    prod = win.A * win.B * win.a * win.b
-    rhs = (win.A * win.B + win.a * win.b) ** 2 / (4.0 * prod) * sab * sab
-    return _scalar_report(PS_MULT, (), lhs, rhs, tol)
+    return _scalar_report(PS_MULT, (), *_product_sides(*data.sums(), data.window), tol)
 
 
 def polya_szego_additive(
     data: WeightedSequences, tol: Tolerance = DEFAULT_TOL
 ) -> BoundReport:
-    """Classical difference bound for unweighted sequences:
+    """Classical difference bound for unweighted sequences, the third
+    constant of polya_szego_improved:
 
     sum(a^2) sum(b^2) - (sum(a b))^2
         <= ((AB - ab)^2 / (4 ab AB)) * (sum(a b))^2.
     """
     _require_unit_weights(data, "polya_szego_additive")
-    sa2, sb2, sab = data.sums()
-    win = data.window
-    lhs = sa2 * sb2 - sab * sab
-    # written exactly as the third refined constant so the two agree bit
-    # for bit and the refinement can never appear to lose to roundoff
-    gap = (win.A * win.B - win.a * win.b) ** 2 / 4.0
-    rhs = gap * sab * sab / (win.a * win.b * win.A * win.B)
-    return _scalar_report(PS_ADD, (), lhs, rhs, tol)
+    return polya_szego_improved(data, tol).classical_additive
 
 
 @dataclass(frozen=True)
@@ -987,17 +1051,13 @@ def polya_szego_improved(
     _require_unit_weights(data, "polya_szego_improved")
     sa2, sb2, sab = data.sums()
     win = data.window
-    gap = (win.A * win.B - win.a * win.b) ** 2 / 4.0
-    c1 = gap * sa2 * sa2 / (win.A * win.a) ** 2
-    c2 = gap * sb2 * sb2 / (win.B * win.b) ** 2
-    c3 = gap * sab * sab / (win.a * win.b * win.A * win.B)
-    constants = (c1, c2, c3)
+    constants = _scaled_constants(sa2, sb2, sab, win)
     least = min(constants)
     threshold = least + 1e-12 * abs(least)
     argmin = next(i for i, c in enumerate(constants) if c <= threshold) + 1
     lhs = sa2 * sb2 - sab * sab
-    classical_mult = polya_szego_multiplicative(data, tol)
-    classical_add = polya_szego_additive(data, tol)
+    classical_mult = _scalar_report(PS_MULT, (), *_product_sides(sa2, sb2, sab, win), tol)
+    classical_add = _scalar_report(PS_ADD, (), lhs, constants[2], tol)
     eq_lhs = sa2 / (win.A * win.a)
     eq_rhs = sb2 / (win.B * win.b)
     eq_scale = max(abs(eq_lhs), abs(eq_rhs), 1.0)

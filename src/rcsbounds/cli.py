@@ -21,45 +21,21 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-import jsonschema
 import numpy as np
 
 from . import jsonio
 from .bounds import (
-    ADD_FUNCTIONAL,
-    ADD_MATRIX,
-    GREUB_RHEINBOLDT,
+    _REGISTRY,
     HOLDS,
     INEQUALITY_IDS,
-    INT_ADD,
-    INT_MULT,
-    MULT_FUNCTIONAL,
-    MULT_MATRIX,
-    OP_PAIR_ADD,
-    OP_PAIR_MULT,
-    PRECONDITION_FAILED,
-    PS_ADD,
-    PS_IMPROVED,
-    PS_MULT,
     VIOLATED,
-    WEIGHTED_ADD,
     BoundReport,
     DegenerateSpaceError,
     NonPositiveReOmegaError,
     WeightedSequences,
     WindowViolationError,
-    additive_matrix_bound,
-    functional_additive_bound,
-    functional_multiplicative_bound,
-    greub_rheinboldt,
-    integral_bounds,
-    multiplicative_matrix_bound,
-    operator_pair_bounds,
-    polya_szego_additive,
     polya_szego_improved,
-    polya_szego_multiplicative,
     sharpness_witness,
-    weighted_additive,
 )
 from .forms import FormError, FormInstance, OmegaPair, PositiveFunctional, _coerce_argument
 from .harness import (
@@ -83,7 +59,7 @@ from .matalg import (
 )
 from .rng import stream
 
-__all__ = ["main", "INSTANCE_SCHEMA", "CSV_HEADER"]
+__all__ = ["main", "CSV_HEADER"]
 
 ENV_RTOL = "RCSBOUNDS_RTOL"
 ENV_ATOL = "RCSBOUNDS_ATOL"
@@ -104,106 +80,6 @@ CSV_HEADER = (
     "margin",
     "equality_residual",
 )
-
-_MATRIX_IDS = frozenset({ADD_MATRIX, MULT_MATRIX})
-_FUNCTIONAL_IDS = frozenset({ADD_FUNCTIONAL, MULT_FUNCTIONAL})
-_OPERATOR_IDS = frozenset({OP_PAIR_ADD, OP_PAIR_MULT})
-_SEQUENCE_IDS = frozenset(
-    {INT_ADD, INT_MULT, GREUB_RHEINBOLDT, WEIGHTED_ADD, PS_MULT, PS_ADD, PS_IMPROVED}
-)
-
-_COMPLEX_SCHEMA = {
-    "type": "array",
-    "prefixItems": [{"type": "number"}, {"type": "number"}],
-    "minItems": 2,
-    "maxItems": 2,
-    "items": False,
-}
-_VECTOR_SCHEMA = {"type": "array", "minItems": 1, "items": _COMPLEX_SCHEMA}
-_MATRIX_SCHEMA = {"type": "array", "minItems": 1, "items": _VECTOR_SCHEMA}
-_REAL_SEQ_SCHEMA = {"type": "array", "minItems": 1, "items": {"type": "number"}}
-
-INSTANCE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["version", "target"],
-    "properties": {
-        "version": {"const": "1"},
-        "target": {"enum": sorted(INEQUALITY_IDS)},
-        "tolerance": {
-            "type": "object",
-            "properties": {
-                "rtol": {"type": "number", "exclusiveMinimum": 0},
-                "atol": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "form": {"type": "object"},
-        "x": {"type": "array"},
-        "y": {"type": "array"},
-        "omega_pair": {
-            "type": "object",
-            "required": ["omega", "Omega"],
-            "properties": {"omega": _COMPLEX_SCHEMA, "Omega": _COMPLEX_SCHEMA},
-            "additionalProperties": False,
-        },
-        "operator_pair": {
-            "type": "object",
-            "required": ["t", "s", "v"],
-            "properties": {
-                "t": _MATRIX_SCHEMA,
-                "s": _MATRIX_SCHEMA,
-                "v": _VECTOR_SCHEMA,
-            },
-            "additionalProperties": False,
-        },
-        "sequences": {
-            "type": "object",
-            "required": ["a_seq", "b_seq", "w_seq", "window"],
-            "properties": {
-                "a_seq": _REAL_SEQ_SCHEMA,
-                "b_seq": _REAL_SEQ_SCHEMA,
-                "w_seq": _REAL_SEQ_SCHEMA,
-                "window": {
-                    "type": "object",
-                    "required": ["a", "A", "b", "B"],
-                    "properties": {
-                        "a": {"type": "number"},
-                        "A": {"type": "number"},
-                        "b": {"type": "number"},
-                        "B": {"type": "number"},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "additionalProperties": False,
-        },
-    },
-    "allOf": [
-        {
-            "if": {
-                "properties": {"target": {"enum": sorted(_MATRIX_IDS | _FUNCTIONAL_IDS)}},
-                "required": ["target"],
-            },
-            "then": {"required": ["form", "x", "y", "omega_pair"]},
-        },
-        {
-            "if": {
-                "properties": {"target": {"enum": sorted(_OPERATOR_IDS)}},
-                "required": ["target"],
-            },
-            "then": {"required": ["operator_pair"]},
-        },
-        {
-            "if": {
-                "properties": {"target": {"enum": sorted(_SEQUENCE_IDS)}},
-                "required": ["target"],
-            },
-            "then": {"required": ["sequences"]},
-        },
-    ],
-}
-
 
 class _UsageError(Exception):
     """Raised for exit-code-1 conditions; the message goes to stderr."""
@@ -316,6 +192,93 @@ def _decode_pair(node: dict, path: str) -> OmegaPair:
     )
 
 
+def _number(node, path: str) -> None:
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ValueError(f"{path}: must be a number")
+
+
+def _positive(node, path: str) -> None:
+    _number(node, path)
+    if not 0 < node < math.inf:
+        raise ValueError(f"{path}: must be positive and finite")
+
+
+def _complex(node, path: str) -> None:
+    if not isinstance(node, list) or len(node) != 2:
+        raise ValueError(f"{path}: must be a complex number [re, im]")
+    for i, part in enumerate(node):
+        _number(part, f"{path}[{i}]")
+
+
+def _nonempty(item):
+    """The check of a nonempty array whose entries pass item."""
+
+    def check(node, path: str) -> None:
+        if not isinstance(node, list) or not node:
+            raise ValueError(f"{path}: must be a nonempty array")
+        for i, entry in enumerate(node):
+            item(entry, f"{path}[{i}]")
+
+    return check
+
+
+_VECTOR = _nonempty(_complex)
+_NUMBERS = _nonempty(_number)
+_WINDOW = {"a": _number, "A": _number, "b": _number, "B": _number}
+
+# The spec of each top-level payload key: a type, a check, or an object's
+# keys with the spec of each.  FormInstance.from_dict and jsonio check the
+# rest: shapes, finiteness and the form's own keys.
+_PAYLOAD_SPECS = {
+    "form": dict,
+    "x": list,
+    "y": list,
+    "omega_pair": {"omega": _complex, "Omega": _complex},
+    "operator_pair": {"t": _nonempty(_VECTOR), "s": _nonempty(_VECTOR), "v": _VECTOR},
+    "sequences": {"a_seq": _NUMBERS, "b_seq": _NUMBERS, "w_seq": _NUMBERS, "window": _WINDOW},
+}
+
+
+def _check(node, spec, path: str, optional: bool = False) -> None:
+    """ValueError at the first place node departs from spec; an object's
+    keys are all required unless optional, and no others are allowed."""
+    if isinstance(spec, type):
+        if not isinstance(node, spec):
+            raise ValueError(f"{path}: must be an {'object' if spec is dict else 'array'}")
+    elif callable(spec):
+        spec(node, path)
+    else:
+        _check(node, dict, path)
+        for key in node:
+            if key not in spec:
+                raise ValueError(f"{path}.{key}: unknown key")
+        for key, item in spec.items():
+            if key in node:
+                _check(node[key], item, f"{path}.{key}")
+            elif not optional:
+                raise ValueError(f"{path}.{key}: missing")
+
+
+def _check_instance(doc) -> None:
+    """Version, target, the target's payload keys, and the keys and value
+    types of the tolerance and of every payload present."""
+    _check(doc, dict, "$")
+    if doc.get("version") != "1":
+        raise ValueError('$.version: must be "1"')
+    target = doc.get("target")
+    if target not in INEQUALITY_IDS:  # a tuple: an unhashable target is no TypeError
+        raise ValueError(f"$.target: must be one of {', '.join(INEQUALITY_IDS)}")
+    for key in _PAYLOADS[_REGISTRY[target].payload][0]:
+        if key not in doc:
+            raise ValueError(f"$.{key}: required for target {target}")
+    for key, spec in _PAYLOAD_SPECS.items():
+        if key in doc:
+            _check(doc[key], spec, f"$.{key}")
+    if "tolerance" in doc:
+        tol_spec = {"rtol": _positive, "atol": _positive}
+        _check(doc["tolerance"], tol_spec, "$.tolerance", optional=True)
+
+
 def _load_instance(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -324,13 +287,10 @@ def _load_instance(path: str) -> dict:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path}: JSON parse error: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(INSTANCE_SCHEMA)
-    errors = sorted(
-        validator.iter_errors(doc), key=lambda e: (len(list(e.absolute_path)), e.json_path)
-    )
-    if errors:
-        first = errors[0]
-        raise _UsageError(f"{path}: {first.json_path}: {first.message}")
+    try:
+        _check_instance(doc)
+    except ValueError as exc:
+        raise _UsageError(f"{path}: {exc}") from exc
     return doc
 
 
@@ -342,48 +302,54 @@ def _at(path: str, fn, *args):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _decode_form(doc: dict) -> tuple:
+    form = _at("$.form", FormInstance.from_dict, doc["form"], "$.form")
+    x = _decode_argument(doc["x"], "$.x")
+    y = _decode_argument(doc["y"], "$.y")
+    for path, arg in (("$.x", x), ("$.y", y)):
+        _at(path, _coerce_argument, form, arg)
+    return form, x, y, _decode_pair(doc["omega_pair"], "$.omega_pair")
+
+
+def _decode_functional_form(doc: dict) -> tuple:
+    payload = _decode_form(doc)
+    if payload[0].kind != "functional_form":
+        raise ValueError(f"$.form.kind: target {doc['target']} needs a functional_form")
+    return payload
+
+
+def _decode_operator_pair(doc: dict) -> tuple:
+    op = doc["operator_pair"]
+    t, s = (
+        _at(path, as_element, jsonio.decode_matrix(op[key], path))
+        for key, path in (("t", "$.operator_pair.t"), ("s", "$.operator_pair.s"))
+    )
+    return t, s, jsonio.decode_vector(op["v"], "$.operator_pair.v")
+
+
+def _decode_sequences(doc: dict) -> WeightedSequences:
+    return _at("$.sequences", WeightedSequences.from_dict, doc["sequences"], "$.sequences")
+
+
+# Each payload kind of the registry: its top-level keys and its decoder.
+_PAYLOADS = {
+    "form": (("form", "x", "y", "omega_pair"), _decode_form),
+    "functional_form": (("form", "x", "y", "omega_pair"), _decode_functional_form),
+    "operator_pair": (("operator_pair",), _decode_operator_pair),
+    "sequences": (("sequences",), _decode_sequences),
+}
+
+
 def _report_from_instance(doc: dict, tol: Tolerance) -> BoundReport:
-    target = doc["target"]
-    if target in _MATRIX_IDS or target in _FUNCTIONAL_IDS:
-        form = _at("$.form", FormInstance.from_dict, doc["form"], "$.form")
-        x = _decode_argument(doc["x"], "$.x")
-        y = _decode_argument(doc["y"], "$.y")
-        for path, arg in (("$.x", x), ("$.y", y)):
-            _at(path, _coerce_argument, form, arg)
-        pair = _decode_pair(doc["omega_pair"], "$.omega_pair")
-        if target == ADD_MATRIX:
-            return additive_matrix_bound(form, x, y, pair, tol)
-        if target == MULT_MATRIX:
-            return multiplicative_matrix_bound(form, x, y, pair, tol)
-        if form.kind != "functional_form":
-            raise ValueError(f"$.form.kind: target {target} needs a functional_form")
-        phi = form.functional
-        if target == ADD_FUNCTIONAL:
-            return functional_additive_bound(phi, x, y, pair, tol)
-        return functional_multiplicative_bound(phi, x, y, pair, tol)
-    if target in _OPERATOR_IDS:
-        op = doc["operator_pair"]
-        t, s = (
-            _at(path, as_element, jsonio.decode_matrix(op[key], path))
-            for key, path in (("t", "$.operator_pair.t"), ("s", "$.operator_pair.s"))
-        )
-        v = jsonio.decode_vector(op["v"], "$.operator_pair.v")
-        result = _at("$.operator_pair", operator_pair_bounds, t, s, v, tol)
-        return result.additive if target == OP_PAIR_ADD else result.multiplicative
-    data = _at("$.sequences", WeightedSequences.from_dict, doc["sequences"], "$.sequences")
-    if target == INT_ADD:
-        return integral_bounds(data, tol).additive
-    if target == INT_MULT:
-        return integral_bounds(data, tol).multiplicative
-    if target == GREUB_RHEINBOLDT:
-        return greub_rheinboldt(data, tol)
-    if target == WEIGHTED_ADD:
-        return weighted_additive(data, tol)
-    if target == PS_MULT:
-        return polya_szego_multiplicative(data, tol)
-    if target == PS_ADD:
-        return polya_szego_additive(data, tol)
-    return polya_szego_improved(data, tol).report
+    entry = _REGISTRY[doc["target"]]
+    keys, decode = _PAYLOADS[entry.payload]
+    payload = decode(doc)
+    try:
+        return entry.evaluate(payload, tol)
+    except (ValueError, ArithmeticError, DimMismatchError) as exc:
+        # Values the evaluator cannot take: a zero vector, weights other
+        # than 1 for a PS_* target, or numbers out of double range.
+        raise ValueError(f"$.{keys[0]}: {exc}") from exc
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -423,9 +389,6 @@ def _print_summary(summary: FuzzSummary, as_json: bool) -> None:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.inequality_id not in INEQUALITY_IDS:
-        known = ", ".join(sorted(INEQUALITY_IDS))
-        raise _UsageError(f"unknown inequality id {args.inequality_id!r}; known: {known}")
     tol = _resolve_tolerance(args)
     try:
         config = GeneratorConfig(
@@ -433,19 +396,20 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             trials=args.trials,
             dims=tuple(args.dims) if args.dims else GeneratorConfig.dims,
         )
+        if args.replay is None:
+            summary = fuzz_run(config, args.inequality_id, tol)
+        else:
+            report = run_trial(config, args.inequality_id, args.replay, tol)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.replay is not None:
-        try:
-            report = run_trial(config, args.inequality_id, args.replay, tol)
-        except (RejectionCapExceededError, FormError) as exc:
-            print(f"precondition failed: {exc}", file=sys.stderr)
-            return 3
-        _print_report(report, args.json)
-        return _exit_code(report.verdict)
-    summary = fuzz_run(config, args.inequality_id, tol)
-    _print_summary(summary, args.json)
-    return 0 if summary.violated == 0 else 2
+    except (RejectionCapExceededError, FormError) as exc:
+        print(f"precondition failed: {exc}", file=sys.stderr)
+        return 3
+    if args.replay is None:
+        _print_summary(summary, args.json)
+        return 0 if summary.violated == 0 else 2
+    _print_report(report, args.json)
+    return _exit_code(report.verdict)
 
 
 def _sharpness_inputs(
@@ -644,7 +608,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Input near the double range can overflow on the way to a
+        # verdict; the result says so, numpy's warnings would add lines.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"rcsbounds: error: {exc}", file=sys.stderr)
         return 1

@@ -22,37 +22,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .bounds import (
-    ADD_FUNCTIONAL,
-    ADD_MATRIX,
-    GREUB_RHEINBOLDT,
+    _REGISTRY,
     HOLDS,
-    INEQUALITY_IDS,
-    INT_ADD,
-    INT_MULT,
-    MULT_FUNCTIONAL,
-    MULT_MATRIX,
-    OP_PAIR_ADD,
-    OP_PAIR_MULT,
     PRECONDITION_FAILED,
-    PS_ADD,
-    PS_IMPROVED,
-    PS_MULT,
-    VIOLATED,
-    WEIGHTED_ADD,
     BoundReport,
     ScalarWindow,
     WeightedSequences,
-    _form_values,
-    _matrix_reports,
-    _operator_pair_results,
-    functional_additive_bound,
-    functional_multiplicative_bound,
-    greub_rheinboldt,
-    integral_bounds,
-    polya_szego_additive,
-    polya_szego_improved,
-    polya_szego_multiplicative,
-    weighted_additive,
+    _Inequality,
 )
 from .forms import (
     FormError,
@@ -107,8 +83,6 @@ class DimTooLargeError(Exception):
     """The exact-minor oracle only supports d <= 4."""
 
 
-# Ids whose trials run_trials evaluates in stacked kernel calls.
-_STACKED_IDS = (ADD_MATRIX, MULT_MATRIX, OP_PAIR_ADD, OP_PAIR_MULT)
 # Raised by a generator that finds no instance meeting the hypotheses:
 # the trial counts as a precondition failure.
 _PRECONDITION_ERRORS = (RejectionCapExceededError, FormError)
@@ -385,88 +359,58 @@ def sample_window(g: np.random.Generator, window_range: tuple[float, float]) -> 
     return ScalarWindow(float(a_pair[0]), float(a_pair[1]), float(b_pair[0]), float(b_pair[1]))
 
 
-def _sequence_data(
-    config: GeneratorConfig, g: np.random.Generator, unit_weights: bool
-) -> WeightedSequences:
-    n = int(g.choice(np.asarray(config.space_dims)))
-    window = sample_window(g, config.window_range)
-    data = gen_bounded_sequences(n, window, g)
-    if unit_weights:
-        data = replace(data, w_seq=np.ones(n))
-    return data
+def _entry(inequality_id: str) -> _Inequality:
+    """The registry entry of inequality_id; ValueError for an unknown id."""
+    if inequality_id not in _REGISTRY:
+        known = ", ".join(sorted(_REGISTRY))
+        raise ValueError(f"unknown inequality id {inequality_id!r}; known: {known}")
+    return _REGISTRY[inequality_id]
 
 
-def _scalar_trial(
-    config: GeneratorConfig, inequality_id: str, g: np.random.Generator, tol: Tolerance
-) -> BoundReport:
-    """One trial of a functional or sequence id from its stream g."""
-    if inequality_id in (ADD_FUNCTIONAL, MULT_FUNCTIONAL):
-        d = int(g.choice(np.asarray(config.dims)))
-        form, x, y, pair = gen_re_valid_instance("functional", d, g, tol=tol)
-        phi = form.functional
-        if inequality_id == ADD_FUNCTIONAL:
-            return functional_additive_bound(phi, x, y, pair, tol)
-        return functional_multiplicative_bound(phi, x, y, pair, tol)
-    unit = inequality_id in (PS_MULT, PS_ADD, PS_IMPROVED)
-    data = _sequence_data(config, g, unit_weights=unit)
-    if inequality_id == INT_ADD:
-        return integral_bounds(data, tol).additive
-    if inequality_id == INT_MULT:
-        return integral_bounds(data, tol).multiplicative
-    if inequality_id == GREUB_RHEINBOLDT:
-        return greub_rheinboldt(data, tol)
-    if inequality_id == WEIGHTED_ADD:
-        return weighted_additive(data, tol)
-    if inequality_id == PS_MULT:
-        return polya_szego_multiplicative(data, tol)
-    if inequality_id == PS_ADD:
-        return polya_szego_additive(data, tol)
-    return polya_szego_improved(data, tol).report
+def _draw(
+    config: GeneratorConfig, entry: _Inequality, g: np.random.Generator, tol: Tolerance
+):
+    """One trial's instance for the payload kind of a registry entry, drawn
+    from the trial's stream g.
 
-
-def _draw_pair(
-    config: GeneratorConfig, inequality_id: str, g: np.random.Generator
-) -> tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """The random part of a matrix or operator-pair trial: (d, t, s, v),
-    v None for the matrix ids.  t and s form the commuting strictly
-    positive pair, x and y of gen_re_valid_instance("module") for the
-    matrix ids."""
+    A functional or sequence instance is the evaluator's payload.  A "form"
+    or "operator_pair" instance is (d, t, s), plus v for an operator pair:
+    t and s form the commuting strictly positive pair, x and y of
+    gen_re_valid_instance("module") for the form ids.
+    """
+    if entry.payload == "sequences":
+        n = int(g.choice(np.asarray(config.space_dims)))
+        data = gen_bounded_sequences(n, sample_window(g, config.window_range), g)
+        return replace(data, w_seq=np.ones(n)) if entry.unit_weights else data
     d = int(g.choice(np.asarray(config.dims)))
+    if entry.payload == "functional_form":
+        return gen_re_valid_instance("functional", d, g, tol=tol)
     t, s = gen_commuting_positive_pair(d, g, config.spectrum_range)
-    if inequality_id in (ADD_MATRIX, MULT_MATRIX):
-        return d, t, s, None
+    if entry.payload == "form":
+        return d, t, s
     v = g.standard_normal(d) + 1j * g.standard_normal(d)
     while np.linalg.norm(v) < 1e-6:
         v = g.standard_normal(d) + 1j * g.standard_normal(d)
     return d, t, s, v
 
 
-def _stacked_trials(
-    config: GeneratorConfig, inequality_id: str, window: list[int], tol: Tolerance
+def _trials(
+    config: GeneratorConfig, entry: _Inequality, window: list[int], tol: Tolerance
 ) -> list[BoundReport]:
-    """Matrix and operator-pair trials: each instance is drawn from its own
-    stream, then the instances of each d are evaluated together.  Raises if
-    any trial's generator checks or evaluator raise."""
-    draws = [_draw_pair(config, inequality_id, stream(config.seed, i)) for i in window]
+    """The reports of the trials with the given indices, each drawn from its
+    own stream.  For a stacked id the instances of each d are evaluated
+    together.  Raises if any trial's generator checks or evaluator raise."""
+    draws = [_draw(config, entry, stream(config.seed, i), tol) for i in window]
+    if entry.stacked is None:
+        return [entry.evaluate(draw, tol) for draw in draws]
     reports: list[BoundReport] = [None] * len(window)
     for d in sorted({draw[0] for draw in draws}):
         positions = [k for k, draw in enumerate(draws) if draw[0] == d]
-        t = np.stack([draws[k][1] for k in positions])
-        s = np.stack([draws[k][2] for k in positions])
-        if inequality_id in (ADD_MATRIX, MULT_MATRIX):
-            form, pairs = _module_windows(t, s, tol)
-            omega = np.array([p.omega for p in pairs])[:, None, None]
-            Omega = np.array([p.Omega for p in pairs])[:, None, None]
-            values = _form_values(form, t, s, omega, Omega, stacked=True)
-            group = _matrix_reports(inequality_id, values, pairs, tol)
-        else:
-            v = np.stack([draws[k][3] for k in positions])
-            results = _operator_pair_results(t, s, v, tol)
-            group = [
-                r.additive if inequality_id == OP_PAIR_ADD else r.multiplicative
-                for r in results
-            ]
-        for k, report in zip(positions, group):
+        payload = [np.stack(column) for column in zip(*(draws[k][1:] for k in positions))]
+        if entry.payload == "form":
+            form, pairs = _module_windows(*payload, tol)
+            payload = [form, *payload, pairs]
+        for k, report in zip(positions, entry.stacked(payload, tol)):
             reports[k] = report
     return reports
 
@@ -494,33 +438,30 @@ def run_trials(
     (see matalg), so an outcome is bit-equal whatever other indices share
     its window.
     """
-    if inequality_id not in INEQUALITY_IDS:
-        raise ValueError(f"unknown inequality id {inequality_id!r}")
+    entry = _entry(inequality_id)
     indices = [int(i) for i in indices]
     outcomes: list[TrialOutcome] = []
     for start in range(0, len(indices), TRIAL_WINDOW):
         window = indices[start : start + TRIAL_WINDOW]
-        if inequality_id in _STACKED_IDS:
+        if entry.stacked:
             try:
-                outcomes += _stacked_trials(config, inequality_id, window, tol)
+                outcomes += _trials(config, entry, window, tol)
             except Exception:
                 # Some trial of the window failed a stacked stage: one trial
                 # at a time, so each failure is the trial's own.
-                outcomes += [_trial_outcome(config, inequality_id, i, tol) for i in window]
+                outcomes += [_trial_outcome(config, entry, i, tol) for i in window]
         else:
-            outcomes += [_trial_outcome(config, inequality_id, i, tol) for i in window]
+            outcomes += [_trial_outcome(config, entry, i, tol) for i in window]
     return outcomes
 
 
 def _trial_outcome(
-    config: GeneratorConfig, inequality_id: str, trial_index: int, tol: Tolerance
+    config: GeneratorConfig, entry: _Inequality, trial_index: int, tol: Tolerance
 ) -> TrialOutcome:
     """One trial on its own: its report, or the precondition error its
     generator raised.  Any other exception propagates."""
     try:
-        if inequality_id in _STACKED_IDS:
-            return _stacked_trials(config, inequality_id, [trial_index], tol)[0]
-        return _scalar_trial(config, inequality_id, stream(config.seed, trial_index), tol)
+        return _trials(config, entry, [trial_index], tol)[0]
     except _PRECONDITION_ERRORS as exc:
         return exc
 
@@ -555,6 +496,7 @@ def fuzz_run(
     run_trials a window at a time, so memory does not grow with
     config.trials.
     """
+    _entry(inequality_id)  # an unknown id is an error also when config.trials is 0
     holds = violated = precondition_failed = 0
     worst: Optional[tuple[float, int]] = None
     for start in range(0, config.trials, TRIAL_WINDOW):

@@ -138,6 +138,9 @@ def test_improved_equality_family_prefers_third():
     assert abs(res.equality_lhs - res.equality_rhs) <= 1e-12
     # third constant reproduces the classical additive bound
     assert abs(res.constants[2] - res.classical_additive.rhs) <= 1e-12
+    # PS_ADD is that constant, bit for bit
+    assert res.classical_additive.rhs == res.constants[2]
+    assert polya_szego_additive(EQUALITY_DATA).rhs == res.constants[2]
 
 
 def test_improved_constant_sequences():

@@ -1,13 +1,22 @@
 """Command-line behavior, exercised in-process through cli.main."""
 
 import argparse
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcsbounds import cli
+from rcsbounds import bounds, cli
 from rcsbounds.matalg import NoConvergenceError
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "docs", "instances")
@@ -200,7 +209,8 @@ def test_verify_solver_failure_is_not_a_precondition(capsys, tmp_path, monkeypat
     def no_convergence(*args):
         raise NoConvergenceError("Jacobi did not converge")
 
-    monkeypatch.setattr(cli, "additive_matrix_bound", no_convergence)
+    # The registry looks the evaluator up in bounds when it runs.
+    monkeypatch.setattr(bounds, "additive_matrix_bound", no_convergence)
     with pytest.raises(NoConvergenceError):
         cli.main(["verify", write_instance(tmp_path, matrix_doc())])
     assert "precondition failed" not in capsys.readouterr().err
@@ -435,3 +445,109 @@ def test_tolerance_non_finite_rejected(tmp_path, capsys, bad):
     code, _, err = run(capsys, "fuzz", "PS_ADD", "--trials", "1", "--tol-atol", str(bad))
     assert code == 1
     assert "finite" in err
+
+
+def _nodes(node, path=()):
+    """(path, node) for every node of a JSON document."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _parent(doc, path):
+    """The node holding the node at a nonempty path."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+_ODD_NUMBERS = st.sampled_from(
+    [True, False, 0, -1.0, math.nan, math.inf, -math.inf, 1e200, -1e200]
+)
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["x", {}, [], None, [[1]]]).map(copy.deepcopy), _ODD_NUMBERS
+)
+
+
+def _sized(node, n):
+    """node resized to n entries (n x n for a matrix), repeating its first entry."""
+    if n == 0 or not node:
+        return []
+    if isinstance(node[0], list) and node[0] and isinstance(node[0][0], list):
+        return [[node[0][0]] * n for _ in range(n)]
+    return [node[0]] * n
+
+
+@st.composite
+def mutated_instances(draw):
+    """A shipped instance with one to three keys dropped or added, values
+    retyped, numbers replaced by booleans, NaN, infinities or 1e200, or
+    arrays resized to dimension 0 or 17."""
+    name = draw(st.sampled_from(sorted(os.listdir(INSTANCES))))
+    with open(os.path.join(INSTANCES, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        kind, eligible = draw(
+            st.sampled_from(
+                [
+                    ("drop", lambda node: True),
+                    ("add", lambda node: isinstance(node, dict)),
+                    ("retype", lambda node: True),
+                    ("number", lambda node: isinstance(node, (int, float))),
+                    ("size", lambda node: isinstance(node, list)),
+                ]
+            )
+        )
+        candidates = [(p, n) for p, n in nodes if eligible(n) and (p or kind == "add")]
+        if not candidates:
+            continue
+        path, node = draw(st.sampled_from(candidates))
+        if kind == "drop":
+            del _parent(doc, path)[path[-1]]
+        elif kind == "add":
+            node[draw(st.sampled_from(["extra", "x", "t", "window", "rtol"]))] = draw(_ODD_VALUES)
+        elif kind == "size":
+            _parent(doc, path)[path[-1]] = _sized(node, draw(st.sampled_from([0, 17])))
+        else:
+            odd = _ODD_NUMBERS if kind == "number" else _ODD_VALUES
+            _parent(doc, path)[path[-1]] = draw(odd)
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_instances())
+def test_verify_mutated_instances_end_in_one_line(doc):
+    # Every outcome is an exit code with at most one line on stderr: a
+    # usage error (1), a precondition failure (3), or a report (0, 2, 3).
+    # An exception or a numpy warning escaping main fails the test.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", path])
+    assert code in {0, 1, 2, 3}
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert err.count("\n") == (1 if code == 1 or not out.getvalue() else 0)
+    if code == 1:
+        assert err.startswith("rcsbounds: error: ") and "$" in err
+
+
+def test_cli_import_does_not_load_jsonschema():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, rcsbounds.cli; print(sorted(m for m in sys.modules if 'jsonschema' in m))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
