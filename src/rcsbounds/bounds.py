@@ -30,9 +30,13 @@ import numpy as np
 
 from . import jsonio
 from .forms import (
+    FormError,
     FormInstance,
+    NotCommutingError,
+    NotStrictlyPositiveError,
     OmegaPair,
     PositiveFunctional,
+    WindowCheckError,
     _adjoint_symmetry,
     _form_eval,
     _omega_from_edges,
@@ -45,6 +49,8 @@ from .matalg import (
     DEFAULT_TOL,
     DimMismatchError,
     KernelError,
+    NotHermitianError,
+    NotPositiveError,
     Tolerance,
     abs_element,
     as_element,
@@ -73,11 +79,13 @@ __all__ = [
     "PS_ADD",
     "PS_IMPROVED",
     "INEQUALITY_IDS",
+    "HYPOTHESIS_ERRORS",
     "NonPositiveReOmegaError",
     "WindowViolationError",
     "DegenerateSpaceError",
     "PreconditionCheck",
     "BoundReport",
+    "precondition_failed_report",
     "ScalarWindow",
     "WeightedSequences",
     "SharpnessResult",
@@ -115,6 +123,18 @@ WEIGHTED_ADD = "WEIGHTED_ADD"
 PS_MULT = "PS_MULT"
 PS_ADD = "PS_ADD"
 PS_IMPROVED = "PS_IMPROVED"
+
+
+class NonPositiveReOmegaError(Exception):
+    """Re(conj(omega) * Omega) <= 0: the multiplicative hypothesis fails."""
+
+
+class WindowViolationError(Exception):
+    """Sequence data falls outside its declared scalar window."""
+
+
+class DegenerateSpaceError(Exception):
+    """No unit vector orthogonal to y exists for the sharpness construction."""
 
 
 @dataclass(frozen=True)
@@ -187,17 +207,38 @@ _REGISTRY = {
 
 INEQUALITY_IDS = tuple(_REGISTRY)
 
+# The exceptions that mean an instance fails a hypothesis of its
+# inequality, each with the name of the check it fails.  Any other exception
+# (a solver failure, a failed cross-check, a dimension or value error) is
+# no verdict and propagates.
+_HYPOTHESIS_CHECKS = {
+    NotHermitianError: "hermitian",
+    NotPositiveError: "positive_semidefinite",
+    FormError: "admissible_instance",
+    NotCommutingError: "commuting",
+    NotStrictlyPositiveError: "strictly_positive",
+    WindowCheckError: "spectral_window",
+    NonPositiveReOmegaError: "re_cross_positive",
+    WindowViolationError: "sequences_in_window",
+}
+HYPOTHESIS_ERRORS = tuple(_HYPOTHESIS_CHECKS)
 
-class NonPositiveReOmegaError(Exception):
-    """Re(conj(omega) * Omega) <= 0: the multiplicative hypothesis fails."""
 
-
-class WindowViolationError(Exception):
-    """Sequence data falls outside its declared scalar window."""
-
-
-class DegenerateSpaceError(Exception):
-    """No unit vector orthogonal to y exists for the sharpness construction."""
+def precondition_failed_report(inequality_id: str, exc: Exception) -> BoundReport:
+    """The PRECONDITION_FAILED report of an instance whose hypothesis check
+    raised exc, one of HYPOTHESIS_ERRORS: one failed check, named after the
+    nearest listed class of exc, the exception in details, and no sides or
+    margin."""
+    name = next(_HYPOTHESIS_CHECKS[c] for c in type(exc).__mro__ if c in _HYPOTHESIS_CHECKS)
+    return BoundReport(
+        inequality_id=inequality_id,
+        preconditions=(PreconditionCheck(name, False, math.nan),),
+        lhs=math.nan,
+        rhs=math.nan,
+        margin=math.nan,
+        verdict=PRECONDITION_FAILED,
+        details={"error": type(exc).__name__, "message": str(exc)},
+    )
 
 
 @dataclass(frozen=True)
@@ -705,15 +746,12 @@ def _operator_pair_result(
     _cross_check("operator pair additive", lhs_add, cf_lhs_add)
     _cross_check("operator pair additive", rhs_add, cf_rhs_add)
 
-    margin_add = rhs_add - lhs_add
-    scale_add = max(abs(lhs_add), abs(rhs_add), 1.0)
-    additive = BoundReport(
-        inequality_id=OP_PAIR_ADD,
-        preconditions=add_preconditions,
-        lhs=float(lhs_add),
-        rhs=float(rhs_add),
-        margin=float(margin_add),
-        verdict=_verdict(add_preconditions, margin_add >= -tol.band(scale_add)),
+    additive = _scalar_report(
+        OP_PAIR_ADD,
+        add_preconditions,
+        lhs_add,
+        rhs_add,
+        tol,
         details={
             "omega_ts": pair_ts.omega,
             "Omega_ts": pair_ts.Omega,
@@ -734,17 +772,12 @@ def _operator_pair_result(
     cf_lhs_mult = math.sqrt(nt2) * math.sqrt(ns2)
     _cross_check("operator pair multiplicative", lhs_mult, cf_lhs_mult)
     _cross_check("operator pair multiplicative", rhs_mult, cf_rhs_mult)
-    margin_mult = rhs_mult - lhs_mult
-    scale_mult = max(abs(lhs_mult), abs(rhs_mult), 1.0)
-    multiplicative = BoundReport(
-        inequality_id=OP_PAIR_MULT,
-        preconditions=rep_mult.preconditions,
-        lhs=float(lhs_mult),
-        rhs=float(rhs_mult),
-        margin=float(margin_mult),
-        verdict=_verdict(
-            rep_mult.preconditions, margin_mult >= -tol.band(scale_mult)
-        ),
+    multiplicative = _scalar_report(
+        OP_PAIR_MULT,
+        rep_mult.preconditions,
+        lhs_mult,
+        rhs_mult,
+        tol,
         details={
             "omega": pair_ts.omega,
             "Omega": pair_ts.Omega,

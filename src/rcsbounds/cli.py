@@ -12,7 +12,6 @@ any overrides stored in an instance file.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import math
@@ -27,21 +26,21 @@ from . import jsonio
 from .bounds import (
     _REGISTRY,
     HOLDS,
+    HYPOTHESIS_ERRORS,
     INEQUALITY_IDS,
     VIOLATED,
     BoundReport,
     DegenerateSpaceError,
-    NonPositiveReOmegaError,
     WeightedSequences,
-    WindowViolationError,
     polya_szego_improved,
+    precondition_failed_report,
     sharpness_witness,
 )
-from .forms import FormError, FormInstance, OmegaPair, PositiveFunctional, _coerce_argument
+from .forms import FormInstance, OmegaPair, PositiveFunctional, _coerce_argument
 from .harness import (
+    WINDOW_RANGE,
     FuzzSummary,
     GeneratorConfig,
-    RejectionCapExceededError,
     fuzz_run,
     gen_argmin_families,
     gen_bounded_sequences,
@@ -52,8 +51,6 @@ from .matalg import (
     DEFAULT_TOL,
     MAX_DIM,
     DimMismatchError,
-    NotHermitianError,
-    NotPositiveError,
     Tolerance,
     as_element,
 )
@@ -154,14 +151,14 @@ def _print_report(report: BoundReport, as_json: bool) -> None:
     scalars = {
         k: v
         for k, v in report.details.items()
-        if isinstance(v, (int, float, complex)) and not isinstance(v, bool)
+        if isinstance(v, (int, float, complex, str)) and not isinstance(v, bool)
     }
     if scalars:
         print("details:")
         for key, value in scalars.items():
             if isinstance(value, complex):
                 print(f"  {key}: {value.real:.6e}{value.imag:+.6e}j")
-            elif isinstance(value, int):
+            elif isinstance(value, (int, str)):
                 print(f"  {key}: {value}")
             else:
                 print(f"  {key}: {_fmt(float(value))}")
@@ -185,11 +182,21 @@ def _decode_argument(node, path: str) -> np.ndarray:
     return jsonio.decode_vector(node, path)
 
 
+def _window_pair(omega: complex, Omega: complex, where: str) -> OmegaPair:
+    """The window pair (omega, Omega), or a ValueError at where unless
+    |Omega - omega|^2, a factor of every bound, is a finite double."""
+    pair = OmegaPair(omega=omega, Omega=Omega)
+    try:
+        if math.isfinite(pair.spread() ** 2):
+            return pair
+    except OverflowError:
+        pass
+    raise ValueError(f"{where}: |Omega - omega|^2 must be finite")
+
+
 def _decode_pair(node: dict, path: str) -> OmegaPair:
-    return OmegaPair(
-        omega=jsonio.decode_complex(node["omega"], f"{path}.omega"),
-        Omega=jsonio.decode_complex(node["Omega"], f"{path}.Omega"),
-    )
+    omega = jsonio.decode_complex(node["omega"], f"{path}.omega")
+    return _window_pair(omega, jsonio.decode_complex(node["Omega"], f"{path}.Omega"), path)
 
 
 def _number(node, path: str) -> None:
@@ -201,6 +208,12 @@ def _positive(node, path: str) -> None:
     _number(node, path)
     if not 0 < node < math.inf:
         raise ValueError(f"{path}: must be positive and finite")
+
+
+def _finite(node, path: str) -> None:
+    _number(node, path)
+    if not math.isfinite(node):
+        raise ValueError(f"{path}: must be finite")
 
 
 def _complex(node, path: str) -> None:
@@ -224,7 +237,7 @@ def _nonempty(item):
 
 _VECTOR = _nonempty(_complex)
 _NUMBERS = _nonempty(_number)
-_WINDOW = {"a": _number, "A": _number, "b": _number, "B": _number}
+_WINDOW = {"a": _finite, "A": _finite, "b": _finite, "B": _finite}
 
 # The spec of each top-level payload key: a type, a check, or an object's
 # keys with the spec of each.  FormInstance.from_dict and jsonio check the
@@ -341,15 +354,20 @@ _PAYLOADS = {
 
 
 def _report_from_instance(doc: dict, tol: Tolerance) -> BoundReport:
-    entry = _REGISTRY[doc["target"]]
-    keys, decode = _PAYLOADS[entry.payload]
-    payload = decode(doc)
+    """The target's report on the decoded instance: a PRECONDITION_FAILED
+    report if the decoder or evaluator finds a hypothesis failed."""
+    target = doc["target"]
+    entry = _REGISTRY[target]
     try:
-        return entry.evaluate(payload, tol)
-    except (ValueError, ArithmeticError, DimMismatchError) as exc:
-        # Values the evaluator cannot take: a zero vector, weights other
-        # than 1 for a PS_* target, or numbers out of double range.
-        raise ValueError(f"$.{keys[0]}: {exc}") from exc
+        payload = _PAYLOADS[entry.payload][1](doc)  # errors carry their JSON path
+        try:
+            return entry.evaluate(payload, tol)
+        except (ValueError, ArithmeticError, DimMismatchError) as exc:
+            # Values the evaluator cannot take: a zero vector, weights other
+            # than 1 for a PS_* target, or numbers out of double range.
+            raise ValueError(f"$: target {target}: {exc}") from exc
+    except HYPOTHESIS_ERRORS as exc:
+        return precondition_failed_report(target, exc)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -359,17 +377,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = _report_from_instance(doc, tol)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    except (
-        NotHermitianError,
-        NotPositiveError,
-        FormError,
-        NonPositiveReOmegaError,
-        WindowViolationError,
-    ) as exc:
-        # A hypothesis the instance's data fails.  Dimension errors are
-        # reported at their JSON path above.
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 3
     _print_report(report, args.json)
     return _exit_code(report.verdict)
 
@@ -402,9 +409,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             report = run_trial(config, args.inequality_id, args.replay, tol)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    except (RejectionCapExceededError, FormError) as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 3
     if args.replay is None:
         _print_summary(summary, args.json)
         return 0 if summary.violated == 0 else 2
@@ -434,15 +438,20 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
     tol = _resolve_tolerance(args)
     if not 1 <= args.dim <= MAX_DIM:
         raise _UsageError(f"--dim must be in 1..{MAX_DIM}")
-    if not all(cmath.isfinite(w) for w in (args.omega, args.Omega)):
-        raise _UsageError("--omega and --Omega must be finite")
-    pair = OmegaPair(omega=args.omega, Omega=getattr(args, "Omega"))
+    flags = "--omega, --Omega"
+    try:
+        pair = _window_pair(args.omega, args.Omega, flags)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     phi, y = _sharpness_inputs(args.kind, args.dim, args.seed)
     try:
         result = sharpness_witness(phi, y, pair, tol)
     except DegenerateSpaceError as exc:
         print(f"degenerate instance: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ArithmeticError) as exc:
+        # A finite window whose witness leaves the double range.
+        raise _UsageError(f"{flags}: {exc}") from exc
     ratio = result.ratio
     degenerate = not math.isfinite(ratio)
     deviation = None if degenerate else abs(ratio - SHARPNESS_TARGET)
@@ -483,7 +492,7 @@ def _compare_rows(args: argparse.Namespace):
     n = args.n
     for i in range(args.samples):
         g = stream(args.seed, i)
-        window = sample_window(g, (0.1, 10.0))
+        window = sample_window(g, WINDOW_RANGE)
         data = gen_bounded_sequences(n, window, g)
         yield replace(data, w_seq=np.ones(n))
     for _, family in gen_argmin_families(max(2, n)):
@@ -546,9 +555,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--json", action="store_true", help="emit JSON instead of tables")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     parser.add_argument(
         "--tol-rtol", type=float, default=None, metavar="R", help="relative tolerance override"
     )
@@ -566,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check one instance file")
     p_verify.add_argument("file", help="instance JSON path")
-    _add_common_flags(p_verify)
+    _add_common_flags(p_verify, seed=False)
     p_verify.set_defaults(func=cmd_verify)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized campaign for one inequality")

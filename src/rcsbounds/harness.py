@@ -24,11 +24,13 @@ import numpy as np
 from .bounds import (
     _REGISTRY,
     HOLDS,
+    HYPOTHESIS_ERRORS,
     PRECONDITION_FAILED,
     BoundReport,
     ScalarWindow,
     WeightedSequences,
     _Inequality,
+    precondition_failed_report,
 )
 from .forms import (
     FormError,
@@ -72,21 +74,21 @@ REJECTION_CAP = 1000
 # are held and stacked at once, whatever the campaign's trial count.
 TRIAL_WINDOW = 64
 
+# The sequence lengths, the range of the scalar windows' endpoints, and the
+# range of the eigenvalues of the commuting positive pairs that trials draw.
+SPACE_DIMS = (4, 8, 16)
+WINDOW_RANGE = (0.1, 10.0)
+SPECTRUM_RANGE = (0.1, 10.0)
+
 RngLike = Union[int, np.random.Generator]
 
 
-class RejectionCapExceededError(Exception):
+class RejectionCapExceededError(FormError):
     """Rejection sampling failed to produce an admissible instance."""
 
 
 class DimTooLargeError(Exception):
     """The exact-minor oracle only supports d <= 4."""
-
-
-# Raised by a generator that finds no instance meeting the hypotheses:
-# the trial counts as a precondition failure.
-_PRECONDITION_ERRORS = (RejectionCapExceededError, FormError)
-TrialOutcome = Union[BoundReport, RejectionCapExceededError, FormError]
 
 
 def _as_rng(rng: RngLike) -> np.random.Generator:
@@ -97,34 +99,18 @@ def _as_rng(rng: RngLike) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Configuration shared by all fuzz generators.
-
-    dims feeds the matrix-algebra instances, space_dims the sequence
-    lengths, window_range the scalar windows, and spectrum_range the
-    eigenvalue samples for commuting positive pairs.
-    """
+    """Configuration shared by all fuzz generators: dims feeds the
+    matrix-algebra instances."""
 
     seed: int = 0
     trials: int = 1000
     dims: tuple[int, ...] = (1, 2, 4, 8)
-    space_dims: tuple[int, ...] = (4, 8, 16)
-    window_range: tuple[float, float] = (0.1, 10.0)
-    spectrum_range: tuple[float, float] = (0.1, 10.0)
 
     def __post_init__(self) -> None:
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if not self.dims or any(not 1 <= d <= 16 for d in self.dims):
             raise ValueError("dims must be a nonempty tuple of values in 1..16")
-        if not self.space_dims or any(n < 1 for n in self.space_dims):
-            raise ValueError("space_dims must be a nonempty tuple of positive values")
-        for name, rng_pair in (
-            ("window_range", self.window_range),
-            ("spectrum_range", self.spectrum_range),
-        ):
-            lo, hi = rng_pair
-            if not 0.0 < lo <= hi:
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi")
 
 
 def gen_random_unitary(d: int, rng: RngLike = 0) -> np.ndarray:
@@ -137,16 +123,13 @@ def gen_random_unitary(d: int, rng: RngLike = 0) -> np.ndarray:
     return q * phases
 
 
-def gen_commuting_positive_pair(
-    d: int,
-    rng: RngLike = 0,
-    spectrum_range: tuple[float, float] = (0.1, 10.0),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Commuting strictly positive pair sharing a random eigenbasis."""
+def gen_commuting_positive_pair(d: int, rng: RngLike = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Commuting strictly positive pair sharing a random eigenbasis, with
+    eigenvalues in SPECTRUM_RANGE."""
     g = _as_rng(rng)
     u = gen_random_unitary(d, g)
-    lam_t = g.uniform(spectrum_range[0], spectrum_range[1], size=d)
-    lam_s = g.uniform(spectrum_range[0], spectrum_range[1], size=d)
+    lam_t = g.uniform(*SPECTRUM_RANGE, size=d)
+    lam_s = g.uniform(*SPECTRUM_RANGE, size=d)
     t = re_part((u * lam_t) @ u.conj().T)
     s = re_part((u * lam_s) @ u.conj().T)
     return t, s
@@ -186,7 +169,6 @@ def gen_re_valid_instance(
     kind: str,
     d: int,
     rng: RngLike = 0,
-    spectrum_range: tuple[float, float] = (0.1, 10.0),
     cap: int = REJECTION_CAP,
     tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[FormInstance, np.ndarray, np.ndarray, OmegaPair]:
@@ -205,9 +187,8 @@ def gen_re_valid_instance(
     """
     g = _as_rng(rng)
     if kind == "module":
-        t, s = gen_commuting_positive_pair(d, g, spectrum_range)
-        form, pairs = _module_windows(t[None], s[None], tol)
-        return form, t, s, pairs[0]
+        t, s = gen_commuting_positive_pair(d, g)
+        return FormInstance.module_form(d), t, s, omega_from_spectra(t, s, tol)
     if kind != "functional":
         raise ValueError(f"unknown instance kind {kind!r}")
 
@@ -245,15 +226,6 @@ def gen_re_valid_instance(
     raise RejectionCapExceededError(
         f"no admissible x found in {cap} attempts (kind=functional, d={d})"
     )
-
-
-def _module_windows(
-    t: np.ndarray, s: np.ndarray, tol: Tolerance
-) -> tuple[FormInstance, list[OmegaPair]]:
-    """The window step of a module-form instance (x, y) = (t, s): for
-    (N, d, d) stacks of commuting strictly positive pairs, the module form
-    over M_d and each slice's window pair read off its spectra at band tol."""
-    return FormInstance.module_form(t.shape[-1]), omega_from_spectra(t, s, tol)
 
 
 def gen_argmin_families(n: int) -> list[tuple[str, WeightedSequences]]:
@@ -379,13 +351,13 @@ def _draw(
     gen_re_valid_instance("module") for the form ids.
     """
     if entry.payload == "sequences":
-        n = int(g.choice(np.asarray(config.space_dims)))
-        data = gen_bounded_sequences(n, sample_window(g, config.window_range), g)
+        n = int(g.choice(np.asarray(SPACE_DIMS)))
+        data = gen_bounded_sequences(n, sample_window(g, WINDOW_RANGE), g)
         return replace(data, w_seq=np.ones(n)) if entry.unit_weights else data
     d = int(g.choice(np.asarray(config.dims)))
     if entry.payload == "functional_form":
         return gen_re_valid_instance("functional", d, g, tol=tol)
-    t, s = gen_commuting_positive_pair(d, g, config.spectrum_range)
+    t, s = gen_commuting_positive_pair(d, g)
     if entry.payload == "form":
         return d, t, s
     v = g.standard_normal(d) + 1j * g.standard_normal(d)
@@ -408,8 +380,7 @@ def _trials(
         positions = [k for k, draw in enumerate(draws) if draw[0] == d]
         payload = [np.stack(column) for column in zip(*(draws[k][1:] for k in positions))]
         if entry.payload == "form":
-            form, pairs = _module_windows(*payload, tol)
-            payload = [form, *payload, pairs]
+            payload = [FormInstance.module_form(d), *payload, omega_from_spectra(*payload, tol)]
         for k, report in zip(positions, entry.stacked(payload, tol)):
             reports[k] = report
     return reports
@@ -420,50 +391,41 @@ def run_trials(
     inequality_id: str,
     indices,
     tol: Tolerance = DEFAULT_TOL,
-) -> list[TrialOutcome]:
-    """Evaluate the fuzz trials with the given indices, one outcome each, in order.
+) -> list[BoundReport]:
+    """Evaluate the fuzz trials with the given indices, one report each, in order.
 
     A trial is a pure function of (config, id, trial_index, tol): it draws
     from the Philox stream keyed by (seed, trial_index), and tol is the
-    band of the generators' window and Re checks and of the evaluator.  Its
-    outcome is its BoundReport, or the RejectionCapExceededError or
-    FormError raised when its generator finds no instance meeting the
-    hypotheses at band tol; any other exception propagates.
+    band of the generators' window and Re checks and of the evaluator.  A
+    trial whose instance fails a hypothesis at band tol (one of
+    HYPOTHESIS_ERRORS, raised by its generator or its evaluator) gets its
+    precondition_failed_report; any other exception propagates.
 
     The indices are taken TRIAL_WINDOW at a time.  For the matrix and
     operator-pair ids the trials of a window are grouped by d and each
     group is evaluated in stacked kernel calls; if a stacked stage raises,
     the window is evaluated again one trial at a time, so each failure
     is the trial's own.  Every stacked call treats each slice on its own
-    (see matalg), so an outcome is bit-equal whatever other indices share
+    (see matalg), so a report is bit-equal whatever other indices share
     its window.
     """
     entry = _entry(inequality_id)
     indices = [int(i) for i in indices]
-    outcomes: list[TrialOutcome] = []
+    reports: list[BoundReport] = []
     for start in range(0, len(indices), TRIAL_WINDOW):
         window = indices[start : start + TRIAL_WINDOW]
         if entry.stacked:
             try:
-                outcomes += _trials(config, entry, window, tol)
+                reports += _trials(config, entry, window, tol)
+                continue
             except Exception:
-                # Some trial of the window failed a stacked stage: one trial
-                # at a time, so each failure is the trial's own.
-                outcomes += [_trial_outcome(config, entry, i, tol) for i in window]
-        else:
-            outcomes += [_trial_outcome(config, entry, i, tol) for i in window]
-    return outcomes
-
-
-def _trial_outcome(
-    config: GeneratorConfig, entry: _Inequality, trial_index: int, tol: Tolerance
-) -> TrialOutcome:
-    """One trial on its own: its report, or the precondition error its
-    generator raised.  Any other exception propagates."""
-    try:
-        return _trials(config, entry, [trial_index], tol)[0]
-    except _PRECONDITION_ERRORS as exc:
-        return exc
+                pass  # some trial failed a stacked stage: one trial at a time
+        for i in window:
+            try:
+                reports += _trials(config, entry, [i], tol)
+            except HYPOTHESIS_ERRORS as exc:
+                reports.append(precondition_failed_report(inequality_id, exc))
+    return reports
 
 
 def run_trial(
@@ -472,15 +434,8 @@ def run_trial(
     trial_index: int,
     tol: Tolerance = DEFAULT_TOL,
 ) -> BoundReport:
-    """Evaluate one fuzz trial: run_trials for the single index.
-
-    A generator that finds no instance meeting the hypotheses at band tol
-    raises its RejectionCapExceededError or FormError here.
-    """
-    outcome = run_trials(config, inequality_id, [trial_index], tol)[0]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    """Evaluate one fuzz trial: run_trials for the single index."""
+    return run_trials(config, inequality_id, [trial_index], tol)[0]
 
 
 def fuzz_run(
@@ -489,9 +444,9 @@ def fuzz_run(
     """Run config.trials independent trials at band tol and aggregate verdicts.
 
     The aggregation (counts, least margin, lowest tying trial index) is
-    invariant under any reordering of the trials.  A trial whose generator
-    finds no instance meeting the hypotheses at band tol (rejection cap
-    reached, or a pair failing its commutation or strict-positivity
+    invariant under any reordering of the trials.  A trial whose instance
+    fails a hypothesis at band tol (for example a generator reaching its
+    rejection cap, or a pair failing its commutation or strict-positivity
     check) counts as a precondition failure.  Trials run through
     run_trials a window at a time, so memory does not grow with
     config.trials.
@@ -502,7 +457,7 @@ def fuzz_run(
     for start in range(0, config.trials, TRIAL_WINDOW):
         indices = range(start, min(start + TRIAL_WINDOW, config.trials))
         for i, report in zip(indices, run_trials(config, inequality_id, indices, tol)):
-            if isinstance(report, Exception) or report.verdict == PRECONDITION_FAILED:
+            if report.verdict == PRECONDITION_FAILED:
                 precondition_failed += 1
                 continue
             if report.verdict == HOLDS:

@@ -79,12 +79,72 @@ def test_verify_precondition_exit_code(capsys, tmp_path):
     assert "PRECONDITION_FAILED" in out
 
 
+def precondition_failed(capsys, argv, check):
+    """Run argv, which must end in a named PRECONDITION_FAILED report: exit
+    3 and nothing on stderr, as a table and as one JSON document with
+    --json.  Returns the JSON report."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and err == ""
+    assert "verdict:    PRECONDITION_FAILED" in out and f"  {check}: FAIL" in out
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 3 and err == ""
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["verdict"] == "PRECONDITION_FAILED"
+    assert [(p["name"], p["passed"]) for p in report["preconditions"]] == [(check, False)]
+    return report
+
+
 def test_verify_nonpositive_window_product(capsys, tmp_path):
     doc = matrix_doc(omega=(-1.0, 0.0), Omega=(1.0, 0.0), target="MULT_MATRIX")
     path = write_instance(tmp_path, doc)
-    code, _, err = run(capsys, "verify", path)
-    assert code == 3
-    assert "precondition failed" in err
+    report = precondition_failed(capsys, ["verify", path], "re_cross_positive")
+    assert report["inequality_id"] == "MULT_MATRIX"
+    assert report["details"]["error"] == "NonPositiveReOmegaError"
+    assert "Re(conj(omega) * Omega)" in report["details"]["message"]
+
+
+def test_verify_sequences_outside_window(capsys, tmp_path):
+    with open(os.path.join(INSTANCES, "refined_constants_family.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["sequences"]["a_seq"][0] = 100.0
+    path = write_instance(tmp_path, doc)
+    report = precondition_failed(capsys, ["verify", path], "sequences_in_window")
+    assert report["details"]["error"] == "WindowViolationError"
+    assert "a_seq leaves the window" in report["details"]["message"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_non_finite_window_bound(capsys, tmp_path, bad):
+    with open(os.path.join(INSTANCES, "refined_constants_family.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["sequences"]["window"]["A"] = bad
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 1)
+    assert "$.sequences.window.A: must be finite" in err
+
+
+def test_verify_value_errors_name_the_key_holding_the_value(capsys, tmp_path):
+    # A window whose spread squares past the double range is an error at
+    # $.omega_pair; an evaluator's value error is reported at $ with the
+    # target, never at a key that does not hold the value.
+    doc = matrix_doc(omega=(1e200, 0.0))
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 1)
+    assert err.startswith("rcsbounds: error: $.omega_pair: ")
+    doc = matrix_doc()
+    doc["x"] = [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 1)
+    assert err.startswith("rcsbounds: error: $: target ADD_MATRIX: ")
+    assert "$.form" not in err
+
+
+def test_verify_has_no_seed_flag(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["verify", write_instance(tmp_path, matrix_doc()), "--seed", "1"])
+    assert exc_info.value.code == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_verify_missing_file(capsys, tmp_path):
@@ -163,21 +223,23 @@ def test_verify_non_commuting_operator_pair(capsys, tmp_path):
             "v": [[1, 0], [1, 0]],
         },
     }
-    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
-    one_line_error(code, out, err, 3)
-    assert err.startswith("precondition failed:") and "commute" in err
+    report = precondition_failed(capsys, ["verify", write_instance(tmp_path, doc)], "commuting")
+    assert report["details"]["error"] == "NotCommutingError"
+    assert "commute" in report["details"]["message"]
 
 
 def test_verify_non_psd_gram_block(capsys, tmp_path):
-    code, out, err = run(capsys, "verify", write_instance(tmp_path, gram_doc([[1, 0], [0, -1]])))
-    one_line_error(code, out, err, 3)
-    assert err.startswith("precondition failed:") and "eigenvalue" in err
+    path = write_instance(tmp_path, gram_doc([[1, 0], [0, -1]]))
+    report = precondition_failed(capsys, ["verify", path], "positive_semidefinite")
+    assert report["details"]["error"] == "NotPositiveError"
+    assert "eigenvalue" in report["details"]["message"]
 
 
 def test_verify_non_hermitian_gram_block(capsys, tmp_path):
-    code, out, err = run(capsys, "verify", write_instance(tmp_path, gram_doc([[1, 1], [0, 1]])))
-    one_line_error(code, out, err, 3)
-    assert err.startswith("precondition failed:") and "not Hermitian" in err
+    path = write_instance(tmp_path, gram_doc([[1, 1], [0, 1]]))
+    report = precondition_failed(capsys, ["verify", path], "hermitian")
+    assert report["details"]["error"] == "NotHermitianError"
+    assert "not Hermitian" in report["details"]["message"]
 
 
 def test_verify_vector_argument_for_module_form(capsys, tmp_path):
@@ -213,7 +275,7 @@ def test_verify_solver_failure_is_not_a_precondition(capsys, tmp_path, monkeypat
     monkeypatch.setattr(bounds, "additive_matrix_bound", no_convergence)
     with pytest.raises(NoConvergenceError):
         cli.main(["verify", write_instance(tmp_path, matrix_doc())])
-    assert "precondition failed" not in capsys.readouterr().err
+    assert "PRECONDITION_FAILED" not in capsys.readouterr().out
 
 
 def test_fuzz_small_run(capsys):
@@ -300,17 +362,29 @@ def test_fuzz_tolerance_takes_effect(monkeypatch, capsys):
     monkeypatch.delenv(cli.ENV_RTOL)
     monkeypatch.delenv(cli.ENV_ATOL)
 
-    # --replay uses the band too: the worst trial replays bit-equal, and a
-    # trial whose instance fails a generator check exits 3 with one line.
+    # --replay uses the band too: the worst trial replays bit-equal, and
+    # each trial the campaign counted as a precondition failure replays as
+    # a report naming the failed checks: the one generator check that
+    # raised, or the evaluator's own.
     code, out, _ = run(capsys, *campaign, *strict, "--replay", str(tight["worst_seed"]))
     assert json.loads(out)["margin"] == tight["worst_margin"]
-    failed = []
+    failed, raised = [], []
     for i in range(30):
-        code, out, err = run(capsys, *campaign, *strict, "--replay", str(i))
-        if code == 3 and out == "":
-            assert err.count("\n") == 1 and "precondition failed" in err
-            failed.append(i)
-    assert failed
+        argv = [*campaign[:-1], *strict, "--replay", str(i)]
+        code, out, err = run(capsys, *argv, "--json")
+        assert err == "" and out.count("\n") == 1
+        report = json.loads(out)
+        if code == 0:
+            continue
+        assert code == 3 and report["verdict"] == "PRECONDITION_FAILED"
+        checks = [p["name"] for p in report["preconditions"] if not p["passed"]]
+        assert checks
+        if "error" in report["details"]:
+            assert checks[0] in {"commuting", "strictly_positive", "spectral_window"}
+            precondition_failed(capsys, argv, checks[0])
+            raised.append(i)
+        failed.append(i)
+    assert raised and len(failed) == tight["precondition_failed"]
     code, _, _ = run(capsys, *campaign, "--replay", str(failed[0]))
     assert code == 0
 
@@ -345,7 +419,14 @@ def test_sharpness_degenerate_window(capsys):
 
 @pytest.mark.parametrize(
     "flags, flag",
-    [(("--dim", "0"), "--dim"), (("--dim", "17"), "--dim"), (("--omega", "nan"), "--omega")],
+    [
+        (("--dim", "0"), "--dim"),
+        (("--dim", "17"), "--dim"),
+        (("--omega", "nan"), "--omega"),
+        (("--omega", "1e200"), "--omega"),
+        (("--Omega", "1e200"), "--Omega"),
+        (("--omega", "1e200", "--Omega", "1e200"), "--omega"),
+    ],
 )
 def test_sharpness_rejects_bad_flags(capsys, flags, flag):
     code, out, err = run(capsys, "sharpness", *flags)
@@ -525,9 +606,10 @@ def mutated_instances(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mutated_instances())
 def test_verify_mutated_instances_end_in_one_line(doc):
-    # Every outcome is an exit code with at most one line on stderr: a
-    # usage error (1), a precondition failure (3), or a report (0, 2, 3).
-    # An exception or a numpy warning escaping main fails the test.
+    # Every outcome is a usage error (exit 1, one line on stderr and
+    # nothing on stdout) or a report with nothing on stderr (0, 2, or 3 for
+    # a failed hypothesis).  An exception or a numpy warning escaping main
+    # fails the test.
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -536,11 +618,15 @@ def test_verify_mutated_instances_end_in_one_line(doc):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["verify", path])
     assert code in {0, 1, 2, 3}
-    err = err.getvalue()
-    assert "Traceback" not in err
-    assert err.count("\n") == (1 if code == 1 or not out.getvalue() else 0)
+    out, err = out.getvalue(), err.getvalue()
     if code == 1:
+        assert out == "" and err.count("\n") == 1
         assert err.startswith("rcsbounds: error: ") and "$" in err
+    else:
+        assert err == ""
+        assert out.startswith("inequality: ") and "\nverdict:    " in out
+    if code == 3:
+        assert "verdict:    PRECONDITION_FAILED" in out and ": FAIL (" in out
 
 
 def test_cli_import_does_not_load_jsonschema():

@@ -7,18 +7,29 @@ import pytest
 
 from rcsbounds import (
     ADD_MATRIX,
+    HYPOTHESIS_ERRORS,
     INEQUALITY_IDS,
     MULT_MATRIX,
     OP_PAIR_ADD,
     OP_PAIR_MULT,
+    PRECONDITION_FAILED,
     PS_IMPROVED,
+    BoundReport,
     DimTooLargeError,
     FormError,
     FuzzSummary,
     GeneratorConfig,
+    KernelError,
+    NoConvergenceError,
+    NonPositiveReOmegaError,
+    NotCommutingError,
     NotHermitianError,
+    NotPositiveError,
+    NotStrictlyPositiveError,
+    RejectionCapExceededError,
     Tolerance,
     WindowCheckError,
+    WindowViolationError,
     additive_matrix_bound,
     check_re_condition,
     eig_hermitian,
@@ -31,6 +42,7 @@ from rcsbounds import (
     gen_re_valid_instance,
     omega_from_spectra,
     oracle_psd_minors,
+    precondition_failed_report,
     run_trial,
     run_trials,
     sample_window,
@@ -200,23 +212,57 @@ def test_campaign_margins_equal_replays(inequality_id):
     assert (summary.worst_margin, summary.worst_seed) == worst
 
 
+# The checks of the module generator's instances, which fail below roundoff.
+GENERATOR_CHECKS = {"commuting", "strictly_positive", "spectral_window"}
+
+
 def test_failed_window_rerun_matches_replays():
     # Below roundoff some generator checks fail, so the stacked window
-    # raises and is evaluated again trial by trial: each outcome is the
-    # trial's own, as in a replay.
+    # raises and is evaluated again trial by trial: each report is the
+    # trial's own, as in a replay, and a failed check gives a report that
+    # names it.
     tol = Tolerance(rtol=3e-17, atol=3e-17)
     config = GeneratorConfig(seed=4, trials=30, dims=(2,))
-    outcomes = run_trials(config, ADD_MATRIX, range(config.trials), tol)
+    reports = run_trials(config, ADD_MATRIX, range(config.trials), tol)
+    assert all(isinstance(report, BoundReport) for report in reports)
     failures = 0
-    for i, outcome in enumerate(outcomes):
-        try:
-            replay = run_trial(config, ADD_MATRIX, i, tol)
-        except FormError as exc:
-            assert type(outcome) is type(exc), f"trial {i}"
+    for i, report in enumerate(reports):
+        assert report.to_dict() == run_trial(config, ADD_MATRIX, i, tol).to_dict(), f"trial {i}"
+        if "error" in report.details:  # a generator check raised
+            (check,) = report.preconditions
+            assert check.name in GENERATOR_CHECKS and not check.passed
+            assert report.verdict == PRECONDITION_FAILED and report.details["message"]
             failures += 1
-            continue
-        assert outcome.margin == replay.margin, f"trial {i}"
     assert failures > 0
+
+
+@pytest.mark.parametrize(
+    "error, check",
+    [
+        (NotHermitianError, "hermitian"),
+        (NotPositiveError, "positive_semidefinite"),
+        (FormError, "admissible_instance"),
+        (RejectionCapExceededError, "admissible_instance"),
+        (NotCommutingError, "commuting"),
+        (NotStrictlyPositiveError, "strictly_positive"),
+        (WindowCheckError, "spectral_window"),
+        (NonPositiveReOmegaError, "re_cross_positive"),
+        (WindowViolationError, "sequences_in_window"),
+    ],
+)
+def test_hypothesis_error_report_names_its_check(error, check):
+    assert issubclass(error, HYPOTHESIS_ERRORS)
+    report = precondition_failed_report(ADD_MATRIX, error("the reason"))
+    assert report.inequality_id == ADD_MATRIX
+    assert report.verdict == PRECONDITION_FAILED
+    assert [(p.name, p.passed) for p in report.preconditions] == [(check, False)]
+    assert report.details == {"error": error.__name__, "message": "the reason"}
+    assert report.to_dict()["margin"] is None
+
+
+def test_solver_and_kernel_failures_are_not_hypothesis_errors():
+    for error in (NoConvergenceError, KernelError, ValueError):
+        assert not issubclass(error, HYPOTHESIS_ERRORS)
 
 
 def test_run_trial_rejects_unknown_id():
@@ -246,16 +292,17 @@ def test_fuzz_strict_band_counts_generator_failures():
     # fail; fuzz_run counts those trials as precondition failures.
     tol = Tolerance(rtol=3e-17, atol=3e-17)
     config = GeneratorConfig(seed=4, trials=30, dims=(2,))
-    raised = set()
-    for i in range(config.trials):
-        try:
-            run_trial(config, ADD_MATRIX, i, tol)
-        except FormError as exc:
-            raised.add(type(exc))
-    assert WindowCheckError in raised
+    raised = [
+        report
+        for report in (run_trial(config, ADD_MATRIX, i, tol) for i in range(config.trials))
+        if "error" in report.details
+    ]
+    assert WindowCheckError.__name__ in {report.details["error"] for report in raised}
+    assert {report.preconditions[0].name for report in raised} <= GENERATOR_CHECKS
     for inequality_id in (ADD_MATRIX, MULT_MATRIX, OP_PAIR_ADD, OP_PAIR_MULT):
         strict = fuzz_run(config, inequality_id, tol)
-        assert strict.precondition_failed > 0
+        verdicts = [r.verdict for r in run_trials(config, inequality_id, range(30), tol)]
+        assert strict.precondition_failed == verdicts.count(PRECONDITION_FAILED) > 0
         assert strict.holds + strict.violated + strict.precondition_failed == 30
         assert fuzz_run(config, inequality_id).precondition_failed == 0
 
@@ -275,9 +322,3 @@ def test_config_validation():
         GeneratorConfig(dims=())
     with pytest.raises(ValueError):
         GeneratorConfig(dims=(17,))
-    with pytest.raises(ValueError):
-        GeneratorConfig(space_dims=(0,))
-    with pytest.raises(ValueError):
-        GeneratorConfig(window_range=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        GeneratorConfig(spectrum_range=(2.0, 1.0))
