@@ -680,7 +680,8 @@ def _operator_pair_results(
     """operator_pair_bounds for (N, d, d) stacks t, s and nonzero vectors v
     of shape (N, d).  The spectra, the window checks and the Re-term
     checks each run once over the stack, so a result does not depend on
-    the other instances."""
+    the other instances.  Each result carries the functional reports,
+    rescaled by ||v||, cross-checked against the closed forms."""
     lo_t, hi_t = spectrum_bounds(t, tol)
     lo_s, hi_s = spectrum_bounds(s, tol)
     pairs_ts = _omega_from_edges(t, s, (lo_t, hi_t), (lo_s, hi_s), tol)
@@ -689,104 +690,86 @@ def _operator_pair_results(
     re_terms = []
     for tm, sm, vv, pair_ts, pair_st in zip(t, s, v, pairs_ts, pairs_st):
         nv = float(np.linalg.norm(vv))
-        phi = PositiveFunctional.vector_state(vv / nv)
-        values_ts = _functional_values(phi, tm, sm)
-        values_st = _functional_values(phi, sm, tm)
+        form, *values = _functional_values(PositiveFunctional.vector_state(vv / nv), tm, sm)
         # The Re terms of the ts and st additive reports; the multiplicative
         # report's Re check is the ts one.
-        for (form, *_), x, y, pair in (
-            (values_ts, tm, sm, pair_ts),
-            (values_st, sm, tm, pair_st),
-        ):
-            re_terms.append(_re_term(form, x, y, pair.omega, pair.Omega))
-        instances.append((tm, vv, nv, values_ts[1:], values_st[1:]))
+        re_terms.append(_re_term(form, tm, sm, pair_ts.omega, pair_ts.Omega))
+        re_terms.append(_re_term(form, sm, tm, pair_st.omega, pair_st.Omega))
+        instances.append((nv, *values))
     re_terms = np.stack(re_terms)
     re_ok, re_margin = loewner_leq(np.zeros_like(re_terms), re_terms, tol)
     results = []
-    for k, (tm, vv, nv, values_ts, values_st) in enumerate(instances):
-        sm, pair_ts, pair_st = s[k], pairs_ts[k], pairs_st[k]
-        edges = (float(lo_t[k]), float(hi_t[k]), float(lo_s[k]), float(hi_s[k]))
+    for k, (tm, sm, vv, (nv, fxx, fyy, phi_cross)) in enumerate(zip(t, s, v, instances)):
+        pair_ts, pair_st = pairs_ts[k], pairs_st[k]
+        mt, Mt, ms, Ms = float(lo_t[k]), float(hi_t[k]), float(lo_s[k]), float(hi_s[k])
         check_ts, check_st = ((re_ok[2 * k + i], re_margin[2 * k + i]) for i in range(2))
-        rep_ts = _functional_additive_report(*values_ts, pair_ts, check_ts, tol)
-        rep_st = _functional_additive_report(*values_st, pair_st, check_st, tol)
-        rep_mult = _functional_multiplicative_report(*values_ts, pair_ts, check_ts, tol)
-        results.append(
-            _operator_pair_result(
-                tm, sm, vv, nv, edges, pair_ts, pair_st, rep_ts, rep_st, rep_mult, tol
-            )
+        rep_ts = _functional_additive_report(fxx, fyy, phi_cross, pair_ts, check_ts, tol)
+        # phi(s*s), phi(t*t) and phi(t*s) = conj(phi(s*t)): only rhs and
+        # preconditions of the st report are used.
+        rep_st = _functional_additive_report(
+            fyy, fxx, phi_cross.conjugate(), pair_st, check_st, tol
         )
+        rep_mult = _functional_multiplicative_report(fxx, fyy, phi_cross, pair_ts, check_ts, tol)
+        add_preconditions = tuple(
+            PreconditionCheck(f"{p.name}_{tag}", p.passed, p.value)
+            for tag, rep in (("ts", rep_ts), ("st", rep_st))
+            for p in rep.preconditions
+        )
+        scale4 = nv**4
+        lhs_add = rep_ts.lhs * scale4
+        rhs_add = min(rep_ts.rhs, rep_st.rhs) * scale4
+        tv = tm @ vv
+        sv = sm @ vv
+        nt2 = float(np.vdot(tv, tv).real)
+        ns2 = float(np.vdot(sv, sv).real)
+        cross = complex(np.vdot(sv, tv))
+        cf_lhs_add = nt2 * ns2 - abs(cross) ** 2
+        half_gap = (Mt * Ms - mt * ms) / 2.0
+        cf_rhs_add = half_gap**2 * min(ns2**2 / (Ms * ms) ** 2, nt2**2 / (Mt * mt) ** 2)
+        _cross_check("operator pair additive", lhs_add, cf_lhs_add)
+        _cross_check("operator pair additive", rhs_add, cf_rhs_add)
+        additive = _scalar_report(
+            OP_PAIR_ADD,
+            add_preconditions,
+            lhs_add,
+            rhs_add,
+            tol,
+            details={
+                "omega_ts": pair_ts.omega,
+                "Omega_ts": pair_ts.Omega,
+                "omega_st": pair_st.omega,
+                "Omega_st": pair_st.Omega,
+                "closed_form_lhs": cf_lhs_add,
+                "closed_form_rhs": cf_rhs_add,
+                "norm_tv_sq": nt2,
+                "norm_sv_sq": ns2,
+                "cross": cross,
+            },
+        )
+
+        lhs_mult = rep_mult.lhs * nv**2
+        rhs_mult = rep_mult.rhs * nv**2
+        ratio = (mt * ms) / (Mt * Ms)
+        cf_rhs_mult = 0.5 * (math.sqrt(ratio) + math.sqrt(1.0 / ratio)) * abs(cross)
+        cf_lhs_mult = math.sqrt(nt2) * math.sqrt(ns2)
+        _cross_check("operator pair multiplicative", lhs_mult, cf_lhs_mult)
+        _cross_check("operator pair multiplicative", rhs_mult, cf_rhs_mult)
+        multiplicative = _scalar_report(
+            OP_PAIR_MULT,
+            rep_mult.preconditions,
+            lhs_mult,
+            rhs_mult,
+            tol,
+            details={
+                "omega": pair_ts.omega,
+                "Omega": pair_ts.Omega,
+                "closed_form_lhs": cf_lhs_mult,
+                "closed_form_rhs": cf_rhs_mult,
+                "cross": cross,
+            },
+        )
+        results.append(OperatorPairResult(additive=additive, multiplicative=multiplicative))
     return results
-
-
-def _operator_pair_result(
-    tm, sm, vv, nv, edges, pair_ts, pair_st, rep_ts, rep_st, rep_mult, tol
-) -> OperatorPairResult:
-    """Both operator-pair reports from the functional reports, rescaled by
-    ||v||, and cross-checked against the closed forms."""
-    lo_t, hi_t, lo_s, hi_s = edges
-    add_preconditions = tuple(
-        PreconditionCheck(f"{p.name}_{tag}", p.passed, p.value)
-        for tag, rep in (("ts", rep_ts), ("st", rep_st))
-        for p in rep.preconditions
-    )
-    scale4 = nv**4
-    lhs_add = rep_ts.lhs * scale4
-    rhs_add = min(rep_ts.rhs, rep_st.rhs) * scale4
-
-    tv = tm @ vv
-    sv = sm @ vv
-    nt2 = float(np.vdot(tv, tv).real)
-    ns2 = float(np.vdot(sv, sv).real)
-    cross = complex(np.vdot(sv, tv))
-    cf_lhs_add = nt2 * ns2 - abs(cross) ** 2
-    half_gap = (hi_t * hi_s - lo_t * lo_s) / 2.0
-    cf_rhs_add = half_gap**2 * min(
-        ns2**2 / (hi_s * lo_s) ** 2, nt2**2 / (hi_t * lo_t) ** 2
-    )
-    _cross_check("operator pair additive", lhs_add, cf_lhs_add)
-    _cross_check("operator pair additive", rhs_add, cf_rhs_add)
-
-    additive = _scalar_report(
-        OP_PAIR_ADD,
-        add_preconditions,
-        lhs_add,
-        rhs_add,
-        tol,
-        details={
-            "omega_ts": pair_ts.omega,
-            "Omega_ts": pair_ts.Omega,
-            "omega_st": pair_st.omega,
-            "Omega_st": pair_st.Omega,
-            "closed_form_lhs": cf_lhs_add,
-            "closed_form_rhs": cf_rhs_add,
-            "norm_tv_sq": nt2,
-            "norm_sv_sq": ns2,
-            "cross": cross,
-        },
-    )
-
-    lhs_mult = rep_mult.lhs * nv**2
-    rhs_mult = rep_mult.rhs * nv**2
-    ratio = (lo_t * lo_s) / (hi_t * hi_s)
-    cf_rhs_mult = 0.5 * (math.sqrt(ratio) + math.sqrt(1.0 / ratio)) * abs(cross)
-    cf_lhs_mult = math.sqrt(nt2) * math.sqrt(ns2)
-    _cross_check("operator pair multiplicative", lhs_mult, cf_lhs_mult)
-    _cross_check("operator pair multiplicative", rhs_mult, cf_rhs_mult)
-    multiplicative = _scalar_report(
-        OP_PAIR_MULT,
-        rep_mult.preconditions,
-        lhs_mult,
-        rhs_mult,
-        tol,
-        details={
-            "omega": pair_ts.omega,
-            "Omega": pair_ts.Omega,
-            "closed_form_lhs": cf_lhs_mult,
-            "closed_form_rhs": cf_rhs_mult,
-            "cross": cross,
-        },
-    )
-    return OperatorPairResult(additive=additive, multiplicative=multiplicative)
 
 
 def _cross_check(label: str, via_functional: float, closed_form: float) -> None:

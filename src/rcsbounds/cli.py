@@ -90,7 +90,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.6e}"
+    # A NaN side, margin or check value: a failed hypothesis stopped the evaluation.
+    return "not evaluated" if math.isnan(v) else f"{v:.6e}"
 
 
 def _encode_array(arr: np.ndarray) -> list:

@@ -6,18 +6,20 @@ configuration and its index, never on execution order.  Replaying one
 trial reproduces its report bit for bit, and summaries aggregated over
 trials are schedule-independent.
 
-Batch invariant: run_trials evaluates the matrix and operator-pair trials
-of a window in stacked kernel calls, and every stacked call treats each
-instance on its own, so a trial's outcome is also independent of which
-other trials share its batch; run_trial, a batch of one, replays it bit
-for bit.
+Batch invariant: run_trials draws each trial of a window once and
+evaluates the matrix and operator-pair trials of a window in stacked
+kernel calls, one group per d.  Every stacked call treats each instance on
+its own, so a trial's outcome is also independent of which other trials
+share its batch; a group that fails a hypothesis is evaluated again member
+by member from the same draws, and run_trial, a batch of one, replays a
+trial bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -366,24 +368,27 @@ def _draw(
     return d, t, s, v
 
 
-def _trials(
-    config: GeneratorConfig, entry: _Inequality, window: list[int], tol: Tolerance
+def _group_reports(
+    inequality_id: str, entry: _Inequality, draws: Sequence, tol: Tolerance
 ) -> list[BoundReport]:
-    """The reports of the trials with the given indices, each drawn from its
-    own stream.  For a stacked id the instances of each d are evaluated
-    together.  Raises if any trial's generator checks or evaluator raise."""
-    draws = [_draw(config, entry, stream(config.seed, i), tol) for i in window]
-    if entry.stacked is None:
-        return [entry.evaluate(draw, tol) for draw in draws]
-    reports: list[BoundReport] = [None] * len(window)
-    for d in sorted({draw[0] for draw in draws}):
-        positions = [k for k, draw in enumerate(draws) if draw[0] == d]
-        payload = [np.stack(column) for column in zip(*(draws[k][1:] for k in positions))]
+    """The reports of a group of drawn trials, evaluated together: a stacked
+    id's group shares one d, any other group is one trial.  A group of one
+    that fails a hypothesis (one of HYPOTHESIS_ERRORS) gets its
+    precondition_failed_report; a larger one evaluates each member alone
+    from its draw.  Any other exception propagates."""
+    try:
+        if entry.stacked is None:
+            return [entry.evaluate(draw, tol) for draw in draws]
+        payload = [np.stack(column) for column in zip(*(draw[1:] for draw in draws))]
         if entry.payload == "form":
-            payload = [FormInstance.module_form(d), *payload, omega_from_spectra(*payload, tol)]
-        for k, report in zip(positions, entry.stacked(payload, tol)):
-            reports[k] = report
-    return reports
+            form = FormInstance.module_form(draws[0][0])
+            payload = [form, *payload, omega_from_spectra(*payload, tol)]
+        return list(entry.stacked(payload, tol))
+    except HYPOTHESIS_ERRORS as exc:
+        if len(draws) == 1:
+            return [precondition_failed_report(inequality_id, exc)]
+    # Some member failed a hypothesis: each is evaluated alone.
+    return [r for draw in draws for r in _group_reports(inequality_id, entry, [draw], tol)]
 
 
 def run_trials(
@@ -399,32 +404,39 @@ def run_trials(
     band of the generators' window and Re checks and of the evaluator.  A
     trial whose instance fails a hypothesis at band tol (one of
     HYPOTHESIS_ERRORS, raised by its generator or its evaluator) gets its
-    precondition_failed_report; any other exception propagates.
+    precondition_failed_report; any other exception propagates.  An index
+    outside 0..config.trials - 1 is a ValueError.
 
-    The indices are taken TRIAL_WINDOW at a time.  For the matrix and
-    operator-pair ids the trials of a window are grouped by d and each
-    group is evaluated in stacked kernel calls; if a stacked stage raises,
-    the window is evaluated again one trial at a time, so each failure
-    is the trial's own.  Every stacked call treats each slice on its own
-    (see matalg), so a report is bit-equal whatever other indices share
-    its window.
+    The indices are taken TRIAL_WINDOW at a time, and each trial of a window
+    is drawn once.  For the matrix and operator-pair ids the drawn trials
+    are grouped by d and each group is evaluated in stacked kernel calls;
+    a group that fails a hypothesis evaluates its members alone from the
+    same draws, and no other group is evaluated again.  Every stacked call
+    treats each slice on its own (see matalg), so a report is bit-equal
+    whatever other indices share its window.
     """
     entry = _entry(inequality_id)
     indices = [int(i) for i in indices]
+    for i in indices:
+        if not 0 <= i < config.trials:
+            raise ValueError(f"trial index {i} is outside the trials 0..{config.trials - 1}")
     reports: list[BoundReport] = []
     for start in range(0, len(indices), TRIAL_WINDOW):
         window = indices[start : start + TRIAL_WINDOW]
-        if entry.stacked:
+        out: list[BoundReport] = [None] * len(window)
+        groups: dict[int, list] = {}  # by d for a stacked id, else by position
+        for k, i in enumerate(window):
             try:
-                reports += _trials(config, entry, window, tol)
-                continue
-            except Exception:
-                pass  # some trial failed a stacked stage: one trial at a time
-        for i in window:
-            try:
-                reports += _trials(config, entry, [i], tol)
+                draw = _draw(config, entry, stream(config.seed, i), tol)
             except HYPOTHESIS_ERRORS as exc:
-                reports.append(precondition_failed_report(inequality_id, exc))
+                out[k] = precondition_failed_report(inequality_id, exc)
+                continue
+            groups.setdefault(draw[0] if entry.stacked else k, []).append((k, draw))
+        for _, members in sorted(groups.items()):
+            positions, draws = zip(*members)
+            for k, report in zip(positions, _group_reports(inequality_id, entry, draws, tol)):
+                out[k] = report
+        reports += out
     return reports
 
 

@@ -104,6 +104,29 @@ def test_verify_nonpositive_window_product(capsys, tmp_path):
     assert "Re(conj(omega) * Omega)" in report["details"]["message"]
 
 
+@pytest.mark.parametrize("entry_point", ["verify", "replay"])
+def test_raised_precondition_table_says_not_evaluated(capsys, tmp_path, entry_point):
+    # A raised hypothesis failure has no sides, margin or check value: the
+    # table says so instead of printing nan, and the JSON has null.
+    if entry_point == "verify":
+        doc = matrix_doc(omega=(-1.0, 0.0), Omega=(1.0, 0.0), target="MULT_MATRIX")
+        argv = ["verify", write_instance(tmp_path, doc)]
+    else:
+        strict = ["--tol-rtol", "3e-17", "--tol-atol", "3e-17"]
+        argv = ["fuzz", "ADD_MATRIX", "--dims", "2", "--trials", "30", "--seed", "4", *strict]
+        argv += ["--replay", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and err == ""
+    assert "nan" not in out
+    for label in ("lhs:        ", "rhs:        ", "margin:     "):
+        assert f"{label}not evaluated" in out.splitlines()
+    assert ": FAIL (not evaluated)" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert report["lhs"] is report["rhs"] is report["margin"] is None
+    assert report["preconditions"][0]["value"] is None
+
+
 def test_verify_sequences_outside_window(capsys, tmp_path):
     with open(os.path.join(INSTANCES, "refined_constants_family.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -329,6 +352,17 @@ def test_fuzz_invalid_trials(capsys):
     code, _, err = run(capsys, "fuzz", "ADD_MATRIX", "--trials", "-2")
     assert code == 1
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--replay", "-1"], ["--trials", "30", "--replay", "30"], ["--replay", str(2**64)]],
+)
+def test_fuzz_replay_outside_campaign(capsys, argv):
+    # A replay index must be one of the campaign's trials 0..trials-1.
+    code, out, err = run(capsys, "fuzz", "ADD_MATRIX", *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "trial index" in err
 
 
 def test_fuzz_tolerance_env_garbage(monkeypatch, capsys):

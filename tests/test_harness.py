@@ -47,6 +47,7 @@ from rcsbounds import (
     run_trials,
     sample_window,
 )
+from rcsbounds import bounds, harness
 from rcsbounds.harness import TRIAL_WINDOW
 from rcsbounds.rng import stream
 
@@ -217,23 +218,69 @@ GENERATOR_CHECKS = {"commuting", "strictly_positive", "spectral_window"}
 
 
 def test_failed_window_rerun_matches_replays():
-    # Below roundoff some generator checks fail, so the stacked window
-    # raises and is evaluated again trial by trial: each report is the
-    # trial's own, as in a replay, and a failed check gives a report that
-    # names it.
+    # Below roundoff some generator checks fail, so stacked groups raise
+    # and their members are evaluated alone from the same draws: each
+    # report is the trial's own, as in a replay, and a failed check gives
+    # a report that names it.  With dims (1, 2, 4) a window mixes groups
+    # of several d, failing trials and passing ones.
+    tol = Tolerance(rtol=3e-17, atol=3e-17)
+    cases = [(ADD_MATRIX, (2,))] + [
+        (inequality_id, (1, 2, 4))
+        for inequality_id in (ADD_MATRIX, MULT_MATRIX, OP_PAIR_ADD, OP_PAIR_MULT)
+    ]
+    for inequality_id, dims in cases:
+        config = GeneratorConfig(seed=4, trials=30, dims=dims)
+        reports = run_trials(config, inequality_id, range(config.trials), tol)
+        assert all(isinstance(report, BoundReport) for report in reports)
+        failures = 0
+        for i, report in enumerate(reports):
+            replay = run_trial(config, inequality_id, i, tol)
+            assert report.to_dict() == replay.to_dict(), f"{inequality_id} {dims} trial {i}"
+            if "error" in report.details:  # a generator check raised
+                (check,) = report.preconditions
+                assert check.name in GENERATOR_CHECKS and not check.passed
+                assert report.verdict == PRECONDITION_FAILED and report.details["message"]
+                failures += 1
+        assert 0 < failures < config.trials, (inequality_id, dims)
+
+
+def test_each_trial_is_drawn_once(monkeypatch):
+    # A window whose stacked groups fail a hypothesis draws no trial again.
+    calls = []
+
+    def counted(d, rng):
+        calls.append(d)
+        return gen_commuting_positive_pair(d, rng)
+
+    monkeypatch.setattr(harness, "gen_commuting_positive_pair", counted)
     tol = Tolerance(rtol=3e-17, atol=3e-17)
     config = GeneratorConfig(seed=4, trials=30, dims=(2,))
     reports = run_trials(config, ADD_MATRIX, range(config.trials), tol)
-    assert all(isinstance(report, BoundReport) for report in reports)
-    failures = 0
-    for i, report in enumerate(reports):
-        assert report.to_dict() == run_trial(config, ADD_MATRIX, i, tol).to_dict(), f"trial {i}"
-        if "error" in report.details:  # a generator check raised
-            (check,) = report.preconditions
-            assert check.name in GENERATOR_CHECKS and not check.passed
-            assert report.verdict == PRECONDITION_FAILED and report.details["message"]
-            failures += 1
-    assert failures > 0
+    assert PRECONDITION_FAILED in {report.verdict for report in reports}
+    assert len(calls) == config.trials
+
+
+def test_solver_failure_in_a_stacked_group_propagates(monkeypatch):
+    # Only a hypothesis failure is retried member by member: any other
+    # exception leaves the campaign at the first stacked call.
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise NoConvergenceError("no convergence")
+
+    monkeypatch.setattr(bounds, "_matrix_stack", failing)
+    with pytest.raises(NoConvergenceError):
+        fuzz_run(GeneratorConfig(seed=1, trials=40, dims=(2,)), ADD_MATRIX)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("index", [-1, 30, 2**64])
+def test_run_trial_rejects_index_outside_campaign(index):
+    # rng.stream masks its index to 64 bits, so an index no campaign runs
+    # would otherwise replay some other trial.
+    with pytest.raises(ValueError, match="trial index"):
+        run_trial(GeneratorConfig(seed=0, trials=30), ADD_MATRIX, index)
 
 
 @pytest.mark.parametrize(

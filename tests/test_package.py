@@ -1,5 +1,6 @@
 """The package surface: exported names and the documented id table."""
 
+import ast
 import os
 import re
 
@@ -7,6 +8,7 @@ import rcsbounds
 from rcsbounds.bounds import _REGISTRY, INEQUALITY_IDS
 
 SCHEMA_DOC = os.path.join(os.path.dirname(__file__), "..", "docs", "schema.md")
+PACKAGE_DIR = os.path.dirname(rcsbounds.__file__)
 
 # The names rcsbounds exported before __all__ was derived from its layers.
 EXPORTED = """
@@ -54,3 +56,22 @@ def test_schema_doc_matches_registry():
     for target, entry in _REGISTRY.items():
         expected = payload_doc[entry.payload] + (" (unit weights)" if entry.unit_weights else "")
         assert documented[target] == expected, target
+
+
+def test_no_catch_all_handlers():
+    # Only HYPOTHESIS_ERRORS become reports: no handler in the package may
+    # swallow every exception (a bare except, Exception or BaseException).
+    catch_all = {"Exception", "BaseException"}
+    found = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in catch_all) for t in caught):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
