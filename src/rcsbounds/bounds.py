@@ -38,6 +38,7 @@ from .forms import (
     PositiveFunctional,
     WindowCheckError,
     _adjoint_symmetry,
+    _coerce_argument,
     _form_eval,
     _omega_from_edges,
     _re_term,
@@ -141,67 +142,71 @@ class DegenerateSpaceError(Exception):
 class _Inequality:
     """What one inequality id needs and runs.
 
-    payload is the instance kind its evaluator takes: "form" (a
-    FormInstance, x, y and an OmegaPair), "functional_form" (the same over
-    a functional form), "operator_pair" (t, s, v) or "sequences" (a
-    WeightedSequences, with every weight 1 when unit_weights).
-    evaluate(payload, tol) returns the id's BoundReport.  stacked is set
-    for the ids that run_trials evaluates in stacked kernel calls: it takes
-    the payload of N instances, with (N, d, d) stacks for x, y, t and s,
-    (N, d) for v and a list of N window pairs, and returns the N reports.
+    payload is the instance kind of the id: "form" (a FormInstance, x, y
+    and an OmegaPair), "functional_form" (the same over a functional
+    form), "operator_pair" (t, s, v) or "sequences" (a WeightedSequences,
+    with every weight 1 when unit_weights).  evaluate(batch, tol), the
+    id's one evaluator, returns the reports of a batch of N instances,
+    each independent of the others.  A batch is a tuple of columns:
 
-    The callables look the evaluators up in this module when called, so a
-    rebound evaluator is the one that runs.
+    * "form", "functional_form": N forms (one form for the matrix ids),
+      x and y as (N, ...) arrays normalized by forms._coerce_argument, and
+      N window pairs;
+    * "operator_pair": (N, d, d) stacks t, s and an (N, d) stack of nonzero v;
+    * "sequences": (N, n) stacks of a_seq, b_seq, w_seq and N windows.
+
+    _batch_of_one makes the batch of a lone instance.  The callables look
+    the evaluators up in this module when called, so a rebound evaluator
+    is the one that runs.
     """
 
     payload: str
     evaluate: Callable
-    stacked: Optional[Callable] = None
     unit_weights: bool = False
 
 
 _REGISTRY = {
-    ADD_MATRIX: _Inequality(
-        "form",
-        lambda p, tol: additive_matrix_bound(*p, tol),
-        lambda p, tol: _matrix_stack(ADD_MATRIX, *p, tol),
-    ),
-    MULT_MATRIX: _Inequality(
-        "form",
-        lambda p, tol: multiplicative_matrix_bound(*p, tol),
-        lambda p, tol: _matrix_stack(MULT_MATRIX, *p, tol),
-    ),
+    ADD_MATRIX: _Inequality("form", lambda b, tol: _matrix_reports(ADD_MATRIX, *b, tol)),
+    MULT_MATRIX: _Inequality("form", lambda b, tol: _matrix_reports(MULT_MATRIX, *b, tol)),
     ADD_FUNCTIONAL: _Inequality(
-        "functional_form", lambda p, tol: functional_additive_bound(p[0].functional, *p[1:], tol)
+        "functional_form", lambda b, tol: _functional_reports(ADD_FUNCTIONAL, *b, tol)
     ),
     MULT_FUNCTIONAL: _Inequality(
-        "functional_form",
-        lambda p, tol: functional_multiplicative_bound(p[0].functional, *p[1:], tol),
+        "functional_form", lambda b, tol: _functional_reports(MULT_FUNCTIONAL, *b, tol)
     ),
     OP_PAIR_ADD: _Inequality(
-        "operator_pair",
-        lambda p, tol: operator_pair_bounds(*p, tol).additive,
-        lambda p, tol: [r.additive for r in _operator_pair_results(*p, tol)],
+        "operator_pair", lambda b, tol: [r.additive for r in _operator_pair_results(*b, tol)]
     ),
     OP_PAIR_MULT: _Inequality(
-        "operator_pair",
-        lambda p, tol: operator_pair_bounds(*p, tol).multiplicative,
-        lambda p, tol: [r.multiplicative for r in _operator_pair_results(*p, tol)],
+        "operator_pair", lambda b, tol: [r.multiplicative for r in _operator_pair_results(*b, tol)]
     ),
-    INT_ADD: _Inequality("sequences", lambda data, tol: integral_bounds(data, tol).additive),
+    INT_ADD: _Inequality(
+        "sequences", lambda b, tol: _sequence_reports(INT_ADD, _additive_row, b, tol)
+    ),
     INT_MULT: _Inequality(
-        "sequences", lambda data, tol: integral_bounds(data, tol).multiplicative
+        "sequences", lambda b, tol: _sequence_reports(INT_MULT, _multiplicative_row, b, tol)
     ),
-    GREUB_RHEINBOLDT: _Inequality("sequences", lambda data, tol: greub_rheinboldt(data, tol)),
-    WEIGHTED_ADD: _Inequality("sequences", lambda data, tol: weighted_additive(data, tol)),
+    GREUB_RHEINBOLDT: _Inequality(
+        "sequences",
+        lambda b, tol: _sequence_reports(GREUB_RHEINBOLDT, _greub_rheinboldt_row, b, tol),
+    ),
+    WEIGHTED_ADD: _Inequality(
+        "sequences", lambda b, tol: _sequence_reports(WEIGHTED_ADD, _additive_row, b, tol)
+    ),
     PS_MULT: _Inequality(
-        "sequences", lambda data, tol: polya_szego_multiplicative(data, tol), unit_weights=True
+        "sequences",
+        lambda b, tol: _sequence_reports(PS_MULT, _product_row, b, tol),
+        unit_weights=True,
     ),
     PS_ADD: _Inequality(
-        "sequences", lambda data, tol: polya_szego_additive(data, tol), unit_weights=True
+        "sequences",
+        lambda b, tol: _sequence_reports(PS_ADD, _classical_additive_row, b, tol),
+        unit_weights=True,
     ),
     PS_IMPROVED: _Inequality(
-        "sequences", lambda data, tol: polya_szego_improved(data, tol).report, unit_weights=True
+        "sequences",
+        lambda b, tol: _sequence_reports(PS_IMPROVED, _improved_row, b, tol),
+        unit_weights=True,
     ),
 }
 
@@ -239,6 +244,33 @@ def precondition_failed_report(inequality_id: str, exc: Exception) -> BoundRepor
         verdict=PRECONDITION_FAILED,
         details={"error": type(exc).__name__, "message": str(exc)},
     )
+
+
+def _batch_of_one(payload: str, instance) -> tuple:
+    """The batch (see _Inequality) holding one instance of the payload kind,
+    a tuple as the public single-instance functions take it or, for
+    "sequences", a WeightedSequences.  Runs their argument checks."""
+    if payload == "sequences":
+        return instance.a_seq[None], instance.b_seq[None], instance.w_seq[None], [instance.window]
+    if payload == "operator_pair":
+        t, s, v = instance
+        tm = as_element(t)
+        sm = as_element(s)
+        vv = np.asarray(v, dtype=np.complex128).reshape(-1)
+        if tm.shape != sm.shape or vv.size != tm.shape[0]:
+            raise DimMismatchError("operator pair and vector dimensions disagree")
+        if float(np.linalg.norm(vv)) == 0.0:
+            raise ValueError("v must be nonzero")
+        return tm[None], sm[None], vv[None]
+    form, x, y, pair = instance
+    return [form], _coerce_argument(form, x)[None], _coerce_argument(form, y)[None], [pair]
+
+
+def _evaluate_one(inequality_id: str, instance, tol: Tolerance) -> BoundReport:
+    """The report of inequality_id on one instance: its evaluator on the
+    batch of one."""
+    entry = _REGISTRY[inequality_id]
+    return entry.evaluate(_batch_of_one(entry.payload, instance), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -344,8 +376,7 @@ def additive_matrix_bound(
     |<x,x>^(1/2) <y,y>^(1/2)|^2 - |<y,x>|^2.
     rhs = (1/4) |Omega - omega|^2 <y,y>^2.
     """
-    values = _form_values(form, x, y, pair.omega, pair.Omega)
-    return _matrix_reports(ADD_MATRIX, values, [pair], tol)[0]
+    return _evaluate_one(ADD_MATRIX, (form, x, y, pair), tol)
 
 
 def multiplicative_matrix_bound(
@@ -358,9 +389,7 @@ def multiplicative_matrix_bound(
 
     Requires Re(conj(omega) * Omega) > 0 and a normal <x, y>.
     """
-    _positive_re_cross(pair)
-    values = _form_values(form, x, y, pair.omega, pair.Omega)
-    return _matrix_reports(MULT_MATRIX, values, [pair], tol)[0]
+    return _evaluate_one(MULT_MATRIX, (form, x, y, pair), tol)
 
 
 def _positive_re_cross(pair: OmegaPair) -> float:
@@ -373,47 +402,26 @@ def _positive_re_cross(pair: OmegaPair) -> float:
     return re_cross
 
 
-def _form_values(
-    form: FormInstance, x, y, omega, Omega, stacked: bool = False
-) -> tuple[np.ndarray, ...]:
-    """<x,x>, <y,y>, <x,y>, <y,x> and the Re term, each an (N, k, k) stack.
-
-    N = 1 for one argument pair with complex omega, Omega.  With stacked,
-    x and y are module-form stacks of shape (N, d, d) and omega, Omega
-    arrays of shape (N, 1, 1).
-    """
-    values = (
-        _form_eval(form, x, x, stacked),
-        _form_eval(form, y, y, stacked),
-        _form_eval(form, x, y, stacked),
-        _form_eval(form, y, x, stacked),
-        _re_term(form, x, y, omega, Omega, stacked),
-    )
-    return tuple(v.reshape(-1, *v.shape[-2:]) for v in values)
-
-
-def _matrix_stack(
-    inequality_id: str, form: FormInstance, x, y, pairs: list[OmegaPair], tol: Tolerance
-) -> list[BoundReport]:
-    """ADD_MATRIX or MULT_MATRIX reports for module-form stacks x, y of
-    shape (N, d, d) and their N window pairs."""
-    omega = np.array([p.omega for p in pairs])[:, None, None]
-    Omega = np.array([p.Omega for p in pairs])[:, None, None]
-    values = _form_values(form, x, y, omega, Omega, stacked=True)
-    return _matrix_reports(inequality_id, values, pairs, tol)
-
-
 def _matrix_reports(
     inequality_id: str,
-    values: tuple[np.ndarray, ...],
+    forms: list[FormInstance],
+    x: np.ndarray,
+    y: np.ndarray,
     pairs: list[OmegaPair],
     tol: Tolerance,
 ) -> list[BoundReport]:
-    """ADD_MATRIX or MULT_MATRIX reports for N instances given by their
-    _form_values and window pairs.  Each square root, Re-term check,
-    absolute value and Loewner margin is one call over the stack, so a
-    report does not depend on the other instances."""
-    xx, yy, xy, yx, re_term = values
+    """ADD_MATRIX or MULT_MATRIX reports for a "form" batch (see
+    _Inequality) whose instances share one form.  Each form evaluation,
+    square root, Re-term check, absolute value and Loewner margin is one
+    call over the batch, so a report does not depend on the other
+    instances."""
+    form = forms[0]
+    if inequality_id == MULT_MATRIX:
+        coeffs = [
+            (abs(p.Omega) + abs(p.omega)) / math.sqrt(_positive_re_cross(p)) for p in pairs
+        ]
+    xx, yy, xy, yx = (_form_eval(form, u, v) for u, v in ((x, x), (y, y), (x, y), (y, x)))
+    re_term = _re_term(form, x, y, pairs)
     s_ok, s_dev = _adjoint_symmetry(xy, yx, tol)
     if inequality_id == ADD_MATRIX:
         root = sqrt_psd(yy, tol)
@@ -423,9 +431,6 @@ def _matrix_reports(
         quarter_spread = np.array([0.25 * p.spread() ** 2 for p in pairs])
         rhs = re_part(quarter_spread[:, None, None] * (yy @ yy))
     else:
-        coeffs = [
-            (abs(p.Omega) + abs(p.omega)) / math.sqrt(_positive_re_cross(p)) for p in pairs
-        ]
         root_x = sqrt_psd(xx, tol)
         root_y = sqrt_psd(yy, tol)
         name = "cross_term_normal"
@@ -463,13 +468,13 @@ def _matrix_reports(
 # ---------------------------------------------------------------------------
 
 
-def _functional_values(phi: PositiveFunctional, x, y):
-    """phi(x*x), phi(y*y) (real) and phi(y*x) for matrix or vector arguments."""
-    form = FormInstance.functional_form(phi)
+def _functional_values(form: FormInstance, x, y):
+    """phi(x*x), phi(y*y) (real) and phi(y*x) for the functional form of phi
+    and matrix or vector arguments."""
     fxx = form_eval(form, x, x)[0, 0].real
     fyy = form_eval(form, y, y)[0, 0].real
     cross = complex(form_eval(form, x, y)[0, 0])
-    return form, fxx, fyy, cross
+    return fxx, fyy, cross
 
 
 def functional_additive_bound(
@@ -484,32 +489,7 @@ def functional_additive_bound(
     commutation are automatic for scalar values, so only the Re condition
     is checked.
     """
-    form, fxx, fyy, cross = _functional_values(phi, x, y)
-    re_check = check_re_condition(form, x, y, pair, tol)
-    return _functional_additive_report(fxx, fyy, cross, pair, re_check, tol)
-
-
-def _functional_additive_report(
-    fxx: float, fyy: float, cross: complex, pair: OmegaPair, re_check, tol: Tolerance
-) -> BoundReport:
-    """functional_additive_bound from its _functional_values and Re check (ok, margin)."""
-    preconditions = (PreconditionCheck("re_term_positive", bool(re_check[0]), float(re_check[1])),)
-    lhs = fxx * fyy - abs(cross) ** 2
-    rhs = 0.25 * pair.spread() ** 2 * fyy**2
-    return _scalar_report(
-        ADD_FUNCTIONAL,
-        preconditions,
-        lhs,
-        rhs,
-        tol,
-        details={
-            "omega": pair.omega,
-            "Omega": pair.Omega,
-            "phi_xx": fxx,
-            "phi_yy": fyy,
-            "phi_yx": cross,
-        },
-    )
+    return _evaluate_one(ADD_FUNCTIONAL, (FormInstance.functional_form(phi), x, y, pair), tol)
 
 
 def functional_multiplicative_bound(
@@ -520,35 +500,48 @@ def functional_multiplicative_bound(
     phi(x*x)^(1/2) phi(y*y)^(1/2)
         <= (1/2) (|Omega| + |omega|) / sqrt(Re(conj(omega) Omega)) |phi(y*x)|
     """
-    _positive_re_cross(pair)
-    form, fxx, fyy, cross = _functional_values(phi, x, y)
-    re_check = check_re_condition(form, x, y, pair, tol)
-    return _functional_multiplicative_report(fxx, fyy, cross, pair, re_check, tol)
+    return _evaluate_one(MULT_FUNCTIONAL, (FormInstance.functional_form(phi), x, y, pair), tol)
 
 
-def _functional_multiplicative_report(
-    fxx: float, fyy: float, cross: complex, pair: OmegaPair, re_check, tol: Tolerance
+def _functional_reports(
+    inequality_id: str, forms: list, x, y, pairs: list[OmegaPair], tol: Tolerance
+) -> list[BoundReport]:
+    """ADD_FUNCTIONAL or MULT_FUNCTIONAL reports for a "form" batch of
+    functional forms, one instance at a time: stacking their weighted
+    traces would change the order of summation."""
+    reports = []
+    for form, xk, yk, pair in zip(forms, x, y, pairs):
+        if inequality_id == MULT_FUNCTIONAL:
+            _positive_re_cross(pair)
+        values = _functional_values(form, xk, yk)
+        re_check = check_re_condition(form, xk, yk, pair, tol)
+        reports.append(_functional_report(inequality_id, *values, pair, re_check, tol))
+    return reports
+
+
+def _functional_report(
+    inequality_id: str,
+    fxx: float,
+    fyy: float,
+    cross: complex,
+    pair: OmegaPair,
+    re_check,
+    tol: Tolerance,
 ) -> BoundReport:
-    """functional_multiplicative_bound from its _functional_values and Re check (ok, margin)."""
+    """The ADD_FUNCTIONAL or MULT_FUNCTIONAL report from _functional_values
+    and the Re check (ok, margin)."""
     preconditions = (PreconditionCheck("re_term_positive", bool(re_check[0]), float(re_check[1])),)
-    lhs = math.sqrt(max(fxx, 0.0)) * math.sqrt(max(fyy, 0.0))
-    coeff = 0.5 * (abs(pair.Omega) + abs(pair.omega)) / math.sqrt(_positive_re_cross(pair))
-    rhs = coeff * abs(cross)
-    return _scalar_report(
-        MULT_FUNCTIONAL,
-        preconditions,
-        lhs,
-        rhs,
-        tol,
-        details={
-            "omega": pair.omega,
-            "Omega": pair.Omega,
-            "coefficient": coeff,
-            "phi_xx": fxx,
-            "phi_yy": fyy,
-            "phi_yx": cross,
-        },
-    )
+    details = {"omega": pair.omega, "Omega": pair.Omega}
+    if inequality_id == ADD_FUNCTIONAL:
+        lhs = fxx * fyy - abs(cross) ** 2
+        rhs = 0.25 * pair.spread() ** 2 * fyy**2
+    else:
+        lhs = math.sqrt(max(fxx, 0.0)) * math.sqrt(max(fyy, 0.0))
+        coeff = 0.5 * (abs(pair.Omega) + abs(pair.omega)) / math.sqrt(_positive_re_cross(pair))
+        rhs = coeff * abs(cross)
+        details["coefficient"] = coeff
+    details.update(phi_xx=fxx, phi_yy=fyy, phi_yx=cross)
+    return _scalar_report(inequality_id, preconditions, lhs, rhs, tol, details)
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +657,7 @@ def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairR
 
     with m/M the least/greatest eigenvalues of the respective operator.
     """
-    tm = as_element(t)
-    sm = as_element(s)
-    vv = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if tm.shape != sm.shape or vv.size != tm.shape[0]:
-        raise DimMismatchError("operator pair and vector dimensions disagree")
-    if float(np.linalg.norm(vv)) == 0.0:
-        raise ValueError("v must be nonzero")
-    return _operator_pair_results(tm[None], sm[None], vv[None], tol)[0]
+    return _operator_pair_results(*_batch_of_one("operator_pair", (t, s, v)), tol)[0]
 
 
 def _operator_pair_results(
@@ -690,26 +676,26 @@ def _operator_pair_results(
     re_terms = []
     for tm, sm, vv, pair_ts, pair_st in zip(t, s, v, pairs_ts, pairs_st):
         nv = float(np.linalg.norm(vv))
-        form, *values = _functional_values(PositiveFunctional.vector_state(vv / nv), tm, sm)
+        form = FormInstance.functional_form(PositiveFunctional.vector_state(vv / nv))
+        values = _functional_values(form, tm, sm)
         # The Re terms of the ts and st additive reports; the multiplicative
         # report's Re check is the ts one.
-        re_terms.append(_re_term(form, tm, sm, pair_ts.omega, pair_ts.Omega))
-        re_terms.append(_re_term(form, sm, tm, pair_st.omega, pair_st.Omega))
+        re_terms.append(_re_term(form, np.stack((tm, sm)), np.stack((sm, tm)), [pair_ts, pair_st]))
         instances.append((nv, *values))
-    re_terms = np.stack(re_terms)
+    re_terms = np.concatenate(re_terms)
     re_ok, re_margin = loewner_leq(np.zeros_like(re_terms), re_terms, tol)
     results = []
     for k, (tm, sm, vv, (nv, fxx, fyy, phi_cross)) in enumerate(zip(t, s, v, instances)):
         pair_ts, pair_st = pairs_ts[k], pairs_st[k]
         mt, Mt, ms, Ms = float(lo_t[k]), float(hi_t[k]), float(lo_s[k]), float(hi_s[k])
         check_ts, check_st = ((re_ok[2 * k + i], re_margin[2 * k + i]) for i in range(2))
-        rep_ts = _functional_additive_report(fxx, fyy, phi_cross, pair_ts, check_ts, tol)
+        rep_ts = _functional_report(ADD_FUNCTIONAL, fxx, fyy, phi_cross, pair_ts, check_ts, tol)
         # phi(s*s), phi(t*t) and phi(t*s) = conj(phi(s*t)): only rhs and
         # preconditions of the st report are used.
-        rep_st = _functional_additive_report(
-            fyy, fxx, phi_cross.conjugate(), pair_st, check_st, tol
+        rep_st = _functional_report(
+            ADD_FUNCTIONAL, fyy, fxx, phi_cross.conjugate(), pair_st, check_st, tol
         )
-        rep_mult = _functional_multiplicative_report(fxx, fyy, phi_cross, pair_ts, check_ts, tol)
+        rep_mult = _functional_report(MULT_FUNCTIONAL, fxx, fyy, phi_cross, pair_ts, check_ts, tol)
         add_preconditions = tuple(
             PreconditionCheck(f"{p.name}_{tag}", p.passed, p.value)
             for tag, rep in (("ts", rep_ts), ("st", rep_st))
@@ -843,12 +829,7 @@ class WeightedSequences:
 
     def sums(self) -> tuple[float, float, float]:
         """(sum w a^2, sum w b^2, sum w a b)."""
-        w = self.w_seq
-        return (
-            float(np.sum(w * self.a_seq * self.a_seq)),
-            float(np.sum(w * self.b_seq * self.b_seq)),
-            float(np.sum(w * self.a_seq * self.b_seq)),
-        )
+        return tuple(float(v) for v in _weighted_sums(self.a_seq, self.b_seq, self.w_seq))
 
     def to_dict(self) -> dict:
         return {
@@ -888,6 +869,24 @@ class WeightedSequences:
             raise ValueError(f"{path}: {exc}") from exc
 
 
+def _weighted_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(sum w a^2, sum w b^2, sum w a b) over the last axis: for (N, n)
+    stacks, three row reductions, each row bit-equal to its 1-D sum."""
+    return tuple(np.sum(w * u * v, axis=-1) for u, v in ((a, a), (b, b), (a, b)))
+
+
+def _sequence_reports(inequality_id: str, row: Callable, batch: tuple, tol: Tolerance):
+    """The reports of a sequences id on a "sequences" batch (see
+    _Inequality): the weighted sums of every row at once, then
+    row(inequality_id, sa2, sb2, sab, window, tol) per instance, in Python
+    floats.  A unit-weights id checks the weights of the whole batch once."""
+    a, b, w, windows = batch
+    if _REGISTRY[inequality_id].unit_weights and np.any(w != 1.0):
+        raise ValueError(f"{inequality_id} requires unit weights (w_i = 1)")
+    sums = zip(*(s.tolist() for s in _weighted_sums(a, b, w)))
+    return [row(inequality_id, *s, win, tol) for s, win in zip(sums, windows)]
+
+
 def _scaled_constants(
     sa2: float, sb2: float, sab: float, win: ScalarWindow
 ) -> tuple[float, float, float]:
@@ -902,12 +901,9 @@ def _scaled_constants(
     )
 
 
-def _additive_report(
-    inequality_id: str, data: WeightedSequences, tol: Tolerance
-) -> BoundReport:
-    """The additive bound for weighted sums under the given id."""
-    sa2, sb2, sab = data.sums()
-    branch_a, branch_b, _ = _scaled_constants(sa2, sb2, sab, data.window)
+def _additive_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+    """The additive bound for weighted sums (INT_ADD, WEIGHTED_ADD)."""
+    branch_a, branch_b, _ = _scaled_constants(sa2, sb2, sab, win)
     return _scalar_report(
         inequality_id,
         (),
@@ -927,12 +923,72 @@ def _multiplicative_sides(
     return lhs, coeff * sab, coeff
 
 
+def _multiplicative_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+    """The multiplicative bound for weighted sums (INT_MULT)."""
+    lhs, rhs, coeff = _multiplicative_sides(sa2, sb2, sab, win)
+    return _scalar_report(inequality_id, (), lhs, rhs, tol, details={"coefficient": coeff})
+
+
 def _product_sides(
     sa2: float, sb2: float, sab: float, win: ScalarWindow
 ) -> tuple[float, float]:
     """lhs and rhs of the Greub-Rheinboldt product bound."""
     prod = win.A * win.B * win.a * win.b
     return sa2 * sb2, (win.A * win.B + win.a * win.b) ** 2 / (4.0 * prod) * sab * sab
+
+
+def _greub_rheinboldt_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+    """The product bound, cross-checked against the squared multiplicative
+    sides (GREUB_RHEINBOLDT)."""
+    lhs, rhs = _product_sides(sa2, sb2, sab, win)
+    lhs_m, rhs_m, _ = _multiplicative_sides(sa2, sb2, sab, win)
+    rhs_squared = rhs_m * rhs_m
+    _cross_check("greub_rheinboldt rhs", rhs, rhs_squared)
+    return _scalar_report(
+        inequality_id,
+        (),
+        lhs,
+        rhs,
+        tol,
+        details={
+            "rhs_via_squared_multiplicative": rhs_squared,
+            "margin_via_squared_multiplicative": rhs_squared - lhs,
+            "lhs_via_squared_multiplicative": lhs_m * lhs_m,
+        },
+    )
+
+
+def _product_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+    """The classical product bound (PS_MULT)."""
+    return _scalar_report(inequality_id, (), *_product_sides(sa2, sb2, sab, win), tol)
+
+
+def _classical_additive_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+    """The classical difference bound, the third constant (PS_ADD)."""
+    constant = _scaled_constants(sa2, sb2, sab, win)[2]
+    return _scalar_report(inequality_id, (), sa2 * sb2 - sab * sab, constant, tol)
+
+
+def _improved_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+    """The refined difference bound (PS_IMPROVED); see polya_szego_improved."""
+    constants = _scaled_constants(sa2, sb2, sab, win)
+    least = min(constants)
+    threshold = least + 1e-12 * abs(least)
+    argmin = next(i for i, c in enumerate(constants) if c <= threshold) + 1
+    return _scalar_report(
+        inequality_id,
+        (),
+        sa2 * sb2 - sab * sab,
+        least,
+        tol,
+        details={
+            "constants": list(constants),
+            "argmin": argmin,
+            "equality_lhs": sa2 / (win.A * win.a),
+            "equality_rhs": sb2 / (win.B * win.b),
+            "improvement_over_classical": constants[2] - least,
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -955,12 +1011,9 @@ def integral_bounds(
         sqrt(S_ff) sqrt(S_gg)
             <= (1/2) (sqrt(ab / AB) + sqrt(AB / ab)) * S_fg
     """
-    lhs_m, rhs_m, coeff = _multiplicative_sides(*data.sums(), data.window)
-    multiplicative = _scalar_report(
-        INT_MULT, (), lhs_m, rhs_m, tol, details={"coefficient": coeff}
-    )
     return IntegralBoundsResult(
-        additive=_additive_report(INT_ADD, data, tol), multiplicative=multiplicative
+        additive=_evaluate_one(INT_ADD, data, tol),
+        multiplicative=_evaluate_one(INT_MULT, data, tol),
     )
 
 
@@ -975,23 +1028,7 @@ def greub_rheinboldt(
     multiplicative sides, which agrees algebraically; both routes are
     cross-checked.
     """
-    sa2, sb2, sab = data.sums()
-    lhs, rhs = _product_sides(sa2, sb2, sab, data.window)
-    lhs_m, rhs_m, _ = _multiplicative_sides(sa2, sb2, sab, data.window)
-    rhs_squared = rhs_m * rhs_m
-    _cross_check("greub_rheinboldt rhs", rhs, rhs_squared)
-    return _scalar_report(
-        GREUB_RHEINBOLDT,
-        (),
-        lhs,
-        rhs,
-        tol,
-        details={
-            "rhs_via_squared_multiplicative": rhs_squared,
-            "margin_via_squared_multiplicative": rhs_squared - lhs,
-            "lhs_via_squared_multiplicative": lhs_m * lhs_m,
-        },
-    )
+    return _evaluate_one(GREUB_RHEINBOLDT, data, tol)
 
 
 def weighted_additive(
@@ -999,12 +1036,7 @@ def weighted_additive(
 ) -> BoundReport:
     """Additive reverse bound for weighted sequences: the additive half of
     integral_bounds, kept as its own inequality id."""
-    return _additive_report(WEIGHTED_ADD, data, tol)
-
-
-def _require_unit_weights(data: WeightedSequences, who: str) -> None:
-    if np.any(data.w_seq != 1.0):
-        raise ValueError(f"{who} requires unit weights (w_i = 1)")
+    return _evaluate_one(WEIGHTED_ADD, data, tol)
 
 
 def polya_szego_multiplicative(
@@ -1015,8 +1047,7 @@ def polya_szego_multiplicative(
 
     sum(a^2) sum(b^2) <= ((ab + AB)^2 / (4 ab AB)) * (sum(a b))^2.
     """
-    _require_unit_weights(data, "polya_szego_multiplicative")
-    return _scalar_report(PS_MULT, (), *_product_sides(*data.sums(), data.window), tol)
+    return _evaluate_one(PS_MULT, data, tol)
 
 
 def polya_szego_additive(
@@ -1028,8 +1059,7 @@ def polya_szego_additive(
     sum(a^2) sum(b^2) - (sum(a b))^2
         <= ((AB - ab)^2 / (4 ab AB)) * (sum(a b))^2.
     """
-    _require_unit_weights(data, "polya_szego_additive")
-    return polya_szego_improved(data, tol).classical_additive
+    return _evaluate_one(PS_ADD, data, tol)
 
 
 @dataclass(frozen=True)
@@ -1064,41 +1094,20 @@ def polya_szego_improved(
     of that condition are reported.  Ties in the argmin resolve to the
     lowest index among constants within 1e-12 relative of the least.
     """
-    _require_unit_weights(data, "polya_szego_improved")
-    sa2, sb2, sab = data.sums()
-    win = data.window
-    constants = _scaled_constants(sa2, sb2, sab, win)
-    least = min(constants)
-    threshold = least + 1e-12 * abs(least)
-    argmin = next(i for i, c in enumerate(constants) if c <= threshold) + 1
-    lhs = sa2 * sb2 - sab * sab
-    classical_mult = _scalar_report(PS_MULT, (), *_product_sides(sa2, sb2, sab, win), tol)
-    classical_add = _scalar_report(PS_ADD, (), lhs, constants[2], tol)
-    eq_lhs = sa2 / (win.A * win.a)
-    eq_rhs = sb2 / (win.B * win.b)
-    eq_scale = max(abs(eq_lhs), abs(eq_rhs), 1.0)
-    eq_holds = abs(eq_lhs - eq_rhs) <= tol.band(eq_scale)
-    report = _scalar_report(
-        PS_IMPROVED,
-        (),
-        lhs,
-        least,
-        tol,
-        details={
-            "constants": list(constants),
-            "argmin": argmin,
-            "equality_lhs": eq_lhs,
-            "equality_rhs": eq_rhs,
-            "improvement_over_classical": classical_add.rhs - least,
-        },
+    report, classical_mult, classical_add = (
+        _evaluate_one(i, data, tol) for i in (PS_IMPROVED, PS_MULT, PS_ADD)
     )
+    details = report.details
+    eq_lhs = details["equality_lhs"]
+    eq_rhs = details["equality_rhs"]
+    eq_scale = max(abs(eq_lhs), abs(eq_rhs), 1.0)
     return ImprovedResult(
         report=report,
-        constants=constants,
-        argmin=argmin,
+        constants=tuple(details["constants"]),
+        argmin=details["argmin"],
         equality_lhs=eq_lhs,
         equality_rhs=eq_rhs,
-        equality_holds=eq_holds,
+        equality_holds=abs(eq_lhs - eq_rhs) <= tol.band(eq_scale),
         classical_multiplicative=classical_mult,
         classical_additive=classical_add,
     )

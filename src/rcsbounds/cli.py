@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,24 +27,25 @@ from .bounds import (
     HOLDS,
     HYPOTHESIS_ERRORS,
     INEQUALITY_IDS,
+    PS_IMPROVED,
     VIOLATED,
     BoundReport,
     DegenerateSpaceError,
     WeightedSequences,
-    polya_szego_improved,
+    _evaluate_one,
     precondition_failed_report,
     sharpness_witness,
 )
 from .forms import FormInstance, OmegaPair, PositiveFunctional, _coerce_argument
 from .harness import (
-    WINDOW_RANGE,
+    TRIAL_WINDOW,
     FuzzSummary,
     GeneratorConfig,
+    _batch,
+    _sequence_draw,
     fuzz_run,
     gen_argmin_families,
-    gen_bounded_sequences,
     run_trial,
-    sample_window,
 )
 from .matalg import (
     DEFAULT_TOL,
@@ -54,7 +54,7 @@ from .matalg import (
     Tolerance,
     as_element,
 )
-from .rng import stream
+from .rng import _check_key, stream
 
 __all__ = ["main", "CSV_HEADER"]
 
@@ -358,11 +358,10 @@ def _report_from_instance(doc: dict, tol: Tolerance) -> BoundReport:
     """The target's report on the decoded instance: a PRECONDITION_FAILED
     report if the decoder or evaluator finds a hypothesis failed."""
     target = doc["target"]
-    entry = _REGISTRY[target]
     try:
-        payload = _PAYLOADS[entry.payload][1](doc)  # errors carry their JSON path
+        payload = _PAYLOADS[_REGISTRY[target].payload][1](doc)  # errors carry their JSON path
         try:
-            return entry.evaluate(payload, tol)
+            return _evaluate_one(target, payload, tol)
         except (ValueError, ArithmeticError, DimMismatchError) as exc:
             # Values the evaluator cannot take: a zero vector, weights other
             # than 1 for a PS_* target, or numbers out of double range.
@@ -483,21 +482,19 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
     return 0 if deviation <= SHARPNESS_TOL else 2
 
 
-def _compare_rows(args: argparse.Namespace):
-    """Rows for the constant-comparison study, ordered by trial index.
+def _compare_batches(args: argparse.Namespace):
+    """The rows (a_seq, b_seq, w_seq, window) of the constant-comparison
+    study as PS_IMPROVED batches, in order.
 
-    Random windows first (one Philox stream per sample index), then the
+    Random windows first (one Philox stream per sample index), TRIAL_WINDOW
+    rows at a time so that memory does not grow with --samples, then the
     three constructed families, so the output is reproducible and
     schedule-independent.
     """
-    n = args.n
-    for i in range(args.samples):
-        g = stream(args.seed, i)
-        window = sample_window(g, WINDOW_RANGE)
-        data = gen_bounded_sequences(n, window, g)
-        yield replace(data, w_seq=np.ones(n))
-    for _, family in gen_argmin_families(max(2, n)):
-        yield family
+    for start in range(0, args.samples, TRIAL_WINDOW):
+        indices = range(start, min(start + TRIAL_WINDOW, args.samples))
+        yield [_sequence_draw(stream(args.seed, i), args.n, True) for i in indices]
+    yield [(f.a_seq, f.b_seq, f.w_seq, f.window) for _, f in gen_argmin_families(max(2, args.n))]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -506,27 +503,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise _UsageError("--samples must be nonnegative")
     tol = _resolve_tolerance(args)
+    entry = _REGISTRY[PS_IMPROVED]
     counts = {1: 0, 2: 0, 3: 0}
     rows = []
-    for data in _compare_rows(args):
-        result = polya_szego_improved(data, tol)
-        counts[result.argmin] += 1
-        win = data.window
-        rows.append(
-            (
-                win.a,
-                win.A,
-                win.b,
-                win.B,
-                result.constants[0],
-                result.constants[1],
-                result.constants[2],
-                result.argmin,
-                result.report.lhs,
-                result.report.margin,
-                abs(result.equality_lhs - result.equality_rhs),
+    for draws in _compare_batches(args):
+        for (*_, win), report in zip(draws, entry.evaluate(_batch(entry, draws, tol), tol)):
+            details = report.details
+            counts[details["argmin"]] += 1
+            rows.append(
+                (
+                    win.a,
+                    win.A,
+                    win.b,
+                    win.B,
+                    *details["constants"],
+                    details["argmin"],
+                    report.lhs,
+                    report.margin,
+                    abs(details["equality_lhs"] - details["equality_rhs"]),
+                )
             )
-        )
     if args.csv is not None:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -619,12 +615,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        try:
+            _check_key("--seed", getattr(args, "seed", 0))
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
         # Input near the double range can overflow on the way to a
         # verdict; the result says so, numpy's warnings would add lines.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"rcsbounds: error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # Every file the commands open handles its own errors, so this is
+        # stdout failing: a closed pipe or a full disk.  What is still
+        # buffered goes to devnull, so the flush at exit stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"rcsbounds: error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

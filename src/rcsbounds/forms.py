@@ -323,11 +323,10 @@ def _first_column_matrix(u: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-def _coerce_argument(form: FormInstance, x, stacked: bool = False) -> np.ndarray:
-    """Validate one form argument and normalize it to an ndarray.
-
-    With stacked, a module-form argument is an (N, d, d) stack of them.
-    """
+def _coerce_argument(form: FormInstance, x) -> np.ndarray:
+    """Validate one form argument and normalize it to an ndarray: a vector
+    for gram_tensor, a matrix otherwise (a functional form's vector
+    argument becomes its first-column matrix)."""
     arr = np.asarray(x, dtype=np.complex128)
     if form.kind == GRAM_TENSOR:
         arr = arr.reshape(-1) if arr.ndim == 0 else arr
@@ -337,7 +336,7 @@ def _coerce_argument(form: FormInstance, x, stacked: bool = False) -> np.ndarray
             )
         return arr
     if form.kind == MODULE_FORM:
-        m = _as_stack(arr)[0] if stacked else as_element(arr)
+        m = as_element(arr)
         if m.shape[-1] != form.algebra_dim:
             raise DimMismatchError(
                 f"module_form argument must be {form.algebra_dim} x {form.algebra_dim}"
@@ -358,20 +357,17 @@ def _coerce_argument(form: FormInstance, x, stacked: bool = False) -> np.ndarray
 
 def form_eval(form: FormInstance, x, y) -> np.ndarray:
     """Evaluate <x, y> as an algebra_dim x algebra_dim matrix."""
-    return _form_eval(form, x, y)
+    return _form_eval(form, _coerce_argument(form, x)[None], _coerce_argument(form, y)[None])[0]
 
 
-def _form_eval(form: FormInstance, x, y, stacked: bool = False) -> np.ndarray:
-    """form_eval; with stacked, the module-form arguments x and y are
-    (N, d, d) stacks, giving the (N, d, d) stack of values."""
-    xa = _coerce_argument(form, x, stacked)
-    ya = _coerce_argument(form, y, stacked)
-    if form.kind == GRAM_TENSOR:
-        return np.einsum("i,j,ijab->ab", xa, ya.conj(), form.gram)
+def _form_eval(form: FormInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x[k], y[k]> for batches x, y of N arguments, each normalized by
+    _coerce_argument: the (N, algebra_dim, algebra_dim) stack of values."""
     if form.kind == MODULE_FORM:
-        return ya.conj().swapaxes(-1, -2) @ xa
-    val = form.functional.value(ya.conj().T @ xa)
-    return np.array([[val]], dtype=np.complex128)
+        return y.conj().swapaxes(-1, -2) @ x
+    if form.kind == GRAM_TENSOR:
+        return np.stack([np.einsum("i,j,ijab->ab", u, v.conj(), form.gram) for u, v in zip(x, y)])
+    return np.array([[[form.functional.value(v.conj().T @ u)]] for u, v in zip(x, y)])
 
 
 def check_star1(
@@ -413,22 +409,21 @@ def _root_commutation(
     return dev <= tol.band(scale), dev
 
 
-def _re_term(form: FormInstance, x, y, omega, Omega, stacked: bool = False) -> np.ndarray:
-    """Hermitian part of <Omega y - x, x - omega y>.
-
-    With stacked (see _form_eval), x and y are module-form stacks of
-    shape (N, d, d) and omega, Omega arrays of shape (N, 1, 1).
-    """
-    xa = np.asarray(x, dtype=np.complex128)
-    ya = np.asarray(y, dtype=np.complex128)
-    return re_part(_form_eval(form, Omega * ya - xa, xa - omega * ya, stacked))
+def _re_term(form: FormInstance, x: np.ndarray, y: np.ndarray, pairs) -> np.ndarray:
+    """Hermitian part of <Omega y - x, x - omega y> for batches x, y as
+    _form_eval takes them and the N window pairs (omega, Omega)."""
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    omega = np.array([p.omega for p in pairs]).reshape(shape)
+    Omega = np.array([p.Omega for p in pairs]).reshape(shape)
+    return re_part(_form_eval(form, Omega * y - x, x - omega * y))
 
 
 def check_re_condition(
     form: FormInstance, x, y, pair: OmegaPair, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Check Re <Omega y - x, x - omega y> >= 0; margin is its least eigenvalue."""
-    m = _re_term(form, x, y, pair.omega, pair.Omega)
+    args = (_coerce_argument(form, a)[None] for a in (x, y))
+    m = _re_term(form, *args, [pair])[0]
     return loewner_leq(np.zeros_like(m), m, tol)
 
 

@@ -6,19 +6,22 @@ configuration and its index, never on execution order.  Replaying one
 trial reproduces its report bit for bit, and summaries aggregated over
 trials are schedule-independent.
 
-Batch invariant: run_trials draws each trial of a window once and
-evaluates the matrix and operator-pair trials of a window in stacked
-kernel calls, one group per d.  Every stacked call treats each instance on
-its own, so a trial's outcome is also independent of which other trials
-share its batch; a group that fails a hypothesis is evaluated again member
-by member from the same draws, and run_trial, a batch of one, replays a
-trial bit for bit.
+Batch invariant: run_trials draws each trial of a window once, groups the
+drawn trials by the dimension each carries (d, or the sequence length n)
+and passes each group to the id's one evaluator as a batch.  The matrix,
+operator-pair and sequence evaluators work on the whole batch at once
+(stacked kernel calls, row reductions), the functional ones member by
+member; either way each instance is treated on its own, so a trial's
+outcome is also independent of which other trials share its batch.  A
+group that fails a hypothesis is evaluated again member by member from
+the same draws, and run_trial, a batch of one, replays a trial bit for
+bit.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -50,7 +53,7 @@ from .matalg import (
     frobenius,
     re_part,
 )
-from .rng import stream
+from .rng import _check_key, stream
 
 __all__ = [
     "REJECTION_CAP",
@@ -109,6 +112,7 @@ class GeneratorConfig:
     dims: tuple[int, ...] = (1, 2, 4, 8)
 
     def __post_init__(self) -> None:
+        _check_key("seed", self.seed)
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if not self.dims or any(not 1 <= d <= 16 for d in self.dims):
@@ -341,54 +345,66 @@ def _entry(inequality_id: str) -> _Inequality:
     return _REGISTRY[inequality_id]
 
 
+def _sequence_draw(g: np.random.Generator, n: int, unit_weights: bool) -> tuple:
+    """Sequences of length n in a random window, drawn from g, as one row
+    (a_seq, b_seq, w_seq, window) of a "sequences" batch; every weight 1
+    when unit_weights."""
+    data = gen_bounded_sequences(n, sample_window(g, WINDOW_RANGE), g)
+    return data.a_seq, data.b_seq, np.ones(n) if unit_weights else data.w_seq, data.window
+
+
 def _draw(
     config: GeneratorConfig, entry: _Inequality, g: np.random.Generator, tol: Tolerance
-):
+) -> tuple:
     """One trial's instance for the payload kind of a registry entry, drawn
-    from the trial's stream g.
+    from the trial's stream g: its dimension (d, or the sequence length n)
+    and its row of the evaluator's batch.
 
-    A functional or sequence instance is the evaluator's payload.  A "form"
-    or "operator_pair" instance is (d, t, s), plus v for an operator pair:
-    t and s form the commuting strictly positive pair, x and y of
-    gen_re_valid_instance("module") for the form ids.
+    A "form" row is (t, s), the commuting strictly positive pair that is x
+    and y of gen_re_valid_instance("module"); _batch adds the form and the
+    window pairs.  An "operator_pair" row is (t, s, v).
     """
     if entry.payload == "sequences":
         n = int(g.choice(np.asarray(SPACE_DIMS)))
-        data = gen_bounded_sequences(n, sample_window(g, WINDOW_RANGE), g)
-        return replace(data, w_seq=np.ones(n)) if entry.unit_weights else data
+        return n, _sequence_draw(g, n, entry.unit_weights)
     d = int(g.choice(np.asarray(config.dims)))
     if entry.payload == "functional_form":
-        return gen_re_valid_instance("functional", d, g, tol=tol)
+        return d, gen_re_valid_instance("functional", d, g, tol=tol)
     t, s = gen_commuting_positive_pair(d, g)
     if entry.payload == "form":
-        return d, t, s
+        return d, (t, s)
     v = g.standard_normal(d) + 1j * g.standard_normal(d)
     while np.linalg.norm(v) < 1e-6:
         v = g.standard_normal(d) + 1j * g.standard_normal(d)
-    return d, t, s, v
+    return d, (t, s, v)
+
+
+def _batch(entry: _Inequality, rows: Sequence, tol: Tolerance) -> list:
+    """The evaluator's batch of drawn rows of one dimension: each column
+    stacked into one array, or a list of its forms, windows or pairs.  A
+    "form" batch gets its module form and the window pairs of its stacks."""
+    columns = [np.stack(c) if isinstance(c[0], np.ndarray) else list(c) for c in zip(*rows)]
+    if entry.payload != "form":
+        return columns
+    x, y = columns
+    return [[FormInstance.module_form(x.shape[-1])] * len(x), x, y, omega_from_spectra(x, y, tol)]
 
 
 def _group_reports(
-    inequality_id: str, entry: _Inequality, draws: Sequence, tol: Tolerance
+    inequality_id: str, entry: _Inequality, rows: Sequence, tol: Tolerance
 ) -> list[BoundReport]:
-    """The reports of a group of drawn trials, evaluated together: a stacked
-    id's group shares one d, any other group is one trial.  A group of one
-    that fails a hypothesis (one of HYPOTHESIS_ERRORS) gets its
-    precondition_failed_report; a larger one evaluates each member alone
-    from its draw.  Any other exception propagates."""
+    """The reports of a group of drawn rows of one dimension, evaluated as
+    one batch.  A group of one that fails a hypothesis (one of
+    HYPOTHESIS_ERRORS) gets its precondition_failed_report; a larger one
+    evaluates each member alone from its row.  Any other exception
+    propagates."""
     try:
-        if entry.stacked is None:
-            return [entry.evaluate(draw, tol) for draw in draws]
-        payload = [np.stack(column) for column in zip(*(draw[1:] for draw in draws))]
-        if entry.payload == "form":
-            form = FormInstance.module_form(draws[0][0])
-            payload = [form, *payload, omega_from_spectra(*payload, tol)]
-        return list(entry.stacked(payload, tol))
+        return list(entry.evaluate(_batch(entry, rows, tol), tol))
     except HYPOTHESIS_ERRORS as exc:
-        if len(draws) == 1:
+        if len(rows) == 1:
             return [precondition_failed_report(inequality_id, exc)]
     # Some member failed a hypothesis: each is evaluated alone.
-    return [r for draw in draws for r in _group_reports(inequality_id, entry, [draw], tol)]
+    return [r for row in rows for r in _group_reports(inequality_id, entry, [row], tol)]
 
 
 def run_trials(
@@ -408,12 +424,13 @@ def run_trials(
     outside 0..config.trials - 1 is a ValueError.
 
     The indices are taken TRIAL_WINDOW at a time, and each trial of a window
-    is drawn once.  For the matrix and operator-pair ids the drawn trials
-    are grouped by d and each group is evaluated in stacked kernel calls;
-    a group that fails a hypothesis evaluates its members alone from the
-    same draws, and no other group is evaluated again.  Every stacked call
-    treats each slice on its own (see matalg), so a report is bit-equal
-    whatever other indices share its window.
+    is drawn once.  The drawn trials are grouped by the dimension each
+    carries, and each group is one batch of the id's evaluator; a group
+    that fails a hypothesis evaluates its members alone from the same
+    draws, and no other group is evaluated again.  The evaluators treat
+    each instance of a batch on its own (see matalg for the stacked kernel
+    calls), so a report is bit-equal whatever other indices share its
+    window.
     """
     entry = _entry(inequality_id)
     indices = [int(i) for i in indices]
@@ -424,17 +441,17 @@ def run_trials(
     for start in range(0, len(indices), TRIAL_WINDOW):
         window = indices[start : start + TRIAL_WINDOW]
         out: list[BoundReport] = [None] * len(window)
-        groups: dict[int, list] = {}  # by d for a stacked id, else by position
+        groups: dict[int, list] = {}  # by dimension
         for k, i in enumerate(window):
             try:
-                draw = _draw(config, entry, stream(config.seed, i), tol)
+                dim, row = _draw(config, entry, stream(config.seed, i), tol)
             except HYPOTHESIS_ERRORS as exc:
                 out[k] = precondition_failed_report(inequality_id, exc)
                 continue
-            groups.setdefault(draw[0] if entry.stacked else k, []).append((k, draw))
+            groups.setdefault(dim, []).append((k, row))
         for _, members in sorted(groups.items()):
-            positions, draws = zip(*members)
-            for k, report in zip(positions, _group_reports(inequality_id, entry, draws, tol)):
+            positions, rows = zip(*members)
+            for k, report in zip(positions, _group_reports(inequality_id, entry, rows, tol)):
                 out[k] = report
         reports += out
     return reports

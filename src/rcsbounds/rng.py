@@ -13,10 +13,19 @@ import numpy as np
 
 __all__ = ["stream"]
 
-_MASK64 = (1 << 64) - 1
+_KEY_LIMIT = 1 << 64
+
+
+def _check_key(name: str, value: int) -> None:
+    """ValueError unless value, a seed or stream index, is in 0..2^64 - 1."""
+    if not 0 <= value < _KEY_LIMIT:
+        raise ValueError(f"{name} {value} is outside 0..2^64 - 1")
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Generator for stream `index` of the run keyed by `seed`."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    """Generator for stream `index` of the run keyed by `seed`; both must be
+    in 0..2^64 - 1, else ValueError."""
+    _check_key("seed", seed)
+    _check_key("stream index", index)
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

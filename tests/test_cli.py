@@ -11,13 +11,24 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcsbounds import bounds, cli
+from rcsbounds import (
+    bounds,
+    cli,
+    gen_argmin_families,
+    gen_bounded_sequences,
+    polya_szego_improved,
+    sample_window,
+)
+from rcsbounds.harness import WINDOW_RANGE
 from rcsbounds.matalg import NoConvergenceError
+from rcsbounds.rng import stream
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "docs", "instances")
 
@@ -295,7 +306,7 @@ def test_verify_solver_failure_is_not_a_precondition(capsys, tmp_path, monkeypat
         raise NoConvergenceError("Jacobi did not converge")
 
     # The registry looks the evaluator up in bounds when it runs.
-    monkeypatch.setattr(bounds, "additive_matrix_bound", no_convergence)
+    monkeypatch.setattr(bounds, "_matrix_reports", no_convergence)
     with pytest.raises(NoConvergenceError):
         cli.main(["verify", write_instance(tmp_path, matrix_doc())])
     assert "PRECONDITION_FAILED" not in capsys.readouterr().out
@@ -363,6 +374,50 @@ def test_fuzz_replay_outside_campaign(capsys, argv):
     code, out, err = run(capsys, "fuzz", "ADD_MATRIX", *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "trial index" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize(
+    "command", [["fuzz", "PS_ADD", "--trials", "5"], ["sharpness"], ["compare", "--samples", "5"]]
+)
+def test_seed_outside_64_bits(capsys, command, seed):
+    # A seed keys a 64-bit Philox stream; masking it would alias distinct seeds.
+    code, out, err = run(capsys, *command, "--seed", str(seed))
+    one_line_error(code, out, err, 1)
+    assert err.startswith("rcsbounds: error: ") and str(seed) in err
+
+
+def _cli_process(*argv, **kwargs):
+    """rcsbounds.cli argv in a fresh interpreter, its stderr piped as text."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "rcsbounds.cli", *argv],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        **kwargs,
+    )
+
+
+def test_closed_stdout_is_one_line_error():
+    # The reader of stdout is gone before anything is written, as in `| head`.
+    proc = _cli_process("fuzz", "ADD_MATRIX", "--replay", "5", stdout=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err.startswith("rcsbounds: error: ") and err.count("\n") == 1
+    assert "Broken pipe" in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_one_line_error():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process("fuzz", "PS_ADD", "--trials", "5", "--json", stdout=full)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err.startswith("rcsbounds: error: ") and err.count("\n") == 1
+    assert "No space left" in err and "Traceback" not in err
 
 
 def test_fuzz_tolerance_env_garbage(monkeypatch, capsys):
@@ -483,6 +538,32 @@ def test_compare_csv_contract(capsys, tmp_path):
         assert len(row) == len(cli.CSV_HEADER)
         assert row[7] in {"1", "2", "3"}
         float(row[9])  # margin parses back
+
+
+def test_compare_rows_equal_lone_evaluations(capsys, tmp_path):
+    # compare evaluates its rows in PS_IMPROVED batches; each row equals the
+    # public polya_szego_improved on that row alone.  With --n 1 the
+    # families have n = 2 and form a second batch.
+    target = tmp_path / "rows.csv"
+    code, _, _ = run(capsys, "compare", "--n", "1", "--samples", "200", "--csv", str(target))
+    assert code == 0
+    lone = []
+    for i in range(200):
+        g = stream(0, i)
+        data = gen_bounded_sequences(1, sample_window(g, WINDOW_RANGE), g)
+        lone.append(replace(data, w_seq=np.ones(1)))
+    lone += [family for _, family in gen_argmin_families(2)]
+    with open(target, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(lone) == 203
+    for k, (row, data) in enumerate(zip(rows, lone)):
+        result = polya_szego_improved(data)
+        win = data.window
+        expected = (
+            win.a, win.A, win.b, win.B, *result.constants, result.argmin, result.report.lhs,
+            result.report.margin, abs(result.equality_lhs - result.equality_rhs),
+        )
+        assert row == [repr(v) if isinstance(v, float) else str(v) for v in expected], k
 
 
 def test_compare_json_counts(capsys):

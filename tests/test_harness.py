@@ -195,18 +195,18 @@ def test_eigensolves_per_report(monkeypatch, inequality_id, solves):
         assert sum(calls) == solves, f"trial {i}"
 
 
-@pytest.mark.parametrize("inequality_id", [ADD_MATRIX, MULT_MATRIX, OP_PAIR_ADD, OP_PAIR_MULT])
+@pytest.mark.parametrize("inequality_id", sorted(INEQUALITY_IDS))
 def test_campaign_margins_equal_replays(inequality_id):
-    # Batch invariant: in a campaign, same-d trials are evaluated in
-    # stacked calls; each trial's margin is bit-equal to replaying it
-    # alone.  70 trials span a full window and a partial one.
+    # Batch invariant: in a campaign, trials of one dimension are one batch
+    # of the id's evaluator; each trial's report is bit-equal to replaying
+    # it alone, a batch of one.  70 trials span a full window and a partial one.
     config = GeneratorConfig(seed=21, trials=70, dims=(1, 2, 4, 8, 16))
     assert config.trials % TRIAL_WINDOW != 0
     outcomes = run_trials(config, inequality_id, range(config.trials))
     assert len(outcomes) == config.trials
     for i, report in enumerate(outcomes):
         replay = run_trial(config, inequality_id, i)
-        assert report.margin == replay.margin, f"trial {i}"
+        assert report.to_dict() == replay.to_dict(), f"trial {i}"
         assert report.verdict == replay.verdict == "HOLDS"
     summary = fuzz_run(config, inequality_id)
     worst = min((r.margin, i) for i, r in enumerate(outcomes))
@@ -269,7 +269,7 @@ def test_solver_failure_in_a_stacked_group_propagates(monkeypatch):
         calls.append(args)
         raise NoConvergenceError("no convergence")
 
-    monkeypatch.setattr(bounds, "_matrix_stack", failing)
+    monkeypatch.setattr(bounds, "_matrix_reports", failing)
     with pytest.raises(NoConvergenceError):
         fuzz_run(GeneratorConfig(seed=1, trials=40, dims=(2,)), ADD_MATRIX)
     assert len(calls) == 1
@@ -277,8 +277,7 @@ def test_solver_failure_in_a_stacked_group_propagates(monkeypatch):
 
 @pytest.mark.parametrize("index", [-1, 30, 2**64])
 def test_run_trial_rejects_index_outside_campaign(index):
-    # rng.stream masks its index to 64 bits, so an index no campaign runs
-    # would otherwise replay some other trial.
+    # An index no campaign runs: not a trial of this configuration.
     with pytest.raises(ValueError, match="trial index"):
         run_trial(GeneratorConfig(seed=0, trials=30), ADD_MATRIX, index)
 
@@ -362,7 +361,24 @@ def test_fuzz_replay_reproduces_worst_margin():
     assert replayed.margin == summary.worst_margin
 
 
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_stream_rejects_keys_outside_64_bits(seed, index):
+    # Masking them would alias distinct seeds: -1 would be 2**64 - 1.
+    with pytest.raises(ValueError, match=r"outside 0\.\.2\^64 - 1"):
+        stream(seed, index)
+
+
+def test_stream_keys_in_range_are_the_philox_key():
+    for seed, index in ((0, 0), (7, 2**64 - 1), (2**64 - 1, 3)):
+        key = np.array([seed, index], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).integers(2**62, size=4)
+        assert stream(seed, index).integers(2**62, size=4).tolist() == expected.tolist()
+
+
 def test_config_validation():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            GeneratorConfig(seed=seed)
     with pytest.raises(ValueError):
         GeneratorConfig(trials=-1)
     with pytest.raises(ValueError):

@@ -1,0 +1,76 @@
+"""Write the package's reference outputs to a directory, for a byte-identity check.
+
+Usage:
+
+    python3 tools/dump_outputs.py OUTDIR
+
+It imports rcsbounds from the src/ directory next to this script and writes:
+
+* verify/<instance>.json and verify/<instance>.txt: ``verify --json`` and
+  the table for each shipped instance in docs/instances;
+* run_trial/<ID>.jsonl: ``run_trial(GeneratorConfig(seed=0), ID, i).to_dict()``
+  for every inequality id and i in 0..199, one JSON line per trial;
+* fuzz/<ID>.json: ``fuzz ID --trials 150 --seed 11 --dims 1 2 4 --json``;
+* compare/default.csv and compare/n1_samples500.csv: ``compare --csv`` at
+  the defaults and at ``--n 1 --samples 500``, with the printed summary of
+  each in the matching .txt file.
+
+Run it on two checkouts and compare the directories with ``diff -r``: no
+output means every report, summary and row is byte-identical.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from rcsbounds import INEQUALITY_IDS, GeneratorConfig, cli, run_trial  # noqa: E402
+
+INSTANCES = sorted((ROOT / "docs" / "instances").glob("*.json"))
+TRIALS = 200
+FUZZ_ARGS = ["--trials", "150", "--seed", "11", "--dims", "1", "2", "4", "--json"]
+COMPARE_RUNS = {"default": [], "n1_samples500": ["--n", "1", "--samples", "500"]}
+
+
+def _cli(argv: list[str]) -> str:
+    """stdout of one in-process CLI call, with its exit code as the last line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return f"{out.getvalue()}exit {code}\n"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: dump_outputs.py OUTDIR", file=sys.stderr)
+        return 1
+    out = Path(argv[0])
+    for sub in ("verify", "run_trial", "fuzz", "compare"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    for path in INSTANCES:
+        (out / "verify" / f"{path.stem}.json").write_text(_cli(["verify", str(path), "--json"]))
+        (out / "verify" / f"{path.stem}.txt").write_text(_cli(["verify", str(path)]))
+    config = GeneratorConfig(seed=0)
+    for inequality_id in INEQUALITY_IDS:
+        lines = (
+            json.dumps(run_trial(config, inequality_id, i).to_dict()) + "\n" for i in range(TRIALS)
+        )
+        (out / "run_trial" / f"{inequality_id}.jsonl").write_text("".join(lines))
+        fuzz = _cli(["fuzz", inequality_id, *FUZZ_ARGS])
+        (out / "fuzz" / f"{inequality_id}.json").write_text(fuzz)
+    for name, flags in COMPARE_RUNS.items():
+        csv_path = out / "compare" / f"{name}.csv"
+        summary = _cli(["compare", *flags, "--csv", str(csv_path)])
+        # The summary names the CSV path, which differs between checkouts.
+        (out / "compare" / f"{name}.txt").write_text(summary.replace(str(csv_path), "<csv>"))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
