@@ -43,7 +43,6 @@ from .forms import (
     _omega_from_edges,
     _re_term,
     _root_commutation,
-    check_re_condition,
     form_eval,
 )
 from .matalg import (
@@ -149,7 +148,7 @@ class _Inequality:
     id's one evaluator, returns the reports of a batch of N instances,
     each independent of the others.  A batch is a tuple of columns:
 
-    * "form", "functional_form": N forms (one form for the matrix ids),
+    * "form", "functional_form": N forms of one kind, one per instance,
       x and y as (N, ...) arrays normalized by forms._coerce_argument, and
       N window pairs;
     * "operator_pair": (N, d, d) stacks t, s and an (N, d) stack of nonzero v;
@@ -411,17 +410,15 @@ def _matrix_reports(
     tol: Tolerance,
 ) -> list[BoundReport]:
     """ADD_MATRIX or MULT_MATRIX reports for a "form" batch (see
-    _Inequality) whose instances share one form.  Each form evaluation,
-    square root, Re-term check, absolute value and Loewner margin is one
-    call over the batch, so a report does not depend on the other
-    instances."""
-    form = forms[0]
+    _Inequality).  Each form evaluation, square root, Re-term check,
+    absolute value and Loewner margin is one call over the batch, so a
+    report does not depend on the other instances."""
     if inequality_id == MULT_MATRIX:
         coeffs = [
             (abs(p.Omega) + abs(p.omega)) / math.sqrt(_positive_re_cross(p)) for p in pairs
         ]
-    xx, yy, xy, yx = (_form_eval(form, u, v) for u, v in ((x, x), (y, y), (x, y), (y, x)))
-    re_term = _re_term(form, x, y, pairs)
+    xx, yy, xy, yx = (_form_eval(forms, u, v) for u, v in ((x, x), (y, y), (x, y), (y, x)))
+    re_term = _re_term(forms, x, y, pairs)
     s_ok, s_dev = _adjoint_symmetry(xy, yx, tol)
     if inequality_id == ADD_MATRIX:
         root = sqrt_psd(yy, tol)
@@ -468,15 +465,6 @@ def _matrix_reports(
 # ---------------------------------------------------------------------------
 
 
-def _functional_values(form: FormInstance, x, y):
-    """phi(x*x), phi(y*y) (real) and phi(y*x) for the functional form of phi
-    and matrix or vector arguments."""
-    fxx = form_eval(form, x, x)[0, 0].real
-    fyy = form_eval(form, y, y)[0, 0].real
-    cross = complex(form_eval(form, x, y)[0, 0])
-    return fxx, fyy, cross
-
-
 def functional_additive_bound(
     phi: PositiveFunctional, x, y, pair: OmegaPair, tol: Tolerance = DEFAULT_TOL
 ) -> BoundReport:
@@ -506,17 +494,21 @@ def functional_multiplicative_bound(
 def _functional_reports(
     inequality_id: str, forms: list, x, y, pairs: list[OmegaPair], tol: Tolerance
 ) -> list[BoundReport]:
-    """ADD_FUNCTIONAL or MULT_FUNCTIONAL reports for a "form" batch of
-    functional forms, one instance at a time: stacking their weighted
-    traces would change the order of summation."""
-    reports = []
-    for form, xk, yk, pair in zip(forms, x, y, pairs):
-        if inequality_id == MULT_FUNCTIONAL:
+    """ADD_FUNCTIONAL or MULT_FUNCTIONAL reports for a "functional_form"
+    batch (see _Inequality): three form evaluations, one Re term and one
+    Re check over the batch.  Each functional sums its own weighted trace,
+    so a report does not depend on the other instances."""
+    if inequality_id == MULT_FUNCTIONAL:
+        for pair in pairs:
             _positive_re_cross(pair)
-        values = _functional_values(form, xk, yk)
-        re_check = check_re_condition(form, xk, yk, pair, tol)
-        reports.append(_functional_report(inequality_id, *values, pair, re_check, tol))
-    return reports
+    fxx, fyy, cross = (_form_eval(forms, u, v)[:, 0, 0] for u, v in ((x, x), (y, y), (x, y)))
+    re_term = _re_term(forms, x, y, pairs)
+    values = zip(fxx.real, fyy.real, map(complex, cross))
+    checks = zip(*loewner_leq(np.zeros_like(re_term), re_term, tol))
+    return [
+        _functional_report(inequality_id, *value, pair, check, tol)
+        for value, pair, check in zip(values, pairs, checks)
+    ]
 
 
 def _functional_report(
@@ -528,8 +520,8 @@ def _functional_report(
     re_check,
     tol: Tolerance,
 ) -> BoundReport:
-    """The ADD_FUNCTIONAL or MULT_FUNCTIONAL report from _functional_values
-    and the Re check (ok, margin)."""
+    """The ADD_FUNCTIONAL or MULT_FUNCTIONAL report from phi(x*x), phi(y*y),
+    phi(y*x) and the Re check (ok, margin)."""
     preconditions = (PreconditionCheck("re_term_positive", bool(re_check[0]), float(re_check[1])),)
     details = {"omega": pair.omega, "Omega": pair.Omega}
     if inequality_id == ADD_FUNCTIONAL:
@@ -664,31 +656,31 @@ def _operator_pair_results(
     t: np.ndarray, s: np.ndarray, v: np.ndarray, tol: Tolerance
 ) -> list[OperatorPairResult]:
     """operator_pair_bounds for (N, d, d) stacks t, s and nonzero vectors v
-    of shape (N, d).  The spectra, the window checks and the Re-term
-    checks each run once over the stack, so a result does not depend on
-    the other instances.  Each result carries the functional reports,
-    rescaled by ||v||, cross-checked against the closed forms."""
+    of shape (N, d).  The spectra, the window checks, the form evaluations
+    and the Re-term checks each run once over the stack, so a result does
+    not depend on the other instances.  Each result carries the
+    functional reports, rescaled by ||v||, cross-checked against the
+    closed forms."""
     lo_t, hi_t = spectrum_bounds(t, tol)
     lo_s, hi_s = spectrum_bounds(s, tol)
     pairs_ts = _omega_from_edges(t, s, (lo_t, hi_t), (lo_s, hi_s), tol)
     pairs_st = _omega_from_edges(s, t, (lo_s, hi_s), (lo_t, hi_t), tol)
-    instances = []
-    re_terms = []
-    for tm, sm, vv, pair_ts, pair_st in zip(t, s, v, pairs_ts, pairs_st):
-        nv = float(np.linalg.norm(vv))
-        form = FormInstance.functional_form(PositiveFunctional.vector_state(vv / nv))
-        values = _functional_values(form, tm, sm)
-        # The Re terms of the ts and st additive reports; the multiplicative
-        # report's Re check is the ts one.
-        re_terms.append(_re_term(form, np.stack((tm, sm)), np.stack((sm, tm)), [pair_ts, pair_st]))
-        instances.append((nv, *values))
-    re_terms = np.concatenate(re_terms)
+    norms = [float(np.linalg.norm(vv)) for vv in v]
+    forms = [
+        FormInstance.functional_form(PositiveFunctional.vector_state(vv / nv))
+        for vv, nv in zip(v, norms)
+    ]
+    phi_tt, phi_ss, phi_ts = (_form_eval(forms, a, b)[:, 0, 0] for a, b in ((t, t), (s, s), (t, s)))
+    # The Re terms of the ts and then the st additive reports; the
+    # multiplicative report's Re check is the ts one.
+    re_terms = _re_term(forms * 2, np.vstack((t, s)), np.vstack((s, t)), pairs_ts + pairs_st)
     re_ok, re_margin = loewner_leq(np.zeros_like(re_terms), re_terms, tol)
     results = []
-    for k, (tm, sm, vv, (nv, fxx, fyy, phi_cross)) in enumerate(zip(t, s, v, instances)):
+    for k, (tm, sm, vv, nv) in enumerate(zip(t, s, v, norms)):
         pair_ts, pair_st = pairs_ts[k], pairs_st[k]
         mt, Mt, ms, Ms = float(lo_t[k]), float(hi_t[k]), float(lo_s[k]), float(hi_s[k])
-        check_ts, check_st = ((re_ok[2 * k + i], re_margin[2 * k + i]) for i in range(2))
+        fxx, fyy, phi_cross = phi_tt.real[k], phi_ss.real[k], complex(phi_ts[k])
+        check_ts, check_st = ((re_ok[j], re_margin[j]) for j in (k, len(v) + k))
         rep_ts = _functional_report(ADD_FUNCTIONAL, fxx, fyy, phi_cross, pair_ts, check_ts, tol)
         # phi(s*s), phi(t*t) and phi(t*s) = conj(phi(s*t)): only rhs and
         # preconditions of the st report are used.

@@ -124,7 +124,7 @@ class PositiveFunctional:
             if self.state is None or self.state.shape != (self.dim,):
                 raise ValueError("vector_state requires a state of shape (dim,)")
             norm = float(np.linalg.norm(self.state))
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:
                 raise ValueError(f"vector_state payload must be a unit vector (norm {norm})")
         if self.kind == WEIGHTED_SUM:
             if self.weights is None or self.weights.shape != (self.dim,):
@@ -357,17 +357,19 @@ def _coerce_argument(form: FormInstance, x) -> np.ndarray:
 
 def form_eval(form: FormInstance, x, y) -> np.ndarray:
     """Evaluate <x, y> as an algebra_dim x algebra_dim matrix."""
-    return _form_eval(form, _coerce_argument(form, x)[None], _coerce_argument(form, y)[None])[0]
+    return _form_eval([form], _coerce_argument(form, x)[None], _coerce_argument(form, y)[None])[0]
 
 
-def _form_eval(form: FormInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x[k], y[k]> for batches x, y of N arguments, each normalized by
-    _coerce_argument: the (N, algebra_dim, algebra_dim) stack of values."""
-    if form.kind == MODULE_FORM:
+def _form_eval(forms: list[FormInstance], x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x[k], y[k]> under forms[k] for N forms of one kind and batches x, y
+    of N arguments, each normalized by _coerce_argument: the
+    (N, algebra_dim, algebra_dim) stack of values."""
+    if forms[0].kind == MODULE_FORM:
         return y.conj().swapaxes(-1, -2) @ x
-    if form.kind == GRAM_TENSOR:
-        return np.stack([np.einsum("i,j,ijab->ab", u, v.conj(), form.gram) for u, v in zip(x, y)])
-    return np.array([[[form.functional.value(v.conj().T @ u)]] for u, v in zip(x, y)])
+    members = zip(forms, x, y)
+    if forms[0].kind == GRAM_TENSOR:
+        return np.stack([np.einsum("i,j,ijab->ab", u, v.conj(), f.gram) for f, u, v in members])
+    return np.array([[[f.functional.value(v.conj().T @ u)]] for f, u, v in members])
 
 
 def check_star1(
@@ -409,13 +411,13 @@ def _root_commutation(
     return dev <= tol.band(scale), dev
 
 
-def _re_term(form: FormInstance, x: np.ndarray, y: np.ndarray, pairs) -> np.ndarray:
-    """Hermitian part of <Omega y - x, x - omega y> for batches x, y as
-    _form_eval takes them and the N window pairs (omega, Omega)."""
+def _re_term(forms: list[FormInstance], x: np.ndarray, y: np.ndarray, pairs) -> np.ndarray:
+    """Hermitian part of <Omega y - x, x - omega y> for forms and batches
+    x, y as _form_eval takes them and the N window pairs (omega, Omega)."""
     shape = (-1,) + (1,) * (x.ndim - 1)
     omega = np.array([p.omega for p in pairs]).reshape(shape)
     Omega = np.array([p.Omega for p in pairs]).reshape(shape)
-    return re_part(_form_eval(form, Omega * y - x, x - omega * y))
+    return re_part(_form_eval(forms, Omega * y - x, x - omega * y))
 
 
 def check_re_condition(
@@ -423,7 +425,7 @@ def check_re_condition(
 ) -> tuple[bool, float]:
     """Check Re <Omega y - x, x - omega y> >= 0; margin is its least eigenvalue."""
     args = (_coerce_argument(form, a)[None] for a in (x, y))
-    m = _re_term(form, *args, [pair])[0]
+    m = _re_term([form], *args, [pair])[0]
     return loewner_leq(np.zeros_like(m), m, tol)
 
 

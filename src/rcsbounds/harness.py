@@ -8,14 +8,13 @@ trials are schedule-independent.
 
 Batch invariant: run_trials draws each trial of a window once, groups the
 drawn trials by the dimension each carries (d, or the sequence length n)
-and passes each group to the id's one evaluator as a batch.  The matrix,
-operator-pair and sequence evaluators work on the whole batch at once
-(stacked kernel calls, row reductions), the functional ones member by
-member; either way each instance is treated on its own, so a trial's
-outcome is also independent of which other trials share its batch.  A
-group that fails a hypothesis is evaluated again member by member from
-the same draws, and run_trial, a batch of one, replays a trial bit for
-bit.
+and passes each group to the id's one evaluator as a batch.  Every
+evaluator works on the whole batch at once (stacked kernel calls and
+form values, row reductions) and treats each instance on its own, so a
+trial's outcome is also independent of which other trials share its
+batch.  A group that fails a hypothesis is evaluated again member by
+member from the same draws, and run_trial, a batch of one, replays a
+trial bit for bit.
 """
 
 from __future__ import annotations

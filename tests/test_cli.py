@@ -60,6 +60,8 @@ def matrix_doc(omega=(2.0, 0.0), Omega=(3.0, 0.0), target="ADD_MATRIX"):
     "name",
     [
         "additive_matrix_diagonal.json",
+        "functional_trace_sharp.json",
+        "gram_tensor_diagonal.json",
         "operator_pair_swap.json",
         "refined_constants_family.json",
     ],

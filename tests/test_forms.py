@@ -60,6 +60,13 @@ def test_vector_state_reduces_to_standard_inner_product():
     assert abs(out[0, 0] - np.vdot(v, u)) <= 1e-12
 
 
+@pytest.mark.parametrize("state", [[np.nan, 0.0], [np.inf, 0.0], [1.0, 1.0]])
+def test_vector_state_rejects_non_unit_states(state):
+    # A NaN norm compares false either way, so it must not pass as unit.
+    with pytest.raises(ValueError, match="unit vector"):
+        PositiveFunctional.vector_state(state)
+
+
 def test_gram_tensor_basis_evaluation():
     blocks = np.zeros((2, 2, 1, 1), dtype=np.complex128)
     blocks[0, 1] = [[1j]]

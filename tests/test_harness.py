@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from rcsbounds import (
+    ADD_FUNCTIONAL,
     ADD_MATRIX,
     HYPOTHESIS_ERRORS,
     INEQUALITY_IDS,
+    MULT_FUNCTIONAL,
     MULT_MATRIX,
     OP_PAIR_ADD,
     OP_PAIR_MULT,
@@ -40,6 +42,7 @@ from rcsbounds import (
     gen_commuting_positive_pair,
     gen_random_unitary,
     gen_re_valid_instance,
+    loewner_leq,
     omega_from_spectra,
     oracle_psd_minors,
     precondition_failed_report,
@@ -273,6 +276,24 @@ def test_solver_failure_in_a_stacked_group_propagates(monkeypatch):
     with pytest.raises(NoConvergenceError):
         fuzz_run(GeneratorConfig(seed=1, trials=40, dims=(2,)), ADD_MATRIX)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("inequality_id", [ADD_FUNCTIONAL, MULT_FUNCTIONAL])
+def test_functional_group_is_one_batch(monkeypatch, inequality_id):
+    # One stacked Re check per dimension group, covering every trial; the
+    # generator's own Re checks go through forms and are not counted.
+    lengths = []
+
+    def counted(a, b, tol):
+        lengths.append(len(b))
+        return loewner_leq(a, b, tol)
+
+    monkeypatch.setattr(bounds, "loewner_leq", counted)
+    config = GeneratorConfig(seed=7, trials=64, dims=(1, 2, 4))
+    reports = run_trials(config, inequality_id, range(config.trials))
+    assert PRECONDITION_FAILED not in {report.verdict for report in reports}
+    assert len(lengths) == len(config.dims)
+    assert sum(lengths) == config.trials
 
 
 @pytest.mark.parametrize("index", [-1, 30, 2**64])

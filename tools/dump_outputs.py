@@ -13,7 +13,10 @@ It imports rcsbounds from the src/ directory next to this script and writes:
 * fuzz/<ID>.json: ``fuzz ID --trials 150 --seed 11 --dims 1 2 4 --json``;
 * compare/default.csv and compare/n1_samples500.csv: ``compare --csv`` at
   the defaults and at ``--n 1 --samples 500``, with the printed summary of
-  each in the matching .txt file.
+  each in the matching .txt file;
+* sharpness/<kind>.json: ``sharpness --json --kind KIND --dim 3`` for each
+  functional kind, and sharpness/complex_window.json: the same for the
+  default kind with ``--omega 1+2j --Omega 3-1j``.
 
 Run it on two checkouts and compare the directories with ``diff -r``: no
 output means every report, summary and row is byte-identical.
@@ -36,6 +39,10 @@ INSTANCES = sorted((ROOT / "docs" / "instances").glob("*.json"))
 TRIALS = 200
 FUZZ_ARGS = ["--trials", "150", "--seed", "11", "--dims", "1", "2", "4", "--json"]
 COMPARE_RUNS = {"default": [], "n1_samples500": ["--n", "1", "--samples", "500"]}
+SHARPNESS_RUNS = {
+    **{kind: ["--kind", kind] for kind in ("vector_state", "trace", "weighted_sum")},
+    "complex_window": ["--omega", "1+2j", "--Omega", "3-1j"],
+}
 
 
 def _cli(argv: list[str]) -> str:
@@ -51,7 +58,7 @@ def main(argv: list[str]) -> int:
         print("usage: dump_outputs.py OUTDIR", file=sys.stderr)
         return 1
     out = Path(argv[0])
-    for sub in ("verify", "run_trial", "fuzz", "compare"):
+    for sub in ("verify", "run_trial", "fuzz", "compare", "sharpness"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     for path in INSTANCES:
         (out / "verify" / f"{path.stem}.json").write_text(_cli(["verify", str(path), "--json"]))
@@ -69,6 +76,9 @@ def main(argv: list[str]) -> int:
         summary = _cli(["compare", *flags, "--csv", str(csv_path)])
         # The summary names the CSV path, which differs between checkouts.
         (out / "compare" / f"{name}.txt").write_text(summary.replace(str(csv_path), "<csv>"))
+    for name, flags in SHARPNESS_RUNS.items():
+        sharpness = _cli(["sharpness", "--json", "--dim", "3", *flags])
+        (out / "sharpness" / f"{name}.json").write_text(sharpness)
     return 0
 
 
