@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -801,19 +801,7 @@ class WeightedSequences:
             raise DimMismatchError("sequences and weights must share one length")
         if a.size < 1:
             raise DimMismatchError("sequences must be nonempty")
-        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)) or not np.all(
-            np.isfinite(w)
-        ):
-            raise ValueError("sequence data must be finite")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        win = self.window
-        slack_a = 1e-12 * max(win.A, 1.0)
-        slack_b = 1e-12 * max(win.B, 1.0)
-        if np.any(a < win.a - slack_a) or np.any(a > win.A + slack_a):
-            raise WindowViolationError("a_seq leaves the window [a, A]")
-        if np.any(b < win.b - slack_b) or np.any(b > win.B + slack_b):
-            raise WindowViolationError("b_seq leaves the window [b, B]")
+        _check_sequences(a[None], b[None], w[None], [self.window])
 
     @property
     def n(self) -> int:
@@ -861,6 +849,36 @@ class WeightedSequences:
             raise ValueError(f"{path}: {exc}") from exc
 
 
+# What WeightedSequences raises for each of its data checks, in order: finite
+# data, positive weights, a_i in [a, A] and b_i in [b, B] up to a slack of
+# 1e-12 * max(A, 1) and 1e-12 * max(B, 1).
+_SEQUENCE_ERRORS = (
+    (ValueError, "sequence data must be finite"),
+    (ValueError, "weights must be strictly positive"),
+    (WindowViolationError, "a_seq leaves the window [a, A]"),
+    (WindowViolationError, "b_seq leaves the window [b, B]"),
+)
+
+
+def _check_sequences(a: np.ndarray, b: np.ndarray, w: np.ndarray, windows: Sequence) -> None:
+    """The data checks of WeightedSequences on (N, n) stacks of a_seq, b_seq,
+    w_seq and their N windows, all rows at once.  The first failing row
+    raises what WeightedSequences raises on that row alone."""
+    lo_a, hi_a, lo_b, hi_b = np.array([(x.a, x.A, x.b, x.B) for x in windows]).T[..., None]
+    slack_a = 1e-12 * np.maximum(hi_a, 1.0)
+    slack_b = 1e-12 * np.maximum(hi_b, 1.0)
+    failed = np.array([  # (check, row), the checks of _SEQUENCE_ERRORS
+        ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(w)),
+        w <= 0.0,
+        (a < lo_a - slack_a) | (a > hi_a + slack_a),
+        (b < lo_b - slack_b) | (b > hi_b + slack_b),
+    ]).any(axis=-1)
+    rows = np.flatnonzero(failed.any(axis=0))
+    if rows.size:
+        error, message = _SEQUENCE_ERRORS[int(np.argmax(failed[:, rows[0]]))]
+        raise error(message)
+
+
 def _weighted_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """(sum w a^2, sum w b^2, sum w a b) over the last axis: for (N, n)
     stacks, three row reductions, each row bit-equal to its 1-D sum."""
@@ -871,8 +889,10 @@ def _sequence_reports(inequality_id: str, row: Callable, batch: tuple, tol: Tole
     """The reports of a sequences id on a "sequences" batch (see
     _Inequality): the weighted sums of every row at once, then
     row(inequality_id, sa2, sb2, sab, window, tol) per instance, in Python
-    floats.  A unit-weights id checks the weights of the whole batch once."""
+    floats.  The data of the whole batch (see _check_sequences) and, for a
+    unit-weights id, its weights are checked once."""
     a, b, w, windows = batch
+    _check_sequences(a, b, w, windows)
     if _REGISTRY[inequality_id].unit_weights and np.any(w != 1.0):
         raise ValueError(f"{inequality_id} requires unit weights (w_i = 1)")
     sums = zip(*(s.tolist() for s in _weighted_sums(a, b, w)))

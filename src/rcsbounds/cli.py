@@ -38,6 +38,7 @@ from .bounds import (
 )
 from .forms import FormInstance, OmegaPair, PositiveFunctional, _coerce_argument
 from .harness import (
+    SPACE_DIMS,
     TRIAL_WINDOW,
     FuzzSummary,
     GeneratorConfig,
@@ -54,7 +55,7 @@ from .matalg import (
     Tolerance,
     as_element,
 )
-from .rng import _check_key, stream
+from .rng import _check_key, stream, streams
 
 __all__ = ["main", "CSV_HEADER"]
 
@@ -397,6 +398,11 @@ def _print_summary(summary: FuzzSummary, as_json: bool) -> None:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     tol = _resolve_tolerance(args)
+    entry = _REGISTRY.get(args.inequality_id)
+    if args.dims is not None and entry is not None and entry.payload == "sequences":
+        raise _UsageError(
+            f"--dims does not apply to {args.inequality_id}: it draws n from {SPACE_DIMS}"
+        )
     try:
         config = GeneratorConfig(
             seed=args.seed,
@@ -486,14 +492,14 @@ def _compare_batches(args: argparse.Namespace):
     """The rows (a_seq, b_seq, w_seq, window) of the constant-comparison
     study as PS_IMPROVED batches, in order.
 
-    Random windows first (one Philox stream per sample index), TRIAL_WINDOW
-    rows at a time so that memory does not grow with --samples, then the
-    three constructed families, so the output is reproducible and
-    schedule-independent.
+    Random windows first (the Philox stream of each sample index, one
+    re-keyed Philox per batch), TRIAL_WINDOW rows at a time so that memory
+    does not grow with --samples, then the three constructed families, so
+    the output is reproducible and schedule-independent.
     """
     for start in range(0, args.samples, TRIAL_WINDOW):
         indices = range(start, min(start + TRIAL_WINDOW, args.samples))
-        yield [_sequence_draw(stream(args.seed, i), args.n, True) for i in indices]
+        yield [_sequence_draw(g, args.n, True) for g in streams(args.seed, indices)]
     yield [(f.a_seq, f.b_seq, f.w_seq, f.window) for _, f in gen_argmin_families(max(2, args.n))]
 
 
@@ -580,7 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("inequality_id", help="inequality to fuzz")
     p_fuzz.add_argument("--trials", type=int, default=1000, help="number of trials")
     p_fuzz.add_argument(
-        "--dims", type=int, nargs="+", default=None, metavar="D", help="matrix dimensions"
+        "--dims", type=int, nargs="+", default=None, metavar="D",
+        help="matrix dimensions d to draw from (default 1 2 4 8); not for the sequence ids",
     )
     p_fuzz.add_argument(
         "--replay", type=int, default=None, metavar="TRIAL", help="re-run one trial index"

@@ -52,7 +52,7 @@ from .matalg import (
     frobenius,
     re_part,
 )
-from .rng import _check_key, stream
+from .rng import _check_key, stream, streams
 
 __all__ = [
     "REJECTION_CAP",
@@ -148,7 +148,11 @@ def gen_bounded_sequences(
     For n >= 4 the first four positions pin the window endpoints so each
     of a, A, b, B is attained.
     """
-    g = _as_rng(rng)
+    return WeightedSequences(*_sequence_arrays(n, window, _as_rng(rng)), window)
+
+
+def _sequence_arrays(n: int, window: ScalarWindow, g: np.random.Generator) -> tuple:
+    """The unchecked (a_seq, b_seq, w_seq) of gen_bounded_sequences, drawn from g."""
     a_seq = g.uniform(window.a, window.A, size=n)
     b_seq = g.uniform(window.b, window.B, size=n)
     w_seq = 1.0 - g.uniform(0.0, 1.0, size=n)
@@ -157,7 +161,7 @@ def gen_bounded_sequences(
         a_seq[1] = window.A
         b_seq[2] = window.b
         b_seq[3] = window.B
-    return WeightedSequences(a_seq, b_seq, w_seq, window)
+    return a_seq, b_seq, w_seq
 
 
 def _random_functional(d: int, g: np.random.Generator) -> PositiveFunctional:
@@ -331,9 +335,9 @@ class FuzzSummary:
 def sample_window(g: np.random.Generator, window_range: tuple[float, float]) -> ScalarWindow:
     """Random scalar window with both intervals inside window_range."""
     lo, hi = window_range
-    a_pair = np.sort(g.uniform(lo, hi, size=2))
-    b_pair = np.sort(g.uniform(lo, hi, size=2))
-    return ScalarWindow(float(a_pair[0]), float(a_pair[1]), float(b_pair[0]), float(b_pair[1]))
+    a_lo, a_hi = sorted(g.uniform(lo, hi, size=2).tolist())
+    b_lo, b_hi = sorted(g.uniform(lo, hi, size=2).tolist())
+    return ScalarWindow(a_lo, a_hi, b_lo, b_hi)
 
 
 def _entry(inequality_id: str) -> _Inequality:
@@ -347,9 +351,11 @@ def _entry(inequality_id: str) -> _Inequality:
 def _sequence_draw(g: np.random.Generator, n: int, unit_weights: bool) -> tuple:
     """Sequences of length n in a random window, drawn from g, as one row
     (a_seq, b_seq, w_seq, window) of a "sequences" batch; every weight 1
-    when unit_weights."""
-    data = gen_bounded_sequences(n, sample_window(g, WINDOW_RANGE), g)
-    return data.a_seq, data.b_seq, np.ones(n) if unit_weights else data.w_seq, data.window
+    when unit_weights.  The row is unchecked: the evaluator checks its
+    whole batch at once."""
+    window = sample_window(g, WINDOW_RANGE)
+    a_seq, b_seq, w_seq = _sequence_arrays(n, window, g)
+    return a_seq, b_seq, np.ones(n) if unit_weights else w_seq, window
 
 
 def _draw(
@@ -364,9 +370,9 @@ def _draw(
     window pairs.  An "operator_pair" row is (t, s, v).
     """
     if entry.payload == "sequences":
-        n = int(g.choice(np.asarray(SPACE_DIMS)))
+        n = int(SPACE_DIMS[g.integers(len(SPACE_DIMS))])
         return n, _sequence_draw(g, n, entry.unit_weights)
-    d = int(g.choice(np.asarray(config.dims)))
+    d = int(config.dims[g.integers(len(config.dims))])
     if entry.payload == "functional_form":
         return d, gen_re_valid_instance("functional", d, g, tol=tol)
     t, s = gen_commuting_positive_pair(d, g)
@@ -441,9 +447,9 @@ def run_trials(
         window = indices[start : start + TRIAL_WINDOW]
         out: list[BoundReport] = [None] * len(window)
         groups: dict[int, list] = {}  # by dimension
-        for k, i in enumerate(window):
+        for k, g in enumerate(streams(config.seed, window)):
             try:
-                dim, row = _draw(config, entry, stream(config.seed, i), tol)
+                dim, row = _draw(config, entry, g, tol)
             except HYPOTHESIS_ERRORS as exc:
                 out[k] = precondition_failed_report(inequality_id, exc)
                 continue

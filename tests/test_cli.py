@@ -378,6 +378,17 @@ def test_fuzz_replay_outside_campaign(capsys, argv):
     assert err.count("\n") == 1 and "trial index" in err
 
 
+@pytest.mark.parametrize(
+    "inequality_id",
+    [i for i in bounds.INEQUALITY_IDS if bounds._REGISTRY[i].payload == "sequences"],
+)
+def test_fuzz_dims_rejected_for_sequence_ids(capsys, inequality_id):
+    # A sequence id draws its length n itself, so --dims would be ignored.
+    code, out, err = run(capsys, "fuzz", inequality_id, "--trials", "5", "--dims", "2")
+    one_line_error(code, out, err, 1)
+    assert err.startswith("rcsbounds: error: --dims does not apply to " + inequality_id)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 @pytest.mark.parametrize(
     "command", [["fuzz", "PS_ADD", "--trials", "5"], ["sharpness"], ["compare", "--samples", "5"]]

@@ -1,15 +1,19 @@
 """Generators, the exact-minor oracle, and the deterministic fuzz loop."""
 
 import importlib
+import json
 
 import numpy as np
 import pytest
 
+import rcsbounds
 from rcsbounds import (
     ADD_FUNCTIONAL,
     ADD_MATRIX,
+    DEFAULT_TOL,
     HYPOTHESIS_ERRORS,
     INEQUALITY_IDS,
+    INT_ADD,
     MULT_FUNCTIONAL,
     MULT_MATRIX,
     OP_PAIR_ADD,
@@ -29,7 +33,9 @@ from rcsbounds import (
     NotPositiveError,
     NotStrictlyPositiveError,
     RejectionCapExceededError,
+    ScalarWindow,
     Tolerance,
+    WeightedSequences,
     WindowCheckError,
     WindowViolationError,
     additive_matrix_bound,
@@ -394,6 +400,112 @@ def test_stream_keys_in_range_are_the_philox_key():
         key = np.array([seed, index], dtype=np.uint64)
         expected = np.random.Generator(np.random.Philox(key=key)).integers(2**62, size=4)
         assert stream(seed, index).integers(2**62, size=4).tolist() == expected.tolist()
+
+
+def _state(g):
+    """Everything that decides a generator's next draws."""
+    state = g.bit_generator.state
+    inner = state["state"]
+    return (
+        inner["counter"].tolist(),
+        inner["key"].tolist(),
+        state["buffer"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_streams_are_bit_equal_to_stream(seed):
+    # One Philox re-keyed per index: each yielded generator draws what a
+    # fresh stream(seed, i) draws, whatever the previous one left in its
+    # buffers (integers(3) leaves half of a 64-bit draw behind).
+    indices = [5, 0, 2**64 - 1, 3, 0, 5]
+    draws = (
+        lambda g: g.standard_normal(3),
+        lambda g: g.uniform(0.1, 10.0, size=3),
+        lambda g: g.integers(2**62, size=3),
+        lambda g: g.integers(3, size=3),
+    )
+    for index, g in zip(indices, rcsbounds.streams(seed, indices)):
+        expected = stream(seed, index)
+        for draw in draws:
+            assert draw(g).tolist() == draw(expected).tolist(), (seed, index)
+        assert _state(g) == _state(expected)
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_streams_reject_keys_as_stream_does(seed, index):
+    with pytest.raises(ValueError) as expected:
+        stream(seed, index)
+    with pytest.raises(ValueError) as raised:
+        list(rcsbounds.streams(seed, [0, index]))
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 4, 8), (4, 8, 16)])
+def test_dimension_index_draw_is_choice(dims):
+    # A trial draws its dimension as dims[g.integers(len(dims))]: the same
+    # value as g.choice(np.asarray(dims)), with the stream left in the same
+    # state, so every later draw of the trial is unchanged.
+    for i in range(1000):
+        by_choice, by_index = stream(17, i), stream(17, i)
+        assert int(by_choice.choice(np.asarray(dims))) == dims[by_index.integers(len(dims))]
+        assert _state(by_choice) == _state(by_index)
+
+
+# Rows (a_seq, b_seq, w_seq) in the window [1, 2] x [0.5, 4], whose slacks
+# are 2e-12 for a and 4e-12 for b.
+SEQUENCE_WINDOW = ScalarWindow(1.0, 2.0, 0.5, 4.0)
+SEQUENCE_ROWS = {
+    "inside": ([1.0, 2.0, 1.5, 1.2], [0.5, 4.0, 1.0, 2.0], [1.0, 0.5, 0.25, 1.0]),
+    "inside_slack": ([1.0, 2.0 + 1e-12, 1.5, 1.2], [0.5 - 3e-12, 4.0, 1.0, 2.0], [1.0] * 4),
+    "beyond_slack_b": ([1.0, 2.0, 1.5, 1.2], [0.5, 4.0 + 8e-12, 1.0, 2.0], [1.0] * 4),
+    "beyond_slack_a": ([1.0 - 4e-12, 2.0, 1.5, 1.2], [0.5, 4.0, 1.0, 2.0], [0.5] * 4),
+    "nan": ([1.0, 2.0, np.nan, 1.2], [0.5, 9.0, 1.0, 2.0], [1.0] * 4),
+    "zero_weight": ([1.0, 2.0, 1.5, 0.5], [0.5, 4.0, 1.0, 2.0], [1.0, 0.0, 1.0, 1.0]),
+}
+
+
+def _lone_error(row):
+    """What WeightedSequences raises on one row, or None."""
+    try:
+        WeightedSequences(*row, SEQUENCE_WINDOW)
+    except (ValueError, WindowViolationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_stacked_sequence_check_raises_as_the_first_failing_row():
+    names = list(SEQUENCE_ROWS)
+    assert [_lone_error(SEQUENCE_ROWS[n]) is None for n in names] == [True, True] + [False] * 4
+    for start in range(len(names)):
+        rows = [SEQUENCE_ROWS[n] for n in names[start:] + names[:start]]
+        expected = next(e for e in map(_lone_error, rows) if e is not None)
+        a, b, w = (np.array(column) for column in zip(*rows))
+        with pytest.raises((ValueError, WindowViolationError)) as raised:
+            bounds._check_sequences(a, b, w, [SEQUENCE_WINDOW] * len(rows))
+        assert (type(raised.value), str(raised.value)) == expected, names[start]
+    inside = [SEQUENCE_ROWS["inside"], SEQUENCE_ROWS["inside_slack"]]
+    bounds._check_sequences(*(np.array(c) for c in zip(*inside)), [SEQUENCE_WINDOW] * 2)
+
+
+def test_out_of_window_row_is_isolated_in_its_group():
+    # The group's stacked check fails on one row: that row gets the report
+    # of its failed hypothesis, the others the reports of their lone
+    # evaluation, bit for bit.
+    names = ["inside", "beyond_slack_a", "inside_slack", "inside"]
+    rows = [(*map(np.array, SEQUENCE_ROWS[n]), SEQUENCE_WINDOW) for n in names]
+    entry = bounds._REGISTRY[INT_ADD]
+    reports = harness._group_reports(INT_ADD, entry, rows, DEFAULT_TOL)
+    for name, row, report in zip(names, rows, reports):
+        try:
+            expected = bounds._evaluate_one(INT_ADD, WeightedSequences(*row), DEFAULT_TOL)
+        except WindowViolationError as exc:
+            expected = precondition_failed_report(INT_ADD, exc)
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict()), name
+    assert [r.verdict for r in reports] == ["HOLDS", PRECONDITION_FAILED, "HOLDS", "HOLDS"]
 
 
 def test_config_validation():

@@ -10,10 +10,14 @@ It imports rcsbounds from the src/ directory next to this script and writes:
   the table for each shipped instance in docs/instances;
 * run_trial/<ID>.jsonl: ``run_trial(GeneratorConfig(seed=0), ID, i).to_dict()``
   for every inequality id and i in 0..199, one JSON line per trial;
-* fuzz/<ID>.json: ``fuzz ID --trials 150 --seed 11 --dims 1 2 4 --json``;
-* compare/default.csv and compare/n1_samples500.csv: ``compare --csv`` at
-  the defaults and at ``--n 1 --samples 500``, with the printed summary of
-  each in the matching .txt file;
+* fuzz/<ID>.json: ``fuzz ID --trials 150 --seed 11 --json``, with
+  ``--dims 1 2 4`` for the ids that draw a matrix dimension;
+* fuzz_full/<ID>.json: ``fuzz ID --seed 12 --json`` at the default 1000
+  trials (full 64-trial windows) for each functional and sequence id;
+* compare/default.csv, compare/n1_samples500.csv and
+  compare/seed5_samples2000.csv: ``compare --csv`` at the defaults, at
+  ``--n 1 --samples 500`` and at ``--seed 5 --samples 2000``, with the
+  printed summary of each in the matching .txt file;
 * sharpness/<kind>.json: ``sharpness --json --kind KIND --dim 3`` for each
   functional kind, and sharpness/complex_window.json: the same for the
   default kind with ``--omega 1+2j --Omega 3-1j``.
@@ -34,11 +38,20 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rcsbounds import INEQUALITY_IDS, GeneratorConfig, cli, run_trial  # noqa: E402
+from rcsbounds.bounds import _REGISTRY  # noqa: E402
 
 INSTANCES = sorted((ROOT / "docs" / "instances").glob("*.json"))
 TRIALS = 200
-FUZZ_ARGS = ["--trials", "150", "--seed", "11", "--dims", "1", "2", "4", "--json"]
-COMPARE_RUNS = {"default": [], "n1_samples500": ["--n", "1", "--samples", "500"]}
+FUZZ_ARGS = ["--trials", "150", "--seed", "11", "--json"]
+# Sequence ids draw their length n themselves and reject --dims.
+DIMS_ARGS = ["--dims", "1", "2", "4"]
+FULL_FUZZ_ARGS = ["--seed", "12", "--json"]
+SCALAR_PAYLOADS = ("functional_form", "sequences")
+COMPARE_RUNS = {
+    "default": [],
+    "n1_samples500": ["--n", "1", "--samples", "500"],
+    "seed5_samples2000": ["--seed", "5", "--samples", "2000"],
+}
 SHARPNESS_RUNS = {
     **{kind: ["--kind", kind] for kind in ("vector_state", "trace", "weighted_sum")},
     "complex_window": ["--omega", "1+2j", "--Omega", "3-1j"],
@@ -58,7 +71,7 @@ def main(argv: list[str]) -> int:
         print("usage: dump_outputs.py OUTDIR", file=sys.stderr)
         return 1
     out = Path(argv[0])
-    for sub in ("verify", "run_trial", "fuzz", "compare", "sharpness"):
+    for sub in ("verify", "run_trial", "fuzz", "fuzz_full", "compare", "sharpness"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     for path in INSTANCES:
         (out / "verify" / f"{path.stem}.json").write_text(_cli(["verify", str(path), "--json"]))
@@ -69,8 +82,13 @@ def main(argv: list[str]) -> int:
             json.dumps(run_trial(config, inequality_id, i).to_dict()) + "\n" for i in range(TRIALS)
         )
         (out / "run_trial" / f"{inequality_id}.jsonl").write_text("".join(lines))
-        fuzz = _cli(["fuzz", inequality_id, *FUZZ_ARGS])
+        payload = _REGISTRY[inequality_id].payload
+        dims = [] if payload == "sequences" else DIMS_ARGS
+        fuzz = _cli(["fuzz", inequality_id, *FUZZ_ARGS, *dims])
         (out / "fuzz" / f"{inequality_id}.json").write_text(fuzz)
+        if payload in SCALAR_PAYLOADS:
+            full = _cli(["fuzz", inequality_id, *FULL_FUZZ_ARGS])
+            (out / "fuzz_full" / f"{inequality_id}.json").write_text(full)
     for name, flags in COMPARE_RUNS.items():
         csv_path = out / "compare" / f"{name}.csv"
         summary = _cli(["compare", *flags, "--csv", str(csv_path)])
