@@ -174,10 +174,10 @@ _REGISTRY = {
         "functional_form", lambda b, tol: _functional_reports(MULT_FUNCTIONAL, *b, tol)
     ),
     OP_PAIR_ADD: _Inequality(
-        "operator_pair", lambda b, tol: [r.additive for r in _operator_pair_results(*b, tol)]
+        "operator_pair", lambda b, tol: _operator_pair_reports(OP_PAIR_ADD, *b, tol)
     ),
     OP_PAIR_MULT: _Inequality(
-        "operator_pair", lambda b, tol: [r.multiplicative for r in _operator_pair_results(*b, tol)]
+        "operator_pair", lambda b, tol: _operator_pair_reports(OP_PAIR_MULT, *b, tol)
     ),
     INT_ADD: _Inequality(
         "sequences", lambda b, tol: _sequence_reports(INT_ADD, _additive_row, b, tol)
@@ -639,28 +639,34 @@ def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairR
     ||Tv||, ||Sv||, <Tv, Sv> and the spectral edges are carried in the
     report details and cross-checked against the functional route.
 
-    additive:
+    additive (the OP_PAIR_ADD report):
         ||Tv||^2 ||Sv||^2 - |<Tv, Sv>|^2
             <= ((Mt Ms - mt ms) / 2)^2
                * min(||Sv||^4 / (Ms ms)^2, ||Tv||^4 / (Mt mt)^2)
-    multiplicative:
+    multiplicative (the OP_PAIR_MULT report):
         ||Tv|| ||Sv|| <= (1/2) (sqrt(mt ms / (Mt Ms)) + sqrt(Mt Ms / (mt ms)))
                          * |<Tv, Sv>|
 
     with m/M the least/greatest eigenvalues of the respective operator.
+    Each report is its id's evaluator on the batch of one, OP_PAIR_ADD
+    first.
     """
-    return _operator_pair_results(*_batch_of_one("operator_pair", (t, s, v)), tol)[0]
+    return OperatorPairResult(
+        *(_evaluate_one(i, (t, s, v), tol) for i in (OP_PAIR_ADD, OP_PAIR_MULT))
+    )
 
 
-def _operator_pair_results(
-    t: np.ndarray, s: np.ndarray, v: np.ndarray, tol: Tolerance
-) -> list[OperatorPairResult]:
-    """operator_pair_bounds for (N, d, d) stacks t, s and nonzero vectors v
-    of shape (N, d).  The spectra, the window checks, the form evaluations
-    and the Re-term checks each run once over the stack, so a result does
-    not depend on the other instances.  Each result carries the
-    functional reports, rescaled by ||v||, cross-checked against the
-    closed forms."""
+def _operator_pair_reports(
+    inequality_id: str, t: np.ndarray, s: np.ndarray, v: np.ndarray, tol: Tolerance
+) -> list[BoundReport]:
+    """OP_PAIR_ADD or OP_PAIR_MULT reports for an "operator_pair" batch (see
+    _Inequality).  Both ids take both spectra and both window checks, ts
+    and st, so they share their hypotheses; OP_PAIR_ADD builds the ts and
+    st additive functional reports and their Re terms, OP_PAIR_MULT the ts
+    multiplicative report and its Re term.  Each spectrum, window check,
+    form evaluation and Re check runs once over the stack, so a report
+    does not depend on the other instances.  The functional sides,
+    rescaled by ||v||, are cross-checked against the closed forms."""
     lo_t, hi_t = spectrum_bounds(t, tol)
     lo_s, hi_s = spectrum_bounds(s, tol)
     pairs_ts = _omega_from_edges(t, s, (lo_t, hi_t), (lo_s, hi_s), tol)
@@ -671,87 +677,75 @@ def _operator_pair_results(
         for vv, nv in zip(v, norms)
     ]
     phi_tt, phi_ss, phi_ts = (_form_eval(forms, a, b)[:, 0, 0] for a, b in ((t, t), (s, s), (t, s)))
-    # The Re terms of the ts and then the st additive reports; the
-    # multiplicative report's Re check is the ts one.
-    re_terms = _re_term(forms * 2, np.vstack((t, s)), np.vstack((s, t)), pairs_ts + pairs_st)
+    if inequality_id == OP_PAIR_ADD:
+        # The Re terms of the ts and then the st reports.
+        re_terms = _re_term(forms * 2, np.vstack((t, s)), np.vstack((s, t)), pairs_ts + pairs_st)
+    else:
+        re_terms = _re_term(forms, t, s, pairs_ts)
     re_ok, re_margin = loewner_leq(np.zeros_like(re_terms), re_terms, tol)
-    results = []
+    reports = []
     for k, (tm, sm, vv, nv) in enumerate(zip(t, s, v, norms)):
         pair_ts, pair_st = pairs_ts[k], pairs_st[k]
         mt, Mt, ms, Ms = float(lo_t[k]), float(hi_t[k]), float(lo_s[k]), float(hi_s[k])
         fxx, fyy, phi_cross = phi_tt.real[k], phi_ss.real[k], complex(phi_ts[k])
-        check_ts, check_st = ((re_ok[j], re_margin[j]) for j in (k, len(v) + k))
-        rep_ts = _functional_report(ADD_FUNCTIONAL, fxx, fyy, phi_cross, pair_ts, check_ts, tol)
-        # phi(s*s), phi(t*t) and phi(t*s) = conj(phi(s*t)): only rhs and
-        # preconditions of the st report are used.
-        rep_st = _functional_report(
-            ADD_FUNCTIONAL, fyy, fxx, phi_cross.conjugate(), pair_st, check_st, tol
-        )
-        rep_mult = _functional_report(MULT_FUNCTIONAL, fxx, fyy, phi_cross, pair_ts, check_ts, tol)
-        add_preconditions = tuple(
-            PreconditionCheck(f"{p.name}_{tag}", p.passed, p.value)
-            for tag, rep in (("ts", rep_ts), ("st", rep_st))
-            for p in rep.preconditions
-        )
-        scale4 = nv**4
-        lhs_add = rep_ts.lhs * scale4
-        rhs_add = min(rep_ts.rhs, rep_st.rhs) * scale4
         tv = tm @ vv
         sv = sm @ vv
         nt2 = float(np.vdot(tv, tv).real)
         ns2 = float(np.vdot(sv, sv).real)
         cross = complex(np.vdot(sv, tv))
-        cf_lhs_add = nt2 * ns2 - abs(cross) ** 2
-        half_gap = (Mt * Ms - mt * ms) / 2.0
-        cf_rhs_add = half_gap**2 * min(ns2**2 / (Ms * ms) ** 2, nt2**2 / (Mt * mt) ** 2)
-        _cross_check("operator pair additive", lhs_add, cf_lhs_add)
-        _cross_check("operator pair additive", rhs_add, cf_rhs_add)
-        additive = _scalar_report(
-            OP_PAIR_ADD,
-            add_preconditions,
-            lhs_add,
-            rhs_add,
-            tol,
-            details={
+        if inequality_id == OP_PAIR_MULT:
+            rep = _functional_report(
+                MULT_FUNCTIONAL, fxx, fyy, phi_cross, pair_ts, (re_ok[k], re_margin[k]), tol
+            )
+            lhs = rep.lhs * nv**2
+            rhs = rep.rhs * nv**2
+            ratio = (mt * ms) / (Mt * Ms)
+            cf_rhs = 0.5 * (math.sqrt(ratio) + math.sqrt(1.0 / ratio)) * abs(cross)
+            cf_lhs = math.sqrt(nt2) * math.sqrt(ns2)
+            _cross_check("operator pair multiplicative", lhs, cf_lhs)
+            _cross_check("operator pair multiplicative", rhs, cf_rhs)
+            preconditions = rep.preconditions
+            details = {"omega": pair_ts.omega, "Omega": pair_ts.Omega}
+            details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs, cross=cross)
+        else:
+            check_ts, check_st = ((re_ok[j], re_margin[j]) for j in (k, len(v) + k))
+            rep_ts = _functional_report(ADD_FUNCTIONAL, fxx, fyy, phi_cross, pair_ts, check_ts, tol)
+            # phi(s*s), phi(t*t) and phi(t*s) = conj(phi(s*t)): only rhs and
+            # preconditions of the st report are used.
+            rep_st = _functional_report(
+                ADD_FUNCTIONAL, fyy, fxx, phi_cross.conjugate(), pair_st, check_st, tol
+            )
+            preconditions = tuple(
+                PreconditionCheck(f"{p.name}_{tag}", p.passed, p.value)
+                for tag, rep in (("ts", rep_ts), ("st", rep_st))
+                for p in rep.preconditions
+            )
+            scale4 = nv**4
+            lhs = rep_ts.lhs * scale4
+            rhs = min(rep_ts.rhs, rep_st.rhs) * scale4
+            cf_lhs = nt2 * ns2 - abs(cross) ** 2
+            half_gap = (Mt * Ms - mt * ms) / 2.0
+            cf_rhs = half_gap**2 * min(ns2**2 / (Ms * ms) ** 2, nt2**2 / (Mt * mt) ** 2)
+            # Both routes form lhs as a difference of two products of size
+            # ||Tv||^2 ||Sv||^2, so they agree to rounding at that size.
+            _cross_check("operator pair additive", lhs, cf_lhs, nt2 * ns2)
+            _cross_check("operator pair additive", rhs, cf_rhs)
+            details = {
                 "omega_ts": pair_ts.omega,
                 "Omega_ts": pair_ts.Omega,
                 "omega_st": pair_st.omega,
                 "Omega_st": pair_st.Omega,
-                "closed_form_lhs": cf_lhs_add,
-                "closed_form_rhs": cf_rhs_add,
-                "norm_tv_sq": nt2,
-                "norm_sv_sq": ns2,
-                "cross": cross,
-            },
-        )
-
-        lhs_mult = rep_mult.lhs * nv**2
-        rhs_mult = rep_mult.rhs * nv**2
-        ratio = (mt * ms) / (Mt * Ms)
-        cf_rhs_mult = 0.5 * (math.sqrt(ratio) + math.sqrt(1.0 / ratio)) * abs(cross)
-        cf_lhs_mult = math.sqrt(nt2) * math.sqrt(ns2)
-        _cross_check("operator pair multiplicative", lhs_mult, cf_lhs_mult)
-        _cross_check("operator pair multiplicative", rhs_mult, cf_rhs_mult)
-        multiplicative = _scalar_report(
-            OP_PAIR_MULT,
-            rep_mult.preconditions,
-            lhs_mult,
-            rhs_mult,
-            tol,
-            details={
-                "omega": pair_ts.omega,
-                "Omega": pair_ts.Omega,
-                "closed_form_lhs": cf_lhs_mult,
-                "closed_form_rhs": cf_rhs_mult,
-                "cross": cross,
-            },
-        )
-        results.append(OperatorPairResult(additive=additive, multiplicative=multiplicative))
-    return results
+            }
+            details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs)
+            details.update(norm_tv_sq=nt2, norm_sv_sq=ns2, cross=cross)
+        reports.append(_scalar_report(inequality_id, preconditions, lhs, rhs, tol, details))
+    return reports
 
 
-def _cross_check(label: str, via_functional: float, closed_form: float) -> None:
-    scale = max(abs(via_functional), abs(closed_form), 1.0)
+def _cross_check(label: str, via_functional: float, closed_form: float, size: float = 1.0) -> None:
+    """Raise KernelError unless the two routes agree to 1e-9 relative of
+    the larger of their results, size (the size of their operands) and 1."""
+    scale = max(abs(via_functional), abs(closed_form), size, 1.0)
     if abs(via_functional - closed_form) > 1e-9 * scale:
         raise KernelError(
             f"{label}: functional route {via_functional!r} disagrees with "

@@ -32,6 +32,7 @@ from .bounds import (
     BoundReport,
     DegenerateSpaceError,
     WeightedSequences,
+    _encode_value,
     _evaluate_one,
     precondition_failed_report,
     sharpness_witness,
@@ -93,12 +94,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(v: float) -> str:
     # A NaN side, margin or check value: a failed hypothesis stopped the evaluation.
     return "not evaluated" if math.isnan(v) else f"{v:.6e}"
-
-
-def _encode_array(arr: np.ndarray) -> list:
-    if arr.ndim == 1:
-        return jsonio.encode_vector(arr)
-    return jsonio.encode_matrix(arr)
 
 
 def _resolve_tolerance(args: argparse.Namespace, file_tol: Optional[dict] = None) -> Tolerance:
@@ -470,8 +465,8 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "ratio": None if degenerate else ratio,
             "deviation": deviation,
-            "x": _encode_array(result.x),
-            "z": _encode_array(result.z),
+            "x": _encode_value(result.x),
+            "z": _encode_value(result.z),
             "report": result.report.to_dict(),
         }
         print(json.dumps(payload))
@@ -534,8 +529,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(CSV_HEADER)
-                for row in rows:
-                    writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+                writer.writerows(rows)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.csv}: {exc}") from exc
     if args.json:

@@ -67,7 +67,7 @@ def decode_vector(obj, path: str = "$") -> np.ndarray:
     )
 
 
-def decode_matrix(obj, path: str = "$", square: bool = True) -> np.ndarray:
+def decode_matrix(obj, path: str = "$") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         _fail(path, "matrix must be a nonempty array of rows")
     rows = []
@@ -81,6 +81,6 @@ def decode_matrix(obj, path: str = "$", square: bool = True) -> np.ndarray:
             _fail(f"{path}[{i}]", f"ragged matrix row (expected {width} entries)")
         rows.append([decode_complex(z, f"{path}[{i}][{j}]") for j, z in enumerate(row)])
     m = np.array(rows, dtype=np.complex128)
-    if square and m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         _fail(path, f"matrix must be square, got shape {m.shape}")
     return m

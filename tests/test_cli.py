@@ -27,7 +27,7 @@ from rcsbounds import (
     sample_window,
 )
 from rcsbounds.harness import WINDOW_RANGE
-from rcsbounds.matalg import NoConvergenceError
+from rcsbounds.matalg import KernelError, NoConvergenceError
 from rcsbounds.rng import stream
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "docs", "instances")
@@ -312,6 +312,47 @@ def test_verify_solver_failure_is_not_a_precondition(capsys, tmp_path, monkeypat
     with pytest.raises(NoConvergenceError):
         cli.main(["verify", write_instance(tmp_path, matrix_doc())])
     assert "PRECONDITION_FAILED" not in capsys.readouterr().out
+
+
+def near_proportional_pair_doc(target):
+    # s = 1.1 t written in decimals, so <Tv, Sv> nearly equals ||Tv|| ||Sv||:
+    # the additive lhs cancels to about 1e-8 of products of size 1e8.
+    def matrix(rows):
+        return [[[entry, 0.0] for entry in row] for row in rows]
+
+    return {
+        "version": "1",
+        "target": target,
+        "operator_pair": {
+            "t": matrix([[228.0, -96.0], [-96.0, 172.0]]),
+            "s": matrix([[250.8, -105.6], [-105.6, 189.2]]),
+            "v": [[0.3, 0.0], [0.7, 0.0]],
+        },
+    }
+
+
+@pytest.mark.parametrize("target", ["OP_PAIR_ADD", "OP_PAIR_MULT"])
+def test_verify_near_proportional_operator_pair(capsys, tmp_path, target):
+    # Both routes agree to rounding at the size of the products they subtract.
+    path = write_instance(tmp_path, near_proportional_pair_doc(target))
+    code, out, _ = run(capsys, "verify", path, "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "HOLDS"
+
+
+@pytest.mark.parametrize("target", ["OP_PAIR_ADD", "OP_PAIR_MULT"])
+def test_verify_perturbed_functional_route_fails_cross_check(
+    capsys, tmp_path, monkeypatch, target
+):
+    original = bounds._functional_report
+
+    def perturbed(inequality_id, fxx, *args):
+        return original(inequality_id, fxx * (1.0 + 1e-6), *args)
+
+    monkeypatch.setattr(bounds, "_functional_report", perturbed)
+    with pytest.raises(KernelError, match="functional route"):
+        cli.main(["verify", write_instance(tmp_path, near_proportional_pair_doc(target))])
+    assert "HOLDS" not in capsys.readouterr().out
 
 
 def test_fuzz_small_run(capsys):

@@ -20,7 +20,11 @@ It imports rcsbounds from the src/ directory next to this script and writes:
   printed summary of each in the matching .txt file;
 * sharpness/<kind>.json: ``sharpness --json --kind KIND --dim 3`` for each
   functional kind, and sharpness/complex_window.json: the same for the
-  default kind with ``--omega 1+2j --Omega 3-1j``.
+  default kind with ``--omega 1+2j --Omega 3-1j``;
+* run_trial_strict/<ID>.jsonl: ``run_trial(GeneratorConfig(seed=4,
+  trials=30, dims=(2,)), ID, i, Tolerance(3e-17, 3e-17)).to_dict()`` for
+  the four matrix-valued ids and i in 0..29, a band below roundoff where
+  some generated instances fail a hypothesis (PRECONDITION_FAILED reports).
 
 Run it on two checkouts and compare the directories with ``diff -r``: no
 output means every report, summary and row is byte-identical.
@@ -37,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rcsbounds import INEQUALITY_IDS, GeneratorConfig, cli, run_trial  # noqa: E402
+from rcsbounds import INEQUALITY_IDS, GeneratorConfig, Tolerance, cli, run_trial  # noqa: E402
 from rcsbounds.bounds import _REGISTRY  # noqa: E402
 
 INSTANCES = sorted((ROOT / "docs" / "instances").glob("*.json"))
@@ -56,6 +60,9 @@ SHARPNESS_RUNS = {
     **{kind: ["--kind", kind] for kind in ("vector_state", "trace", "weighted_sum")},
     "complex_window": ["--omega", "1+2j", "--Omega", "3-1j"],
 }
+STRICT_IDS = ("ADD_MATRIX", "MULT_MATRIX", "OP_PAIR_ADD", "OP_PAIR_MULT")
+STRICT_CONFIG = GeneratorConfig(seed=4, trials=30, dims=(2,))
+STRICT_TOL = Tolerance(3e-17, 3e-17)
 
 
 def _cli(argv: list[str]) -> str:
@@ -71,7 +78,8 @@ def main(argv: list[str]) -> int:
         print("usage: dump_outputs.py OUTDIR", file=sys.stderr)
         return 1
     out = Path(argv[0])
-    for sub in ("verify", "run_trial", "fuzz", "fuzz_full", "compare", "sharpness"):
+    subdirs = ("verify", "run_trial", "fuzz", "fuzz_full", "compare", "sharpness", "run_trial_strict")
+    for sub in subdirs:
         (out / sub).mkdir(parents=True, exist_ok=True)
     for path in INSTANCES:
         (out / "verify" / f"{path.stem}.json").write_text(_cli(["verify", str(path), "--json"]))
@@ -97,6 +105,12 @@ def main(argv: list[str]) -> int:
     for name, flags in SHARPNESS_RUNS.items():
         sharpness = _cli(["sharpness", "--json", "--dim", "3", *flags])
         (out / "sharpness" / f"{name}.json").write_text(sharpness)
+    for inequality_id in STRICT_IDS:
+        lines = (
+            json.dumps(run_trial(STRICT_CONFIG, inequality_id, i, STRICT_TOL).to_dict()) + "\n"
+            for i in range(STRICT_CONFIG.trials)
+        )
+        (out / "run_trial_strict" / f"{inequality_id}.jsonl").write_text("".join(lines))
     return 0
 
 
