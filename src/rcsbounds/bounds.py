@@ -345,9 +345,12 @@ def _scalar_report(
     rhs: float,
     tol: Tolerance,
     details: Optional[dict] = None,
+    size: float = 1.0,
 ) -> BoundReport:
+    """Judge the margin at the larger of |lhs|, |rhs|, size (the size of
+    the operands lhs cancels from) and 1."""
     margin = rhs - lhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
+    scale = max(abs(lhs), abs(rhs), size, 1.0)
     holds = margin >= -tol.band(scale)
     return BoundReport(
         inequality_id=inequality_id,
@@ -648,8 +651,9 @@ def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairR
                          * |<Tv, Sv>|
 
     with m/M the least/greatest eigenvalues of the respective operator.
-    Each report is its id's evaluator on the batch of one, OP_PAIR_ADD
-    first.
+    The additive lhs cancels from products of size ||Tv||^2 ||Sv||^2, so
+    its cross-check and its verdict band are taken at that size.  Each
+    report is its id's evaluator on the batch of one, OP_PAIR_ADD first.
     """
     return OperatorPairResult(
         *(_evaluate_one(i, (t, s, v), tol) for i in (OP_PAIR_ADD, OP_PAIR_MULT))
@@ -705,6 +709,7 @@ def _operator_pair_reports(
             _cross_check("operator pair multiplicative", lhs, cf_lhs)
             _cross_check("operator pair multiplicative", rhs, cf_rhs)
             preconditions = rep.preconditions
+            size = 1.0
             details = {"omega": pair_ts.omega, "Omega": pair_ts.Omega}
             details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs, cross=cross)
         else:
@@ -727,8 +732,10 @@ def _operator_pair_reports(
             half_gap = (Mt * Ms - mt * ms) / 2.0
             cf_rhs = half_gap**2 * min(ns2**2 / (Ms * ms) ** 2, nt2**2 / (Mt * mt) ** 2)
             # Both routes form lhs as a difference of two products of size
-            # ||Tv||^2 ||Sv||^2, so they agree to rounding at that size.
-            _cross_check("operator pair additive", lhs, cf_lhs, nt2 * ns2)
+            # ||Tv||^2 ||Sv||^2, so they agree, and lhs is judged, to
+            # rounding at that size.
+            size = nt2 * ns2
+            _cross_check("operator pair additive", lhs, cf_lhs, size)
             _cross_check("operator pair additive", rhs, cf_rhs)
             details = {
                 "omega_ts": pair_ts.omega,
@@ -738,7 +745,7 @@ def _operator_pair_reports(
             }
             details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs)
             details.update(norm_tv_sq=nt2, norm_sv_sq=ns2, cross=cross)
-        reports.append(_scalar_report(inequality_id, preconditions, lhs, rhs, tol, details))
+        reports.append(_scalar_report(inequality_id, preconditions, lhs, rhs, tol, details, size))
     return reports
 
 

@@ -314,28 +314,44 @@ def test_verify_solver_failure_is_not_a_precondition(capsys, tmp_path, monkeypat
     assert "PRECONDITION_FAILED" not in capsys.readouterr().out
 
 
-def near_proportional_pair_doc(target):
-    # s = 1.1 t written in decimals, so <Tv, Sv> nearly equals ||Tv|| ||Sv||:
-    # the additive lhs cancels to about 1e-8 of products of size 1e8.
-    def matrix(rows):
-        return [[[entry, 0.0] for entry in row] for row in rows]
+def operator_pair_doc(target, t, s, v):
+    def entry(z):
+        return [complex(z).real, complex(z).imag]
 
     return {
         "version": "1",
         "target": target,
         "operator_pair": {
-            "t": matrix([[228.0, -96.0], [-96.0, 172.0]]),
-            "s": matrix([[250.8, -105.6], [-105.6, 189.2]]),
-            "v": [[0.3, 0.0], [0.7, 0.0]],
+            "t": [[entry(z) for z in row] for row in t],
+            "s": [[entry(z) for z in row] for row in s],
+            "v": [entry(z) for z in v],
         },
     }
 
 
+def near_proportional_pair_doc(target):
+    # s = 1.1 t written in decimals, so <Tv, Sv> nearly equals ||Tv|| ||Sv||:
+    # the additive lhs cancels to about 1e-8 of products of size 1e8.
+    t = [[228.0, -96.0], [-96.0, 172.0]]
+    s = [[250.8, -105.6], [-105.6, 189.2]]
+    return operator_pair_doc(target, t, s, [0.3, 0.7])
+
+
 @pytest.mark.parametrize("target", ["OP_PAIR_ADD", "OP_PAIR_MULT"])
-def test_verify_near_proportional_operator_pair(capsys, tmp_path, target):
-    # Both routes agree to rounding at the size of the products they subtract.
-    path = write_instance(tmp_path, near_proportional_pair_doc(target))
-    code, out, _ = run(capsys, "verify", path, "--json")
+@pytest.mark.parametrize(
+    "doc",
+    [
+        near_proportional_pair_doc,
+        # d = 1: lhs = rhs = 0 exactly, and both routes compute lhs as
+        # rounding noise of about 1e-16 of products of size 8e13.
+        lambda target: operator_pair_doc(target, [[1000.3]], [[3000.7]], [1.7 + 0.3j]),
+    ],
+    ids=["near_proportional", "one_dimensional"],
+)
+def test_verify_cancelling_operator_pair_holds(capsys, tmp_path, target, doc):
+    # Both routes agree, and lhs is judged, to rounding at the size of the
+    # products they subtract.
+    code, out, _ = run(capsys, "verify", write_instance(tmp_path, doc(target)), "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "HOLDS"
 
