@@ -40,9 +40,10 @@ from .forms import (
     _adjoint_symmetry,
     _coerce_argument,
     _form_eval,
-    _omega_from_edges,
     _re_term,
     _root_commutation,
+    _spectral_window,
+    _window_pairs,
     form_eval,
 )
 from .matalg import (
@@ -57,7 +58,6 @@ from .matalg import (
     is_normal,
     loewner_leq,
     re_part,
-    spectrum_bounds,
     sqrt_psd,
 )
 
@@ -664,17 +664,19 @@ def _operator_pair_reports(
     inequality_id: str, t: np.ndarray, s: np.ndarray, v: np.ndarray, tol: Tolerance
 ) -> list[BoundReport]:
     """OP_PAIR_ADD or OP_PAIR_MULT reports for an "operator_pair" batch (see
-    _Inequality).  Both ids take both spectra and both window checks, ts
-    and st, so they share their hypotheses; OP_PAIR_ADD builds the ts and
-    st additive functional reports and their Re terms, OP_PAIR_MULT the ts
-    multiplicative report and its Re term.  Each spectrum, window check,
-    form evaluation and Re check runs once over the stack, so a report
-    does not depend on the other instances.  The functional sides,
-    rescaled by ||v||, are cross-checked against the closed forms."""
-    lo_t, hi_t = spectrum_bounds(t, tol)
-    lo_s, hi_s = spectrum_bounds(s, tol)
-    pairs_ts = _omega_from_edges(t, s, (lo_t, hi_t), (lo_s, hi_s), tol)
-    pairs_st = _omega_from_edges(s, t, (lo_s, hi_s), (lo_t, hi_t), tol)
+    _Inequality).  Both ids take the spectra of t and s and check both
+    windows, ts and st, in one joint eigenbasis (forms._spectral_window:
+    one eigendecomposition of t, with a per-slice fallback to each
+    matrix's own spectrum and loewner_leq checks), so they share their
+    hypotheses; OP_PAIR_ADD builds the ts and st additive functional
+    reports and their Re terms, OP_PAIR_MULT the ts multiplicative report
+    and its Re term.  The window, each form evaluation and the Re check
+    run once over the stack, so a report does not depend on the other
+    instances.  The functional sides, rescaled by ||v||, are
+    cross-checked against the closed forms."""
+    lo_t, hi_t, lo_s, hi_s = _spectral_window(t, s, tol, mirrored=True)
+    pairs_ts = _window_pairs(lo_t, hi_t, lo_s, hi_s)
+    pairs_st = _window_pairs(lo_s, hi_s, lo_t, hi_t)
     norms = [float(np.linalg.norm(vv)) for vv in v]
     forms = [
         FormInstance.functional_form(PositiveFunctional.vector_state(vv / nv))

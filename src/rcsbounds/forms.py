@@ -31,9 +31,11 @@ from .matalg import (
     KernelError,
     Tolerance,
     _as_stack,
+    _hermitian_scaled,
     _norms,
     as_element,
     eig_hermitian,
+    eig_hermitian_stack,
     frobenius,
     hermiticity_defect,
     loewner_leq,
@@ -436,48 +438,116 @@ def omega_from_spectra(x, y, tol: Tolerance = DEFAULT_TOL):
     Omega = max sigma(x) / min sigma(y), which satisfy
     omega * y <= x <= Omega * y in the Loewner order.  For (N, d, d)
     stacks x, y, a list of N pairs, raising if any slice fails a check.
+
+    Commuting Hermitian matrices share an eigenbasis, so one
+    decomposition serves both spectra: with U the eigenvectors of x, the
+    diagonals dx, dy of U* x U and U* y U are the spectra of x and y, and
+    by Weyl's inequality x - omega y >= 0 holds up to the band when
+    min_i(dx_i - omega dy_i) - (rx + omega ry) >= -band, where rx, ry are
+    the Frobenius norms of the off-diagonal parts and the band is the one
+    loewner_leq takes; likewise for the Omega side.  A slice whose
+    residuals exceed the band (x with a repeated eigenvalue, such as
+    x = I, or a band below roundoff), or that fails any of these checks,
+    is decided on its own by the per-matrix route instead: both spectra
+    from eig_hermitian and both checks by loewner_leq.  So a slice's pair
+    never depends on the other slices of the stack.
     """
     xm, single = _as_stack(x)
     ym, _ = _as_stack(y)
     if xm.shape != ym.shape:
         raise DimMismatchError(f"shape mismatch {np.shape(x)} vs {np.shape(y)}")
-    pairs = _omega_from_edges(
-        xm, ym, spectrum_bounds(xm, tol), spectrum_bounds(ym, tol), tol
-    )
+    pairs = _window_pairs(*_spectral_window(xm, ym, tol))
     return pairs[0] if single else pairs
 
 
-def _omega_from_edges(
-    xm: np.ndarray,
-    ym: np.ndarray,
-    edges_x: tuple[np.ndarray, np.ndarray],
-    edges_y: tuple[np.ndarray, np.ndarray],
-    tol: Tolerance,
-) -> list[OmegaPair]:
-    """omega_from_spectra for same-shape (N, d, d) stacks whose spectral
-    edges (least, greatest eigenvalue; arrays of shape (N,)) are already
-    known.  One pair per slice; raises if any slice fails a check."""
-    lo_x, hi_x = edges_x
-    lo_y, hi_y = edges_y
+def _window_pairs(lo_x, hi_x, lo_y, hi_y) -> list[OmegaPair]:
+    """The pairs (min sigma(x) / max sigma(y), max sigma(x) / min sigma(y))
+    of spectral edges, arrays of shape (N,)."""
+    return [OmegaPair(complex(lo), complex(hi)) for lo, hi in zip(lo_x / hi_y, hi_x / lo_y)]
+
+
+def _spectral_window(
+    x: np.ndarray, y: np.ndarray, tol: Tolerance, mirrored: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The spectral edges (lo_x, hi_x, lo_y, hi_y), arrays of shape (N,),
+    of same-shape (N, d, d) stacks x and y, checked as omega_from_spectra
+    checks them; raises if any slice fails a check.  mirrored also checks
+    the window of (y, x), as the operator pairs need, in the same basis."""
+    dec = eig_hermitian_stack(x, tol)
+    # y passes the Hermiticity check its own eig_hermitian would make.
+    _hermitian_scaled(y, tol, ("eig_hermitian",))
+    px, py = (_in_basis(dec.eigenvectors, m) for m in (x, y))
+    lo_x, hi_x = px[0].min(axis=1), px[0].max(axis=1)
+    lo_y, hi_y = py[0].min(axis=1), py[0].max(axis=1)
+    # Each window omega * b <= a <= Omega * b as (a, b, omega, Omega).
+    windows = [(px, py, lo_x / hi_y, hi_x / lo_y)]
+    if mirrored:
+        windows.append((py, px, lo_y / hi_x, hi_y / lo_x))
+    # Nonpositive or non-finite edges fail these tests and fall back.
+    with np.errstate(all="ignore"):
+        fast = (lo_x > tol.atol) & (lo_y > tol.atol)
+        for a, b, omega, Omega in windows:
+            fast &= _weyl_leq(_scaled(b, omega), a, tol) & _weyl_leq(a, _scaled(b, Omega), tol)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        lam = dec.eigenvalues[slow]
+        lo_x[slow], hi_x[slow] = lam[:, 0], lam[:, -1]
+        lo_y[slow], hi_y[slow] = spectrum_bounds(y[slow], tol)
     for name, lo in (("x", lo_x), ("y", lo_y)):
         low = lo <= tol.atol
         if np.count_nonzero(low):
             raise NotStrictlyPositiveError(
                 f"{name} must be strictly positive (min eigenvalue {lo[np.argmax(low)]:.6e})"
             )
-    comm = _norms(xm @ ym - ym @ xm)
-    apart = comm > tol.atol + tol.rtol * _norms(xm) * _norms(ym)
+    comm = _norms(x @ y - y @ x)
+    apart = comm > tol.atol + tol.rtol * px[2] * py[2]
     if np.count_nonzero(apart):
         raise NotCommutingError(
             f"inputs do not commute (||[x, y]|| = {comm[np.argmax(apart)]:.6e})"
         )
-    omega = lo_x / hi_y
-    Omega = hi_x / lo_y
-    ok_lo, _ = loewner_leq(omega[:, None, None] * ym, xm, tol)
-    ok_hi, _ = loewner_leq(xm, Omega[:, None, None] * ym, tol)
-    if not (ok_lo.all() and ok_hi.all()):
-        raise WindowCheckError("spectral window failed its Loewner sanity check")
-    return [OmegaPair(omega=complex(lo), Omega=complex(hi)) for lo, hi in zip(omega, Omega)]
+    if slow.size:
+        xs, ys = x[slow], y[slow]
+        stacks = [(xs, ys, lo_x[slow], hi_x[slow], lo_y[slow], hi_y[slow])]
+        if mirrored:
+            stacks.append((ys, xs, lo_y[slow], hi_y[slow], lo_x[slow], hi_x[slow]))
+        for a, b, lo_a, hi_a, lo_b, hi_b in stacks:
+            ok_lo, _ = loewner_leq((lo_a / hi_b)[:, None, None] * b, a, tol)
+            ok_hi, _ = loewner_leq(a, (hi_a / lo_b)[:, None, None] * b, tol)
+            if not (ok_lo.all() and ok_hi.all()):
+                raise WindowCheckError("spectral window failed its Loewner sanity check")
+    return lo_x, hi_x, lo_y, hi_y
+
+
+def _in_basis(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An (N, d, d) stack m seen in the unitary bases u: the real diagonal
+    of u* m u, shape (N, d), the Frobenius norms of its off-diagonal parts
+    and the Frobenius norms of m, shape (N,) each."""
+    rotated = u.conj().swapaxes(1, 2) @ m @ u
+    off = ~np.eye(m.shape[-1], dtype=bool)
+    return (
+        np.diagonal(rotated, axis1=1, axis2=2).real,
+        _norms(np.where(off, rotated, 0.0)),
+        _norms(m),
+    )
+
+
+def _scaled(part: tuple, c: np.ndarray) -> tuple:
+    """An _in_basis triple of the stack c[k] * m[k], for c >= 0 of shape (N,)."""
+    diagonal, residual, norm = part
+    return c[:, None] * diagonal, c * residual, c * norm
+
+
+def _weyl_leq(a: tuple, b: tuple, tol: Tolerance) -> np.ndarray:
+    """Whether a <= b holds within the band loewner_leq takes, decided from
+    the _in_basis triples of a and b in one basis U: with diagonals da, db
+    and off-diagonal residuals ra, rb, Weyl's inequality puts the least
+    eigenvalue of b - a at or above min_i(db_i - da_i) - (ra + rb).  Also
+    requires ra and rb within the band, so that the diagonals are the
+    spectra to within it.  True means a <= b; False means undecided."""
+    (da, ra, na), (db, rb, nb) = a, b
+    band = tol.band(np.maximum(np.maximum(na, nb), 1.0))
+    margin = (db - da).min(axis=1) - (ra + rb)
+    return (margin >= -band) & (np.maximum(ra, rb) <= band)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .forms import (
     FormInstance,
     OmegaPair,
     PositiveFunctional,
-    check_re_condition,
+    _re_term,
     omega_from_spectra,
 )
 from .matalg import (
@@ -229,8 +229,10 @@ def gen_re_valid_instance(
         rho = g.uniform(0.0, 0.9)
         p = p * np.sqrt(rho * radius**2 * fyy / fpp)
         x = lam * y + p
-        ok, _ = check_re_condition(form, x, y, pair, tol)
-        if ok:
+        # check_re_condition on arrays built here: the 1 x 1 Re term holds
+        # when its value is at least -band at the scale max(|value|, 1).
+        re = _re_term([form], x[None], y[None], [pair])[0, 0, 0].real
+        if re >= -tol.band(max(abs(re), 1.0)):
             return form, x, y, pair
     raise RejectionCapExceededError(
         f"no admissible x found in {cap} attempts (kind=functional, d={d})"

@@ -56,9 +56,6 @@ JACOBI_MAX_SWEEPS = 60
 # Floor on the Jacobi rotation denominator, which is zero only for a zero
 # pivot over a zero diagonal gap: there 2 / _TINY times the pivot gives 0.
 _TINY = np.finfo(np.float64).tiny
-# Signs of the closed-form diagonal shift t |h[p, q]| for the p and q rows.
-_SIGNS = np.array([[1.0], [-1.0]])
-_SIGNS.flags.writeable = False
 
 
 class KernelError(Exception):
@@ -250,12 +247,15 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
     steps for odd d, where one index sits out each step.  Each step pairs
     the indices into k = d // 2 disjoint pivots (p, q), p < q, and every
     pivot occurs exactly once per sweep.  A step is four arrays of
-    row-major flat indices into a d x d matrix:
+    row-major flat indices into a d x d matrix, each a run of k-long
+    blocks:
 
-    * diagonal, shape (2, k): the (p, p) entries over the (q, q) entries;
-    * pivots, shape (2, k): the (p, q) entries over the (q, p) entries;
-    * upper, shape (k,): the (p, q) entries;
-    * block, shape (4, k): the (p, p), (p, q), (q, p), (q, q) entries.
+    * diagonal, length 2k: the (p, p) entries, then the (q, q) entries;
+    * pivots, length 2k: the (p, q) entries, then the (q, p) entries;
+    * upper, length k: the (p, q) entries;
+    * block, length 4k: the (p, p), (p, q), (q, p), (q, q) entries.
+
+    They index one matrix, so they serve a stack of any size.
     """
     n = d + d % 2
     players = list(range(n))
@@ -269,25 +269,17 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
         p = np.array([a for a, _ in pairs])
         q = np.array([b for _, b in pairs])
         pp, pq, qp, qq = p * (d + 1), p * d + q, q * d + p, q * (d + 1)
-        step = (np.stack((pp, qq)), np.stack((pq, qp)), pq, np.stack((pp, pq, qp, qq)))
+        step = (
+            np.concatenate((pp, qq)),
+            np.concatenate((pq, qp)),
+            pq,
+            np.concatenate((pp, pq, qp, qq)),
+        )
         for arr in step:
             arr.flags.writeable = False
         steps.append(step)
         players = [players[0], players[-1], *players[1:-1]]
     return tuple(steps)
-
-
-def _stack_steps(d: int, n: int):
-    """The _round_robin index sets of d for every matrix of a row-major
-    (n, d, d) stack, as indices into its flat buffer: each set repeated n
-    times along its last axis, matrix by matrix, with the matrix's offset
-    added.  Shifted one step at a time, so the index arrays never outgrow
-    one step."""
-    steps = _round_robin(d)
-    if n == 1:
-        return steps
-    base = np.repeat(np.arange(n) * (d * d), d // 2)
-    return (tuple(np.tile(idx, n) + base for idx in step) for step in steps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,14 +290,25 @@ def _off_diagonal(d: int) -> np.ndarray:
     return off
 
 
+def _scatter(m: np.ndarray, idx: np.ndarray, values) -> None:
+    """Write values, shape (n, len(idx)) or a scalar, into the row-major
+    entries idx of every matrix of an (n, d, d) stack, in place."""
+    if len(m) == 1:
+        # One matrix: its flat buffer is its row-major entries, and put
+        # is the cheapest scatter.
+        m.put(idx, values)
+    else:
+        m.reshape(len(m), -1)[:, idx] = values
+
+
 def _jacobi_sweep(
     h: np.ndarray, v: np.ndarray, eye: np.ndarray, steps
 ) -> tuple[np.ndarray, np.ndarray]:
     """One parallel-ordering sweep over a stack; returns the new (h, v).
 
     h is an (n, d, d) stack of Hermitian matrices, v their accumulated
-    rotations, eye n identities and steps the _stack_steps of (d, n).
-    Each step zeroes its disjoint pivots (p, q) at once with one block
+    rotations, eye n identities and steps the _round_robin index sets of
+    d.  Each step zeroes its disjoint pivots (p, q) at once with one block
     rotation J per matrix, the identity outside rows and columns p, q and
 
         [[c, -c * w], [c * conj(w), c]],   w = t * u,   c = 1 / sqrt(1 + t^2)
@@ -323,9 +326,11 @@ def _jacobi_sweep(
     Every operation acts on each matrix alone.
     """
     for diagonal, pivots, upper, block in steps:
-        beta = h.take(upper)
-        dg = h.take(diagonal)
-        diff = (dg[0] - dg[1]).real
+        rows = h.reshape(len(h), -1)
+        beta = rows.take(upper, axis=1)
+        dg = rows.take(diagonal, axis=1)
+        k = beta.shape[1]
+        diff = (dg[:, :k] - dg[:, k:]).real
         ab = np.abs(beta)
         den = np.abs(diff) + np.hypot(diff, ab + ab)
         g = np.copysign(2.0 / np.maximum(den, _TINY), diff)
@@ -333,13 +338,14 @@ def _jacobi_sweep(
         c = 1.0 / np.hypot(1.0, t)
         cw = (c * g) * beta
         j = eye.copy()
-        j.put(block, np.concatenate((c, -cw, cw.conj(), c)))
+        _scatter(j, block, np.concatenate((c, -cw, cw.conj(), c), axis=1))
         h = j.conj().swapaxes(1, 2) @ h @ j
         v = v @ j
         # The rotated 2x2 blocks are known in closed form; writing them
         # back keeps the pivots exactly zero and the diagonal exactly real.
-        h.put(diagonal, dg + (t * ab) * _SIGNS)
-        h.put(pivots, 0.0)
+        shift = t * ab
+        _scatter(h, diagonal, dg + np.concatenate((shift, -shift), axis=1))
+        _scatter(h, pivots, 0.0)
     return h, v
 
 
@@ -389,6 +395,7 @@ def eig_hermitian_stack(
             eigenvectors=np.ones((n, 1, 1), dtype=np.complex128),
         )
     off = _off_diagonal(d)
+    steps = _round_robin(d)
     target = JACOBI_REL_TARGET * norm
     eye = np.eye(d, dtype=np.complex128)[None].repeat(n, axis=0)
     # The active matrices and their rotations; a converged matrix is
@@ -417,7 +424,7 @@ def eig_hermitian_stack(
                 f"Jacobi did not converge in {max_sweeps} sweeps (off-diagonal "
                 f"mass {mass[0] / shrink[k]:.3e}, target {target[0] / shrink[k]:.3e})"
             )
-        hs, vs = _jacobi_sweep(hs, vs, eye[: active.size], _stack_steps(d, active.size))
+        hs, vs = _jacobi_sweep(hs, vs, eye[: active.size], steps)
     lam = np.diagonal(out_h, axis1=1, axis2=2).real / shrink[:, None]
     order = np.argsort(lam, axis=1, kind="stable")
     rows = np.arange(n)[:, None]

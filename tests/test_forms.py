@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from rcsbounds import forms
 from rcsbounds.forms import (
     FormInstance,
     NotCommutingError,
     NotStrictlyPositiveError,
     OmegaPair,
     PositiveFunctional,
+    _in_basis,
+    _scaled,
+    _spectral_window,
+    _weyl_leq,
     check_com,
     check_re_condition,
     check_star1,
@@ -16,7 +21,17 @@ from rcsbounds.forms import (
     omega_from_spectra,
     validate_positivity,
 )
-from rcsbounds.matalg import DEFAULT_TOL, DimMismatchError, frobenius, loewner_leq
+from rcsbounds.harness import gen_commuting_positive_pair, gen_random_unitary, oracle_psd_minors
+from rcsbounds.matalg import (
+    DEFAULT_TOL,
+    DimMismatchError,
+    NotHermitianError,
+    eig_hermitian_stack,
+    frobenius,
+    loewner_leq,
+    re_part,
+    spectrum_bounds,
+)
 from rcsbounds.rng import stream
 
 
@@ -217,11 +232,115 @@ def test_omega_from_spectra_rejects_non_strictly_positive():
         omega_from_spectra(np.diag([0.0, 1.0]), np.eye(2))
 
 
+def test_omega_from_spectra_rejects_non_hermitian_y():
+    # y commutes with x and is diagonal in its eigenbasis, but is not Hermitian.
+    with pytest.raises(NotHermitianError):
+        omega_from_spectra(np.diag([1.0, 2.0]), np.diag([1.0 + 1.0j, 2.0]))
+
+
 def test_omega_from_spectra_rejects_non_commuting():
     x = np.array([[2.0, 1.0], [1.0, 2.0]])
     y = np.diag([1.0, 3.0])
     with pytest.raises(NotCommutingError):
         omega_from_spectra(x, y)
+
+
+def per_matrix_pair(x, y):
+    """The window pair from each matrix's own spectrum."""
+    lo_x, hi_x = spectrum_bounds(x)
+    lo_y, hi_y = spectrum_bounds(y)
+    return OmegaPair(complex(lo_x / hi_y), complex(hi_x / lo_y))
+
+
+def rotated(w, diagonal):
+    return re_part((w * np.asarray(diagonal, dtype=float)) @ w.conj().T)
+
+
+def counted_fallbacks(monkeypatch):
+    # Slices that leave the joint eigenbasis take y's spectrum on its own.
+    slices = []
+
+    def counted(m, tol=DEFAULT_TOL):
+        slices.append(len(m))
+        return spectrum_bounds(m, tol)
+
+    monkeypatch.setattr(forms, "spectrum_bounds", counted)
+    return slices
+
+
+def fallback_cases():
+    # x = I and a repeated eigenvalue of x: the eigenbasis of x need not
+    # diagonalize y, so the joint route cannot decide these.  In the last
+    # one the window checks would pass in that basis, but the diagonal of y
+    # there is not its spectrum.
+    w = gen_random_unitary(3, stream(5, 0))
+    return [
+        (np.eye(3), rotated(w, [1.0, 2.0, 3.0])),
+        (rotated(w, [1.0, 1.0, 2.0]), rotated(w, [1.0, 2.0, 2.0])),
+        (rotated(w, [1.0, 1.0, 2.0]), rotated(w, [1.0, 1.001, 2.0])),
+    ]
+
+
+def test_window_fallback_slices_match_per_matrix_route(monkeypatch):
+    slices = counted_fallbacks(monkeypatch)
+    # In their own eigenbasis these pairs are diagonal: the joint route
+    # takes them and agrees exactly.
+    diagonal = [(np.eye(3), np.diag([1.0, 2, 3])), (np.diag([1.0, 1, 2]), np.diag([1.0, 2, 2]))]
+    for x, y in diagonal:
+        assert omega_from_spectra(x, y) == per_matrix_pair(x, y)
+    assert slices == []
+    for x, y in fallback_cases():
+        assert omega_from_spectra(x, y) == per_matrix_pair(x, y)
+    assert slices == [1, 1, 1]
+
+
+def test_window_of_mixed_stack_is_bit_equal_to_lone_calls(monkeypatch):
+    slices = counted_fallbacks(monkeypatch)
+    fast = [gen_commuting_positive_pair(3, stream(6, i)) for i in range(3)]
+    pairs = [fast[0], *fallback_cases(), fast[1], fast[2]]
+    x, y = (np.stack(column) for column in zip(*pairs))
+    assert omega_from_spectra(x, y) == [omega_from_spectra(a, b) for a, b in pairs]
+    for mirrored in (False, True):
+        edges = _spectral_window(x, y, DEFAULT_TOL, mirrored)
+        for k, (a, b) in enumerate(pairs):
+            alone = _spectral_window(a[None], b[None], DEFAULT_TOL, mirrored)
+            assert [e[k].tobytes() for e in edges] == [e[0].tobytes() for e in alone]
+    # Only the fallback slices leave the joint route: all at once in each
+    # of the three stacked calls, one at a time in the lone ones.
+    assert sorted(slices) == [1] * 9 + [3] * 3
+
+
+def test_window_edges_match_eigvalsh(monkeypatch):
+    slices = counted_fallbacks(monkeypatch)
+    for d in range(1, 17):
+        x, y = gen_commuting_positive_pair(d, stream(31, d))
+        edges = _spectral_window(x[None], y[None], DEFAULT_TOL, True)
+        for (lo, hi), m in zip((edges[:2], edges[2:]), (x, y)):
+            lam = np.linalg.eigvalsh(m)
+            band = DEFAULT_TOL.band(frobenius(m))
+            assert abs(lo[0] - lam[0]) <= band and abs(hi[0] - lam[-1]) <= band, d
+    assert slices == []  # distinct spectra: every pair took the joint route
+
+
+def test_window_checks_agree_with_minor_oracle():
+    # omega * y <= x and x <= Omega * y, decided in the eigenbasis of x,
+    # against the cofactor minors of x - omega * y and Omega * y - x, for
+    # windows at, inside and outside the spectral one.
+    decided = 0
+    for d in range(1, 5):
+        for trial in range(20):
+            x, y = gen_commuting_positive_pair(d, stream(41, 100 * d + trial))
+            u = eig_hermitian_stack(x[None]).eigenvectors
+            px, py = _in_basis(u, x[None]), _in_basis(u, y[None])
+            pair = omega_from_spectra(x, y)
+            for f in (1.0 - 1e-3, 1.0, 1.0 + 1e-3):
+                omega, Omega = np.array([pair.omega.real * f]), np.array([pair.Omega.real / f])
+                lower = _weyl_leq(_scaled(py, omega), px, DEFAULT_TOL)[0]
+                upper = _weyl_leq(px, _scaled(py, Omega), DEFAULT_TOL)[0]
+                assert lower == oracle_psd_minors(x - omega[0] * y), (d, trial, f)
+                assert upper == oracle_psd_minors(Omega[0] * y - x), (d, trial, f)
+                decided += lower + upper
+    assert 0 < decided < 2 * 3 * 4 * 20
 
 
 # --- positivity ------------------------------------------------------------

@@ -179,7 +179,7 @@ def test_run_trial_is_pure():
 
 @pytest.mark.parametrize(
     "inequality_id, solves",
-    [(ADD_MATRIX, 7), (MULT_MATRIX, 9), (OP_PAIR_ADD, 8), (OP_PAIR_MULT, 7)],
+    [(ADD_MATRIX, 4), (MULT_MATRIX, 6), (OP_PAIR_ADD, 3), (OP_PAIR_MULT, 2)],
 )
 def test_eigensolves_per_report(monkeypatch, inequality_id, solves):
     # Generator plus evaluator: each spectral decomposition of a report is

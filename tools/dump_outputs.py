@@ -3,6 +3,7 @@
 Usage:
 
     python3 tools/dump_outputs.py OUTDIR
+    python3 tools/dump_outputs.py --compare OLD NEW
 
 It imports rcsbounds from the src/ directory next to this script and writes:
 
@@ -28,13 +29,30 @@ It imports rcsbounds from the src/ directory next to this script and writes:
 
 Run it on two checkouts and compare the directories with ``diff -r``: no
 output means every report, summary and row is byte-identical.
+
+``--compare OLD NEW`` tells a moved last bit from a regression where
+``diff -r`` cannot.  A record is a line of a file (a CSV row, a JSON
+line, or a line of text).  For each file it prints:
+
+* how many records differ byte for byte;
+* how many verdicts changed: a report's ``verdict``, a fuzz summary's
+  ``holds``, ``violated`` or ``precondition_failed`` count, a table's
+  ``verdict:`` line or an ``exit`` line;
+* the largest change of a ``margin`` or ``worst_margin``, relative to
+  max(||lhs||, ||rhs||, 1) over both records (Frobenius norms).
+
+It exits 1 on any verdict change or on a file present on one side only,
+and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,6 +81,9 @@ SHARPNESS_RUNS = {
 STRICT_IDS = ("ADD_MATRIX", "MULT_MATRIX", "OP_PAIR_ADD", "OP_PAIR_MULT")
 STRICT_CONFIG = GeneratorConfig(seed=4, trials=30, dims=(2,))
 STRICT_TOL = Tolerance(3e-17, 3e-17)
+VERDICT_KEYS = ("verdict", "holds", "violated", "precondition_failed")
+VERDICT_PREFIXES = ("verdict:", "exit ")
+MARGIN_KEYS = ("margin", "worst_margin")
 
 
 def _cli(argv: list[str]) -> str:
@@ -73,9 +94,92 @@ def _cli(argv: list[str]) -> str:
     return f"{out.getvalue()}exit {code}\n"
 
 
+def _records(path: Path) -> list[tuple[str, object]]:
+    """Each line of a file with its decoded record: a CSV data row as a
+    dict of its columns, a JSON line as its value, any other line as text."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".csv" and lines:
+        rows = csv.reader(lines)
+        header = next(rows)
+        return [(lines[0], lines[0])] + list(zip(lines[1:], (dict(zip(header, r)) for r in rows)))
+    records = []
+    for line in lines:
+        try:
+            records.append((line, json.loads(line)))
+        except ValueError:
+            records.append((line, line))
+    return records
+
+
+def _verdict(record):
+    """The verdict-bearing part of a record, None if it has none."""
+    if isinstance(record, dict):
+        return tuple(record.get(key) for key in VERDICT_KEYS)
+    if isinstance(record, str) and record.startswith(VERDICT_PREFIXES):
+        return record
+    return None
+
+
+def _size(value) -> float:
+    """Frobenius norm of an encoded value: a number, or nested lists of numbers."""
+    if isinstance(value, list):
+        return math.sqrt(sum(_size(v) ** 2 for v in value))
+    try:
+        return abs(float(value))
+    except (TypeError, ValueError):
+        return 0.0
+
+
+def _margin_change(old, new) -> float:
+    """|new margin - old margin| / max(||lhs||, ||rhs||, 1) over both records;
+    0 for records without a margin, inf for one that is missing (NaN) on one side."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return 0.0
+    for key in MARGIN_KEYS:
+        if key in old and key in new:
+            if old[key] == new[key]:
+                return 0.0
+            try:
+                change = abs(float(new[key]) - float(old[key]))
+            except (TypeError, ValueError):
+                return math.inf
+            sizes = [_size(r.get(side)) for r in (old, new) for side in ("lhs", "rhs")]
+            return change / max(*sizes, 1.0)
+    return 0.0
+
+
+def compare(old: Path, new: Path) -> int:
+    """Print the per-file summary of --compare; 1 on a verdict change or an unmatched file."""
+    names = sorted({p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()})
+    failed = identical = 0
+    for name in names:
+        if not ((old / name).is_file() and (new / name).is_file()):
+            print(f"{name}: only in {old if (old / name).is_file() else new}")
+            failed = 1
+            continue
+        pairs = list(itertools.zip_longest(_records(old / name), _records(new / name)))
+        changed = verdicts = 0
+        worst = 0.0
+        for a, b in pairs:
+            (line_a, rec_a), (line_b, rec_b) = a or (None, None), b or (None, None)
+            changed += line_a != line_b
+            verdicts += _verdict(rec_a) != _verdict(rec_b)
+            worst = max(worst, _margin_change(rec_a, rec_b))
+        identical += not changed
+        failed |= verdicts > 0
+        print(
+            f"{name}: {changed} of {len(pairs)} records changed, {verdicts} verdict changes, "
+            f"largest relative margin change {worst:.3g}"
+        )
+    print(f"{identical} of {len(names)} files byte-identical")
+    return failed
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: dump_outputs.py OUTDIR", file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: dump_outputs.py OUTDIR | --compare OLD NEW", file=sys.stderr)
         return 1
     out = Path(argv[0])
     subdirs = ("verify", "run_trial", "fuzz", "fuzz_full", "compare", "sharpness", "run_trial_strict")
