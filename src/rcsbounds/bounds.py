@@ -666,8 +666,8 @@ def _operator_pair_reports(
     """OP_PAIR_ADD or OP_PAIR_MULT reports for an "operator_pair" batch (see
     _Inequality).  Both ids take the spectra of t and s and check both
     windows, ts and st, in one joint eigenbasis (forms._spectral_window:
-    one eigendecomposition of t, with a per-slice fallback to each
-    matrix's own spectrum and loewner_leq checks), so they share their
+    one eigendecomposition of t, with a per-slice fallback to the
+    spectrum of s on its own and loewner_leq checks), so they share their
     hypotheses; OP_PAIR_ADD builds the ts and st additive functional
     reports and their Re terms, OP_PAIR_MULT the ts multiplicative report
     and its Re term.  The window, each form evaluation and the Re check

@@ -27,6 +27,7 @@ import numpy as np
 from . import jsonio
 from .matalg import (
     DEFAULT_TOL,
+    JACOBI_REL_TARGET,
     DimMismatchError,
     KernelError,
     Tolerance,
@@ -431,6 +432,18 @@ def check_re_condition(
     return loewner_leq(np.zeros_like(m), m, tol)
 
 
+# The joint window reads y's spectral edges off the diagonal of U* y U,
+# within its off-diagonal norm ry of the spectrum.  A slice stays on that
+# route where ry <= _JOINT_REL_RESIDUAL * ||y||_F, a bound relative to y's
+# own norm and so to its scale.  It is 100 times the bound at which y's own
+# Jacobi solve would stop: x's eigenvectors are only as accurate as its
+# solve leaves them, about JACOBI_REL_TARGET * ||x||_F over the gaps of x,
+# which put ry at up to 5e-12 ||y||_F on random pairs with spectra in
+# [0.1, 10] and d <= 16 (0.3% of them above this bound, 17% above
+# JACOBI_REL_TARGET).
+_JOINT_REL_RESIDUAL = 100 * JACOBI_REL_TARGET
+
+
 def omega_from_spectra(x, y, tol: Tolerance = DEFAULT_TOL):
     """Window pair for commuting strictly positive matrices.
 
@@ -441,16 +454,20 @@ def omega_from_spectra(x, y, tol: Tolerance = DEFAULT_TOL):
 
     Commuting Hermitian matrices share an eigenbasis, so one
     decomposition serves both spectra: with U the eigenvectors of x, the
-    diagonals dx, dy of U* x U and U* y U are the spectra of x and y, and
-    by Weyl's inequality x - omega y >= 0 holds up to the band when
-    min_i(dx_i - omega dy_i) - (rx + omega ry) >= -band, where rx, ry are
-    the Frobenius norms of the off-diagonal parts and the band is the one
-    loewner_leq takes; likewise for the Omega side.  A slice whose
-    residuals exceed the band (x with a repeated eigenvalue, such as
-    x = I, or a band below roundoff), or that fails any of these checks,
-    is decided on its own by the per-matrix route instead: both spectra
-    from eig_hermitian and both checks by loewner_leq.  So a slice's pair
-    never depends on the other slices of the stack.
+    spectrum of x comes with U, and the diagonal dy of U* y U is within
+    ry = ||off(U* y U)||_F of the spectrum of y (Weyl's inequality).  By
+    the same inequality, with dx the diagonal of U* x U and rx its
+    off-diagonal norm, x - omega y >= 0 holds up to the band when
+    min_i(dx_i - omega dy_i) - (rx + omega ry) >= -band, the band being the
+    one loewner_leq takes; likewise for the Omega side.  A slice takes
+    this route only when ry <= 1e-12 ||y||_F (_JOINT_REL_RESIDUAL), so
+    that y's edges are that close at any scale.  A slice whose U does not
+    diagonalize y that far (as x with a repeated eigenvalue, such as
+    x = I, can leave it), or that fails any of these checks (as at a band
+    below roundoff), is decided on its own by the per-matrix route
+    instead: the spectrum of y from eig_hermitian and both checks by
+    loewner_leq.  So a slice's pair never depends on the other slices of
+    the stack.
     """
     xm, single = _as_stack(x)
     ym, _ = _as_stack(y)
@@ -477,7 +494,7 @@ def _spectral_window(
     # y passes the Hermiticity check its own eig_hermitian would make.
     _hermitian_scaled(y, tol, ("eig_hermitian",))
     px, py = (_in_basis(dec.eigenvectors, m) for m in (x, y))
-    lo_x, hi_x = px[0].min(axis=1), px[0].max(axis=1)
+    lo_x, hi_x = dec.eigenvalues[:, 0], dec.eigenvalues[:, -1]
     lo_y, hi_y = py[0].min(axis=1), py[0].max(axis=1)
     # Each window omega * b <= a <= Omega * b as (a, b, omega, Omega).
     windows = [(px, py, lo_x / hi_y, hi_x / lo_y)]
@@ -485,13 +502,11 @@ def _spectral_window(
         windows.append((py, px, lo_y / hi_x, hi_y / lo_x))
     # Nonpositive or non-finite edges fail these tests and fall back.
     with np.errstate(all="ignore"):
-        fast = (lo_x > tol.atol) & (lo_y > tol.atol)
+        fast = (py[1] <= _JOINT_REL_RESIDUAL * py[2]) & (lo_x > tol.atol) & (lo_y > tol.atol)
         for a, b, omega, Omega in windows:
             fast &= _weyl_leq(_scaled(b, omega), a, tol) & _weyl_leq(a, _scaled(b, Omega), tol)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        lam = dec.eigenvalues[slow]
-        lo_x[slow], hi_x[slow] = lam[:, 0], lam[:, -1]
         lo_y[slow], hi_y[slow] = spectrum_bounds(y[slow], tol)
     for name, lo in (("x", lo_x), ("y", lo_y)):
         low = lo <= tol.atol

@@ -290,17 +290,6 @@ def _off_diagonal(d: int) -> np.ndarray:
     return off
 
 
-def _scatter(m: np.ndarray, idx: np.ndarray, values) -> None:
-    """Write values, shape (n, len(idx)) or a scalar, into the row-major
-    entries idx of every matrix of an (n, d, d) stack, in place."""
-    if len(m) == 1:
-        # One matrix: its flat buffer is its row-major entries, and put
-        # is the cheapest scatter.
-        m.put(idx, values)
-    else:
-        m.reshape(len(m), -1)[:, idx] = values
-
-
 def _jacobi_sweep(
     h: np.ndarray, v: np.ndarray, eye: np.ndarray, steps
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -338,14 +327,15 @@ def _jacobi_sweep(
         c = 1.0 / np.hypot(1.0, t)
         cw = (c * g) * beta
         j = eye.copy()
-        _scatter(j, block, np.concatenate((c, -cw, cw.conj(), c), axis=1))
+        j.reshape(len(j), -1)[:, block] = np.concatenate((c, -cw, cw.conj(), c), axis=1)
         h = j.conj().swapaxes(1, 2) @ h @ j
         v = v @ j
         # The rotated 2x2 blocks are known in closed form; writing them
         # back keeps the pivots exactly zero and the diagonal exactly real.
         shift = t * ab
-        _scatter(h, diagonal, dg + np.concatenate((shift, -shift), axis=1))
-        _scatter(h, pivots, 0.0)
+        rows = h.reshape(len(h), -1)
+        rows[:, diagonal] = dg + np.concatenate((shift, -shift), axis=1)
+        rows[:, pivots] = 0.0
     return h, v
 
 

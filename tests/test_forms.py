@@ -271,13 +271,17 @@ def counted_fallbacks(monkeypatch):
 def fallback_cases():
     # x = I and a repeated eigenvalue of x: the eigenbasis of x need not
     # diagonalize y, so the joint route cannot decide these.  In the last
-    # one the window checks would pass in that basis, but the diagonal of y
-    # there is not its spectrum.
+    # two the window checks would pass in that basis, but the diagonal of
+    # y there is not its spectrum; in the very last its off-diagonal part
+    # is within the band of a check, since the band is floored at norm 1,
+    # but not within roundoff of y's own norm.
     w = gen_random_unitary(3, stream(5, 0))
+    small = np.array([[2.0, 1e-5, 0.0], [1e-5, 2.0, 0.0], [0.0, 0.0, 2.0]])
     return [
         (np.eye(3), rotated(w, [1.0, 2.0, 3.0])),
         (rotated(w, [1.0, 1.0, 2.0]), rotated(w, [1.0, 2.0, 2.0])),
         (rotated(w, [1.0, 1.0, 2.0]), rotated(w, [1.0, 1.001, 2.0])),
+        (1e-4 * np.eye(3), 1e-4 * small),
     ]
 
 
@@ -291,7 +295,7 @@ def test_window_fallback_slices_match_per_matrix_route(monkeypatch):
     assert slices == []
     for x, y in fallback_cases():
         assert omega_from_spectra(x, y) == per_matrix_pair(x, y)
-    assert slices == [1, 1, 1]
+    assert slices == [1, 1, 1, 1]
 
 
 def test_window_of_mixed_stack_is_bit_equal_to_lone_calls(monkeypatch):
@@ -307,7 +311,7 @@ def test_window_of_mixed_stack_is_bit_equal_to_lone_calls(monkeypatch):
             assert [e[k].tobytes() for e in edges] == [e[0].tobytes() for e in alone]
     # Only the fallback slices leave the joint route: all at once in each
     # of the three stacked calls, one at a time in the lone ones.
-    assert sorted(slices) == [1] * 9 + [3] * 3
+    assert sorted(slices) == [1] * 12 + [4] * 3
 
 
 def test_window_edges_match_eigvalsh(monkeypatch):
