@@ -53,8 +53,10 @@ from .matalg import (
     NotHermitianError,
     NotPositiveError,
     Tolerance,
+    _psd_root,
     abs_element,
     as_element,
+    eig_hermitian_stack,
     is_normal,
     loewner_leq,
     re_part,
@@ -415,7 +417,12 @@ def _matrix_reports(
     """ADD_MATRIX or MULT_MATRIX reports for a "form" batch (see
     _Inequality).  Each form evaluation, square root, Re-term check,
     absolute value and Loewner margin is one call over the batch, so a
-    report does not depend on the other instances."""
+    report does not depend on the other instances.
+
+    The first eigensolve of a report (<y, y> for ADD_MATRIX, <x, x> for
+    MULT_MATRIX) starts cold; every later one starts in its eigenvectors,
+    which diagonalize all of them when x and y commute (see matalg).  The
+    basis lives only within this call."""
     if inequality_id == MULT_MATRIX:
         coeffs = [
             (abs(p.Omega) + abs(p.omega)) / math.sqrt(_positive_re_cross(p)) for p in pairs
@@ -424,21 +431,24 @@ def _matrix_reports(
     re_term = _re_term(forms, x, y, pairs)
     s_ok, s_dev = _adjoint_symmetry(xy, yx, tol)
     if inequality_id == ADD_MATRIX:
-        root = sqrt_psd(yy, tol)
+        dec = eig_hermitian_stack(yy, tol)
+        root = _psd_root(dec, tol)
         name = "root_commutation"
         ok, value = _root_commutation(root, xy, tol)
         lhs = re_part(root @ xx @ root - xy @ yx)
         quarter_spread = np.array([0.25 * p.spread() ** 2 for p in pairs])
         rhs = re_part(quarter_spread[:, None, None] * (yy @ yy))
     else:
-        root_x = sqrt_psd(xx, tol)
-        root_y = sqrt_psd(yy, tol)
+        dec = eig_hermitian_stack(xx, tol)
+        root_x = _psd_root(dec, tol)
+        root_y = sqrt_psd(yy, tol, start=dec.eigenvectors)
         name = "cross_term_normal"
         ok, value = is_normal(xy, tol)
         lhs = re_part(root_x @ root_y + root_y @ root_x)
-        rhs = re_part(np.array(coeffs)[:, None, None] * abs_element(xy, tol))
-    r_ok, r_margin = loewner_leq(np.zeros_like(re_term), re_term, tol)
-    holds, margin = loewner_leq(lhs, rhs, tol)
+        absolute = abs_element(xy, tol, start=dec.eigenvectors)
+        rhs = re_part(np.array(coeffs)[:, None, None] * absolute)
+    r_ok, r_margin = loewner_leq(np.zeros_like(re_term), re_term, tol, start=dec.eigenvectors)
+    holds, margin = loewner_leq(lhs, rhs, tol, start=dec.eigenvectors)
     reports = []
     for k, pair in enumerate(pairs):
         preconditions = (

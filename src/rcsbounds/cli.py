@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -564,6 +565,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, seed: bool = True) -> Non
     )
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every main() call of a process.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rcsbounds",

@@ -118,26 +118,50 @@ class GeneratorConfig:
             raise ValueError("dims must be a nonempty tuple of values in 1..16")
 
 
+def _gaussian(d: int, g: np.random.Generator) -> np.ndarray:
+    """A d x d standard complex Gaussian matrix drawn from g."""
+    return (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / np.sqrt(2.0)
+
+
+def _unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from an (N, d, d) stack of complex
+    Gaussians: one stacked QR, with the phases of R's diagonal moved into
+    Q so that the distribution is Haar."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    phases = np.where(np.abs(diag) > 0.0, diag / np.abs(diag), 1.0)
+    return q * phases[:, None, :]
+
+
 def gen_random_unitary(d: int, rng: RngLike = 0) -> np.ndarray:
     """Haar-distributed d x d unitary via QR of a complex Gaussian matrix."""
-    g = _as_rng(rng)
-    z = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    phases = np.where(np.abs(diag) > 0.0, diag / np.abs(diag), 1.0)
-    return q * phases
+    return _unitaries(_gaussian(d, _as_rng(rng))[None])[0]
+
+
+def _pair_draw(d: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws from g behind one commuting positive pair of dimension
+    d, in this order: the Gaussian of its eigenbasis and its two spectra."""
+    z = _gaussian(d, g)
+    return z, g.uniform(*SPECTRUM_RANGE, size=d), g.uniform(*SPECTRUM_RANGE, size=d)
+
+
+def _commuting_pairs(
+    z: np.ndarray, lam_t: np.ndarray, lam_s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The commuting pairs t = U diag(lam_t) U*, s = U diag(lam_s) U*,
+    U = _unitaries(z), from stacked _pair_draw draws: (N, d, d) Gaussians
+    and (N, d) spectra.  Every operation is stacked and acts on each
+    slice alone, so slice k equals the pair built from draw k alone."""
+    u = _unitaries(z)
+    uh = u.conj().swapaxes(1, 2)
+    return re_part((u * lam_t[:, None, :]) @ uh), re_part((u * lam_s[:, None, :]) @ uh)
 
 
 def gen_commuting_positive_pair(d: int, rng: RngLike = 0) -> tuple[np.ndarray, np.ndarray]:
     """Commuting strictly positive pair sharing a random eigenbasis, with
-    eigenvalues in SPECTRUM_RANGE."""
-    g = _as_rng(rng)
-    u = gen_random_unitary(d, g)
-    lam_t = g.uniform(*SPECTRUM_RANGE, size=d)
-    lam_s = g.uniform(*SPECTRUM_RANGE, size=d)
-    t = re_part((u * lam_t) @ u.conj().T)
-    s = re_part((u * lam_s) @ u.conj().T)
-    return t, s
+    eigenvalues in SPECTRUM_RANGE: the pair of one _pair_draw."""
+    t, s = _commuting_pairs(*(a[None] for a in _pair_draw(d, _as_rng(rng))))
+    return t[0], s[0]
 
 
 def gen_bounded_sequences(
@@ -367,9 +391,10 @@ def _draw(
     from the trial's stream g: its dimension (d, or the sequence length n)
     and its row of the evaluator's batch.
 
-    A "form" row is (t, s), the commuting strictly positive pair that is x
-    and y of gen_re_valid_instance("module"); _batch adds the form and the
-    window pairs.  An "operator_pair" row is (t, s, v).
+    A "form" row is the _pair_draw of the commuting strictly positive
+    pair (t, s) that is x and y of gen_re_valid_instance("module"); _batch
+    builds the pairs and adds the form and the window pairs.  An
+    "operator_pair" row is that _pair_draw followed by the vector v.
     """
     if entry.payload == "sequences":
         n = int(SPACE_DIMS[g.integers(len(SPACE_DIMS))])
@@ -377,23 +402,27 @@ def _draw(
     d = int(config.dims[g.integers(len(config.dims))])
     if entry.payload == "functional_form":
         return d, gen_re_valid_instance("functional", d, g, tol=tol)
-    t, s = gen_commuting_positive_pair(d, g)
+    pair = _pair_draw(d, g)
     if entry.payload == "form":
-        return d, (t, s)
+        return d, pair
     v = g.standard_normal(d) + 1j * g.standard_normal(d)
     while np.linalg.norm(v) < 1e-6:
         v = g.standard_normal(d) + 1j * g.standard_normal(d)
-    return d, (t, s, v)
+    return d, (*pair, v)
 
 
 def _batch(entry: _Inequality, rows: Sequence, tol: Tolerance) -> list:
     """The evaluator's batch of drawn rows of one dimension: each column
     stacked into one array, or a list of its forms, windows or pairs.  A
-    "form" batch gets its module form and the window pairs of its stacks."""
+    "form" or "operator_pair" batch builds its commuting pairs from their
+    stacked draws at once; a "form" batch also gets its module form and
+    the window pairs of its stacks."""
     columns = [np.stack(c) if isinstance(c[0], np.ndarray) else list(c) for c in zip(*rows)]
-    if entry.payload != "form":
+    if entry.payload not in ("form", "operator_pair"):
         return columns
-    x, y = columns
+    x, y = _commuting_pairs(*columns[:3])
+    if entry.payload == "operator_pair":
+        return [x, y, columns[3]]
     return [[FormInstance.module_form(x.shape[-1])] * len(x), x, y, omega_from_spectra(x, y, tol)]
 
 

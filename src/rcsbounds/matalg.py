@@ -13,6 +13,18 @@ eigensolver behind all of them.  Batch invariant: every slice is scaled,
 checked, iterated and stopped on its own, so slice k of a stacked result
 is bit-equal to the result for that matrix alone, whatever its
 batch-mates.
+
+Start basis: eig_hermitian_stack, and sqrt_psd, abs_element and
+loewner_leq through it, can begin the Jacobi iteration of each slice in a
+given unitary basis B instead of the identity, that is on B* h B with B
+as the accumulated rotations.  A similarity changes no eigenvalue, and
+the stopping rule is unchanged (off-diagonal mass at most
+JACOBI_REL_TARGET times the norm of the input), so by Weyl's inequality a
+started solve is as accurate as a cold one; when B nearly diagonalizes
+the input, Jacobi's quadratic convergence makes that a fraction of one
+sweep.  A start basis only saves sweeps and carries no meaning of its
+own, so a caller keeps it within one computation: bounds starts the
+later solves of one report in the eigenvectors of its first.
 """
 
 from __future__ import annotations
@@ -52,6 +64,9 @@ MAX_DIM = 16
 # to the Frobenius norm of the input, and the hard sweep cap.
 JACOBI_REL_TARGET = 1e-14
 JACOBI_MAX_SWEEPS = 60
+
+# Largest Frobenius defect ||B* B - I|| of a Jacobi start basis B.
+START_UNITARY_TOL = 1e-12
 
 # Floor on the Jacobi rotation denominator, which is zero only for a zero
 # pivot over a zero diagonal gap: there 2 / _TINY times the pivot gives 0.
@@ -343,6 +358,8 @@ def eig_hermitian_stack(
     a,
     tol: Tolerance = DEFAULT_TOL,
     max_sweeps: int = JACOBI_MAX_SWEEPS,
+    *,
+    start=None,
 ) -> SpectralDecomposition:
     """Eigendecompositions of a stack of Hermitian matrices, shape (N, d, d).
 
@@ -356,6 +373,14 @@ def eig_hermitian_stack(
     JACOBI_REL_TARGET times its own Frobenius norm, so slice k of the
     result is bit-equal to the decomposition of a[k] alone.
 
+    With a start basis B (one unitary per slice), the iteration on h
+    begins at B* h B, symmetrized, with B as the accumulated rotations.
+    The similarity leaves the spectrum as it is, so the unchanged stopping
+    rule (measured against the norm of h itself) bounds the error of the
+    diagonal by Weyl's inequality exactly as in a solve from the identity;
+    only the number of sweeps depends on B, close to none when B nearly
+    diagonalizes h.  Without a start the iteration begins at h itself.
+
     Parameters
     ----------
     a : array_like, shape (N, d, d)
@@ -364,6 +389,11 @@ def eig_hermitian_stack(
         Band for the Hermiticity precondition, checked slice by slice.
     max_sweeps : int
         Hard cap on full sweeps per matrix; NoConvergenceError beyond it.
+    start : array_like, shape (N, d, d), optional
+        Unitary start bases, for example the eigenvectors of a commuting
+        matrix.  KernelError for a slice that is not unitary to
+        START_UNITARY_TOL (Frobenius norm of B* B - I), which would change
+        the spectrum.
 
     Returns
     -------
@@ -379,6 +409,8 @@ def eig_hermitian_stack(
     # norms clear of overflow and subnormals at any input scale.
     h, shrink, norm = _hermitian_scaled(_validated(m), tol, ("eig_hermitian",))
     n, d, _ = h.shape
+    if start is not None:
+        start = _unitary_start(start, h.shape)
     if d == 1:
         return SpectralDecomposition(
             eigenvalues=h[:, 0, :].real / shrink[:, None],
@@ -391,6 +423,10 @@ def eig_hermitian_stack(
     # The active matrices and their rotations; a converged matrix is
     # copied out and dropped, so no later sweep touches it.
     active, hs, vs = np.arange(n), h, eye
+    if start is not None:
+        hs = _adjoint(start) @ h @ start
+        hs = (hs + _adjoint(hs)) / 2.0
+        vs = start
     out_h = out_v = None
     for sweeps in range(max_sweeps + 1):
         mass = _root_sumsq(hs.reshape(-1, d * d).take(off, axis=1))
@@ -424,6 +460,21 @@ def eig_hermitian_stack(
     )
 
 
+def _unitary_start(start, shape: tuple[int, ...]) -> np.ndarray:
+    """The start bases of eig_hermitian_stack as a stack of the given
+    shape; KernelError for a slice not unitary to START_UNITARY_TOL."""
+    b = np.ascontiguousarray(start, dtype=np.complex128)
+    if b.shape != shape:
+        raise DimMismatchError(f"start shape {b.shape} does not match {shape}")
+    defect = _norms(_adjoint(b) @ b - np.eye(shape[-1]))
+    # A NaN defect (non-finite start) fails the comparison too.
+    bad = ~(defect <= START_UNITARY_TOL)
+    if np.count_nonzero(bad):
+        k = int(np.argmax(bad))
+        raise KernelError(f"start basis {k} is not unitary (defect {defect[k]:.3e})")
+    return b
+
+
 def eig_hermitian(
     a,
     tol: Tolerance = DEFAULT_TOL,
@@ -453,14 +504,28 @@ def eig_hermitian(
     return SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
 
 
-def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def _started(start, single: bool):
+    """A start basis given with a single matrix as a stack of one, as
+    _as_stack gives the matrix; None and stacks as they are."""
+    return np.asarray(start)[None] if single and start is not None else start
+
+
+def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL, *, start=None) -> np.ndarray:
     """Positive semidefinite square root, slice by slice for a stack.
 
     Eigenvalues in [-band, 0), band = atol + rtol * max|eigenvalue|, are
     clamped to zero; anything below the band raises NotPositiveError.
+    start is the eigensolver's start basis (see eig_hermitian_stack),
+    shaped like a.
     """
     m, single = _as_stack(a)
-    dec = eig_hermitian_stack(m, tol)
+    root = _psd_root(eig_hermitian_stack(m, tol, start=_started(start, single)), tol)
+    return root[0] if single else root
+
+
+def _psd_root(dec: SpectralDecomposition, tol: Tolerance) -> np.ndarray:
+    """The square roots of sqrt_psd from a stack's decomposition: the
+    clamp of eigenvalues in [-band, 0) to zero, NotPositiveError below."""
     lam = dec.eigenvalues
     band = tol.band(np.max(np.abs(lam), axis=1))
     low = lam[:, 0] < -band
@@ -472,14 +537,15 @@ def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     clamped = np.where(lam < 0.0, 0.0, lam)
     v = dec.eigenvectors
     root = (v * np.sqrt(clamped)[:, None, :]) @ _adjoint(v)
-    root = (root + _adjoint(root)) / 2.0
-    return root[0] if single else root
+    return (root + _adjoint(root)) / 2.0
 
 
-def abs_element(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Absolute value |a| = (a* a)^(1/2) for an arbitrary square matrix or a stack."""
+def abs_element(a, tol: Tolerance = DEFAULT_TOL, *, start=None) -> np.ndarray:
+    """Absolute value |a| = (a* a)^(1/2) for an arbitrary square matrix or a stack.
+
+    start is the start basis of the square root's eigensolve, shaped like a."""
     m, single = _as_stack(a)
-    root = sqrt_psd(_adjoint(m) @ m, tol)
+    root = sqrt_psd(_adjoint(m) @ m, tol, start=_started(start, single))
     return root[0] if single else root
 
 
@@ -494,12 +560,13 @@ def spectrum_bounds(a, tol: Tolerance = DEFAULT_TOL):
     return lam[:, 0], lam[:, -1]
 
 
-def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL):
+def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL, *, start=None):
     """Test a <= b in the Loewner order.
 
     Returns (verdict, margin) with margin = min eig(b - a).  The verdict
     is margin >= -(atol + rtol * scale), scale = max(||a||_F, ||b||_F, 1).
-    For stacks, a boolean and a float array of shape (N,).
+    For stacks, a boolean and a float array of shape (N,).  start is the
+    start basis of the eigensolve of b - a, shaped like a.
     """
     ma, single = _as_stack(a)
     mb, _ = _as_stack(b)
@@ -511,7 +578,8 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL):
     )
     h /= shrink[:, None, None]
     norm /= shrink
-    margin = eig_hermitian_stack(h[n:] - h[:n], tol).eigenvalues[:, 0]
+    start = _started(start, single)
+    margin = eig_hermitian_stack(h[n:] - h[:n], tol, start=start).eigenvalues[:, 0]
     scale = np.maximum(np.maximum(norm[:n], norm[n:]), 1.0)
     holds = margin >= -tol.band(scale)
     if single:

@@ -19,8 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcsbounds import (
+    GeneratorConfig,
     bounds,
     cli,
+    fuzz_run,
     gen_argmin_families,
     gen_bounded_sequences,
     polya_szego_improved,
@@ -410,6 +412,18 @@ def test_fuzz_replay_matches_summary(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["margin"] == summary["worst_margin"]
+
+
+def test_consecutive_main_calls_share_no_state(capsys):
+    # One parser serves every main() call of a process; the flags of one
+    # call do not carry over to the next.
+    assert cli._build_parser() is cli._build_parser()
+    for dims in ((2,), None, (2,)):
+        flags = [] if dims is None else ["--dims", *map(str, dims)]
+        code, out, _ = run(capsys, "fuzz", "ADD_MATRIX", "--trials", "20", "--json", *flags)
+        assert code == 0
+        config = GeneratorConfig(trials=20, dims=dims or GeneratorConfig.dims)
+        assert json.loads(out) == fuzz_run(config, "ADD_MATRIX").to_dict()
 
 
 def test_fuzz_unknown_id(capsys):

@@ -56,7 +56,7 @@ from rcsbounds import (
     run_trials,
     sample_window,
 )
-from rcsbounds import bounds, harness
+from rcsbounds import bounds, harness, matalg
 from rcsbounds.harness import TRIAL_WINDOW
 from rcsbounds.rng import stream
 
@@ -204,6 +204,41 @@ def test_eigensolves_per_report(monkeypatch, inequality_id, solves):
         assert sum(calls) == solves, f"trial {i}"
 
 
+@pytest.mark.parametrize(
+    "inequality_id, sweeps",
+    [(ADD_MATRIX, [11, 12, 10, 0, 3, 8, 3, 0]), (MULT_MATRIX, [11, 11, 10, 0, 3, 8, 3, 0])],
+)
+def test_jacobi_sweeps_per_report(monkeypatch, inequality_id, sweeps):
+    # The window's eigensolve and the evaluator's first start cold; every
+    # later solve of the report starts in the eigenvectors of the
+    # evaluator's first, which diagonalize a commuting pair's matrices,
+    # and takes at most one sweep.  Every sweep of every matrix is counted.
+    solves = []
+    original_stack, original_sweep = eig_hermitian_stack, matalg._jacobi_sweep
+
+    def counted_stack(a, *args, start=None, **kwargs):
+        solves.append([start is not None, 0])
+        return original_stack(a, *args, start=start, **kwargs)
+
+    def counted_sweep(h, *args):
+        solves[-1][1] += len(h)
+        return original_sweep(h, *args)
+
+    for name in ("", ".matalg", ".forms", ".bounds", ".harness", ".cli"):
+        module = importlib.import_module(f"rcsbounds{name}")
+        if getattr(module, "eig_hermitian_stack", None) is original_stack:
+            monkeypatch.setattr(module, "eig_hermitian_stack", counted_stack)
+    monkeypatch.setattr(matalg, "_jacobi_sweep", counted_sweep)
+    config = GeneratorConfig(seed=3, trials=8, dims=(1, 2, 4, 8))
+    started = 2 if inequality_id == ADD_MATRIX else 4
+    for i in range(config.trials):
+        solves.clear()
+        assert run_trial(config, inequality_id, i).verdict == "HOLDS"
+        assert [s for s, _ in solves] == [False, False] + [True] * started, f"trial {i}"
+        assert all(n <= 1 for s, n in solves if s), f"trial {i}"
+        assert sum(n for _, n in solves) == sweeps[i], f"trial {i}"
+
+
 @pytest.mark.parametrize("inequality_id", sorted(INEQUALITY_IDS))
 def test_campaign_margins_equal_replays(inequality_id):
     # Batch invariant: in a campaign, trials of one dimension are one batch
@@ -256,12 +291,13 @@ def test_failed_window_rerun_matches_replays():
 def test_each_trial_is_drawn_once(monkeypatch):
     # A window whose stacked groups fail a hypothesis draws no trial again.
     calls = []
+    original = harness._pair_draw
 
     def counted(d, rng):
         calls.append(d)
-        return gen_commuting_positive_pair(d, rng)
+        return original(d, rng)
 
-    monkeypatch.setattr(harness, "gen_commuting_positive_pair", counted)
+    monkeypatch.setattr(harness, "_pair_draw", counted)
     tol = Tolerance(rtol=3e-17, atol=3e-17)
     config = GeneratorConfig(seed=4, trials=30, dims=(2,))
     reports = run_trials(config, ADD_MATRIX, range(config.trials), tol)

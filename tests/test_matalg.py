@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcsbounds.harness import gen_random_unitary
+from rcsbounds.harness import gen_random_unitary, oracle_psd_minors
 from rcsbounds.matalg import (
     DEFAULT_TOL,
     JACOBI_MAX_SWEEPS,
     MAX_DIM,
     DimMismatchError,
+    KernelError,
     NoConvergenceError,
     NotHermitianError,
     NotPositiveError,
@@ -354,6 +355,87 @@ def test_eig_stack_slices_equal_single_calls_every_dim():
         np.testing.assert_array_equal(shuffled.eigenvectors, dec.eigenvectors[order])
         part = eig_hermitian_stack(stack[1:4])
         np.testing.assert_array_equal(part.eigenvalues, dec.eigenvalues[1:4])
+        # Started slices too: a slice's own eigenvectors leave it nearly
+        # nothing to do, a Haar-random basis a full solve.
+        own = dec.eigenvectors
+        starts = np.stack([own[k] if k % 2 else gen_random_unitary(d, g) for k in range(6)])
+        started = eig_hermitian_stack(stack, start=starts)
+        for k in range(6):
+            alone = eig_hermitian_stack(stack[k : k + 1], start=starts[k : k + 1])
+            np.testing.assert_array_equal(started.eigenvalues[k], alone.eigenvalues[0])
+            np.testing.assert_array_equal(started.eigenvectors[k], alone.eigenvectors[0])
+
+
+def test_identity_start_equals_cold_solve():
+    for d in range(1, MAX_DIM + 1):
+        g = stream(860, d)
+        kinds = ("repeated", "graded", "clustered")
+        stack = np.stack([adversarial_hermitian(kind, d, g) for kind in kinds])
+        cold = eig_hermitian_stack(stack)
+        warm = eig_hermitian_stack(stack, start=np.broadcast_to(np.eye(d), stack.shape))
+        np.testing.assert_array_equal(warm.eigenvalues, cold.eigenvalues)
+        np.testing.assert_array_equal(warm.eigenvectors, cold.eigenvectors)
+
+
+def test_random_start_meets_kernel_residual_bounds():
+    # A start basis unrelated to the matrix costs sweeps, not accuracy:
+    # the residual bounds of the acceptance kernel test, and the spectrum
+    # of numpy's eigvalsh within the band of the cold solves.
+    for i in range(96):
+        g = stream(870, i)
+        d = 1 + i % MAX_DIM
+        a = rand_psd(d, g) if i % 2 else rand_hermitian(d, g, scale=float(g.uniform(0.1, 1e3)))
+        start = gen_random_unitary(d, g)
+        dec = eig_hermitian_stack(a[None], start=start[None])
+        norm = frobenius(a)
+        assert frobenius(dec.reconstruct()[0] - a) <= 1e-10 * norm
+        v = dec.eigenvectors[0]
+        assert frobenius(v.conj().T @ v - np.eye(d)) <= 1e-12 * d
+        assert np.max(np.abs(dec.eigenvalues[0] - np.linalg.eigvalsh(a))) <= 1e-12 * norm
+        if i % 2:
+            root = sqrt_psd(a, start=start)
+            assert frobenius(root @ root - a) <= 1e-10 * max(norm, 1.0)
+
+
+def test_started_loewner_agrees_with_minor_oracle():
+    # Decisions clearly away from the boundary, from a start basis that
+    # diagonalizes b - a, one that diagonalizes a, or a Haar-random one.
+    checked = 0
+    for i in range(300):
+        g = stream(880, i)
+        d = int(g.integers(1, 5))
+        a = rand_hermitian(d, g)
+        b = a + rand_psd(d, g) - float(g.uniform(0.0, 2.0)) * np.eye(d)
+        if i % 3 == 0:
+            start = eig_hermitian(b - a).eigenvectors
+        elif i % 3 == 1:
+            start = eig_hermitian(a).eigenvectors
+        else:
+            start = gen_random_unitary(d, g)
+        holds, margin = loewner_leq(a, b, start=start)
+        if abs(margin) < 1e-10 * max(1.0, frobenius(b - a)):
+            continue
+        assert holds == oracle_psd_minors(re_part(b - a)) == (margin > 0), f"trial {i}"
+        checked += 1
+    assert checked >= 250
+
+
+def test_non_unitary_start_is_rejected():
+    g = stream(890, 0)
+    a = rand_psd(3, g)
+    u = gen_random_unitary(3, g)
+    for bad in (2.0 * u, u + 1e-10, np.zeros((3, 3)), np.full((3, 3), np.nan)):
+        with pytest.raises(KernelError, match="not unitary"):
+            eig_hermitian_stack(np.stack([a, a]), start=np.stack([u, bad]))
+        for call in (
+            lambda: sqrt_psd(a, start=bad),
+            lambda: abs_element(a, start=bad),
+            lambda: loewner_leq(a, 2.0 * a, start=bad),
+        ):
+            with pytest.raises(KernelError, match="not unitary"):
+                call()
+    with pytest.raises(DimMismatchError):
+        eig_hermitian_stack(a[None], start=u)
 
 
 def test_stacked_primitives_equal_single_calls():

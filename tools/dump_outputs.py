@@ -25,7 +25,10 @@ It imports rcsbounds from the src/ directory next to this script and writes:
 * run_trial_strict/<ID>.jsonl: ``run_trial(GeneratorConfig(seed=4,
   trials=30, dims=(2,)), ID, i, Tolerance(3e-17, 3e-17)).to_dict()`` for
   the four matrix-valued ids and i in 0..29, a band below roundoff where
-  some generated instances fail a hypothesis (PRECONDITION_FAILED reports).
+  some generated instances fail a hypothesis (PRECONDITION_FAILED reports);
+* run_trial_d16/<ID>.jsonl: ``run_trial(GeneratorConfig(seed=0,
+  dims=(16,)), ID, i).to_dict()`` for the four matrix-valued ids and i in
+  0..19, trials at the largest dimension, where the eigensolver works hardest.
 
 Run it on two checkouts and compare the directories with ``diff -r``: no
 output means every report, summary and row is byte-identical.
@@ -78,9 +81,11 @@ SHARPNESS_RUNS = {
     **{kind: ["--kind", kind] for kind in ("vector_state", "trace", "weighted_sum")},
     "complex_window": ["--omega", "1+2j", "--Omega", "3-1j"],
 }
-STRICT_IDS = ("ADD_MATRIX", "MULT_MATRIX", "OP_PAIR_ADD", "OP_PAIR_MULT")
+MATRIX_IDS = ("ADD_MATRIX", "MULT_MATRIX", "OP_PAIR_ADD", "OP_PAIR_MULT")
 STRICT_CONFIG = GeneratorConfig(seed=4, trials=30, dims=(2,))
 STRICT_TOL = Tolerance(3e-17, 3e-17)
+D16_CONFIG = GeneratorConfig(seed=0, dims=(16,))
+D16_TRIALS = 20
 VERDICT_KEYS = ("verdict", "holds", "violated", "precondition_failed")
 VERDICT_PREFIXES = ("verdict:", "exit ")
 MARGIN_KEYS = ("margin", "worst_margin")
@@ -182,7 +187,16 @@ def main(argv: list[str]) -> int:
         print("usage: dump_outputs.py OUTDIR | --compare OLD NEW", file=sys.stderr)
         return 1
     out = Path(argv[0])
-    subdirs = ("verify", "run_trial", "fuzz", "fuzz_full", "compare", "sharpness", "run_trial_strict")
+    subdirs = (
+        "verify",
+        "run_trial",
+        "fuzz",
+        "fuzz_full",
+        "compare",
+        "sharpness",
+        "run_trial_strict",
+        "run_trial_d16",
+    )
     for sub in subdirs:
         (out / sub).mkdir(parents=True, exist_ok=True)
     for path in INSTANCES:
@@ -209,12 +223,17 @@ def main(argv: list[str]) -> int:
     for name, flags in SHARPNESS_RUNS.items():
         sharpness = _cli(["sharpness", "--json", "--dim", "3", *flags])
         (out / "sharpness" / f"{name}.json").write_text(sharpness)
-    for inequality_id in STRICT_IDS:
+    for inequality_id in MATRIX_IDS:
         lines = (
             json.dumps(run_trial(STRICT_CONFIG, inequality_id, i, STRICT_TOL).to_dict()) + "\n"
             for i in range(STRICT_CONFIG.trials)
         )
         (out / "run_trial_strict" / f"{inequality_id}.jsonl").write_text("".join(lines))
+        lines = (
+            json.dumps(run_trial(D16_CONFIG, inequality_id, i).to_dict()) + "\n"
+            for i in range(D16_TRIALS)
+        )
+        (out / "run_trial_d16" / f"{inequality_id}.jsonl").write_text("".join(lines))
     return 0
 
 
