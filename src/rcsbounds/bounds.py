@@ -43,7 +43,6 @@ from .forms import (
     _re_term,
     _root_commutation,
     _spectral_window,
-    _window_pairs,
     form_eval,
 )
 from .matalg import (
@@ -53,6 +52,8 @@ from .matalg import (
     NotHermitianError,
     NotPositiveError,
     Tolerance,
+    _adjoint,
+    _norms,
     _psd_root,
     abs_element,
     as_element,
@@ -260,8 +261,13 @@ def _batch_of_one(payload: str, instance) -> tuple:
         vv = np.asarray(v, dtype=np.complex128).reshape(-1)
         if tm.shape != sm.shape or vv.size != tm.shape[0]:
             raise DimMismatchError("operator pair and vector dimensions disagree")
-        if float(np.linalg.norm(vv)) == 0.0:
-            raise ValueError("v must be nonzero")
+        # NaN for a NaN entry, inf for an infinite one or past overflow.
+        norm2 = float(np.vdot(vv, vv).real)
+        if not 0.0 < norm2 < math.inf:
+            raise ValueError(
+                f"v must be nonzero and finite, with ||v||^2 in the double range "
+                f"(||v||^2 = {norm2:.3e})"
+            )
         return tm[None], sm[None], vv[None]
     form, x, y, pair = instance
     return [form], _coerce_argument(form, x)[None], _coerce_argument(form, y)[None], [pair]
@@ -347,12 +353,10 @@ def _scalar_report(
     rhs: float,
     tol: Tolerance,
     details: Optional[dict] = None,
-    size: float = 1.0,
 ) -> BoundReport:
-    """Judge the margin at the larger of |lhs|, |rhs|, size (the size of
-    the operands lhs cancels from) and 1."""
+    """Judge the margin at the larger of |lhs|, |rhs| and 1."""
     margin = rhs - lhs
-    scale = max(abs(lhs), abs(rhs), size, 1.0)
+    scale = max(abs(lhs), abs(rhs), 1.0)
     holds = margin >= -tol.band(scale)
     return BoundReport(
         inequality_id=inequality_id,
@@ -396,12 +400,14 @@ def multiplicative_matrix_bound(
     return _evaluate_one(MULT_MATRIX, (form, x, y, pair), tol)
 
 
-def _positive_re_cross(pair: OmegaPair) -> float:
-    """Re(conj(omega) * Omega), which the multiplicative bounds require positive."""
-    re_cross = pair.re_cross()
-    if re_cross <= 0.0:
+def _positive_re_cross(re_cross: np.ndarray) -> np.ndarray:
+    """The (N,) values Re(conj(omega) * Omega) of N window pairs, which the
+    multiplicative bounds require positive: NonPositiveReOmegaError at the
+    first that is not."""
+    low = re_cross <= 0.0
+    if np.count_nonzero(low):
         raise NonPositiveReOmegaError(
-            f"Re(conj(omega) * Omega) = {re_cross:.6e} must be positive"
+            f"Re(conj(omega) * Omega) = {re_cross[np.argmax(low)]:.6e} must be positive"
         )
     return re_cross
 
@@ -424,9 +430,8 @@ def _matrix_reports(
     which diagonalize all of them when x and y commute (see matalg).  The
     basis lives only within this call."""
     if inequality_id == MULT_MATRIX:
-        coeffs = [
-            (abs(p.Omega) + abs(p.omega)) / math.sqrt(_positive_re_cross(p)) for p in pairs
-        ]
+        re_cross = _positive_re_cross(np.array([p.re_cross() for p in pairs])).tolist()
+        coeffs = [(abs(p.Omega) + abs(p.omega)) / math.sqrt(c) for p, c in zip(pairs, re_cross)]
     xx, yy, xy, yx = (_form_eval(forms, u, v) for u, v in ((x, x), (y, y), (x, y), (y, x)))
     re_term = _re_term(forms, x, y, pairs)
     s_ok, s_dev = _adjoint_symmetry(xy, yx, tol)
@@ -512,8 +517,7 @@ def _functional_reports(
     Re check over the batch.  Each functional sums its own weighted trace,
     so a report does not depend on the other instances."""
     if inequality_id == MULT_FUNCTIONAL:
-        for pair in pairs:
-            _positive_re_cross(pair)
+        _positive_re_cross(np.array([p.re_cross() for p in pairs]))
     fxx, fyy, cross = (_form_eval(forms, u, v)[:, 0, 0] for u, v in ((x, x), (y, y), (x, y)))
     re_term = _re_term(forms, x, y, pairs)
     values = zip(fxx.real, fyy.real, map(complex, cross))
@@ -534,7 +538,8 @@ def _functional_report(
     tol: Tolerance,
 ) -> BoundReport:
     """The ADD_FUNCTIONAL or MULT_FUNCTIONAL report from phi(x*x), phi(y*y),
-    phi(y*x) and the Re check (ok, margin)."""
+    phi(y*x) and the Re check (ok, margin); _functional_reports has
+    checked Re(conj(omega) * Omega) of a multiplicative pair."""
     preconditions = (PreconditionCheck("re_term_positive", bool(re_check[0]), float(re_check[1])),)
     details = {"omega": pair.omega, "Omega": pair.Omega}
     if inequality_id == ADD_FUNCTIONAL:
@@ -542,7 +547,7 @@ def _functional_report(
         rhs = 0.25 * pair.spread() ** 2 * fyy**2
     else:
         lhs = math.sqrt(max(fxx, 0.0)) * math.sqrt(max(fyy, 0.0))
-        coeff = 0.5 * (abs(pair.Omega) + abs(pair.omega)) / math.sqrt(_positive_re_cross(pair))
+        coeff = 0.5 * (abs(pair.Omega) + abs(pair.omega)) / math.sqrt(pair.re_cross())
         rhs = coeff * abs(cross)
         details["coefficient"] = coeff
     details.update(phi_xx=fxx, phi_yy=fyy, phi_yx=cross)
@@ -674,101 +679,143 @@ def _operator_pair_reports(
     inequality_id: str, t: np.ndarray, s: np.ndarray, v: np.ndarray, tol: Tolerance
 ) -> list[BoundReport]:
     """OP_PAIR_ADD or OP_PAIR_MULT reports for an "operator_pair" batch (see
-    _Inequality).  Both ids take the spectra of t and s and check both
-    windows, ts and st, in one joint eigenbasis (forms._spectral_window:
-    one eigendecomposition of t, with a per-slice fallback to the
-    spectrum of s on its own and loewner_leq checks), so they share their
-    hypotheses; OP_PAIR_ADD builds the ts and st additive functional
-    reports and their Re terms, OP_PAIR_MULT the ts multiplicative report
-    and its Re term.  The window, each form evaluation and the Re check
-    run once over the stack, so a report does not depend on the other
-    instances.  The functional sides, rescaled by ||v||, are
-    cross-checked against the closed forms."""
-    lo_t, hi_t, lo_s, hi_s = _spectral_window(t, s, tol, mirrored=True)
-    pairs_ts = _window_pairs(lo_t, hi_t, lo_s, hi_s)
-    pairs_st = _window_pairs(lo_s, hi_s, lo_t, hi_t)
-    norms = [float(np.linalg.norm(vv)) for vv in v]
-    forms = [
-        FormInstance.functional_form(PositiveFunctional.vector_state(vv / nv))
-        for vv, nv in zip(v, norms)
-    ]
-    phi_tt, phi_ss, phi_ts = (_form_eval(forms, a, b)[:, 0, 0] for a, b in ((t, t), (s, s), (t, s)))
-    if inequality_id == OP_PAIR_ADD:
-        # The Re terms of the ts and then the st reports.
-        re_terms = _re_term(forms * 2, np.vstack((t, s)), np.vstack((s, t)), pairs_ts + pairs_st)
-    else:
-        re_terms = _re_term(forms, t, s, pairs_ts)
+    _Inequality), every value computed over the whole (N, d, d) stack.
+
+    Both ids take the spectra of t and s and check both windows, ts and
+    st, in one joint eigenbasis (forms._spectral_window), so they share
+    their hypotheses.  The functional route evaluates the vector state
+    phi(R) = <R u, u>, u = v / ||v||, on stacked products R = b* a
+    (_state_values): phi(t* t), phi(s* s), phi(s* t) and the Re term of
+    each window the id checks, ts and, for OP_PAIR_ADD, st, with one
+    stacked Re check.  The id's builder forms its sides from these, rescaled
+    by ||v||, and its closed forms from Tv and Sv; the two routes are
+    cross-checked over the stack, and a slice whose values leave the
+    double range is an error, never a verdict.  No step reduces over the
+    batch axis, so a report does not depend on the other instances, and
+    only its BoundReport is built per instance."""
+    additive = inequality_id == OP_PAIR_ADD
+    edges = _spectral_window(t, s, tol, mirrored=True)
+    lo_t, hi_t, lo_s, hi_s = edges
+    # The window pairs (omega, Omega) whose Re terms the id checks, ts and,
+    # for OP_PAIR_ADD, st, each with its arguments (x, y).
+    windows = [(lo_t / hi_s, hi_t / lo_s), (lo_s / hi_t, hi_s / lo_t)][: 1 + additive]
+    args = list(zip([(t, s), (s, t)], windows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _norms(v[:, None, :])
+        a = [t, s, t] + [Omega[:, None, None] * y - x for (x, y), (_, Omega) in args]
+        b = [t, s, s] + [x - omega[:, None, None] * y for (x, y), (omega, _) in args]
+        phi = _state_values(v / norm[:, None], np.concatenate(a), np.concatenate(b))
+        phi = phi.reshape(len(a), len(v))
+        tv, sv = t @ v[..., None], s @ v[..., None]
+        nt2, ns2 = _inner(tv, tv).real, _inner(sv, sv).real
+        cross = _inner(sv, tv)
+        build = _additive_pair_sides if additive else _multiplicative_pair_sides
+        lhs, rhs, size, closed, details = build(edges, windows, norm, phi[:3], nt2, ns2, cross)
+        margin = rhs - lhs
+    re_terms = phi[3:].real
+    bad = ~np.isfinite(np.vstack((lhs, rhs, margin, *closed, re_terms))).all(axis=0)
+    if np.count_nonzero(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"operator pair values overflow the double range (||v|| = {norm[k]:.3e}, "
+            f"||Tv||^2 = {nt2[k]:.3e}, ||Sv||^2 = {ns2[k]:.3e})"
+        )
+    re_terms = re_terms.reshape(-1, 1, 1)
     re_ok, re_margin = loewner_leq(np.zeros_like(re_terms), re_terms, tol)
-    reports = []
-    for k, (tm, sm, vv, nv) in enumerate(zip(t, s, v, norms)):
-        pair_ts, pair_st = pairs_ts[k], pairs_st[k]
-        mt, Mt, ms, Ms = float(lo_t[k]), float(hi_t[k]), float(lo_s[k]), float(hi_s[k])
-        fxx, fyy, phi_cross = phi_tt.real[k], phi_ss.real[k], complex(phi_ts[k])
-        tv = tm @ vv
-        sv = sm @ vv
-        nt2 = float(np.vdot(tv, tv).real)
-        ns2 = float(np.vdot(sv, sv).real)
-        cross = complex(np.vdot(sv, tv))
-        if inequality_id == OP_PAIR_MULT:
-            rep = _functional_report(
-                MULT_FUNCTIONAL, fxx, fyy, phi_cross, pair_ts, (re_ok[k], re_margin[k]), tol
-            )
-            lhs = rep.lhs * nv**2
-            rhs = rep.rhs * nv**2
-            ratio = (mt * ms) / (Mt * Ms)
-            cf_rhs = 0.5 * (math.sqrt(ratio) + math.sqrt(1.0 / ratio)) * abs(cross)
-            cf_lhs = math.sqrt(nt2) * math.sqrt(ns2)
-            _cross_check("operator pair multiplicative", lhs, cf_lhs)
-            _cross_check("operator pair multiplicative", rhs, cf_rhs)
-            preconditions = rep.preconditions
-            size = 1.0
-            details = {"omega": pair_ts.omega, "Omega": pair_ts.Omega}
-            details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs, cross=cross)
-        else:
-            check_ts, check_st = ((re_ok[j], re_margin[j]) for j in (k, len(v) + k))
-            rep_ts = _functional_report(ADD_FUNCTIONAL, fxx, fyy, phi_cross, pair_ts, check_ts, tol)
-            # phi(s*s), phi(t*t) and phi(t*s) = conj(phi(s*t)): only rhs and
-            # preconditions of the st report are used.
-            rep_st = _functional_report(
-                ADD_FUNCTIONAL, fyy, fxx, phi_cross.conjugate(), pair_st, check_st, tol
-            )
-            preconditions = tuple(
-                PreconditionCheck(f"{p.name}_{tag}", p.passed, p.value)
-                for tag, rep in (("ts", rep_ts), ("st", rep_st))
-                for p in rep.preconditions
-            )
-            scale4 = nv**4
-            lhs = rep_ts.lhs * scale4
-            rhs = min(rep_ts.rhs, rep_st.rhs) * scale4
-            cf_lhs = nt2 * ns2 - abs(cross) ** 2
-            half_gap = (Mt * Ms - mt * ms) / 2.0
-            cf_rhs = half_gap**2 * min(ns2**2 / (Ms * ms) ** 2, nt2**2 / (Mt * mt) ** 2)
-            # Both routes form lhs as a difference of two products of size
-            # ||Tv||^2 ||Sv||^2, so they agree, and lhs is judged, to
-            # rounding at that size.
-            size = nt2 * ns2
-            _cross_check("operator pair additive", lhs, cf_lhs, size)
-            _cross_check("operator pair additive", rhs, cf_rhs)
-            details = {
-                "omega_ts": pair_ts.omega,
-                "Omega_ts": pair_ts.Omega,
-                "omega_st": pair_st.omega,
-                "Omega_st": pair_st.Omega,
-            }
-            details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs)
-            details.update(norm_tv_sq=nt2, norm_sv_sq=ns2, cross=cross)
-        reports.append(_scalar_report(inequality_id, preconditions, lhs, rhs, tol, details, size))
-    return reports
+    label = "operator pair additive" if additive else "operator pair multiplicative"
+    _cross_check(label, lhs, closed[0], size)
+    _cross_check(label, rhs, closed[1])
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(size, 1.0))
+    holds = margin >= -tol.band(scale)
+    names = ["re_term_positive_ts", "re_term_positive_st"] if additive else ["re_term_positive"]
+    parts = zip(names, re_ok.reshape(-1, len(v)).tolist(), re_margin.reshape(-1, len(v)).tolist())
+    checks = zip(*([PreconditionCheck(name, *c) for c in zip(*part)] for name, *part in parts))
+    rows = zip(*(column.tolist() for column in details.values()))
+    sides = (lhs.tolist(), rhs.tolist(), margin.tolist(), holds.tolist())
+    return [
+        BoundReport(inequality_id, pre, lo, hi, gap, _verdict(pre, ok), dict(zip(details, row)))
+        for pre, lo, hi, gap, ok, row in zip(checks, *sides, rows)
+    ]
 
 
-def _cross_check(label: str, via_functional: float, closed_form: float, size: float = 1.0) -> None:
+def _state_values(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The vector states phi(R) = <R u, u> of unit vectors u, shape (N, d),
+    on the products R = b* a of (K N, d, d) stacks a and b, slice j taking
+    the state of row j mod N: the (K N,) values, each formed on its own
+    slice as PositiveFunctional.value forms it."""
+    w = np.tile(u, (len(a) // len(u), 1))[..., None]
+    return _inner(w, (_adjoint(b) @ a) @ w)
+
+
+def _inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The inner products sum(conj(p[k]) q[k]), as np.vdot takes them, of
+    (N, d, 1) stacks of columns: shape (N,)."""
+    return (p.conj().swapaxes(1, 2) @ q)[:, 0, 0]
+
+
+def _multiplicative_pair_sides(edges, windows, norm, phi, nt2, ns2, cross):
+    """OP_PAIR_MULT's sides from the setup of _operator_pair_reports: lhs
+    and rhs of the multiplicative functional bound on the ts window,
+    rescaled by ||v||^2, the size 1 they are judged at, the closed forms
+    ||Tv|| ||Sv|| and (1/2) (sqrt(mt ms / (Mt Ms)) + sqrt(Mt Ms / (mt ms)))
+    |<Tv, Sv>|, and the report details as (N,) columns."""
+    lo_t, hi_t, lo_s, hi_s = edges
+    ((omega, Omega),) = windows
+    fxx, fyy, phi_cross = phi[0].real, phi[1].real, phi[2]
+    re_cross = _positive_re_cross(omega * Omega)
+    coeff = 0.5 * (np.abs(Omega) + np.abs(omega)) / np.sqrt(re_cross)
+    scale2 = norm**2
+    lhs = np.sqrt(np.maximum(fxx, 0.0)) * np.sqrt(np.maximum(fyy, 0.0)) * scale2
+    rhs = coeff * np.abs(phi_cross) * scale2
+    ratio = (lo_t * lo_s) / (hi_t * hi_s)
+    cf_lhs = np.sqrt(nt2) * np.sqrt(ns2)
+    cf_rhs = 0.5 * (np.sqrt(ratio) + np.sqrt(1.0 / ratio)) * np.abs(cross)
+    details = {"omega": omega + 0j, "Omega": Omega + 0j}
+    details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs, cross=cross)
+    return lhs, rhs, 1.0, (cf_lhs, cf_rhs), details
+
+
+def _additive_pair_sides(edges, windows, norm, phi, nt2, ns2, cross):
+    """OP_PAIR_ADD's sides from the setup of _operator_pair_reports: lhs of
+    the additive functional bound on the ts window and the lesser rhs of
+    the ts and st windows, rescaled by ||v||^4, the size ||Tv||^2 ||Sv||^2
+    they are judged at, the closed forms of operator_pair_bounds, and the
+    report details as (N,) columns.  Both routes form lhs as a difference
+    of two products of that size, so they agree, and lhs is judged, to
+    rounding at that size."""
+    lo_t, hi_t, lo_s, hi_s = edges
+    (omega_ts, Omega_ts), (omega_st, Omega_st) = windows
+    fxx, fyy, phi_cross = phi[0].real, phi[1].real, phi[2]
+    # phi(s* s), phi(t* t) and phi(t* s) = conj(phi(s* t)) are the st
+    # window's values: only its rhs is used.
+    rhs_ts = 0.25 * np.abs(Omega_ts - omega_ts) ** 2 * fyy**2
+    rhs_st = 0.25 * np.abs(Omega_st - omega_st) ** 2 * fxx**2
+    scale4 = norm**4
+    lhs = (fxx * fyy - np.abs(phi_cross) ** 2) * scale4
+    rhs = np.minimum(rhs_ts, rhs_st) * scale4
+    cf_lhs = nt2 * ns2 - np.abs(cross) ** 2
+    half_gap = (hi_t * hi_s - lo_t * lo_s) / 2.0
+    cf_rhs = half_gap**2 * np.minimum(ns2**2 / (hi_s * lo_s) ** 2, nt2**2 / (hi_t * lo_t) ** 2)
+    details = {"omega_ts": omega_ts + 0j, "Omega_ts": Omega_ts + 0j}
+    details.update(omega_st=omega_st + 0j, Omega_st=Omega_st + 0j)
+    details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs)
+    details.update(norm_tv_sq=nt2, norm_sv_sq=ns2, cross=cross)
+    return lhs, rhs, nt2 * ns2, (cf_lhs, cf_rhs), details
+
+
+def _cross_check(label: str, via_functional, closed_form, size=1.0) -> None:
     """Raise KernelError unless the two routes agree to 1e-9 relative of
-    the larger of their results, size (the size of their operands) and 1."""
-    scale = max(abs(via_functional), abs(closed_form), size, 1.0)
-    if abs(via_functional - closed_form) > 1e-9 * scale:
+    the larger of their results, size (the size of their operands) and 1:
+    floats, or (N,) arrays compared slice by slice, the first slice that
+    disagrees raising."""
+    a, b = np.atleast_1d(via_functional, closed_form)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(size, 1.0))
+    off = np.abs(a - b) > 1e-9 * scale
+    if np.count_nonzero(off):
+        k = int(np.argmax(off))
         raise KernelError(
-            f"{label}: functional route {via_functional!r} disagrees with "
-            f"closed form {closed_form!r}"
+            f"{label}: functional route {float(a[k])!r} disagrees with "
+            f"closed form {float(b[k])!r}"
         )
 
 

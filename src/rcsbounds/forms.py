@@ -156,6 +156,10 @@ class PositiveFunctional:
             raise DimMismatchError(
                 f"functional on M_{self.dim} applied to shape {m.shape}"
             )
+        return self._value(m)
+
+    def _value(self, m: np.ndarray) -> complex:
+        """value on a dim x dim complex128 matrix that is already checked."""
         if self.kind == VECTOR_STATE:
             return complex(np.vdot(self.state, m @ self.state))
         if self.kind == TRACE:
@@ -372,7 +376,12 @@ def _form_eval(forms: list[FormInstance], x: np.ndarray, y: np.ndarray) -> np.nd
     members = zip(forms, x, y)
     if forms[0].kind == GRAM_TENSOR:
         return np.stack([np.einsum("i,j,ijab->ab", u, v.conj(), f.gram) for f, u, v in members])
-    return np.array([[[f.functional.value(v.conj().T @ u)]] for f, u, v in members])
+    # _coerce_argument has checked u and v, so v* u is evaluated unchecked;
+    # a value past the double range is an error, never a verdict.
+    values = np.array([[[f.functional._value(v.conj().T @ u)]] for f, u, v in members])
+    if np.count_nonzero(~np.isfinite(values)):
+        raise ValueError("functional values must be finite")
+    return values
 
 
 def check_star1(
@@ -484,13 +493,16 @@ def _window_pairs(lo_x, hi_x, lo_y, hi_y) -> list[OmegaPair]:
 
 
 def _spectral_window(
-    x: np.ndarray, y: np.ndarray, tol: Tolerance, mirrored: bool = False
+    x: np.ndarray, y: np.ndarray, tol: Tolerance, mirrored: bool = False, start=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The spectral edges (lo_x, hi_x, lo_y, hi_y), arrays of shape (N,),
     of same-shape (N, d, d) stacks x and y, checked as omega_from_spectra
     checks them; raises if any slice fails a check.  mirrored also checks
-    the window of (y, x), as the operator pairs need, in the same basis."""
-    dec = eig_hermitian_stack(x, tol)
+    the window of (y, x), as the operator pairs need, in the same basis.
+    start is the start basis of the eigensolve of x (see
+    eig_hermitian_stack), such as the unitaries a generator built x and y
+    in; it saves sweeps and leaves every check as it is."""
+    dec = eig_hermitian_stack(x, tol, start=start)
     # y passes the Hermiticity check its own eig_hermitian would make.
     _hermitian_scaled(y, tol, ("eig_hermitian",))
     px, py = (_in_basis(dec.eigenvectors, m) for m in (x, y))

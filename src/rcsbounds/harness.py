@@ -15,6 +15,14 @@ trial's outcome is also independent of which other trials share its
 batch.  A group that fails a hypothesis is evaluated again member by
 member from the same draws, and run_trial, a batch of one, replays a
 trial bit for bit.
+
+Module instances: a "form" trial's commuting pair x = U diag(lam_t) U*,
+y = U diag(lam_s) U* comes with the Haar unitary U it was built in, and
+its window's eigensolve of x starts in U (_module_instances), so it takes
+a fraction of a sweep instead of a cold solve.  The window pair is part of
+the instance, which gen_re_valid_instance("module") builds the same way.
+The evaluators never see U: each report is a function of its instance
+alone, as verify on an instance file computes it.
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ from .forms import (
     OmegaPair,
     PositiveFunctional,
     _re_term,
-    omega_from_spectra,
+    _spectral_window,
+    _window_pairs,
 )
 from .matalg import (
     DEFAULT_TOL,
@@ -147,20 +156,36 @@ def _pair_draw(d: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, 
 
 def _commuting_pairs(
     z: np.ndarray, lam_t: np.ndarray, lam_s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The commuting pairs t = U diag(lam_t) U*, s = U diag(lam_s) U*,
-    U = _unitaries(z), from stacked _pair_draw draws: (N, d, d) Gaussians
-    and (N, d) spectra.  Every operation is stacked and acts on each
-    slice alone, so slice k equals the pair built from draw k alone."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unitaries U = _unitaries(z) and the commuting pairs
+    t = U diag(lam_t) U*, s = U diag(lam_s) U* built in them, from stacked
+    _pair_draw draws: (N, d, d) Gaussians and (N, d) spectra.  Every
+    operation is stacked and acts on each slice alone, so slice k equals
+    the pair built from draw k alone."""
     u = _unitaries(z)
     uh = u.conj().swapaxes(1, 2)
-    return re_part((u * lam_t[:, None, :]) @ uh), re_part((u * lam_s[:, None, :]) @ uh)
+    return u, re_part((u * lam_t[:, None, :]) @ uh), re_part((u * lam_s[:, None, :]) @ uh)
+
+
+def _module_instances(
+    z: np.ndarray, lam_t: np.ndarray, lam_s: np.ndarray, tol: Tolerance
+) -> list:
+    """The module-form instances of stacked _pair_draw draws, as the "form"
+    batch columns (forms, x, y, pairs): x and y the commuting pairs of
+    _commuting_pairs and the window pairs of their spectra at band tol,
+    checked as omega_from_spectra checks them.  The window's eigensolve of
+    x starts in the unitaries x and y were built in, which diagonalize
+    both to roundoff, so it takes a fraction of a sweep; each slice is
+    still decomposed, checked and decided on its own."""
+    u, x, y = _commuting_pairs(z, lam_t, lam_s)
+    pairs = _window_pairs(*_spectral_window(x, y, tol, start=u))
+    return [[FormInstance.module_form(x.shape[-1])] * len(x), x, y, pairs]
 
 
 def gen_commuting_positive_pair(d: int, rng: RngLike = 0) -> tuple[np.ndarray, np.ndarray]:
     """Commuting strictly positive pair sharing a random eigenbasis, with
     eigenvalues in SPECTRUM_RANGE: the pair of one _pair_draw."""
-    t, s = _commuting_pairs(*(a[None] for a in _pair_draw(d, _as_rng(rng))))
+    _, t, s = _commuting_pairs(*(a[None] for a in _pair_draw(d, _as_rng(rng))))
     return t[0], s[0]
 
 
@@ -208,7 +233,8 @@ def gen_re_valid_instance(
     """Instance (form, x, y, pair) satisfying the Re hypothesis.
 
     kind = "module": commuting strictly positive x, y over M_d with the
-    window pair read off their spectra.
+    window pair read off their spectra, built as a campaign builds its
+    module instances (_module_instances).
 
     kind = "functional": a random positive functional with x sampled in
     the disk spanned by (omega, Omega) around y plus a small admissible
@@ -220,8 +246,8 @@ def gen_re_valid_instance(
     """
     g = _as_rng(rng)
     if kind == "module":
-        t, s = gen_commuting_positive_pair(d, g)
-        return FormInstance.module_form(d), t, s, omega_from_spectra(t, s, tol)
+        forms, x, y, pairs = _module_instances(*(a[None] for a in _pair_draw(d, g)), tol)
+        return forms[0], x[0], y[0], pairs[0]
     if kind != "functional":
         raise ValueError(f"unknown instance kind {kind!r}")
 
@@ -232,7 +258,7 @@ def gen_re_valid_instance(
         return g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
 
     def phi_norm2(m: np.ndarray) -> float:
-        return phi.value(m.conj().T @ m).real
+        return phi._value(m.conj().T @ m).real
 
     y = gaussian_matrix()
     while phi_norm2(y) < 1e-8:
@@ -393,7 +419,7 @@ def _draw(
 
     A "form" row is the _pair_draw of the commuting strictly positive
     pair (t, s) that is x and y of gen_re_valid_instance("module"); _batch
-    builds the pairs and adds the form and the window pairs.  An
+    builds the instances as that generator does (_module_instances).  An
     "operator_pair" row is that _pair_draw followed by the vector v.
     """
     if entry.payload == "sequences":
@@ -415,15 +441,14 @@ def _batch(entry: _Inequality, rows: Sequence, tol: Tolerance) -> list:
     """The evaluator's batch of drawn rows of one dimension: each column
     stacked into one array, or a list of its forms, windows or pairs.  A
     "form" or "operator_pair" batch builds its commuting pairs from their
-    stacked draws at once; a "form" batch also gets its module form and
-    the window pairs of its stacks."""
+    stacked draws at once; a "form" batch is its module instances
+    (_module_instances)."""
     columns = [np.stack(c) if isinstance(c[0], np.ndarray) else list(c) for c in zip(*rows)]
-    if entry.payload not in ("form", "operator_pair"):
-        return columns
-    x, y = _commuting_pairs(*columns[:3])
+    if entry.payload == "form":
+        return _module_instances(*columns, tol)
     if entry.payload == "operator_pair":
-        return [x, y, columns[3]]
-    return [[FormInstance.module_form(x.shape[-1])] * len(x), x, y, omega_from_spectra(x, y, tol)]
+        return [*_commuting_pairs(*columns[:3])[1:], columns[3]]
+    return columns
 
 
 def _group_reports(

@@ -25,7 +25,10 @@ from rcsbounds import (
     fuzz_run,
     gen_argmin_families,
     gen_bounded_sequences,
+    gen_re_valid_instance,
+    jsonio,
     polya_szego_improved,
+    run_trial,
     sample_window,
 )
 from rcsbounds.harness import WINDOW_RANGE
@@ -305,6 +308,25 @@ def test_verify_matrix_above_max_dim(capsys, tmp_path):
     assert err.startswith("rcsbounds: error: $.operator_pair.t: ") and "17" in err
 
 
+@pytest.mark.parametrize("target", ["ADD_MATRIX", "MULT_MATRIX"])
+def test_verify_of_a_campaign_instance_gives_its_report(capsys, tmp_path, target):
+    # The generator's window is part of the instance: written to a file
+    # with its x, y and window pair, a campaign trial's instance verifies
+    # to the campaign's report bit for bit.
+    config = GeneratorConfig(seed=17, trials=6, dims=(1, 2, 4))
+    for i in range(config.trials):
+        g = stream(config.seed, i)
+        d = config.dims[g.integers(len(config.dims))]
+        form, x, y, pair = gen_re_valid_instance("module", d, g)
+        window = {"omega": jsonio.encode_complex(pair.omega)}
+        window["Omega"] = jsonio.encode_complex(pair.Omega)
+        doc = {"version": "1", "target": target, "form": form.to_dict(), "omega_pair": window}
+        doc.update(x=jsonio.encode_matrix(x), y=jsonio.encode_matrix(y))
+        code, out, _ = run(capsys, "verify", write_instance(tmp_path, doc), "--json")
+        assert code == 0
+        assert json.loads(out) == run_trial(config, target, i).to_dict(), f"trial {i}"
+
+
 def test_verify_solver_failure_is_not_a_precondition(capsys, tmp_path, monkeypatch):
     def no_convergence(*args):
         raise NoConvergenceError("Jacobi did not converge")
@@ -359,15 +381,36 @@ def test_verify_cancelling_operator_pair_holds(capsys, tmp_path, target, doc):
 
 
 @pytest.mark.parametrize("target", ["OP_PAIR_ADD", "OP_PAIR_MULT"])
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ([math.nan, 1.0], "$.operator_pair.v[0]: complex parts must be finite"),
+        ([1.0, math.inf], "$.operator_pair.v[1]: complex parts must be finite"),
+        ([1e200, 1e200], "v must be nonzero and finite, with ||v||^2 in the double range"),
+    ],
+    ids=["nan", "inf", "squared_norm_overflows"],
+)
+def test_verify_bad_vector_ends_in_one_line(capsys, tmp_path, target, v, message):
+    doc = operator_pair_doc(target, [[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, 1.0]], v)
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 1)
+    assert message in err
+
+
+@pytest.mark.parametrize("target", ["OP_PAIR_ADD", "OP_PAIR_MULT"])
 def test_verify_perturbed_functional_route_fails_cross_check(
     capsys, tmp_path, monkeypatch, target
 ):
-    original = bounds._functional_report
+    # The functional route's stacked values start with phi(t* t) of every
+    # instance; that value alone is perturbed by 1e-6 relative.
+    original = bounds._state_values
 
-    def perturbed(inequality_id, fxx, *args):
-        return original(inequality_id, fxx * (1.0 + 1e-6), *args)
+    def perturbed(u, a, b):
+        values = original(u, a, b)
+        values[: len(u)] *= 1.0 + 1e-6
+        return values
 
-    monkeypatch.setattr(bounds, "_functional_report", perturbed)
+    monkeypatch.setattr(bounds, "_state_values", perturbed)
     with pytest.raises(KernelError, match="functional route"):
         cli.main(["verify", write_instance(tmp_path, near_proportional_pair_doc(target))])
     assert "HOLDS" not in capsys.readouterr().out

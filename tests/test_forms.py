@@ -75,6 +75,26 @@ def test_vector_state_reduces_to_standard_inner_product():
     assert abs(out[0, 0] - np.vdot(v, u)) <= 1e-12
 
 
+def test_functional_form_checks_its_arguments_once(monkeypatch):
+    # form_eval checks x and y (_coerce_argument); the functional then
+    # evaluates y* x without checking it again, as the public value would,
+    # and a value past the double range is an error.
+    phi = PositiveFunctional.vector_state(np.array([0.6, 0.8j]))
+    form = FormInstance.functional_form(phi)
+    g = stream(13, 0)
+    x, y = rand_matrix(2, g), rand_matrix(2, g)
+    expected = phi.value(y.conj().T @ x)
+
+    def unexpected(self, r):
+        raise AssertionError("checked evaluation")
+
+    monkeypatch.setattr(PositiveFunctional, "value", unexpected)
+    assert form_eval(form, x, y)[0, 0] == expected
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="functional values must be finite"):
+            form_eval(form, 1e200 * np.eye(2), 1e200 * np.eye(2))
+
+
 @pytest.mark.parametrize("state", [[np.nan, 0.0], [np.inf, 0.0], [1.0, 1.0]])
 def test_vector_state_rejects_non_unit_states(state):
     # A NaN norm compares false either way, so it must not pass as unit.

@@ -56,7 +56,7 @@ from rcsbounds import (
     run_trials,
     sample_window,
 )
-from rcsbounds import bounds, harness, matalg
+from rcsbounds import bounds, forms, harness, matalg
 from rcsbounds.harness import TRIAL_WINDOW
 from rcsbounds.rng import stream
 
@@ -206,13 +206,14 @@ def test_eigensolves_per_report(monkeypatch, inequality_id, solves):
 
 @pytest.mark.parametrize(
     "inequality_id, sweeps",
-    [(ADD_MATRIX, [11, 12, 10, 0, 3, 8, 3, 0]), (MULT_MATRIX, [11, 11, 10, 0, 3, 8, 3, 0])],
+    [(ADD_MATRIX, [5, 6, 5, 0, 2, 4, 2, 0]), (MULT_MATRIX, [5, 5, 5, 0, 2, 4, 2, 0])],
 )
 def test_jacobi_sweeps_per_report(monkeypatch, inequality_id, sweeps):
-    # The window's eigensolve and the evaluator's first start cold; every
-    # later solve of the report starts in the eigenvectors of the
-    # evaluator's first, which diagonalize a commuting pair's matrices,
-    # and takes at most one sweep.  Every sweep of every matrix is counted.
+    # The window's eigensolve starts in the unitaries the generator built
+    # the pair in, and the evaluator's first starts cold; every later solve
+    # of the report starts in the eigenvectors of the evaluator's first,
+    # which diagonalize a commuting pair's matrices.  Each started solve
+    # takes at most one sweep.  Every sweep of every matrix is counted.
     solves = []
     original_stack, original_sweep = eig_hermitian_stack, matalg._jacobi_sweep
 
@@ -234,9 +235,67 @@ def test_jacobi_sweeps_per_report(monkeypatch, inequality_id, sweeps):
     for i in range(config.trials):
         solves.clear()
         assert run_trial(config, inequality_id, i).verdict == "HOLDS"
-        assert [s for s, _ in solves] == [False, False] + [True] * started, f"trial {i}"
+        assert [s for s, _ in solves] == [True, False] + [True] * started, f"trial {i}"
         assert all(n <= 1 for s, n in solves if s), f"trial {i}"
         assert sum(n for _, n in solves) == sweeps[i], f"trial {i}"
+
+
+@pytest.mark.parametrize("inequality_id", [OP_PAIR_ADD, OP_PAIR_MULT])
+def test_operator_pair_batch_is_one_pass(monkeypatch, inequality_id):
+    # An operator-pair batch builds no functional per trial, and its stacked
+    # calls check their arrays a fixed number of times whatever its size.
+    built, validated = [], []
+    original_init, original_validated = forms.PositiveFunctional.__post_init__, matalg._validated
+
+    def counted_init(self):
+        built.append(self)
+        original_init(self)
+
+    def counted_validated(m):
+        validated.append(m.shape)
+        return original_validated(m)
+
+    monkeypatch.setattr(forms.PositiveFunctional, "__post_init__", counted_init)
+    monkeypatch.setattr(matalg, "_validated", counted_validated)
+    counts = []
+    for trials in (4, 40):
+        validated.clear()
+        config = GeneratorConfig(seed=6, trials=trials, dims=(3,))
+        reports = run_trials(config, inequality_id, range(trials))
+        assert [r.verdict for r in reports] == ["HOLDS"] * trials
+        assert {shape[0] for shape in validated} >= {trials}  # stacked calls
+        counts.append(len(validated))
+    assert built == []
+    assert counts[0] == counts[1]
+
+
+def test_started_window_equals_cold_window():
+    # The module instances' window starts its eigensolve of x in the
+    # generator's unitaries; its pairs equal those of a cold
+    # omega_from_spectra on the same stacks to 1e-12 relative.
+    g = stream(31, 0)
+    for d in range(1, 17):
+        draws = [harness._pair_draw(d, g) for _ in range(8)]
+        _, x, y, pairs = harness._module_instances(*map(np.stack, zip(*draws)), DEFAULT_TOL)
+        for started, cold in zip(pairs, omega_from_spectra(x, y)):
+            for a, b in ((started.omega, cold.omega), (started.Omega, cold.Omega)):
+                assert abs(a - b) <= 1e-12 * abs(b), (d, a, b)
+
+
+def test_module_generator_is_the_campaign_instance():
+    # gen_re_valid_instance("module") on a trial's stream, after the
+    # dimension draw, gives that trial's instance in a campaign batch.
+    config = GeneratorConfig(seed=13, trials=12, dims=(4,))
+    entry = bounds._REGISTRY[ADD_MATRIX]
+    streams = [stream(config.seed, i) for i in range(config.trials)]
+    rows = [harness._draw(config, entry, g, DEFAULT_TOL)[1] for g in streams]
+    forms_, x, y, pairs = harness._batch(entry, rows, DEFAULT_TOL)
+    for i in range(config.trials):
+        g = stream(config.seed, i)
+        g.integers(len(config.dims))
+        form, xi, yi, pair = gen_re_valid_instance("module", 4, g)
+        assert form == forms_[i] and pair == pairs[i]
+        assert np.array_equal(xi, x[i]) and np.array_equal(yi, y[i])
 
 
 @pytest.mark.parametrize("inequality_id", sorted(INEQUALITY_IDS))

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from rcsbounds import (
+    DEFAULT_TOL,
     DimMismatchError,
     NotCommutingError,
     NotStrictlyPositiveError,
+    PositiveFunctional,
+    omega_from_spectra,
     operator_pair_bounds,
 )
+from rcsbounds import bounds
 from rcsbounds.harness import gen_commuting_positive_pair
 from rcsbounds.rng import stream
 
@@ -136,3 +140,60 @@ def test_dimension_mismatch_rejected():
         operator_pair_bounds(t, s, [1.0, 1.0])
     with pytest.raises(DimMismatchError):
         operator_pair_bounds(t, t, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[np.nan, 1.0], [np.inf, 1.0], [1e200, 1e200], [0.0, 0.0]],
+    ids=["nan", "inf", "huge", "zero"],
+)
+def test_bad_vector_rejected_by_name(v):
+    # v is checked once, up front: a NaN or infinite entry, a zero vector
+    # and a v whose squared norm overflows are value errors naming v.
+    t = np.diag([1.0, 2.0])
+    with pytest.raises(ValueError, match="^v must be nonzero and finite"):
+        operator_pair_bounds(t, t, v)
+
+
+def test_overflowing_sides_are_an_error_not_a_verdict():
+    # Finite inputs whose products leave the double range give no NaN
+    # margin and no pretend VIOLATED: the batch raises at the first such
+    # slice, whatever its batch-mates.
+    t = np.diag([1e200, 2.0])
+    s = np.diag([2.0, 1.0])
+    with pytest.raises(ValueError, match="overflow the double range"):
+        operator_pair_bounds(t, s, [1.0, 1.0])
+    ts = np.stack((s, t))
+    ss = np.stack((t * 1e-200 + np.eye(2), s))
+    v = np.ones((2, 2), dtype=complex)
+    for inequality_id in ("OP_PAIR_ADD", "OP_PAIR_MULT"):
+        with pytest.raises(ValueError, match="overflow the double range"):
+            bounds._operator_pair_reports(inequality_id, ts, ss, v, DEFAULT_TOL)
+
+
+def test_stacked_sides_match_a_per_instance_reference():
+    # The evaluator forms every value over the stack; the sides computed
+    # one instance at a time through the public functional and window
+    # agree to rounding at the size of their operands.
+    for i in range(60):
+        g = stream(414, i)
+        d = int(g.choice([1, 2, 3, 4, 8]))
+        t, s = gen_commuting_positive_pair(d, g)
+        v = g.normal(size=d) + 1j * g.normal(size=d)
+        res = operator_pair_bounds(t, s, v)
+        norm = np.linalg.norm(v)
+        phi = PositiveFunctional.vector_state(v / norm)
+        ftt, fss = (phi.value(m.conj().T @ m).real for m in (t, s))
+        fst = phi.value(s.conj().T @ t)
+        ts, st = omega_from_spectra(t, s), omega_from_spectra(s, t)
+        coeff = 0.5 * (abs(ts.Omega) + abs(ts.omega)) / np.sqrt(ts.re_cross())
+        size = ftt * fss * norm**4
+        rhs_add = 0.25 * min(ts.spread() ** 2 * fss**2, st.spread() ** 2 * ftt**2) * norm**4
+        pairs = [
+            (res.additive.lhs, (ftt * fss - abs(fst) ** 2) * norm**4),
+            (res.additive.rhs, rhs_add),
+            (res.multiplicative.lhs, np.sqrt(ftt * fss) * norm**2),
+            (res.multiplicative.rhs, coeff * abs(fst) * norm**2),
+        ]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12 * max(size, 1.0), (i, got, want)

@@ -42,7 +42,10 @@ line, or a line of text).  For each file it prints:
   ``holds``, ``violated`` or ``precondition_failed`` count, a table's
   ``verdict:`` line or an ``exit`` line;
 * the largest change of a ``margin`` or ``worst_margin``, relative to
-  max(||lhs||, ||rhs||, 1) over both records (Frobenius norms).
+  the scale its verdict is judged at, over both records: max(||lhs||,
+  ||rhs||, 1) (Frobenius norms), and for an ``OP_PAIR_ADD`` report also
+  the size ``norm_tv_sq * norm_sv_sq`` from its details, the products
+  its lhs cancels from.
 
 It exits 1 on any verdict change or on a file present on one side only,
 and 0 otherwise.
@@ -135,9 +138,18 @@ def _size(value) -> float:
         return 0.0
 
 
+def _operand_size(record: dict) -> float:
+    """||Tv||^2 ||Sv||^2 of an OP_PAIR_ADD report, from its details; 0 for other records."""
+    details = record.get("details")
+    if not isinstance(details, dict):
+        return 0.0
+    return _size(details.get("norm_tv_sq")) * _size(details.get("norm_sv_sq"))
+
+
 def _margin_change(old, new) -> float:
-    """|new margin - old margin| / max(||lhs||, ||rhs||, 1) over both records;
-    0 for records without a margin, inf for one that is missing (NaN) on one side."""
+    """|new margin - old margin| over the verdict's scale, max(||lhs||,
+    ||rhs||, operand size, 1) over both records; 0 for records without a
+    margin, inf for one that is missing (NaN) on one side."""
     if not (isinstance(old, dict) and isinstance(new, dict)):
         return 0.0
     for key in MARGIN_KEYS:
@@ -149,6 +161,7 @@ def _margin_change(old, new) -> float:
             except (TypeError, ValueError):
                 return math.inf
             sizes = [_size(r.get(side)) for r in (old, new) for side in ("lhs", "rhs")]
+            sizes += [_operand_size(r) for r in (old, new)]
             return change / max(*sizes, 1.0)
     return 0.0
 
