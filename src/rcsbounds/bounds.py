@@ -155,7 +155,8 @@ class _Inequality:
       x and y as (N, ...) arrays normalized by forms._coerce_argument, and
       N window pairs;
     * "operator_pair": (N, d, d) stacks t, s and an (N, d) stack of nonzero v;
-    * "sequences": (N, n) stacks of a_seq, b_seq, w_seq and N windows.
+    * "sequences": (N, n) stacks of a_seq, b_seq, w_seq and the (N, 4)
+      edges (a, A, b, B) of their windows.
 
     _batch_of_one makes the batch of a lone instance.  The callables look
     the evaluators up in this module when called, so a rebound evaluator
@@ -253,7 +254,8 @@ def _batch_of_one(payload: str, instance) -> tuple:
     a tuple as the public single-instance functions take it or, for
     "sequences", a WeightedSequences.  Runs their argument checks."""
     if payload == "sequences":
-        return instance.a_seq[None], instance.b_seq[None], instance.w_seq[None], [instance.window]
+        edges = _window_edges([instance.window])
+        return instance.a_seq[None], instance.b_seq[None], instance.w_seq[None], edges
     if payload == "operator_pair":
         t, s, v = instance
         tm = as_element(t)
@@ -861,7 +863,7 @@ class WeightedSequences:
             raise DimMismatchError("sequences and weights must share one length")
         if a.size < 1:
             raise DimMismatchError("sequences must be nonempty")
-        _check_sequences(a[None], b[None], w[None], [self.window])
+        _check_sequences(a[None], b[None], w[None], _window_edges([self.window]))
 
     @property
     def n(self) -> int:
@@ -920,11 +922,16 @@ _SEQUENCE_ERRORS = (
 )
 
 
-def _check_sequences(a: np.ndarray, b: np.ndarray, w: np.ndarray, windows: Sequence) -> None:
+def _window_edges(windows: Sequence[ScalarWindow]) -> np.ndarray:
+    """The (N, 4) edges (a, A, b, B) of N windows, as a "sequences" batch holds them."""
+    return np.array([(x.a, x.A, x.b, x.B) for x in windows], dtype=np.float64)
+
+
+def _check_sequences(a: np.ndarray, b: np.ndarray, w: np.ndarray, edges: np.ndarray) -> None:
     """The data checks of WeightedSequences on (N, n) stacks of a_seq, b_seq,
-    w_seq and their N windows, all rows at once.  The first failing row
-    raises what WeightedSequences raises on that row alone."""
-    lo_a, hi_a, lo_b, hi_b = np.array([(x.a, x.A, x.b, x.B) for x in windows]).T[..., None]
+    w_seq and the (N, 4) edges of their windows, all rows at once.  The first
+    failing row raises what WeightedSequences raises on that row alone."""
+    lo_a, hi_a, lo_b, hi_b = edges.T[..., None]
     slack_a = 1e-12 * np.maximum(hi_a, 1.0)
     slack_b = 1e-12 * np.maximum(hi_b, 1.0)
     failed = np.array([  # (check, row), the checks of _SEQUENCE_ERRORS
@@ -949,27 +956,28 @@ def _sequence_reports(inequality_id: str, row: Callable, batch: tuple, tol: Tole
     """The reports of a sequences id on a "sequences" batch (see
     _Inequality): the weighted sums of every row at once, then
     row(inequality_id, sa2, sb2, sab, window, tol) per instance, in Python
-    floats.  The data of the whole batch (see _check_sequences) and, for a
-    unit-weights id, its weights are checked once."""
-    a, b, w, windows = batch
-    _check_sequences(a, b, w, windows)
+    floats, with window the edges (a, A, b, B).  The data of the whole batch
+    (see _check_sequences) and, for a unit-weights id, its weights are
+    checked once."""
+    a, b, w, edges = batch
+    _check_sequences(a, b, w, edges)
     if _REGISTRY[inequality_id].unit_weights and np.any(w != 1.0):
         raise ValueError(f"{inequality_id} requires unit weights (w_i = 1)")
     sums = zip(*(s.tolist() for s in _weighted_sums(a, b, w)))
-    return [row(inequality_id, *s, win, tol) for s, win in zip(sums, windows)]
+    return [row(inequality_id, *s, win, tol) for s, win in zip(sums, edges.tolist())]
 
 
-def _scaled_constants(
-    sa2: float, sb2: float, sab: float, win: ScalarWindow
-) -> tuple[float, float, float]:
+def _scaled_constants(sa2: float, sb2: float, sab: float, win) -> tuple[float, float, float]:
     """((AB - ab)^2 / 4) * Ck for the three constants of the refined
-    difference bound.  The first two are also the branches of the additive
-    bound for weighted sums, the third is the classical difference bound."""
-    gap = (win.A * win.B - win.a * win.b) ** 2 / 4.0
+    difference bound, win the window edges (a, A, b, B).  The first two are
+    also the branches of the additive bound for weighted sums, the third is
+    the classical difference bound."""
+    a, A, b, B = win
+    gap = (A * B - a * b) ** 2 / 4.0
     return (
-        gap * sa2 * sa2 / (win.A * win.a) ** 2,
-        gap * sb2 * sb2 / (win.B * win.b) ** 2,
-        gap * sab * sab / (win.a * win.b * win.A * win.B),
+        gap * sa2 * sa2 / (A * a) ** 2,
+        gap * sb2 * sb2 / (B * b) ** 2,
+        gap * sab * sab / (a * b * A * B),
     )
 
 
@@ -986,11 +994,10 @@ def _additive_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
     )
 
 
-def _multiplicative_sides(
-    sa2: float, sb2: float, sab: float, win: ScalarWindow
-) -> tuple[float, float, float]:
+def _multiplicative_sides(sa2: float, sb2: float, sab: float, win) -> tuple[float, float, float]:
+    a, A, b, B = win
     lhs = math.sqrt(sa2) * math.sqrt(sb2)
-    ratio = (win.a * win.b) / (win.A * win.B)
+    ratio = (a * b) / (A * B)
     coeff = 0.5 * (math.sqrt(ratio) + math.sqrt(1.0 / ratio))
     return lhs, coeff * sab, coeff
 
@@ -1001,12 +1008,11 @@ def _multiplicative_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
     return _scalar_report(inequality_id, (), lhs, rhs, tol, details={"coefficient": coeff})
 
 
-def _product_sides(
-    sa2: float, sb2: float, sab: float, win: ScalarWindow
-) -> tuple[float, float]:
+def _product_sides(sa2: float, sb2: float, sab: float, win) -> tuple[float, float]:
     """lhs and rhs of the Greub-Rheinboldt product bound."""
-    prod = win.A * win.B * win.a * win.b
-    return sa2 * sb2, (win.A * win.B + win.a * win.b) ** 2 / (4.0 * prod) * sab * sab
+    a, A, b, B = win
+    prod = A * B * a * b
+    return sa2 * sb2, (A * B + a * b) ** 2 / (4.0 * prod) * sab * sab
 
 
 def _greub_rheinboldt_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
@@ -1043,6 +1049,7 @@ def _classical_additive_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundRepo
 
 def _improved_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
     """The refined difference bound (PS_IMPROVED); see polya_szego_improved."""
+    a, A, b, B = win
     constants = _scaled_constants(sa2, sb2, sab, win)
     least = min(constants)
     threshold = least + 1e-12 * abs(least)
@@ -1056,8 +1063,8 @@ def _improved_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
         details={
             "constants": list(constants),
             "argmin": argmin,
-            "equality_lhs": sa2 / (win.A * win.a),
-            "equality_rhs": sb2 / (win.B * win.b),
+            "equality_lhs": sa2 / (A * a),
+            "equality_rhs": sb2 / (B * b),
             "improvement_over_classical": constants[2] - least,
         },
     )

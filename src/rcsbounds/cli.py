@@ -33,6 +33,7 @@ from .bounds import (
     BoundReport,
     DegenerateSpaceError,
     WeightedSequences,
+    _batch_of_one,
     _encode_value,
     _evaluate_one,
     precondition_failed_report,
@@ -66,6 +67,10 @@ ENV_ATOL = "RCSBOUNDS_ATOL"
 
 SHARPNESS_TARGET = 0.25
 SHARPNESS_TOL = 1e-12
+
+# The range of compare --n, the length of each compared sequence; MAX_DIM
+# bounds --dim likewise.
+MAX_SEQUENCE_LENGTH = 4096
 
 CSV_HEADER = (
     "window_a",
@@ -484,40 +489,39 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
     return 0 if deviation <= SHARPNESS_TOL else 2
 
 
-def _compare_batches(args: argparse.Namespace):
-    """The rows (a_seq, b_seq, w_seq, window) of the constant-comparison
-    study as PS_IMPROVED batches, in order.
+def _compare_batches(args: argparse.Namespace, tol: Tolerance):
+    """The constant-comparison study as PS_IMPROVED batches (a_seq, b_seq,
+    w_seq, edges), in order.
 
     Random windows first (the Philox stream of each sample index, one
     re-keyed Philox per batch), TRIAL_WINDOW rows at a time so that memory
     does not grow with --samples, then the three constructed families, so
     the output is reproducible and schedule-independent.
     """
+    entry = _REGISTRY[PS_IMPROVED]
     for start in range(0, args.samples, TRIAL_WINDOW):
         indices = range(start, min(start + TRIAL_WINDOW, args.samples))
-        yield [_sequence_draw(g, args.n, True) for g in streams(args.seed, indices)]
-    yield [(f.a_seq, f.b_seq, f.w_seq, f.window) for _, f in gen_argmin_families(max(2, args.n))]
+        yield _batch(entry, [_sequence_draw(g, args.n) for g in streams(args.seed, indices)], tol)
+    for _, family in gen_argmin_families(max(2, args.n)):
+        yield _batch_of_one(entry.payload, family)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise _UsageError("--n must be at least 1")
+    if not 1 <= args.n <= MAX_SEQUENCE_LENGTH:
+        raise _UsageError(f"--n must be in 1..{MAX_SEQUENCE_LENGTH}")
     if args.samples < 0:
         raise _UsageError("--samples must be nonnegative")
     tol = _resolve_tolerance(args)
     entry = _REGISTRY[PS_IMPROVED]
     counts = {1: 0, 2: 0, 3: 0}
     rows = []
-    for draws in _compare_batches(args):
-        for (*_, win), report in zip(draws, entry.evaluate(_batch(entry, draws, tol), tol)):
+    for batch in _compare_batches(args, tol):
+        for edges, report in zip(batch[3].tolist(), entry.evaluate(batch, tol)):
             details = report.details
             counts[details["argmin"]] += 1
             rows.append(
                 (
-                    win.a,
-                    win.A,
-                    win.b,
-                    win.B,
+                    *edges,
                     *details["constants"],
                     details["argmin"],
                     report.lhs,
@@ -607,7 +611,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sharp.set_defaults(func=cmd_sharpness)
 
     p_cmp = sub.add_parser("compare", help="constant-selection study for the refined bound")
-    p_cmp.add_argument("--n", type=int, default=8, help="sequence length per sample")
+    p_cmp.add_argument(
+        "--n", type=int, default=8, help=f"sequence length per sample (1..{MAX_SEQUENCE_LENGTH})"
+    )
     p_cmp.add_argument("--samples", type=int, default=10000, help="random window count")
     p_cmp.add_argument("--csv", default=None, metavar="PATH", help="write per-sample rows here")
     _add_common_flags(p_cmp)

@@ -150,21 +150,14 @@ class PositiveFunctional:
         return cls(kind=WEIGHTED_SUM, dim=arr.size, weights=arr)
 
     def value(self, r) -> complex:
-        """Evaluate the functional on a dim x dim matrix."""
+        """Evaluate the functional on a dim x dim matrix (_functional_values
+        of one functional)."""
         m = as_element(r)
         if m.shape[0] != self.dim:
             raise DimMismatchError(
                 f"functional on M_{self.dim} applied to shape {m.shape}"
             )
-        return self._value(m)
-
-    def _value(self, m: np.ndarray) -> complex:
-        """value on a dim x dim complex128 matrix that is already checked."""
-        if self.kind == VECTOR_STATE:
-            return complex(np.vdot(self.state, m @ self.state))
-        if self.kind == TRACE:
-            return complex(np.trace(m))
-        return complex(np.sum(self.weights * np.diag(m)))
+        return complex(_functional_values([self], m[None])[0])
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "dim": self.dim}
@@ -373,14 +366,37 @@ def _form_eval(forms: list[FormInstance], x: np.ndarray, y: np.ndarray) -> np.nd
     (N, algebra_dim, algebra_dim) stack of values."""
     if forms[0].kind == MODULE_FORM:
         return y.conj().swapaxes(-1, -2) @ x
-    members = zip(forms, x, y)
     if forms[0].kind == GRAM_TENSOR:
+        members = zip(forms, x, y)
         return np.stack([np.einsum("i,j,ijab->ab", u, v.conj(), f.gram) for f, u, v in members])
     # _coerce_argument has checked u and v, so v* u is evaluated unchecked;
     # a value past the double range is an error, never a verdict.
-    values = np.array([[[f.functional._value(v.conj().T @ u)]] for f, u, v in members])
+    values = _functional_values([f.functional for f in forms], y.conj().swapaxes(-1, -2) @ x)
     if np.count_nonzero(~np.isfinite(values)):
         raise ValueError("functional values must be finite")
+    return values[:, None, None]
+
+
+def _functional_values(functionals: list[PositiveFunctional], m: np.ndarray) -> np.ndarray:
+    """phi_k(m[k]) for N functionals of one dimension and an (N, dim, dim)
+    complex128 stack m, unchecked: the (N,) values, evaluated per kind over
+    the stack.  A vector state is s* (m s) by stacked products, a trace or
+    weighted sum the sum of the (weighted) diagonal; each slice is the same
+    whatever else is in the stack."""
+    values = np.empty(len(m), dtype=np.complex128)
+    members: dict[str, list[int]] = {}
+    for k, phi in enumerate(functionals):
+        members.setdefault(phi.kind, []).append(k)
+    for kind, index in members.items():
+        part = m[index]
+        if kind == VECTOR_STATE:
+            s = np.stack([functionals[k].state for k in index])
+            values[index] = (s.conj()[:, None, :] @ (part @ s[:, :, None]))[:, 0, 0]
+            continue
+        diagonal = np.diagonal(part, axis1=1, axis2=2)
+        if kind == WEIGHTED_SUM:
+            diagonal = np.stack([functionals[k].weights for k in index]) * diagonal
+        values[index] = diagonal.sum(axis=-1)
     return values
 
 

@@ -23,10 +23,22 @@ a fraction of a sweep instead of a cold solve.  The window pair is part of
 the instance, which gen_re_valid_instance("module") builds the same way.
 The evaluators never see U: each report is a function of its instance
 alone, as verify on an instance file computes it.
+
+Scalar instances: a trial draws only its values, in the order its
+generator draws them, with the fewest calls (a sequence trial one
+g.random(4 + 3n), from which g.uniform(lo, hi) is lo + (hi - lo) * u bit
+for bit), and each group builds its instances as one stack: the windows,
+pinned sequences and weights of a "sequences" group (_sequence_batch), and
+phi(y* y), phi(p* p), x and the Re check of every functional instance's
+first attempt (_functional_instances).  A functional slice whose first
+attempt is rejected continues its own rejection loop from its own stream.
+gen_bounded_sequences, sample_window and gen_re_valid_instance("functional")
+are these builders for one instance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -42,6 +54,7 @@ from .bounds import (
     ScalarWindow,
     WeightedSequences,
     _Inequality,
+    _window_edges,
     precondition_failed_report,
 )
 from .forms import (
@@ -49,6 +62,7 @@ from .forms import (
     FormInstance,
     OmegaPair,
     PositiveFunctional,
+    _form_eval,
     _re_term,
     _spectral_window,
     _window_pairs,
@@ -192,25 +206,55 @@ def gen_commuting_positive_pair(d: int, rng: RngLike = 0) -> tuple[np.ndarray, n
 def gen_bounded_sequences(
     n: int, window: ScalarWindow, rng: RngLike = 0
 ) -> WeightedSequences:
-    """Random sequences inside the window with weights in (0, 1].
+    """Random sequences inside the window with weights in (0, 1]: a_i, b_i
+    and w_i drawn in that order, n of each (_sequences of one row).
 
     For n >= 4 the first four positions pin the window endpoints so each
     of a, A, b, B is attained.
     """
-    return WeightedSequences(*_sequence_arrays(n, window, _as_rng(rng)), window)
+    a, b, w = _sequences(_window_edges([window]), _as_rng(rng).random((1, 3 * n)))
+    return WeightedSequences(a[0], b[0], w[0], window)
 
 
-def _sequence_arrays(n: int, window: ScalarWindow, g: np.random.Generator) -> tuple:
-    """The unchecked (a_seq, b_seq, w_seq) of gen_bounded_sequences, drawn from g."""
-    a_seq = g.uniform(window.a, window.A, size=n)
-    b_seq = g.uniform(window.b, window.B, size=n)
-    w_seq = 1.0 - g.uniform(0.0, 1.0, size=n)
+def _uniform(u, lo, hi):
+    """lo + (hi - lo) * u: what g.uniform(lo, hi) draws from the uniforms u
+    in [0, 1) that g.random draws from the same stream, bit for bit."""
+    return lo + (hi - lo) * u
+
+
+def _windows(u: np.ndarray, window_range: tuple[float, float]) -> np.ndarray:
+    """The (N, 4) edges (a, A, b, B) of N random scalar windows from (N, 4)
+    uniforms in [0, 1): each interval the sorted pair of two uniforms in
+    window_range, as g.uniform(lo, hi, size=2) draws it."""
+    return np.sort(_uniform(u, *window_range).reshape(-1, 2, 2), axis=-1).reshape(-1, 4)
+
+
+def _sequences(edges: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unchecked (N, n) stacks a_seq, b_seq, w_seq in the windows of
+    (N, 4) edges from (N, 3n) uniforms in [0, 1): a_seq, b_seq and w_seq
+    drawn in that order as g.uniform(a, A), g.uniform(b, B) and
+    1 - g.uniform(0, 1) draw them from the same uniforms, and for n >= 4
+    the window endpoints pinned at the first four positions."""
+    n = u.shape[1] // 3
+    lo_a, hi_a, lo_b, hi_b = (edges[:, j : j + 1] for j in range(4))
+    a_seq = _uniform(u[:, :n], lo_a, hi_a)
+    b_seq = _uniform(u[:, n : 2 * n], lo_b, hi_b)
+    w_seq = 1.0 - u[:, 2 * n :]
     if n >= 4:
-        a_seq[0] = window.a
-        a_seq[1] = window.A
-        b_seq[2] = window.b
-        b_seq[3] = window.B
+        a_seq[:, :2] = edges[:, :2]
+        b_seq[:, 2:4] = edges[:, 2:]
     return a_seq, b_seq, w_seq
+
+
+def _sequence_batch(u: np.ndarray, unit_weights: bool) -> list:
+    """The "sequences" batch (a_seq, b_seq, w_seq, edges) of N trials from
+    their (N, 4 + 3n) _sequence_draw rows: the window of sample_window(g,
+    WINDOW_RANGE) and the sequences of gen_bounded_sequences(n, window, g),
+    every weight 1 when unit_weights.  The rows are unchecked: the evaluator
+    checks its whole batch at once."""
+    edges = _windows(u[:, :4], WINDOW_RANGE)
+    a_seq, b_seq, w_seq = _sequences(edges, u[:, 4:])
+    return [a_seq, b_seq, np.ones_like(w_seq) if unit_weights else w_seq, edges]
 
 
 def _random_functional(d: int, g: np.random.Generator) -> PositiveFunctional:
@@ -221,6 +265,121 @@ def _random_functional(d: int, g: np.random.Generator) -> PositiveFunctional:
     if kind == 1:
         return PositiveFunctional.trace(d)
     return PositiveFunctional.weighted_sum(g.uniform(0.2, 2.0, size=d))
+
+
+# The uniform ranges behind a functional instance's window pair, in the
+# order they are drawn: |lambda|, arg(lambda), |c| / |lambda| and arg(c).
+_PAIR_RANGES = ((0.5, 2.0), (0.0, 2 * np.pi), (0.1, 0.9), (0.0, 2 * np.pi))
+# The range of rho, the share of the disk's radius^2 that p takes.
+_RHO_RANGE = (0.0, 0.9)
+# A drawn y or p is kept when phi(y* y) or phi(p* p) is at least this.
+_Y_NORM2_MIN = 1e-8
+_P_NORM2_MIN = 1e-12
+
+
+def _complex_gaussians(z: np.ndarray) -> np.ndarray:
+    """z[..., 0, :, :] + 1j z[..., 1, :, :] of (..., 2, d, d) standard normals:
+    the complex Gaussian that g.standard_normal((d, d)) + 1j *
+    g.standard_normal((d, d)) draws from the same normals."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def _functional_draw(d: int, g: np.random.Generator) -> tuple:
+    """The draws from g of a functional instance's first attempt, in the
+    order of the rejection loop (_functional_rejections): the functional,
+    the normals behind y, the uniforms behind the window pair, the normals
+    behind p and the uniform behind rho (see _RHO_RANGE)."""
+    phi = _random_functional(d, g)
+    return phi, g.standard_normal((2, d, d)), g.random(4), g.standard_normal((2, d, d)), g.random()
+
+
+def _functional_pairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[OmegaPair]]:
+    """lambda, radius^2 and the window pairs (lambda - c, lambda + c) of N
+    functional instances from (N, 4) uniforms (see _PAIR_RANGES)."""
+    lam_mod, arg_lam, share, arg_c = (_uniform(u[:, j], *r) for j, r in enumerate(_PAIR_RANGES))
+    lam = lam_mod * np.exp(1j * arg_lam)
+    radius = share * lam_mod
+    c = radius * np.exp(1j * arg_c)
+    pairs = [OmegaPair(omega, Omega) for omega, Omega in zip((lam - c).tolist(), (lam + c).tolist())]
+    # Python's radius ** 2 (libm pow), which may differ from radius * radius
+    # in the last bit.
+    return lam, np.array([r**2 for r in radius.tolist()]), pairs
+
+
+def _phi_norms(forms: list, m: np.ndarray) -> np.ndarray:
+    """The (N,) values phi_k(m[k]* m[k]) under N functional forms for an
+    (N, d, d) stack m."""
+    return _form_eval(forms, m, m)[:, 0, 0].real
+
+
+def _functional_x(lam, radius_sq, y, fyy, p, fpp, rho) -> np.ndarray:
+    """x = lambda y + p', with p' the multiple of p for which
+    phi(p'* p') = rho radius^2 phi(y* y), as (N, d, d) stacks."""
+    scale = np.sqrt(rho * radius_sq * fyy / fpp)
+    return lam[:, None, None] * y + p * scale[:, None, None]
+
+
+def _re_accepts(forms: list, x: np.ndarray, y: np.ndarray, pairs: list, tol: Tolerance) -> np.ndarray:
+    """Which of N functional instances satisfy the Re hypothesis, as
+    check_re_condition decides it: the 1 x 1 Re term is at least -band at
+    the scale max(|value|, 1)."""
+    re = _re_term(forms, x, y, pairs)[:, 0, 0].real
+    return re >= -tol.band(np.maximum(np.abs(re), 1.0))
+
+
+def _functional_instances(rows: Sequence, tol: Tolerance, cap: int = REJECTION_CAP) -> list:
+    """The functional-form instances of N _functional_draw rows, each
+    followed by restart, a callable that returns the row's generator as it
+    was before its draws, as the "functional_form" batch columns (forms, x,
+    y, pairs).
+
+    phi(y* y), phi(p* p), x and the Re check of every first attempt are
+    computed over the stack.  A slice whose first attempt the generator
+    would not keep (a degenerate y or p, or a failed Re check) restarts its
+    own stream and runs the rejection loop on it (_functional_rejections),
+    which draws that first attempt again and continues from there, so every
+    slice is the instance its draws alone give, whatever else is in the stack."""
+    phis, zy, u, zp, rho, restarts = zip(*rows)
+    forms = [FormInstance.functional_form(phi) for phi in phis]
+    y, p = _complex_gaussians(np.stack(zy)), _complex_gaussians(np.stack(zp))
+    lam, radius_sq, pairs = _functional_pairs(np.stack(u))
+    fyy, fpp = _phi_norms(forms, y), _phi_norms(forms, p)
+    kept = ~((fyy < _Y_NORM2_MIN) | (fpp < _P_NORM2_MIN))
+    rho = _uniform(np.array(rho), *_RHO_RANGE)
+    x = _functional_x(lam, radius_sq, y, fyy, p, np.where(kept, fpp, 1.0), rho)
+    # The first attempt is one of the cap attempts.
+    accepted = kept & _re_accepts(forms, x, y, pairs, tol) & (cap > 0)
+    for k in np.flatnonzero(~accepted):
+        forms[k], x[k], y[k], pairs[k] = _functional_rejections(
+            phis[k].dim, restarts[k](), tol, cap
+        )
+    return [forms, x, y, pairs]
+
+
+def _functional_rejections(d: int, g: np.random.Generator, tol: Tolerance, cap: int) -> tuple:
+    """One functional instance drawn from g as the rejection loop draws it:
+    the functional, y until phi(y* y) is not degenerate, the window pair,
+    then up to cap attempts of p (redrawn while phi(p* p) is degenerate)
+    and rho until the Re check passes, else RejectionCapExceededError."""
+    phi = _random_functional(d, g)
+    form = FormInstance.functional_form(phi)
+    y = _complex_gaussians(g.standard_normal((1, 2, d, d)))
+    fyy = _phi_norms([form], y)
+    while fyy[0] < _Y_NORM2_MIN:
+        y = _complex_gaussians(g.standard_normal((1, 2, d, d)))
+        fyy = _phi_norms([form], y)
+    lam, radius_sq, pairs = _functional_pairs(g.random((1, 4)))
+    for _ in range(cap):
+        p = _complex_gaussians(g.standard_normal((1, 2, d, d)))
+        fpp = _phi_norms([form], p)
+        if fpp[0] < _P_NORM2_MIN:
+            continue
+        x = _functional_x(lam, radius_sq, y, fyy, p, fpp, _uniform(g.random(1), *_RHO_RANGE))
+        if _re_accepts([form], x, y, pairs, tol)[0]:
+            return form, x[0], y[0], pairs[0]
+    raise RejectionCapExceededError(
+        f"no admissible x found in {cap} attempts (kind=functional, d={d})"
+    )
 
 
 def gen_re_valid_instance(
@@ -239,7 +398,8 @@ def gen_re_valid_instance(
     kind = "functional": a random positive functional with x sampled in
     the disk spanned by (omega, Omega) around y plus a small admissible
     perturbation, resampled until the Re check passes (cap attempts, then
-    RejectionCapExceededError).  The window pair always satisfies
+    RejectionCapExceededError), built as a campaign builds its functional
+    instances (_functional_instances).  The window pair always satisfies
     Re(conj(omega) * Omega) > 0.
 
     tol is the band of the window and Re checks.
@@ -250,43 +410,15 @@ def gen_re_valid_instance(
         return forms[0], x[0], y[0], pairs[0]
     if kind != "functional":
         raise ValueError(f"unknown instance kind {kind!r}")
+    start = g.bit_generator.state
 
-    phi = _random_functional(d, g)
-    form = FormInstance.functional_form(phi)
+    def restart() -> np.random.Generator:
+        g.bit_generator.state = start
+        return g
 
-    def gaussian_matrix() -> np.ndarray:
-        return g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
-
-    def phi_norm2(m: np.ndarray) -> float:
-        return phi._value(m.conj().T @ m).real
-
-    y = gaussian_matrix()
-    while phi_norm2(y) < 1e-8:
-        y = gaussian_matrix()
-    fyy = phi_norm2(y)
-
-    lam_mod = g.uniform(0.5, 2.0)
-    lam = lam_mod * np.exp(1j * g.uniform(0.0, 2 * np.pi))
-    radius = g.uniform(0.1, 0.9) * lam_mod
-    c = radius * np.exp(1j * g.uniform(0.0, 2 * np.pi))
-    pair = OmegaPair(omega=complex(lam - c), Omega=complex(lam + c))
-
-    for _ in range(cap):
-        p = gaussian_matrix()
-        fpp = phi_norm2(p)
-        if fpp < 1e-12:
-            continue
-        rho = g.uniform(0.0, 0.9)
-        p = p * np.sqrt(rho * radius**2 * fyy / fpp)
-        x = lam * y + p
-        # check_re_condition on arrays built here: the 1 x 1 Re term holds
-        # when its value is at least -band at the scale max(|value|, 1).
-        re = _re_term([form], x[None], y[None], [pair])[0, 0, 0].real
-        if re >= -tol.band(max(abs(re), 1.0)):
-            return form, x, y, pair
-    raise RejectionCapExceededError(
-        f"no admissible x found in {cap} attempts (kind=functional, d={d})"
-    )
+    row = (*_functional_draw(d, g), restart)
+    forms, x, y, pairs = _functional_instances([row], tol, cap)
+    return forms[0], x[0], y[0], pairs[0]
 
 
 def gen_argmin_families(n: int) -> list[tuple[str, WeightedSequences]]:
@@ -385,11 +517,8 @@ class FuzzSummary:
 
 
 def sample_window(g: np.random.Generator, window_range: tuple[float, float]) -> ScalarWindow:
-    """Random scalar window with both intervals inside window_range."""
-    lo, hi = window_range
-    a_lo, a_hi = sorted(g.uniform(lo, hi, size=2).tolist())
-    b_lo, b_hi = sorted(g.uniform(lo, hi, size=2).tolist())
-    return ScalarWindow(a_lo, a_hi, b_lo, b_hi)
+    """Random scalar window with both intervals inside window_range (_windows of one row)."""
+    return ScalarWindow(*_windows(g.random((1, 4)), window_range)[0].tolist())
 
 
 def _entry(inequality_id: str) -> _Inequality:
@@ -400,34 +529,43 @@ def _entry(inequality_id: str) -> _Inequality:
     return _REGISTRY[inequality_id]
 
 
-def _sequence_draw(g: np.random.Generator, n: int, unit_weights: bool) -> tuple:
-    """Sequences of length n in a random window, drawn from g, as one row
-    (a_seq, b_seq, w_seq, window) of a "sequences" batch; every weight 1
-    when unit_weights.  The row is unchecked: the evaluator checks its
-    whole batch at once."""
-    window = sample_window(g, WINDOW_RANGE)
-    a_seq, b_seq, w_seq = _sequence_arrays(n, window, g)
-    return a_seq, b_seq, np.ones(n) if unit_weights else w_seq, window
+def _sequence_draw(g: np.random.Generator, n: int) -> np.ndarray:
+    """The row of a trial with sequences of length n, drawn from g: the
+    4 + 3n uniforms behind its window and its a_seq, b_seq and w_seq, in
+    the order sample_window and gen_bounded_sequences draw them
+    (_sequence_batch)."""
+    return g.random(4 + 3 * n)
 
 
-def _draw(
-    config: GeneratorConfig, entry: _Inequality, g: np.random.Generator, tol: Tolerance
-) -> tuple:
-    """One trial's instance for the payload kind of a registry entry, drawn
-    from the trial's stream g: its dimension (d, or the sequence length n)
-    and its row of the evaluator's batch.
+def _dimension(config: GeneratorConfig, g: np.random.Generator) -> int:
+    """A trial's matrix dimension, its first draw from its stream g."""
+    return int(config.dims[g.integers(len(config.dims))])
 
-    A "form" row is the _pair_draw of the commuting strictly positive
-    pair (t, s) that is x and y of gen_re_valid_instance("module"); _batch
-    builds the instances as that generator does (_module_instances).  An
-    "operator_pair" row is that _pair_draw followed by the vector v.
+
+def _restarted(config: GeneratorConfig, index: int) -> np.random.Generator:
+    """The stream of trial index, past its dimension draw."""
+    g = stream(config.seed, index)
+    _dimension(config, g)
+    return g
+
+
+def _draw(config: GeneratorConfig, entry: _Inequality, index: int, g: np.random.Generator) -> tuple:
+    """One trial's draws for the payload kind of a registry entry, from the
+    stream g of trial index: its dimension (d, or the sequence length n)
+    and its row, which _batch builds into the evaluator's batch.
+
+    A "sequences" row is its _sequence_draw.  A "functional_form" row is
+    its _functional_draw followed by the callable that restarts its stream
+    there.  A "form" row is the _pair_draw of the commuting strictly
+    positive pair (t, s) that is x and y of gen_re_valid_instance("module");
+    an "operator_pair" row is that _pair_draw followed by the vector v.
     """
     if entry.payload == "sequences":
         n = int(SPACE_DIMS[g.integers(len(SPACE_DIMS))])
-        return n, _sequence_draw(g, n, entry.unit_weights)
-    d = int(config.dims[g.integers(len(config.dims))])
+        return n, _sequence_draw(g, n)
+    d = _dimension(config, g)
     if entry.payload == "functional_form":
-        return d, gen_re_valid_instance("functional", d, g, tol=tol)
+        return d, (*_functional_draw(d, g), functools.partial(_restarted, config, index))
     pair = _pair_draw(d, g)
     if entry.payload == "form":
         return d, pair
@@ -438,17 +576,19 @@ def _draw(
 
 
 def _batch(entry: _Inequality, rows: Sequence, tol: Tolerance) -> list:
-    """The evaluator's batch of drawn rows of one dimension: each column
-    stacked into one array, or a list of its forms, windows or pairs.  A
-    "form" or "operator_pair" batch builds its commuting pairs from their
-    stacked draws at once; a "form" batch is its module instances
-    (_module_instances)."""
-    columns = [np.stack(c) if isinstance(c[0], np.ndarray) else list(c) for c in zip(*rows)]
+    """The evaluator's batch of drawn rows of one dimension, built at once:
+    a "sequences" batch by _sequence_batch, a "functional_form" batch by
+    _functional_instances (tol is the band of its Re checks), a "form"
+    batch as its module instances (_module_instances) and an
+    "operator_pair" batch as its commuting pairs and vectors."""
+    if entry.payload == "sequences":
+        return _sequence_batch(np.stack(rows), entry.unit_weights)
+    if entry.payload == "functional_form":
+        return _functional_instances(rows, tol)
+    columns = [np.stack(c) for c in zip(*rows)]
     if entry.payload == "form":
         return _module_instances(*columns, tol)
-    if entry.payload == "operator_pair":
-        return [*_commuting_pairs(*columns[:3])[1:], columns[3]]
-    return columns
+    return [*_commuting_pairs(*columns[:3])[1:], columns[3]]
 
 
 def _group_reports(
@@ -503,12 +643,8 @@ def run_trials(
         window = indices[start : start + TRIAL_WINDOW]
         out: list[BoundReport] = [None] * len(window)
         groups: dict[int, list] = {}  # by dimension
-        for k, g in enumerate(streams(config.seed, window)):
-            try:
-                dim, row = _draw(config, entry, g, tol)
-            except HYPOTHESIS_ERRORS as exc:
-                out[k] = precondition_failed_report(inequality_id, exc)
-                continue
+        for k, (i, g) in enumerate(zip(window, streams(config.seed, window))):
+            dim, row = _draw(config, entry, i, g)
             groups.setdefault(dim, []).append((k, row))
         for _, members in sorted(groups.items()):
             positions, rows = zip(*members)

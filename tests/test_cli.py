@@ -705,9 +705,15 @@ def test_compare_json_counts(capsys):
 
 
 def test_compare_flag_validation(capsys):
-    code, _, err = run(capsys, "compare", "--n", "0")
-    assert code == 1
-    assert "--n" in err
+    # --n is a length in 1..MAX_SEQUENCE_LENGTH; a value past it is refused
+    # in one line before anything is allocated.
+    for n in ("0", str(cli.MAX_SEQUENCE_LENGTH + 1), "100000000000000"):
+        code, out, err = run(capsys, "compare", "--n", n)
+        one_line_error(code, out, err, 1)
+        assert "--n" in err and str(cli.MAX_SEQUENCE_LENGTH) in err
+    n = str(cli.MAX_SEQUENCE_LENGTH)
+    code, out, _ = run(capsys, "compare", "--n", n, "--samples", "1", "--json")
+    assert code == 0 and json.loads(out)["samples"] == 4
 
 
 def test_usage_error_exit_code():

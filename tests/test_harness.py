@@ -57,7 +57,7 @@ from rcsbounds import (
     sample_window,
 )
 from rcsbounds import bounds, forms, harness, matalg
-from rcsbounds.harness import TRIAL_WINDOW
+from rcsbounds.harness import REJECTION_CAP, TRIAL_WINDOW
 from rcsbounds.rng import stream
 
 
@@ -282,20 +282,202 @@ def test_started_window_equals_cold_window():
                 assert abs(a - b) <= 1e-12 * abs(b), (d, a, b)
 
 
-def test_module_generator_is_the_campaign_instance():
-    # gen_re_valid_instance("module") on a trial's stream, after the
-    # dimension draw, gives that trial's instance in a campaign batch.
+@pytest.mark.parametrize("kind", ["module", "functional"])
+def test_module_generator_is_the_campaign_instance(kind):
+    # gen_re_valid_instance(kind) on a trial's stream, after the dimension
+    # draw, gives that trial's instance in a campaign batch.
+    inequality_id = {"module": ADD_MATRIX, "functional": ADD_FUNCTIONAL}[kind]
     config = GeneratorConfig(seed=13, trials=12, dims=(4,))
-    entry = bounds._REGISTRY[ADD_MATRIX]
-    streams = [stream(config.seed, i) for i in range(config.trials)]
-    rows = [harness._draw(config, entry, g, DEFAULT_TOL)[1] for g in streams]
+    entry = bounds._REGISTRY[inequality_id]
+    rows = [harness._draw(config, entry, i, stream(config.seed, i))[1] for i in range(config.trials)]
     forms_, x, y, pairs = harness._batch(entry, rows, DEFAULT_TOL)
     for i in range(config.trials):
         g = stream(config.seed, i)
         g.integers(len(config.dims))
-        form, xi, yi, pair = gen_re_valid_instance("module", 4, g)
-        assert form == forms_[i] and pair == pairs[i]
-        assert np.array_equal(xi, x[i]) and np.array_equal(yi, y[i])
+        form, xi, yi, pair = gen_re_valid_instance(kind, 4, g)
+        assert form.to_dict() == forms_[i].to_dict() and pair == pairs[i]
+        assert xi.tobytes() == x[i].tobytes() and yi.tobytes() == y[i].tobytes()
+
+
+def _functional_reference(d, g, cap=1000, tol=DEFAULT_TOL):
+    """gen_re_valid_instance("functional") written out one draw at a time
+    with g.uniform and per-instance functional values, as the generator
+    has always drawn and checked its instances."""
+    phi = harness._random_functional(d, g)
+    form = forms.FormInstance.functional_form(phi)
+
+    def gaussian_matrix():
+        return g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+
+    def phi_norm2(m):
+        return _functional_value(phi, m.conj().T @ m).real
+
+    y = gaussian_matrix()
+    while phi_norm2(y) < 1e-8:
+        y = gaussian_matrix()
+    fyy = phi_norm2(y)
+    lam_mod = g.uniform(0.5, 2.0)
+    lam = lam_mod * np.exp(1j * g.uniform(0.0, 2 * np.pi))
+    radius = g.uniform(0.1, 0.9) * lam_mod
+    c = radius * np.exp(1j * g.uniform(0.0, 2 * np.pi))
+    pair = forms.OmegaPair(omega=complex(lam - c), Omega=complex(lam + c))
+    for _ in range(cap):
+        p = gaussian_matrix()
+        fpp = phi_norm2(p)
+        if fpp < 1e-12:
+            continue
+        rho = g.uniform(0.0, 0.9)
+        x = lam * y + p * np.sqrt(rho * radius**2 * fyy / fpp)
+        if check_re_condition(form, x, y, pair, tol)[0]:
+            return form, x, y, pair
+    raise RejectionCapExceededError("cap")
+
+
+def test_functional_generator_draws_as_one_draw_at_a_time():
+    # The first attempt drawn at once and built over the stack is the
+    # instance that drawing one value at a time with g.uniform gives.
+    for i in range(60):
+        d = 1 + i % 16
+        form, x, y, pair = gen_re_valid_instance("functional", d, stream(29, i))
+        ref_form, ref_x, ref_y, ref_pair = _functional_reference(d, stream(29, i))
+        assert form.to_dict() == ref_form.to_dict() and pair == ref_pair, i
+        assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes(), i
+
+
+# Ways a functional instance's first attempt is rejected: by a stand-in for
+# the stacked Re check that also rejects every attempt whose x[0, 0] has a
+# real part with an even last bit (about half of them), or by thresholds on
+# phi(y* y) or phi(p* p) that Gaussian draws often miss at d = 1.
+REJECTIONS = {
+    "re_check": None,
+    "degenerate_y": ("_Y_NORM2_MIN", 2.0),
+    "degenerate_p": ("_P_NORM2_MIN", 2.0),
+}
+
+
+def _odd_last_bit(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64) % 2 == 1
+
+
+@pytest.mark.parametrize("rejection", sorted(REJECTIONS))
+@pytest.mark.parametrize("inequality_id", [ADD_FUNCTIONAL, MULT_FUNCTIONAL])
+def test_rejected_slice_continues_on_its_own_stream(monkeypatch, rejection, inequality_id):
+    # Slices whose first attempt is rejected continue their own rejection
+    # loop: each campaign report equals the run_trial replay and the
+    # report of the lone generator's instance, bit for bit.
+    if REJECTIONS[rejection] is None:
+        original = harness._re_accepts
+
+        def rejecting(forms_, x, y, pairs, tol):
+            return original(forms_, x, y, pairs, tol) & _odd_last_bit(x[:, 0, 0].real)
+
+        monkeypatch.setattr(harness, "_re_accepts", rejecting)
+    else:
+        monkeypatch.setattr(harness, *REJECTIONS[rejection])
+    restarts = []
+    continued = harness._functional_rejections
+
+    def counted(d, g, tol, cap):
+        restarts.append(d)
+        return continued(d, g, tol, cap)
+
+    monkeypatch.setattr(harness, "_functional_rejections", counted)
+    config = GeneratorConfig(seed=31, trials=40, dims=(1, 2, 4))
+    reports = run_trials(config, inequality_id, range(config.trials))
+    assert 0 < len(restarts) < config.trials
+    for i, report in enumerate(reports):
+        assert report.verdict == "HOLDS", i
+        assert report.to_dict() == run_trial(config, inequality_id, i).to_dict(), i
+        g = stream(config.seed, i)
+        d = config.dims[g.integers(len(config.dims))]
+        form, x, y, pair = gen_re_valid_instance("functional", d, g)
+        lone = bounds._evaluate_one(inequality_id, (form, x, y, pair), DEFAULT_TOL)
+        assert json.dumps(report.to_dict()) == json.dumps(lone.to_dict()), i
+        phi = form.functional
+        if rejection == "re_check":
+            assert _odd_last_bit(x[0, 0].real)
+        elif rejection == "degenerate_y":
+            assert phi.value(y.conj().T @ y).real >= 2.0
+
+
+@pytest.mark.parametrize("inequality_id", [ADD_FUNCTIONAL, MULT_FUNCTIONAL])
+def test_functional_rejection_cap_is_a_failed_precondition(monkeypatch, inequality_id):
+    # With every attempt rejected, each trial reaches the rejection cap and
+    # gets the report of its failed hypothesis, with the generator's message.
+    monkeypatch.setattr(harness, "_re_accepts", lambda forms_, x, *_: np.zeros(len(x), bool))
+    config = GeneratorConfig(seed=32, trials=4, dims=(1, 2))
+    for i, report in enumerate(run_trials(config, inequality_id, range(config.trials))):
+        d = config.dims[stream(config.seed, i).integers(len(config.dims))]
+        assert report.verdict == PRECONDITION_FAILED
+        assert [c.name for c in report.preconditions] == ["admissible_instance"]
+        assert report.details == {
+            "error": "RejectionCapExceededError",
+            "message": f"no admissible x found in {REJECTION_CAP} attempts (kind=functional, d={d})",
+        }
+    for cap in (0, 3):
+        with pytest.raises(RejectionCapExceededError, match=f"in {cap} attempts"):
+            gen_re_valid_instance("functional", 2, stream(32, 0), cap=cap)
+
+
+def _uniform_sequences(g, n, unit_weights):
+    """sample_window(g, WINDOW_RANGE) then gen_bounded_sequences(n, window,
+    g) written out with g.uniform, as the sequence trials have always been drawn."""
+    a_lo, a_hi = sorted(g.uniform(*harness.WINDOW_RANGE, size=2).tolist())
+    b_lo, b_hi = sorted(g.uniform(*harness.WINDOW_RANGE, size=2).tolist())
+    a_seq = g.uniform(a_lo, a_hi, size=n)
+    b_seq = g.uniform(b_lo, b_hi, size=n)
+    w_seq = 1.0 - g.uniform(0.0, 1.0, size=n)
+    if n >= 4:
+        a_seq[0], a_seq[1], b_seq[2], b_seq[3] = a_lo, a_hi, b_lo, b_hi
+    w_seq = np.ones(n) if unit_weights else w_seq
+    return a_seq, b_seq, w_seq, np.array([a_lo, a_hi, b_lo, b_hi])
+
+
+@pytest.mark.parametrize("unit_weights", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_sequence_batch_is_sample_window_then_gen_bounded_sequences(n, unit_weights):
+    # The stacked builder on the trials' rows gives, byte for byte, the
+    # window and sequences that sample_window then gen_bounded_sequences
+    # draw from each trial's stream, and that g.uniform draws.
+    rows = [harness._sequence_draw(stream(41, i), n) for i in range(50)]
+    batch = harness._sequence_batch(np.stack(rows), unit_weights)
+    for i in range(50):
+        g = stream(41, i)
+        window = sample_window(g, harness.WINDOW_RANGE)
+        data = gen_bounded_sequences(n, window, g)
+        w_seq = np.ones(n) if unit_weights else data.w_seq
+        edges = [window.a, window.A, window.b, window.B]
+        lone = (data.a_seq, data.b_seq, w_seq, np.array(edges))
+        reference = _uniform_sequences(stream(41, i), n, unit_weights)
+        for column, one, ref in zip(batch, lone, reference):
+            assert column[i].tobytes() == one.tobytes() == ref.tobytes(), i
+
+
+def _functional_value(phi, m):
+    """phi(m) by the textbook formula of its kind."""
+    if phi.kind == "vector_state":
+        return complex(np.vdot(phi.state, m @ phi.state))
+    if phi.kind == "trace":
+        return complex(np.trace(m))
+    return complex(np.sum(phi.weights * np.diag(m)))
+
+
+def test_stacked_functional_values_are_each_functional_value():
+    # Over a mixed-kind stack each slice's value is PositiveFunctional.value
+    # bit for bit, whatever batch it is in, and the textbook formula of its
+    # kind to roundoff.
+    for d in range(1, 17):
+        g = stream(61, d)
+        phis = [harness._random_functional(d, g) for _ in range(15)]
+        assert {phi.kind for phi in phis} == {"vector_state", "trace", "weighted_sum"}
+        m = g.standard_normal((15, d, d)) + 1j * g.standard_normal((15, d, d))
+        values = forms._functional_values(phis, m)
+        reverse = forms._functional_values(phis[::-1], m[::-1])[::-1]
+        halves = [forms._functional_values(phis[k::2], m[k::2]) for k in (0, 1)]
+        for k, phi in enumerate(phis):
+            one = phi.value(m[k])
+            assert values[k] == reverse[k] == halves[k % 2][k // 2] == one, (d, k)
+            assert abs(one - _functional_value(phi, m[k])) <= 1e-14 * max(abs(one), 1.0)
 
 
 @pytest.mark.parametrize("inequality_id", sorted(INEQUALITY_IDS))
@@ -379,6 +561,19 @@ def test_solver_failure_in_a_stacked_group_propagates(monkeypatch):
     assert len(calls) == 1
 
 
+def _counting(monkeypatch, name, modules, calls):
+    """Record the batch length of every call of the function name, however
+    the modules bind it."""
+    original = getattr(forms, name)
+
+    def counted(form_list, *args):
+        calls.append(len(form_list))
+        return original(form_list, *args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+
+
 @pytest.mark.parametrize("inequality_id", [ADD_FUNCTIONAL, MULT_FUNCTIONAL])
 def test_functional_group_is_one_batch(monkeypatch, inequality_id):
     # One stacked Re check per dimension group, covering every trial; the
@@ -395,6 +590,22 @@ def test_functional_group_is_one_batch(monkeypatch, inequality_id):
     assert PRECONDITION_FAILED not in {report.verdict for report in reports}
     assert len(lengths) == len(config.dims)
     assert sum(lengths) == config.trials
+    # A 1000-trial campaign draws each instance alone and builds, checks
+    # and evaluates it with its group: every Re term (the generator's
+    # check and the evaluator's) and every form evaluation (phi(y* y) and
+    # phi(p* p) in the generator, phi(x* x), phi(y* y), phi(y* x) and the
+    # two Re terms') covers a whole group, none a single trial.
+    lengths.clear()
+    re_terms, form_evals = [], []
+    _counting(monkeypatch, "_re_term", (forms, bounds, harness), re_terms)
+    _counting(monkeypatch, "_form_eval", (forms, bounds, harness), form_evals)
+    config = GeneratorConfig(seed=8, trials=1000, dims=(1, 2, 4))
+    summary = fuzz_run(config, inequality_id)
+    assert summary.holds == config.trials
+    groups = len(lengths)
+    assert groups <= len(config.dims) * -(-config.trials // TRIAL_WINDOW)
+    assert sum(re_terms) == 2 * config.trials and len(re_terms) == 2 * groups
+    assert sum(form_evals) == 7 * config.trials and len(form_evals) == 7 * groups
 
 
 @pytest.mark.parametrize("index", [-1, 30, 2**64])
@@ -580,23 +791,33 @@ def test_stacked_sequence_check_raises_as_the_first_failing_row():
         expected = next(e for e in map(_lone_error, rows) if e is not None)
         a, b, w = (np.array(column) for column in zip(*rows))
         with pytest.raises((ValueError, WindowViolationError)) as raised:
-            bounds._check_sequences(a, b, w, [SEQUENCE_WINDOW] * len(rows))
+            bounds._check_sequences(a, b, w, bounds._window_edges([SEQUENCE_WINDOW] * len(rows)))
         assert (type(raised.value), str(raised.value)) == expected, names[start]
     inside = [SEQUENCE_ROWS["inside"], SEQUENCE_ROWS["inside_slack"]]
-    bounds._check_sequences(*(np.array(c) for c in zip(*inside)), [SEQUENCE_WINDOW] * 2)
+    edges = bounds._window_edges([SEQUENCE_WINDOW] * 2)
+    bounds._check_sequences(*(np.array(c) for c in zip(*inside)), edges)
 
 
 def test_out_of_window_row_is_isolated_in_its_group():
     # The group's stacked check fails on one row: that row gets the report
     # of its failed hypothesis, the others the reports of their lone
-    # evaluation, bit for bit.
+    # evaluation, bit for bit.  The rows are drawn uniforms (_sequence_draw)
+    # for n = 4.  In the second, the uniform behind a_seq[2] is -0.5, which
+    # puts a_seq[2] below the window by half its width; in the third, the
+    # one behind a_seq[3] is 1 + 1e-13, which puts a_seq[3] above the window
+    # by less than its slack of at least 1e-12.
     names = ["inside", "beyond_slack_a", "inside_slack", "inside"]
-    rows = [(*map(np.array, SEQUENCE_ROWS[n]), SEQUENCE_WINDOW) for n in names]
+    rows = [harness._sequence_draw(stream(43, i), 4) for i in range(len(names))]
+    rows[1][4 + 2] = -0.5
+    rows[2][4 + 3] = 1.0 + 1e-13
     entry = bounds._REGISTRY[INT_ADD]
     reports = harness._group_reports(INT_ADD, entry, rows, DEFAULT_TOL)
     for name, row, report in zip(names, rows, reports):
+        a, b, w, edges = (column[0] for column in harness._batch(entry, [row], DEFAULT_TOL))
+        assert (a[3] > edges[1]) == (name == "inside_slack")
         try:
-            expected = bounds._evaluate_one(INT_ADD, WeightedSequences(*row), DEFAULT_TOL)
+            data = WeightedSequences(a, b, w, ScalarWindow(*edges.tolist()))
+            expected = bounds._evaluate_one(INT_ADD, data, DEFAULT_TOL)
         except WindowViolationError as exc:
             expected = precondition_failed_report(INT_ADD, exc)
         assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict()), name

@@ -15,9 +15,10 @@ It imports rcsbounds from the src/ directory next to this script and writes:
   ``--dims 1 2 4`` for the ids that draw a matrix dimension;
 * fuzz_full/<ID>.json: ``fuzz ID --seed 12 --json`` at the default 1000
   trials (full 64-trial windows) for each functional and sequence id;
-* compare/default.csv, compare/n1_samples500.csv and
-  compare/seed5_samples2000.csv: ``compare --csv`` at the defaults, at
-  ``--n 1 --samples 500`` and at ``--seed 5 --samples 2000``, with the
+* compare/default.csv, compare/n1_samples500.csv,
+  compare/n16_samples500.csv and compare/seed5_samples2000.csv:
+  ``compare --csv`` at the defaults, at ``--n 1 --samples 500``, at
+  ``--n 16 --samples 500`` and at ``--seed 5 --samples 2000``, with the
   printed summary of each in the matching .txt file;
 * sharpness/<kind>.json: ``sharpness --json --kind KIND --dim 3`` for each
   functional kind, and sharpness/complex_window.json: the same for the
@@ -27,8 +28,9 @@ It imports rcsbounds from the src/ directory next to this script and writes:
   the four matrix-valued ids and i in 0..29, a band below roundoff where
   some generated instances fail a hypothesis (PRECONDITION_FAILED reports);
 * run_trial_d16/<ID>.jsonl: ``run_trial(GeneratorConfig(seed=0,
-  dims=(16,)), ID, i).to_dict()`` for the four matrix-valued ids and i in
-  0..19, trials at the largest dimension, where the eigensolver works hardest.
+  dims=(16,)), ID, i).to_dict()`` for the four matrix-valued ids and the
+  two functional ids and i in 0..19, trials at the largest dimension,
+  where the eigensolver works hardest and the functionals sum the most terms.
 
 Run it on two checkouts and compare the directories with ``diff -r``: no
 output means every report, summary and row is byte-identical.
@@ -78,6 +80,7 @@ SCALAR_PAYLOADS = ("functional_form", "sequences")
 COMPARE_RUNS = {
     "default": [],
     "n1_samples500": ["--n", "1", "--samples", "500"],
+    "n16_samples500": ["--n", "16", "--samples", "500"],
     "seed5_samples2000": ["--seed", "5", "--samples", "2000"],
 }
 SHARPNESS_RUNS = {
@@ -85,6 +88,7 @@ SHARPNESS_RUNS = {
     "complex_window": ["--omega", "1+2j", "--Omega", "3-1j"],
 }
 MATRIX_IDS = ("ADD_MATRIX", "MULT_MATRIX", "OP_PAIR_ADD", "OP_PAIR_MULT")
+D16_IDS = MATRIX_IDS + ("ADD_FUNCTIONAL", "MULT_FUNCTIONAL")
 STRICT_CONFIG = GeneratorConfig(seed=4, trials=30, dims=(2,))
 STRICT_TOL = Tolerance(3e-17, 3e-17)
 D16_CONFIG = GeneratorConfig(seed=0, dims=(16,))
@@ -242,6 +246,7 @@ def main(argv: list[str]) -> int:
             for i in range(STRICT_CONFIG.trials)
         )
         (out / "run_trial_strict" / f"{inequality_id}.jsonl").write_text("".join(lines))
+    for inequality_id in D16_IDS:
         lines = (
             json.dumps(run_trial(D16_CONFIG, inequality_id, i).to_dict()) + "\n"
             for i in range(D16_TRIALS)
