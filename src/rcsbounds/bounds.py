@@ -22,9 +22,10 @@ sequences) follow the same pattern; see the individual docstrings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .forms import (
     OmegaPair,
     PositiveFunctional,
     WindowCheckError,
+    _FunctionalForms,
     _adjoint_symmetry,
     _coerce_argument,
     _form_eval,
@@ -148,10 +150,12 @@ class _Inequality:
     and an OmegaPair), "functional_form" (the same over a functional
     form), "operator_pair" (t, s, v) or "sequences" (a WeightedSequences,
     with every weight 1 when unit_weights).  evaluate(batch, tol), the
-    id's one evaluator, returns the reports of a batch of N instances,
-    each independent of the others.  A batch is a tuple of columns:
+    id's one evaluator, returns the reports of a batch of N instances as
+    columns (_Reports), each independent of the others.  A batch is a
+    tuple of columns:
 
-    * "form", "functional_form": N forms of one kind, one per instance,
+    * "form", "functional_form": N forms of one kind, one per instance
+      (for "functional_form" possibly grouped by kind, forms._FunctionalForms),
       x and y as (N, ...) arrays normalized by forms._coerce_argument, and
       N window pairs;
     * "operator_pair": (N, d, d) stacks t, s and an (N, d) stack of nonzero v;
@@ -184,31 +188,31 @@ _REGISTRY = {
         "operator_pair", lambda b, tol: _operator_pair_reports(OP_PAIR_MULT, *b, tol)
     ),
     INT_ADD: _Inequality(
-        "sequences", lambda b, tol: _sequence_reports(INT_ADD, _additive_row, b, tol)
+        "sequences", lambda b, tol: _sequence_reports(INT_ADD, _additive_sides, b, tol)
     ),
     INT_MULT: _Inequality(
-        "sequences", lambda b, tol: _sequence_reports(INT_MULT, _multiplicative_row, b, tol)
+        "sequences", lambda b, tol: _sequence_reports(INT_MULT, _multiplicative_sides, b, tol)
     ),
     GREUB_RHEINBOLDT: _Inequality(
         "sequences",
-        lambda b, tol: _sequence_reports(GREUB_RHEINBOLDT, _greub_rheinboldt_row, b, tol),
+        lambda b, tol: _sequence_reports(GREUB_RHEINBOLDT, _greub_rheinboldt_sides, b, tol),
     ),
     WEIGHTED_ADD: _Inequality(
-        "sequences", lambda b, tol: _sequence_reports(WEIGHTED_ADD, _additive_row, b, tol)
+        "sequences", lambda b, tol: _sequence_reports(WEIGHTED_ADD, _additive_sides, b, tol)
     ),
     PS_MULT: _Inequality(
         "sequences",
-        lambda b, tol: _sequence_reports(PS_MULT, _product_row, b, tol),
+        lambda b, tol: _sequence_reports(PS_MULT, _product_sides, b, tol),
         unit_weights=True,
     ),
     PS_ADD: _Inequality(
         "sequences",
-        lambda b, tol: _sequence_reports(PS_ADD, _classical_additive_row, b, tol),
+        lambda b, tol: _sequence_reports(PS_ADD, _classical_additive_sides, b, tol),
         unit_weights=True,
     ),
     PS_IMPROVED: _Inequality(
         "sequences",
-        lambda b, tol: _sequence_reports(PS_IMPROVED, _improved_row, b, tol),
+        lambda b, tol: _sequence_reports(PS_IMPROVED, _improved_sides, b, tol),
         unit_weights=True,
     ),
 }
@@ -237,16 +241,15 @@ def precondition_failed_report(inequality_id: str, exc: Exception) -> BoundRepor
     raised exc, one of HYPOTHESIS_ERRORS: one failed check, named after the
     nearest listed class of exc, the exception in details, and no sides or
     margin."""
+    return _failed_reports(inequality_id, exc).reports()[0]
+
+
+def _failed_reports(inequality_id: str, exc: Exception) -> _Reports:
+    """precondition_failed_report as the columns of one row."""
     name = next(_HYPOTHESIS_CHECKS[c] for c in type(exc).__mro__ if c in _HYPOTHESIS_CHECKS)
-    return BoundReport(
-        inequality_id=inequality_id,
-        preconditions=(PreconditionCheck(name, False, math.nan),),
-        lhs=math.nan,
-        rhs=math.nan,
-        margin=math.nan,
-        verdict=PRECONDITION_FAILED,
-        details={"error": type(exc).__name__, "message": str(exc)},
-    )
+    nan, details = np.array([math.nan]), {"error": [type(exc).__name__], "message": [str(exc)]}
+    no = np.array([False])
+    return _Reports(inequality_id, no, nan, nan, nan, ((name, no, nan),), details)
 
 
 def _batch_of_one(payload: str, instance) -> tuple:
@@ -279,7 +282,7 @@ def _evaluate_one(inequality_id: str, instance, tol: Tolerance) -> BoundReport:
     """The report of inequality_id on one instance: its evaluator on the
     batch of one."""
     entry = _REGISTRY[inequality_id]
-    return entry.evaluate(_batch_of_one(entry.payload, instance), tol)[0]
+    return entry.evaluate(_batch_of_one(entry.payload, instance), tol).reports()[0]
 
 
 @dataclass(frozen=True)
@@ -342,33 +345,97 @@ def _encode_value(v):
     raise TypeError(f"cannot encode {type(v)!r}")
 
 
-def _verdict(preconditions, holds: bool) -> str:
+@dataclass(frozen=True)
+class _Reports:
+    """The reports of a batch of N instances as columns, row k the report
+    of instance k: holds (whether the margin is within its band), margin,
+    lhs and rhs as (N,) arrays (lhs and rhs (N, d, d) for a matrix-valued
+    id), preconditions as (name, passed, value) with (N,) columns per
+    check, and details as one (N,) or (N, m) column per key, in the order
+    the JSON prints them.  A row's verdict is PRECONDITION_FAILED where a
+    check failed, else HOLDS where it holds, else VIOLATED.  Campaigns
+    reduce the passed, holds and margin columns; reports() builds the
+    BoundReports where reports are returned."""
+
+    inequality_id: str
+    holds: np.ndarray
+    margin: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    preconditions: tuple = ()
+    details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> np.ndarray:
+        """Whether every precondition of a row passed, shape (N,)."""
+        passed = np.ones(len(self.holds), dtype=bool)
+        for _, column, _ in self.preconditions:
+            passed = passed & column
+        return passed
+
+    def reports(self) -> list[BoundReport]:
+        """The BoundReport of every row, its values Python scalars (matrix
+        sides (d, d) arrays) as the JSON and the table print them."""
+        checks = [
+            [PreconditionCheck(name, *c) for c in zip(_rows(passed), _rows(value))]
+            for name, passed, value in self.preconditions
+        ]
+        details = [_rows(column) for column in self.details.values()]
+        sides = (_rows(c) for c in (self.lhs, self.rhs, self.margin, self.holds))
+        rows = zip(*(zip(*c) if c else itertools.repeat(()) for c in (checks, details)), *sides)
+        return [
+            BoundReport(
+                self.inequality_id, pre, lhs, rhs, margin, _verdict(pre, holds),
+                dict(zip(self.details, values)),
+            )
+            for pre, values, lhs, rhs, margin, holds in rows
+        ]
+
+
+def _verdict(preconditions: tuple, holds: bool) -> str:
+    """PRECONDITION_FAILED if a check failed, else HOLDS or VIOLATED."""
     if any(not p.passed for p in preconditions):
         return PRECONDITION_FAILED
     return HOLDS if holds else VIOLATED
 
 
-def _scalar_report(
-    inequality_id: str,
-    preconditions: tuple[PreconditionCheck, ...],
-    lhs: float,
-    rhs: float,
-    tol: Tolerance,
-    details: Optional[dict] = None,
-) -> BoundReport:
-    """Judge the margin at the larger of |lhs|, |rhs| and 1."""
+def _rows(column) -> list:
+    """The N rows of a column: (d, d) arrays of an (N, d, d) stack, else
+    Python scalars or lists."""
+    if not isinstance(column, np.ndarray):
+        return list(column)
+    return list(column) if column.ndim == 3 else column.tolist()
+
+
+def _scalar_reports(
+    inequality_id: str, lhs, rhs, tol: Tolerance, size=1.0, preconditions=(), details=None
+) -> _Reports:
+    """The reports of a scalar-valued id from (N,) sides, by the one verdict
+    rule of every scalar id: the margin rhs - lhs holds at the band of the
+    largest of |lhs|, |rhs|, size and 1, size the size of the products a
+    cancelling lhs is formed from, whose rounding is no violation."""
     margin = rhs - lhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(size, 1.0))
     holds = margin >= -tol.band(scale)
-    return BoundReport(
-        inequality_id=inequality_id,
-        preconditions=preconditions,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        verdict=_verdict(preconditions, holds),
-        details=details or {},
-    )
+    return _Reports(inequality_id, holds, margin, lhs, rhs, preconditions, details or {})
+
+
+def _pow2(x: np.ndarray) -> np.ndarray:
+    """x ** 2 element by element as Python's float power takes it (libm
+    pow), which may differ from x * x in the last bit."""
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _divide(x, y: np.ndarray) -> np.ndarray:
+    """x / y as Python divides floats: ZeroDivisionError at a zero divisor."""
+    if not np.all(y):
+        raise ZeroDivisionError("float division by zero")
+    return x / y
+
+
+def _hypot(z: np.ndarray) -> np.ndarray:
+    """|z| as Python's abs(complex) takes it (libm hypot), unlike np.abs."""
+    return np.hypot(z.real, z.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +488,7 @@ def _matrix_reports(
     y: np.ndarray,
     pairs: list[OmegaPair],
     tol: Tolerance,
-) -> list[BoundReport]:
+) -> _Reports:
     """ADD_MATRIX or MULT_MATRIX reports for a "form" batch (see
     _Inequality).  Each form evaluation, square root, Re-term check,
     absolute value and Loewner margin is one call over the batch, so a
@@ -456,28 +523,15 @@ def _matrix_reports(
         rhs = re_part(np.array(coeffs)[:, None, None] * absolute)
     r_ok, r_margin = loewner_leq(np.zeros_like(re_term), re_term, tol, start=dec.eigenvectors)
     holds, margin = loewner_leq(lhs, rhs, tol, start=dec.eigenvectors)
-    reports = []
-    for k, pair in enumerate(pairs):
-        preconditions = (
-            PreconditionCheck("adjoint_symmetry", bool(s_ok[k]), float(s_dev[k])),
-            PreconditionCheck(name, bool(ok[k]), float(value[k])),
-            PreconditionCheck("re_term_positive", bool(r_ok[k]), float(r_margin[k])),
-        )
-        details = {"omega": pair.omega, "Omega": pair.Omega}
-        if inequality_id == MULT_MATRIX:
-            details["coefficient"] = coeffs[k]
-        reports.append(
-            BoundReport(
-                inequality_id=inequality_id,
-                preconditions=preconditions,
-                lhs=lhs[k],
-                rhs=rhs[k],
-                margin=float(margin[k]),
-                verdict=_verdict(preconditions, bool(holds[k])),
-                details=details,
-            )
-        )
-    return reports
+    preconditions = (
+        ("adjoint_symmetry", s_ok, s_dev),
+        (name, ok, value),
+        ("re_term_positive", r_ok, r_margin),
+    )
+    details = {"omega": [p.omega for p in pairs], "Omega": [p.Omega for p in pairs]}
+    if inequality_id == MULT_MATRIX:
+        details["coefficient"] = coeffs
+    return _Reports(inequality_id, holds, margin, lhs, rhs, preconditions, details)
 
 
 # ---------------------------------------------------------------------------
@@ -513,47 +567,36 @@ def functional_multiplicative_bound(
 
 def _functional_reports(
     inequality_id: str, forms: list, x, y, pairs: list[OmegaPair], tol: Tolerance
-) -> list[BoundReport]:
+) -> _Reports:
     """ADD_FUNCTIONAL or MULT_FUNCTIONAL reports for a "functional_form"
     batch (see _Inequality): three form evaluations, one Re term and one
-    Re check over the batch.  Each functional sums its own weighted trace,
-    so a report does not depend on the other instances."""
+    Re check over the batch, its functionals grouped by kind once
+    (forms._FunctionalForms), and the sides as column expressions, |.| and
+    ** 2 as Python takes them (_hypot, _pow2).  Each functional sums its
+    own weighted trace, so a report does not depend on the other instances.
+    The additive lhs is judged at phi(x*x) phi(y*y), the size it cancels from."""
     if inequality_id == MULT_FUNCTIONAL:
-        _positive_re_cross(np.array([p.re_cross() for p in pairs]))
+        re_cross = _positive_re_cross(np.array([p.re_cross() for p in pairs]))
+    forms = _FunctionalForms.of(forms)
     fxx, fyy, cross = (_form_eval(forms, u, v)[:, 0, 0] for u, v in ((x, x), (y, y), (x, y)))
+    fxx, fyy = fxx.real, fyy.real
     re_term = _re_term(forms, x, y, pairs)
-    values = zip(fxx.real, fyy.real, map(complex, cross))
-    checks = zip(*loewner_leq(np.zeros_like(re_term), re_term, tol))
-    return [
-        _functional_report(inequality_id, *value, pair, check, tol)
-        for value, pair, check in zip(values, pairs, checks)
-    ]
-
-
-def _functional_report(
-    inequality_id: str,
-    fxx: float,
-    fyy: float,
-    cross: complex,
-    pair: OmegaPair,
-    re_check,
-    tol: Tolerance,
-) -> BoundReport:
-    """The ADD_FUNCTIONAL or MULT_FUNCTIONAL report from phi(x*x), phi(y*y),
-    phi(y*x) and the Re check (ok, margin); _functional_reports has
-    checked Re(conj(omega) * Omega) of a multiplicative pair."""
-    preconditions = (PreconditionCheck("re_term_positive", bool(re_check[0]), float(re_check[1])),)
-    details = {"omega": pair.omega, "Omega": pair.Omega}
-    if inequality_id == ADD_FUNCTIONAL:
-        lhs = fxx * fyy - abs(cross) ** 2
-        rhs = 0.25 * pair.spread() ** 2 * fyy**2
-    else:
-        lhs = math.sqrt(max(fxx, 0.0)) * math.sqrt(max(fyy, 0.0))
-        coeff = 0.5 * (abs(pair.Omega) + abs(pair.omega)) / math.sqrt(pair.re_cross())
-        rhs = coeff * abs(cross)
-        details["coefficient"] = coeff
-    details.update(phi_xx=fxx, phi_yy=fyy, phi_yx=cross)
-    return _scalar_report(inequality_id, preconditions, lhs, rhs, tol, details)
+    preconditions = (("re_term_positive", *loewner_leq(np.zeros_like(re_term), re_term, tol)),)
+    details = {"omega": [p.omega for p in pairs], "Omega": [p.Omega for p in pairs]}
+    omega, Omega = np.array(details["omega"]), np.array(details["Omega"])
+    size = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if inequality_id == ADD_FUNCTIONAL:
+            size = fxx * fyy
+            lhs = size - _pow2(_hypot(cross))
+            rhs = 0.25 * _pow2(_hypot(Omega - omega)) * _pow2(fyy)
+        else:
+            lhs = np.sqrt(np.maximum(fxx, 0.0)) * np.sqrt(np.maximum(fyy, 0.0))
+            coeff = 0.5 * (_hypot(Omega) + _hypot(omega)) / np.sqrt(re_cross)
+            rhs = coeff * _hypot(cross)
+            details["coefficient"] = coeff
+        details.update(phi_xx=fxx, phi_yy=fyy, phi_yx=cross)
+        return _scalar_reports(inequality_id, lhs, rhs, tol, size, preconditions, details)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +722,7 @@ def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairR
 
 def _operator_pair_reports(
     inequality_id: str, t: np.ndarray, s: np.ndarray, v: np.ndarray, tol: Tolerance
-) -> list[BoundReport]:
+) -> _Reports:
     """OP_PAIR_ADD or OP_PAIR_MULT reports for an "operator_pair" batch (see
     _Inequality), every value computed over the whole (N, d, d) stack.
 
@@ -693,8 +736,7 @@ def _operator_pair_reports(
     by ||v||, and its closed forms from Tv and Sv; the two routes are
     cross-checked over the stack, and a slice whose values leave the
     double range is an error, never a verdict.  No step reduces over the
-    batch axis, so a report does not depend on the other instances, and
-    only its BoundReport is built per instance."""
+    batch axis, so a report does not depend on the other instances."""
     additive = inequality_id == OP_PAIR_ADD
     edges = _spectral_window(t, s, tol, mirrored=True)
     lo_t, hi_t, lo_s, hi_s = edges
@@ -727,17 +769,9 @@ def _operator_pair_reports(
     label = "operator pair additive" if additive else "operator pair multiplicative"
     _cross_check(label, lhs, closed[0], size)
     _cross_check(label, rhs, closed[1])
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(size, 1.0))
-    holds = margin >= -tol.band(scale)
     names = ["re_term_positive_ts", "re_term_positive_st"] if additive else ["re_term_positive"]
-    parts = zip(names, re_ok.reshape(-1, len(v)).tolist(), re_margin.reshape(-1, len(v)).tolist())
-    checks = zip(*([PreconditionCheck(name, *c) for c in zip(*part)] for name, *part in parts))
-    rows = zip(*(column.tolist() for column in details.values()))
-    sides = (lhs.tolist(), rhs.tolist(), margin.tolist(), holds.tolist())
-    return [
-        BoundReport(inequality_id, pre, lo, hi, gap, _verdict(pre, ok), dict(zip(details, row)))
-        for pre, lo, hi, gap, ok, row in zip(checks, *sides, rows)
-    ]
+    preconditions = tuple(zip(names, re_ok.reshape(-1, len(v)), re_margin.reshape(-1, len(v))))
+    return _scalar_reports(inequality_id, lhs, rhs, tol, size, preconditions, details)
 
 
 def _state_values(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -927,18 +961,27 @@ def _window_edges(windows: Sequence[ScalarWindow]) -> np.ndarray:
     return np.array([(x.a, x.A, x.b, x.B) for x in windows], dtype=np.float64)
 
 
+_SLACK_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
 def _check_sequences(a: np.ndarray, b: np.ndarray, w: np.ndarray, edges: np.ndarray) -> None:
     """The data checks of WeightedSequences on (N, n) stacks of a_seq, b_seq,
     w_seq and the (N, 4) edges of their windows, all rows at once.  The first
     failing row raises what WeightedSequences raises on that row alone."""
-    lo_a, hi_a, lo_b, hi_b = edges.T[..., None]
-    slack_a = 1e-12 * np.maximum(hi_a, 1.0)
-    slack_b = 1e-12 * np.maximum(hi_b, 1.0)
+    # Each window edge moved out by its slack: a - slack_a, A + slack_a, ...
+    slack = 1e-12 * np.maximum(edges[:, [1, 1, 3, 3]], 1.0)
+    low_a, high_a, low_b, high_b = (edges + _SLACK_SIGNS * slack).T[..., None]
+    # With the finite edges of valid windows, every check passes when each
+    # a and b lies in its slackened window and each w in (0, inf), which
+    # NaN and infinite data fail.
+    inside = (low_a <= a) & (a <= high_a) & (low_b <= b) & (b <= high_b)
+    if (inside & (0.0 < w) & (w < math.inf)).all():
+        return
     failed = np.array([  # (check, row), the checks of _SEQUENCE_ERRORS
         ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(w)),
         w <= 0.0,
-        (a < lo_a - slack_a) | (a > hi_a + slack_a),
-        (b < lo_b - slack_b) | (b > hi_b + slack_b),
+        (a < low_a) | (a > high_a),
+        (b < low_b) | (b > high_b),
     ]).any(axis=-1)
     rows = np.flatnonzero(failed.any(axis=0))
     if rows.size:
@@ -949,125 +992,108 @@ def _check_sequences(a: np.ndarray, b: np.ndarray, w: np.ndarray, edges: np.ndar
 def _weighted_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """(sum w a^2, sum w b^2, sum w a b) over the last axis: for (N, n)
     stacks, three row reductions, each row bit-equal to its 1-D sum."""
-    return tuple(np.sum(w * u * v, axis=-1) for u, v in ((a, a), (b, b), (a, b)))
+    return tuple(np.add.reduce(w * u * v, axis=-1) for u, v in ((a, a), (b, b), (a, b)))
 
 
-def _sequence_reports(inequality_id: str, row: Callable, batch: tuple, tol: Tolerance):
+def _sequence_reports(inequality_id: str, sides: Callable, batch: tuple, tol: Tolerance) -> _Reports:
     """The reports of a sequences id on a "sequences" batch (see
-    _Inequality): the weighted sums of every row at once, then
-    row(inequality_id, sa2, sb2, sab, window, tol) per instance, in Python
-    floats, with window the edges (a, A, b, B).  The data of the whole batch
-    (see _check_sequences) and, for a unit-weights id, its weights are
-    checked once."""
+    _Inequality): the weighted sums of every row at once, then the id's
+    sides(sa2, sb2, sab, window) as column expressions, window the (N,)
+    edge columns (a, A, b, B): lhs, rhs, the size of the products lhs
+    cancels from (1 if it does not) and the details.  ** 2, / and min are
+    taken as Python takes them on one row (_pow2, _divide, _min), so an
+    overflowing power or a zero divisor raises, and inf and NaN pass on.
+    The data of the whole batch (see _check_sequences) and, for a
+    unit-weights id, its weights are checked once."""
     a, b, w, edges = batch
     _check_sequences(a, b, w, edges)
     if _REGISTRY[inequality_id].unit_weights and np.any(w != 1.0):
         raise ValueError(f"{inequality_id} requires unit weights (w_i = 1)")
-    sums = zip(*(s.tolist() for s in _weighted_sums(a, b, w)))
-    return [row(inequality_id, *s, win, tol) for s, win in zip(sums, edges.tolist())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs, size, details = sides(*_weighted_sums(a, b, w), tuple(edges.T))
+        return _scalar_reports(inequality_id, lhs, rhs, tol, size, details=details)
 
 
-def _scaled_constants(sa2: float, sb2: float, sab: float, win) -> tuple[float, float, float]:
+def _min(*columns: np.ndarray) -> np.ndarray:
+    """Python's min of each row of the columns: the first least value."""
+    least = columns[0]
+    for c in columns[1:]:
+        least = np.where(c < least, c, least)
+    return least
+
+
+def _scaled_constants(sa2, sb2, sab, win) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """((AB - ab)^2 / 4) * Ck for the three constants of the refined
     difference bound, win the window edges (a, A, b, B).  The first two are
     also the branches of the additive bound for weighted sums, the third is
     the classical difference bound."""
     a, A, b, B = win
-    gap = (A * B - a * b) ** 2 / 4.0
+    gap = _pow2(A * B - a * b) / 4.0
     return (
-        gap * sa2 * sa2 / (A * a) ** 2,
-        gap * sb2 * sb2 / (B * b) ** 2,
-        gap * sab * sab / (a * b * A * B),
+        _divide(gap * sa2 * sa2, _pow2(A * a)),
+        _divide(gap * sb2 * sb2, _pow2(B * b)),
+        _divide(gap * sab * sab, a * b * A * B),
     )
 
 
-def _additive_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+def _additive_sides(sa2, sb2, sab, win) -> tuple:
     """The additive bound for weighted sums (INT_ADD, WEIGHTED_ADD)."""
     branch_a, branch_b, _ = _scaled_constants(sa2, sb2, sab, win)
-    return _scalar_report(
-        inequality_id,
-        (),
-        sa2 * sb2 - sab * sab,
-        min(branch_a, branch_b),
-        tol,
-        details={"branch_a": branch_a, "branch_b": branch_b},
-    )
+    details = {"branch_a": branch_a, "branch_b": branch_b}
+    return sa2 * sb2 - sab * sab, _min(branch_a, branch_b), sa2 * sb2, details
 
 
-def _multiplicative_sides(sa2: float, sb2: float, sab: float, win) -> tuple[float, float, float]:
-    a, A, b, B = win
-    lhs = math.sqrt(sa2) * math.sqrt(sb2)
-    ratio = (a * b) / (A * B)
-    coeff = 0.5 * (math.sqrt(ratio) + math.sqrt(1.0 / ratio))
-    return lhs, coeff * sab, coeff
-
-
-def _multiplicative_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+def _multiplicative_sides(sa2, sb2, sab, win) -> tuple:
     """The multiplicative bound for weighted sums (INT_MULT)."""
-    lhs, rhs, coeff = _multiplicative_sides(sa2, sb2, sab, win)
-    return _scalar_report(inequality_id, (), lhs, rhs, tol, details={"coefficient": coeff})
+    a, A, b, B = win
+    lhs = np.sqrt(sa2) * np.sqrt(sb2)
+    ratio = _divide(a * b, A * B)
+    coeff = 0.5 * (np.sqrt(ratio) + np.sqrt(_divide(1.0, ratio)))
+    return lhs, coeff * sab, 1.0, {"coefficient": coeff}
 
 
-def _product_sides(sa2: float, sb2: float, sab: float, win) -> tuple[float, float]:
-    """lhs and rhs of the Greub-Rheinboldt product bound."""
+def _product_sides(sa2, sb2, sab, win) -> tuple:
+    """The classical product bound (PS_MULT)."""
     a, A, b, B = win
     prod = A * B * a * b
-    return sa2 * sb2, (A * B + a * b) ** 2 / (4.0 * prod) * sab * sab
+    return sa2 * sb2, _divide(_pow2(A * B + a * b), 4.0 * prod) * sab * sab, 1.0, {}
 
 
-def _greub_rheinboldt_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+def _greub_rheinboldt_sides(sa2, sb2, sab, win) -> tuple:
     """The product bound, cross-checked against the squared multiplicative
     sides (GREUB_RHEINBOLDT)."""
-    lhs, rhs = _product_sides(sa2, sb2, sab, win)
-    lhs_m, rhs_m, _ = _multiplicative_sides(sa2, sb2, sab, win)
+    lhs, rhs, *_ = _product_sides(sa2, sb2, sab, win)
+    lhs_m, rhs_m, *_ = _multiplicative_sides(sa2, sb2, sab, win)
     rhs_squared = rhs_m * rhs_m
     _cross_check("greub_rheinboldt rhs", rhs, rhs_squared)
-    return _scalar_report(
-        inequality_id,
-        (),
-        lhs,
-        rhs,
-        tol,
-        details={
-            "rhs_via_squared_multiplicative": rhs_squared,
-            "margin_via_squared_multiplicative": rhs_squared - lhs,
-            "lhs_via_squared_multiplicative": lhs_m * lhs_m,
-        },
-    )
+    details = {
+        "rhs_via_squared_multiplicative": rhs_squared,
+        "margin_via_squared_multiplicative": rhs_squared - lhs,
+        "lhs_via_squared_multiplicative": lhs_m * lhs_m,
+    }
+    return lhs, rhs, 1.0, details
 
 
-def _product_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
-    """The classical product bound (PS_MULT)."""
-    return _scalar_report(inequality_id, (), *_product_sides(sa2, sb2, sab, win), tol)
-
-
-def _classical_additive_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+def _classical_additive_sides(sa2, sb2, sab, win) -> tuple:
     """The classical difference bound, the third constant (PS_ADD)."""
-    constant = _scaled_constants(sa2, sb2, sab, win)[2]
-    return _scalar_report(inequality_id, (), sa2 * sb2 - sab * sab, constant, tol)
+    return sa2 * sb2 - sab * sab, _scaled_constants(sa2, sb2, sab, win)[2], sa2 * sb2, {}
 
 
-def _improved_row(inequality_id, sa2, sb2, sab, win, tol) -> BoundReport:
+def _improved_sides(sa2, sb2, sab, win) -> tuple:
     """The refined difference bound (PS_IMPROVED); see polya_szego_improved."""
     a, A, b, B = win
     constants = _scaled_constants(sa2, sb2, sab, win)
-    least = min(constants)
-    threshold = least + 1e-12 * abs(least)
-    argmin = next(i for i, c in enumerate(constants) if c <= threshold) + 1
-    return _scalar_report(
-        inequality_id,
-        (),
-        sa2 * sb2 - sab * sab,
-        least,
-        tol,
-        details={
-            "constants": list(constants),
-            "argmin": argmin,
-            "equality_lhs": sa2 / (A * a),
-            "equality_rhs": sb2 / (B * b),
-            "improvement_over_classical": constants[2] - least,
-        },
-    )
+    least = _min(*constants)
+    threshold = least + 1e-12 * np.abs(least)
+    c1, c2, _ = (c <= threshold for c in constants)
+    details = {
+        "constants": np.array(constants).T,
+        "argmin": np.where(c1, 1, np.where(c2, 2, 3)),
+        "equality_lhs": _divide(sa2, A * a),
+        "equality_rhs": _divide(sb2, B * b),
+        "improvement_over_classical": constants[2] - least,
+    }
+    return sa2 * sb2 - sab * sab, least, sa2 * sb2, details
 
 
 @dataclass(frozen=True)

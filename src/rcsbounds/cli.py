@@ -12,8 +12,8 @@ any overrides stored in an instance file.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -42,7 +42,7 @@ from .bounds import (
 from .forms import FormInstance, OmegaPair, PositiveFunctional, _coerce_argument
 from .harness import (
     SPACE_DIMS,
-    TRIAL_WINDOW,
+    SCALAR_WINDOW,
     FuzzSummary,
     GeneratorConfig,
     _batch,
@@ -494,13 +494,13 @@ def _compare_batches(args: argparse.Namespace, tol: Tolerance):
     w_seq, edges), in order.
 
     Random windows first (the Philox stream of each sample index, one
-    re-keyed Philox per batch), TRIAL_WINDOW rows at a time so that memory
+    re-keyed Philox per batch), SCALAR_WINDOW rows at a time so that memory
     does not grow with --samples, then the three constructed families, so
     the output is reproducible and schedule-independent.
     """
     entry = _REGISTRY[PS_IMPROVED]
-    for start in range(0, args.samples, TRIAL_WINDOW):
-        indices = range(start, min(start + TRIAL_WINDOW, args.samples))
+    for start in range(0, args.samples, SCALAR_WINDOW):
+        indices = range(start, min(start + SCALAR_WINDOW, args.samples))
         yield _batch(entry, [_sequence_draw(g, args.n) for g in streams(args.seed, indices)], tol)
     for _, family in gen_argmin_families(max(2, args.n)):
         yield _batch_of_one(entry.payload, family)
@@ -513,41 +513,36 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise _UsageError("--samples must be nonnegative")
     tol = _resolve_tolerance(args)
     entry = _REGISTRY[PS_IMPROVED]
-    counts = {1: 0, 2: 0, 3: 0}
-    rows = []
+    columns: list[list] = [[] for _ in CSV_HEADER]
     for batch in _compare_batches(args, tol):
-        for edges, report in zip(batch[3].tolist(), entry.evaluate(batch, tol)):
-            details = report.details
-            counts[details["argmin"]] += 1
-            rows.append(
-                (
-                    *edges,
-                    *details["constants"],
-                    details["argmin"],
-                    report.lhs,
-                    report.margin,
-                    abs(details["equality_lhs"] - details["equality_rhs"]),
-                )
-            )
+        reports = entry.evaluate(batch, tol)
+        details = reports.details
+        residual = np.abs(details["equality_lhs"] - details["equality_rhs"])
+        values = (*batch[3].T, *details["constants"].T, details["argmin"])
+        for column, value in zip(columns, (*values, reports.lhs, reports.margin, residual)):
+            column += value.tolist()
+    argmin = columns[CSV_HEADER.index("argmin")]
+    counts = {k: argmin.count(k) for k in (1, 2, 3)}
+    samples = len(argmin)
     if args.csv is not None:
+        # The lines csv.writer writes: a float as its repr, "\r\n" after each row.
+        rows = itertools.chain([CSV_HEADER], zip(*(map(repr, c) for c in columns)))
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_HEADER)
-                writer.writerows(rows)
+                fh.writelines(f"{','.join(row)}\r\n" for row in rows)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.csv}: {exc}") from exc
     if args.json:
         payload = {
-            "samples": len(rows),
+            "samples": samples,
             "random_samples": args.samples,
-            "constructed_families": len(rows) - args.samples,
+            "constructed_families": samples - args.samples,
             "argmin_counts": {str(k): v for k, v in counts.items()},
             "csv": args.csv,
         }
         print(json.dumps(payload))
     else:
-        print(f"samples: {len(rows)} ({args.samples} random + {len(rows) - args.samples} constructed)")
+        print(f"samples: {samples} ({args.samples} random + {samples - args.samples} constructed)")
         print(
             "argmin counts: "
             f"first={counts[1]} second={counts[2]} third={counts[3]}"

@@ -371,33 +371,65 @@ def _form_eval(forms: list[FormInstance], x: np.ndarray, y: np.ndarray) -> np.nd
         return np.stack([np.einsum("i,j,ijab->ab", u, v.conj(), f.gram) for f, u, v in members])
     # _coerce_argument has checked u and v, so v* u is evaluated unchecked;
     # a value past the double range is an error, never a verdict.
-    values = _functional_values([f.functional for f in forms], y.conj().swapaxes(-1, -2) @ x)
+    values = _FunctionalForms.of(forms).values(y.conj().swapaxes(-1, -2) @ x)
     if np.count_nonzero(~np.isfinite(values)):
         raise ValueError("functional values must be finite")
     return values[:, None, None]
 
 
+class _FunctionalForms(list):
+    """N functional forms of one dimension, as a "functional_form" batch
+    holds them, with their functionals grouped by kind once: for each kind
+    present, its members' indices (a slice when they are all N) and what
+    its formula needs of them, the stacked states s as rows conj(s) and
+    columns s, or the stacked weights.  Every _form_eval over the batch
+    reuses the grouping; the list is not changed after it is made."""
+
+    def __init__(self, forms) -> None:
+        super().__init__(forms)
+        members: dict[str, list[int]] = {}
+        for k, form in enumerate(self):
+            members.setdefault(form.functional.kind, []).append(k)
+        self.groups = []
+        for kind, index in members.items():
+            payload = None
+            if kind == VECTOR_STATE:
+                s = np.stack([self[k].functional.state for k in index])
+                payload = s.conj()[:, None, :], s[:, :, None]
+            elif kind == WEIGHTED_SUM:
+                payload = np.stack([self[k].functional.weights for k in index])
+            index = slice(None) if len(members) == 1 else np.array(index)
+            self.groups.append((kind, index, payload))
+
+    @classmethod
+    def of(cls, forms: list[FormInstance]) -> "_FunctionalForms":
+        """forms itself if it is grouped, else forms grouped now."""
+        return forms if isinstance(forms, cls) else cls(forms)
+
+    def values(self, m: np.ndarray) -> np.ndarray:
+        """phi_k(m[k]) for an (N, dim, dim) complex128 stack m, unchecked,
+        evaluated per kind over the stack: a vector state as s* (m s) by
+        stacked products, a trace or weighted sum as the sum of the
+        (weighted) diagonal.  Each slice is the same whatever else is in
+        the stack."""
+        values = np.empty(len(m), dtype=np.complex128)
+        for kind, index, payload in self.groups:
+            part = m[index]
+            if kind == VECTOR_STATE:
+                rows, columns = payload
+                values[index] = (rows @ (part @ columns))[:, 0, 0]
+                continue
+            diagonal = np.diagonal(part, axis1=1, axis2=2)
+            if kind == WEIGHTED_SUM:
+                diagonal = payload * diagonal
+            values[index] = diagonal.sum(axis=-1)
+        return values
+
+
 def _functional_values(functionals: list[PositiveFunctional], m: np.ndarray) -> np.ndarray:
     """phi_k(m[k]) for N functionals of one dimension and an (N, dim, dim)
-    complex128 stack m, unchecked: the (N,) values, evaluated per kind over
-    the stack.  A vector state is s* (m s) by stacked products, a trace or
-    weighted sum the sum of the (weighted) diagonal; each slice is the same
-    whatever else is in the stack."""
-    values = np.empty(len(m), dtype=np.complex128)
-    members: dict[str, list[int]] = {}
-    for k, phi in enumerate(functionals):
-        members.setdefault(phi.kind, []).append(k)
-    for kind, index in members.items():
-        part = m[index]
-        if kind == VECTOR_STATE:
-            s = np.stack([functionals[k].state for k in index])
-            values[index] = (s.conj()[:, None, :] @ (part @ s[:, :, None]))[:, 0, 0]
-            continue
-        diagonal = np.diagonal(part, axis1=1, axis2=2)
-        if kind == WEIGHTED_SUM:
-            diagonal = np.stack([functionals[k].weights for k in index]) * diagonal
-        values[index] = diagonal.sum(axis=-1)
-    return values
+    complex128 stack m, unchecked (_FunctionalForms.values)."""
+    return _FunctionalForms(map(FormInstance.functional_form, functionals)).values(m)
 
 
 def check_star1(

@@ -47,15 +47,15 @@ import numpy as np
 
 from .bounds import (
     _REGISTRY,
-    HOLDS,
     HYPOTHESIS_ERRORS,
-    PRECONDITION_FAILED,
     BoundReport,
     ScalarWindow,
     WeightedSequences,
+    _failed_reports,
     _Inequality,
+    _pow2,
+    _Reports,
     _window_edges,
-    precondition_failed_report,
 )
 from .forms import (
     FormError,
@@ -63,6 +63,7 @@ from .forms import (
     OmegaPair,
     PositiveFunctional,
     _form_eval,
+    _FunctionalForms,
     _re_term,
     _spectral_window,
     _window_pairs,
@@ -98,8 +99,12 @@ __all__ = [
 REJECTION_CAP = 1000
 
 # Trials evaluated together by run_trials: at most this many instances
-# are held and stacked at once, whatever the campaign's trial count.
+# are held and stacked at once, whatever the campaign's trial count.  The
+# scalar-valued payloads ("functional_form", "sequences") cost mostly per
+# batch, not per row, and take more; longer stacks of matrix instances do
+# not pay (d = 16 ADD_MATRIX: 1.3x the time and 20 MB more at 256).
 TRIAL_WINDOW = 64
+SCALAR_WINDOW = 256
 
 # The sequence lengths, the range of the scalar windows' endpoints, and the
 # range of the eigenvalues of the commuting positive pairs that trials draw.
@@ -301,9 +306,7 @@ def _functional_pairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[Omega
     radius = share * lam_mod
     c = radius * np.exp(1j * arg_c)
     pairs = [OmegaPair(omega, Omega) for omega, Omega in zip((lam - c).tolist(), (lam + c).tolist())]
-    # Python's radius ** 2 (libm pow), which may differ from radius * radius
-    # in the last bit.
-    return lam, np.array([r**2 for r in radius.tolist()]), pairs
+    return lam, _pow2(radius), pairs
 
 
 def _phi_norms(forms: list, m: np.ndarray) -> np.ndarray:
@@ -340,7 +343,7 @@ def _functional_instances(rows: Sequence, tol: Tolerance, cap: int = REJECTION_C
     which draws that first attempt again and continues from there, so every
     slice is the instance its draws alone give, whatever else is in the stack."""
     phis, zy, u, zp, rho, restarts = zip(*rows)
-    forms = [FormInstance.functional_form(phi) for phi in phis]
+    forms = _FunctionalForms(FormInstance.functional_form(phi) for phi in phis)
     y, p = _complex_gaussians(np.stack(zy)), _complex_gaussians(np.stack(zp))
     lam, radius_sq, pairs = _functional_pairs(np.stack(u))
     fyy, fpp = _phi_norms(forms, y), _phi_norms(forms, p)
@@ -350,33 +353,32 @@ def _functional_instances(rows: Sequence, tol: Tolerance, cap: int = REJECTION_C
     # The first attempt is one of the cap attempts.
     accepted = kept & _re_accepts(forms, x, y, pairs, tol) & (cap > 0)
     for k in np.flatnonzero(~accepted):
-        forms[k], x[k], y[k], pairs[k] = _functional_rejections(
-            phis[k].dim, restarts[k](), tol, cap
-        )
+        x[k], y[k], pairs[k] = _functional_rejections(phis[k].dim, restarts[k](), tol, cap)
     return [forms, x, y, pairs]
 
 
 def _functional_rejections(d: int, g: np.random.Generator, tol: Tolerance, cap: int) -> tuple:
-    """One functional instance drawn from g as the rejection loop draws it:
-    the functional, y until phi(y* y) is not degenerate, the window pair,
-    then up to cap attempts of p (redrawn while phi(p* p) is degenerate)
-    and rho until the Re check passes, else RejectionCapExceededError."""
-    phi = _random_functional(d, g)
-    form = FormInstance.functional_form(phi)
+    """x, y and the window pair of one functional instance drawn from g as
+    the rejection loop draws it: the functional, y until phi(y* y) is not
+    degenerate, the window pair, then up to cap attempts of p (redrawn
+    while phi(p* p) is degenerate) and rho until the Re check passes, else
+    RejectionCapExceededError.  g restarted at a trial's first attempt
+    draws that attempt's functional again, so the batch keeps its form."""
+    forms = _FunctionalForms([FormInstance.functional_form(_random_functional(d, g))])
     y = _complex_gaussians(g.standard_normal((1, 2, d, d)))
-    fyy = _phi_norms([form], y)
+    fyy = _phi_norms(forms, y)
     while fyy[0] < _Y_NORM2_MIN:
         y = _complex_gaussians(g.standard_normal((1, 2, d, d)))
-        fyy = _phi_norms([form], y)
+        fyy = _phi_norms(forms, y)
     lam, radius_sq, pairs = _functional_pairs(g.random((1, 4)))
     for _ in range(cap):
         p = _complex_gaussians(g.standard_normal((1, 2, d, d)))
-        fpp = _phi_norms([form], p)
+        fpp = _phi_norms(forms, p)
         if fpp[0] < _P_NORM2_MIN:
             continue
         x = _functional_x(lam, radius_sq, y, fyy, p, fpp, _uniform(g.random(1), *_RHO_RANGE))
-        if _re_accepts([form], x, y, pairs, tol)[0]:
-            return form, x[0], y[0], pairs[0]
+        if _re_accepts(forms, x, y, pairs, tol)[0]:
+            return x[0], y[0], pairs[0]
     raise RejectionCapExceededError(
         f"no admissible x found in {cap} attempts (kind=functional, d={d})"
     )
@@ -593,19 +595,43 @@ def _batch(entry: _Inequality, rows: Sequence, tol: Tolerance) -> list:
 
 def _group_reports(
     inequality_id: str, entry: _Inequality, rows: Sequence, tol: Tolerance
-) -> list[BoundReport]:
-    """The reports of a group of drawn rows of one dimension, evaluated as
-    one batch.  A group of one that fails a hypothesis (one of
-    HYPOTHESIS_ERRORS) gets its precondition_failed_report; a larger one
-    evaluates each member alone from its row.  Any other exception
+) -> list[_Reports]:
+    """The reports of a group of drawn rows of one dimension, in row order,
+    as columns: one _Reports for the group, evaluated as one batch.  A
+    group of one that fails a hypothesis (one of HYPOTHESIS_ERRORS) gets
+    the columns of its precondition_failed_report; a larger one evaluates
+    each member alone from its row, one _Reports each.  Any other exception
     propagates."""
     try:
-        return list(entry.evaluate(_batch(entry, rows, tol), tol))
+        return [entry.evaluate(_batch(entry, rows, tol), tol)]
     except HYPOTHESIS_ERRORS as exc:
         if len(rows) == 1:
-            return [precondition_failed_report(inequality_id, exc)]
+            return [_failed_reports(inequality_id, exc)]
     # Some member failed a hypothesis: each is evaluated alone.
     return [r for row in rows for r in _group_reports(inequality_id, entry, [row], tol)]
+
+
+def _trial_reports(config: GeneratorConfig, inequality_id: str, indices: Sequence, tol: Tolerance):
+    """Evaluate the trials at the given indices, as run_trials describes,
+    yielding (positions, reports): the positions in indices of the trials
+    that one _Reports covers, in its row order."""
+    entry = _entry(inequality_id)
+    indices = [int(i) for i in indices]
+    for i in indices:
+        if not 0 <= i < config.trials:
+            raise ValueError(f"trial index {i} is outside the trials 0..{config.trials - 1}")
+    size = TRIAL_WINDOW if entry.payload in ("form", "operator_pair") else SCALAR_WINDOW
+    for start in range(0, len(indices), size):
+        window = indices[start : start + size]
+        groups: dict[int, list] = {}  # by dimension
+        for k, (i, g) in enumerate(zip(window, streams(config.seed, window)), start):
+            dim, row = _draw(config, entry, i, g)
+            groups.setdefault(dim, []).append((k, row))
+        for _, members in sorted(groups.items()):
+            positions, rows = zip(*members)
+            for part in _group_reports(inequality_id, entry, rows, tol):
+                yield positions[: len(part.holds)], part
+                positions = positions[len(part.holds) :]
 
 
 def run_trials(
@@ -624,33 +650,21 @@ def run_trials(
     precondition_failed_report; any other exception propagates.  An index
     outside 0..config.trials - 1 is a ValueError.
 
-    The indices are taken TRIAL_WINDOW at a time, and each trial of a window
+    The indices are taken TRIAL_WINDOW at a time (SCALAR_WINDOW for a
+    scalar-valued payload), and each trial of a window
     is drawn once.  The drawn trials are grouped by the dimension each
     carries, and each group is one batch of the id's evaluator; a group
     that fails a hypothesis evaluates its members alone from the same
     draws, and no other group is evaluated again.  The evaluators treat
     each instance of a batch on its own (see matalg for the stacked kernel
     calls), so a report is bit-equal whatever other indices share its
-    window.
+    window.  The BoundReports are built here from the evaluators' columns.
     """
-    entry = _entry(inequality_id)
-    indices = [int(i) for i in indices]
-    for i in indices:
-        if not 0 <= i < config.trials:
-            raise ValueError(f"trial index {i} is outside the trials 0..{config.trials - 1}")
-    reports: list[BoundReport] = []
-    for start in range(0, len(indices), TRIAL_WINDOW):
-        window = indices[start : start + TRIAL_WINDOW]
-        out: list[BoundReport] = [None] * len(window)
-        groups: dict[int, list] = {}  # by dimension
-        for k, (i, g) in enumerate(zip(window, streams(config.seed, window))):
-            dim, row = _draw(config, entry, i, g)
-            groups.setdefault(dim, []).append((k, row))
-        for _, members in sorted(groups.items()):
-            positions, rows = zip(*members)
-            for k, report in zip(positions, _group_reports(inequality_id, entry, rows, tol)):
-                out[k] = report
-        reports += out
+    indices = list(indices)
+    reports: list = [None] * len(indices)
+    for positions, part in _trial_reports(config, inequality_id, indices, tol):
+        for k, report in zip(positions, part.reports()):
+            reports[k] = report
     return reports
 
 
@@ -669,37 +683,38 @@ def fuzz_run(
 ) -> FuzzSummary:
     """Run config.trials independent trials at band tol and aggregate verdicts.
 
-    The aggregation (counts, least margin, lowest tying trial index) is
-    invariant under any reordering of the trials.  A trial whose instance
-    fails a hypothesis at band tol (for example a generator reaching its
+    The aggregation (counts, and over the trials that did not fail a
+    precondition the least margin and the lowest trial index attaining
+    it, NaN margins last, None without such a trial) is invariant under
+    any reordering of the trials.  A trial whose instance fails a
+    hypothesis at band tol (for example a generator reaching its
     rejection cap, or a pair failing its commutation or strict-positivity
-    check) counts as a precondition failure.  Trials run through
-    run_trials a window at a time, so memory does not grow with
-    config.trials.
+    check) counts as a precondition failure.  Trials run as in run_trials,
+    a window at a time, so memory does not grow with config.trials; the
+    passed, holds and margin columns of each batch are reduced, and no
+    BoundReport is built.
     """
     _entry(inequality_id)  # an unknown id is an error also when config.trials is 0
-    holds = violated = precondition_failed = 0
+    holds = judged = 0
     worst: Optional[tuple[float, int]] = None
-    for start in range(0, config.trials, TRIAL_WINDOW):
-        indices = range(start, min(start + TRIAL_WINDOW, config.trials))
-        for i, report in zip(indices, run_trials(config, inequality_id, indices, tol)):
-            if report.verdict == PRECONDITION_FAILED:
-                precondition_failed += 1
-                continue
-            if report.verdict == HOLDS:
-                holds += 1
-            else:
-                violated += 1
-            candidate = (report.margin, i)
-            if worst is None or candidate < worst:
-                worst = candidate
+    for trials, part in _trial_reports(config, inequality_id, range(config.trials), tol):
+        passed = part.passed
+        holds += int(np.count_nonzero(passed & part.holds))
+        rows = np.flatnonzero(passed)
+        if rows.size:
+            judged += rows.size
+            margins, indices = part.margin[rows], np.array(trials)[rows]
+            if worst is not None:
+                margins, indices = np.append(margins, worst[0]), np.append(indices, worst[1])
+            k = np.lexsort((indices, margins))[0]
+            worst = float(margins[k]), int(indices[k])
     return FuzzSummary(
         inequality_id=inequality_id,
         seed=config.seed,
         trials_run=config.trials,
         holds=holds,
-        violated=violated,
-        precondition_failed=precondition_failed,
+        violated=judged - holds,
+        precondition_failed=config.trials - judged,
         worst_margin=None if worst is None else worst[0],
         worst_seed=None if worst is None else worst[1],
     )

@@ -41,7 +41,9 @@ from rcsbounds import (
     sharpness_witness,
     sqrt_psd,
 )
-from rcsbounds import cli
+from rcsbounds import bounds, cli, harness
+from rcsbounds.bounds import PS_ADD, PS_IMPROVED
+from rcsbounds.matalg import DEFAULT_TOL
 from rcsbounds.rng import stream
 
 ACCEPTANCE_DIMS = (1, 2, 4, 8, 16)
@@ -222,15 +224,49 @@ def test_constant_selection(capsys):
     assert ok
 
 
+def _unit_weight_batches(seed: int, count: int, n_choices=(4, 8, 16)) -> dict:
+    """The instances _unit_weight_data(seed, i) gives for i < count, by
+    length n: (indices, the "sequences" batch (a_seq, b_seq, w_seq, edges)).
+    Each draws its window's and sequences' uniforms from its stream as
+    sample_window and gen_bounded_sequences draw them, and the campaigns'
+    stacked builders turn them into the same windows and sequences."""
+    rows: dict = {}
+    for i in range(count):
+        g = stream(seed, i)
+        u = g.random(4)
+        n = int(g.choice(np.asarray(n_choices)))
+        rows.setdefault(n, []).append((i, u, g.random(3 * n)))
+    batches = {}
+    for n, members in rows.items():
+        indices, u_window, u_sequences = zip(*members)
+        edges = harness._windows(np.stack(u_window), (0.1, 10.0))
+        a_seq, b_seq, w_seq = harness._sequences(edges, np.stack(u_sequences))
+        batches[n] = indices, (a_seq, b_seq, np.ones_like(w_seq), edges)
+    return batches
+
+
 def test_improvement_property():
+    # The refined bound's rhs never exceeds the classical one, row by row
+    # over 10,000 instances evaluated as PS_IMPROVED and PS_ADD batches; a
+    # row of a batch is the lone polya_szego_improved call bit for bit.
     exceptions = 0
     worst_gap = 0.0
-    for i in range(10000):
-        result = polya_szego_improved(_unit_weight_data(9007, i))
-        gap = result.report.rhs - result.classical_additive.rhs
-        if gap > 0.0:
-            exceptions += 1
-            worst_gap = max(worst_gap, gap)
+    checked = 0
+    for indices, batch in _unit_weight_batches(9007, 10000).values():
+        improved, classical = (
+            bounds._REGISTRY[i].evaluate(batch, DEFAULT_TOL) for i in (PS_IMPROVED, PS_ADD)
+        )
+        gap = improved.rhs - classical.rhs
+        exceptions += int(np.count_nonzero(gap > 0.0))
+        worst_gap = max(worst_gap, float(np.max(gap, initial=0.0)))
+        rows = improved.reports()
+        for k, i in enumerate(indices):
+            if i % 100 == 0:
+                lone = polya_szego_improved(_unit_weight_data(9007, i))
+                assert json.dumps(lone.report.to_dict()) == json.dumps(rows[k].to_dict()), i
+                assert lone.classical_additive.rhs == classical.rhs[k], i
+                checked += 1
+    assert checked == 100
     ok = exceptions == 0
     _line(
         "improvement property",

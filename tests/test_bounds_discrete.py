@@ -221,3 +221,14 @@ def test_all_sequence_bounds_hold(data):
     assert polya_szego_multiplicative(data).verdict == HOLDS
     assert polya_szego_additive(data).verdict == HOLDS
     assert polya_szego_improved(data).report.verdict == HOLDS
+
+
+@pytest.mark.parametrize(
+    "bound", [integral_bounds, weighted_additive, polya_szego_additive, polya_szego_improved]
+)
+def test_underflowing_divisor_raises_zero_division(bound):
+    # (A a)^2 underflows to 0: the sides are taken as Python takes them on
+    # one instance, so the division raises instead of giving inf or NaN.
+    data = seqs([1e-170, 1e-170], [1.0, 1.0])
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
+        bound(data)

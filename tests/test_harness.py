@@ -1,5 +1,6 @@
 """Generators, the exact-minor oracle, and the deterministic fuzz loop."""
 
+import dataclasses
 import importlib
 import json
 
@@ -686,6 +687,75 @@ def test_fuzz_strict_band_counts_generator_failures():
         assert fuzz_run(config, inequality_id).precondition_failed == 0
 
 
+def _reduced(reports) -> dict:
+    """The documented aggregation of reports in trial order: the verdict
+    counts, and the least margin over the trials that did not fail a
+    precondition with the lowest index attaining it (None without one)."""
+    verdicts = [r.verdict for r in reports]
+    judged = [(r.margin, i) for i, r in enumerate(reports) if r.verdict != PRECONDITION_FAILED]
+    worst_margin, worst_seed = min(judged) if judged else (None, None)
+    counts = {key: verdicts.count(key.upper()) for key in ("holds", "violated", "precondition_failed")}
+    return {**counts, "worst_margin": worst_margin, "worst_seed": worst_seed}
+
+
+STRICT_BAND = (GeneratorConfig(seed=4, trials=30, dims=(2,)), Tolerance(rtol=3e-17, atol=3e-17))
+AGGREGATION_CASES = [
+    *((i, GeneratorConfig(seed=51, trials=300, dims=(1, 2, 4)), DEFAULT_TOL) for i in INEQUALITY_IDS),
+    (ADD_MATRIX, *STRICT_BAND),
+]
+
+
+@pytest.mark.parametrize("inequality_id, config, tol", AGGREGATION_CASES)
+def test_fuzz_summary_is_the_reduction_of_run_trials(inequality_id, config, tol):
+    # fuzz_run reduces the verdict and margin columns of each evaluated batch;
+    # its summary equals the documented rule applied to the reports of the
+    # same trials, across dimension groups and windows.  In the strict-band
+    # campaign some trials fail a generator check, so its group is evaluated
+    # member by member and their reports are left out of the worst margin.
+    summary = fuzz_run(config, inequality_id, tol).to_dict()
+    expected = _reduced(run_trials(config, inequality_id, range(config.trials), tol))
+    assert {key: summary[key] for key in expected} == expected
+    if tol is STRICT_BAND[1]:
+        assert 0 < expected["precondition_failed"] < config.trials
+
+
+def _rebound(monkeypatch, inequality_id, evaluate):
+    """Rebind the registry entry of inequality_id to evaluate(entry, batch, tol)."""
+    entry = bounds._REGISTRY[inequality_id]
+    rebound = dataclasses.replace(entry, evaluate=lambda batch, tol: evaluate(entry, batch, tol))
+    monkeypatch.setitem(bounds._REGISTRY, inequality_id, rebound)
+
+
+def test_fuzz_margin_ties_go_to_the_lowest_index(monkeypatch):
+    # Every margin is set to a zero, +0.0 or -0.0 by its sign about the
+    # batch median: all trials tie, and the lowest index wins with its own
+    # zero, though trial 0 is in the last dimension group its window evaluates.
+    def zeros(entry, batch, tol):
+        reports = entry.evaluate(batch, tol)
+        margin = np.copysign(0.0, reports.margin - np.median(reports.margin))
+        return dataclasses.replace(reports, margin=margin)
+
+    _rebound(monkeypatch, INT_ADD, zeros)
+    config = GeneratorConfig(seed=3, trials=600)
+    assert harness._draw(config, bounds._REGISTRY[INT_ADD], 0, stream(3, 0))[0] == max(harness.SPACE_DIMS)
+    reports = run_trials(config, INT_ADD, range(config.trials))
+    summary = fuzz_run(config, INT_ADD).to_dict()
+    assert (summary["worst_margin"], summary["worst_seed"]) == (reports[0].margin, 0)
+    assert {key: summary[key] for key in _reduced(reports)} == _reduced(reports)
+
+
+def test_fuzz_summary_without_a_judged_trial(monkeypatch):
+    # Every batch and every member alone fails a hypothesis: every trial is
+    # a precondition failure, and there is no worst margin or trial.
+    def failing(entry, batch, tol):
+        raise WindowViolationError("a_seq leaves the window [a, A]")
+
+    _rebound(monkeypatch, INT_ADD, failing)
+    summary = fuzz_run(GeneratorConfig(seed=6, trials=300), INT_ADD)
+    assert (summary.holds, summary.violated, summary.precondition_failed) == (0, 0, 300)
+    assert (summary.worst_margin, summary.worst_seed) == (None, None)
+
+
 def test_fuzz_replay_reproduces_worst_margin():
     config = GeneratorConfig(seed=11, trials=60, dims=(2, 4))
     summary = fuzz_run(config, ADD_MATRIX)
@@ -811,7 +881,8 @@ def test_out_of_window_row_is_isolated_in_its_group():
     rows[1][4 + 2] = -0.5
     rows[2][4 + 3] = 1.0 + 1e-13
     entry = bounds._REGISTRY[INT_ADD]
-    reports = harness._group_reports(INT_ADD, entry, rows, DEFAULT_TOL)
+    parts = harness._group_reports(INT_ADD, entry, rows, DEFAULT_TOL)
+    reports = [report for part in parts for report in part.reports()]
     for name, row, report in zip(names, rows, reports):
         a, b, w, edges = (column[0] for column in harness._batch(entry, [row], DEFAULT_TOL))
         assert (a[3] > edges[1]) == (name == "inside_slack")

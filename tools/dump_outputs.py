@@ -30,7 +30,12 @@ It imports rcsbounds from the src/ directory next to this script and writes:
 * run_trial_d16/<ID>.jsonl: ``run_trial(GeneratorConfig(seed=0,
   dims=(16,)), ID, i).to_dict()`` for the four matrix-valued ids and the
   two functional ids and i in 0..19, trials at the largest dimension,
-  where the eigensolver works hardest and the functionals sum the most terms.
+  where the eigensolver works hardest and the functionals sum the most terms;
+* env.json: the Python and numpy versions, the BLAS library and version
+  that numpy reports (``np.show_config``) and ``OPENBLAS_CORETYPE``, the
+  environment variable that picks OpenBLAS's CPU kernel.  Outputs are
+  reproducible bit for bit on one machine and one numpy/BLAS build; another
+  kernel may move the last bits of matrix margins.
 
 Run it on two checkouts and compare the directories with ``diff -r``: no
 output means every report, summary and row is byte-identical.
@@ -49,6 +54,8 @@ line, or a line of text).  For each file it prints:
   the size ``norm_tv_sq * norm_sv_sq`` from its details, the products
   its lhs cancels from.
 
+It prints env.json of both sides first ("none" for a side without one)
+and does not count it as a record or as a file present on one side only.
 It exits 1 on any verdict change or on a file present on one side only,
 and 0 otherwise.
 """
@@ -61,8 +68,12 @@ import io
 import itertools
 import json
 import math
+import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -96,6 +107,18 @@ D16_TRIALS = 20
 VERDICT_KEYS = ("verdict", "holds", "violated", "precondition_failed")
 VERDICT_PREFIXES = ("verdict:", "exit ")
 MARGIN_KEYS = ("margin", "worst_margin")
+ENV_FILE = "env.json"
+
+
+def _environment() -> dict:
+    """What the outputs' last bits depend on besides the code."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
+    }
 
 
 def _cli(argv: list[str]) -> str:
@@ -172,7 +195,11 @@ def _margin_change(old, new) -> float:
 
 def compare(old: Path, new: Path) -> int:
     """Print the per-file summary of --compare; 1 on a verdict change or an unmatched file."""
-    names = sorted({p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()})
+    for root in (old, new):
+        env = root / ENV_FILE
+        print(f"{ENV_FILE} of {root}: {env.read_text().strip() if env.is_file() else 'none'}")
+    files = {p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()}
+    names = sorted(files - {Path(ENV_FILE)})
     failed = identical = 0
     for name in names:
         if not ((old / name).is_file() and (new / name).is_file()):
@@ -216,6 +243,7 @@ def main(argv: list[str]) -> int:
     )
     for sub in subdirs:
         (out / sub).mkdir(parents=True, exist_ok=True)
+    (out / ENV_FILE).write_text(json.dumps(_environment()) + "\n")
     for path in INSTANCES:
         (out / "verify" / f"{path.stem}.json").write_text(_cli(["verify", str(path), "--json"]))
         (out / "verify" / f"{path.stem}.txt").write_text(_cli(["verify", str(path)]))
