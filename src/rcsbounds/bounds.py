@@ -42,6 +42,7 @@ from .forms import (
     _adjoint_symmetry,
     _coerce_argument,
     _form_eval,
+    _pair_rows,
     _re_term,
     _root_commutation,
     _spectral_window,
@@ -154,13 +155,13 @@ class _Inequality:
     columns (_Reports), each independent of the others.  A batch is a
     tuple of columns:
 
-    * "form", "functional_form": N forms of one kind, one per instance
-      (for "functional_form" possibly grouped by kind, forms._FunctionalForms),
-      x and y as (N, ...) arrays normalized by forms._coerce_argument, and
-      N window pairs;
+    * "form", "functional_form": N forms of one kind, one per instance (for
+      "functional_form" one forms._FunctionalForms), x and y as (N, ...)
+      arrays normalized by forms._coerce_argument, and N window pairs
+      (OmegaPairs; for "functional_form" an (N, 2) array, forms._pair_rows);
     * "operator_pair": (N, d, d) stacks t, s and an (N, d) stack of nonzero v;
     * "sequences": (N, n) stacks of a_seq, b_seq, w_seq and the (N, 4)
-      edges (a, A, b, B) of their windows.
+      edges (a, A, b, B) of their windows, checked (_check_sequences).
 
     _batch_of_one makes the batch of a lone instance.  The callables look
     the evaluators up in this module when called, so a rebound evaluator
@@ -275,7 +276,10 @@ def _batch_of_one(payload: str, instance) -> tuple:
             )
         return tm[None], sm[None], vv[None]
     form, x, y, pair = instance
-    return [form], _coerce_argument(form, x)[None], _coerce_argument(form, y)[None], [pair]
+    x, y = _coerce_argument(form, x)[None], _coerce_argument(form, y)[None]
+    if payload == "functional_form":
+        return _FunctionalForms.of([form]), x, y, _pair_rows([pair])
+    return [form], x, y, [pair]
 
 
 def _evaluate_one(inequality_id: str, instance, tol: Tolerance) -> BoundReport:
@@ -413,8 +417,16 @@ def _scalar_reports(
     """The reports of a scalar-valued id from (N,) sides, by the one verdict
     rule of every scalar id: the margin rhs - lhs holds at the band of the
     largest of |lhs|, |rhs|, size and 1, size the size of the products a
-    cancelling lhs is formed from, whose rounding is no violation."""
+    cancelling lhs is formed from, whose rounding is no violation.  A row
+    whose lhs, rhs or margin is not finite is no verdict: ValueError."""
     margin = rhs - lhs
+    bad = ~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(margin))
+    if np.count_nonzero(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"{inequality_id} values overflow the double range "
+            f"(lhs = {float(lhs[k])!r}, rhs = {float(rhs[k])!r})"
+        )
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(size, 1.0))
     holds = margin >= -tol.band(scale)
     return _Reports(inequality_id, holds, margin, lhs, rhs, preconditions, details or {})
@@ -502,7 +514,7 @@ def _matrix_reports(
         re_cross = _positive_re_cross(np.array([p.re_cross() for p in pairs])).tolist()
         coeffs = [(abs(p.Omega) + abs(p.omega)) / math.sqrt(c) for p, c in zip(pairs, re_cross)]
     xx, yy, xy, yx = (_form_eval(forms, u, v) for u, v in ((x, x), (y, y), (x, y), (y, x)))
-    re_term = _re_term(forms, x, y, pairs)
+    re_term = _re_term(forms, x, y, _pair_rows(pairs))
     s_ok, s_dev = _adjoint_symmetry(xy, yx, tol)
     if inequality_id == ADD_MATRIX:
         dec = eig_hermitian_stack(yy, tol)
@@ -566,24 +578,24 @@ def functional_multiplicative_bound(
 
 
 def _functional_reports(
-    inequality_id: str, forms: list, x, y, pairs: list[OmegaPair], tol: Tolerance
+    inequality_id: str, forms: _FunctionalForms, x, y, pairs: np.ndarray, tol: Tolerance
 ) -> _Reports:
     """ADD_FUNCTIONAL or MULT_FUNCTIONAL reports for a "functional_form"
     batch (see _Inequality): three form evaluations, one Re term and one
     Re check over the batch, its functionals grouped by kind once
     (forms._FunctionalForms), and the sides as column expressions, |.| and
-    ** 2 as Python takes them (_hypot, _pow2).  Each functional sums its
-    own weighted trace, so a report does not depend on the other instances.
+    ** 2 as Python takes them (_hypot, _pow2, and Re(conj(omega) Omega) as
+    Python's complex product).  Each functional sums its own weighted
+    trace, so a report does not depend on the other instances.
     The additive lhs is judged at phi(x*x) phi(y*y), the size it cancels from."""
+    omega, Omega = pairs[:, 0], pairs[:, 1]
     if inequality_id == MULT_FUNCTIONAL:
-        re_cross = _positive_re_cross(np.array([p.re_cross() for p in pairs]))
-    forms = _FunctionalForms.of(forms)
+        re_cross = _positive_re_cross(omega.real * Omega.real + omega.imag * Omega.imag)
     fxx, fyy, cross = (_form_eval(forms, u, v)[:, 0, 0] for u, v in ((x, x), (y, y), (x, y)))
     fxx, fyy = fxx.real, fyy.real
     re_term = _re_term(forms, x, y, pairs)
     preconditions = (("re_term_positive", *loewner_leq(np.zeros_like(re_term), re_term, tol)),)
-    details = {"omega": [p.omega for p in pairs], "Omega": [p.Omega for p in pairs]}
-    omega, Omega = np.array(details["omega"]), np.array(details["Omega"])
+    details = {"omega": omega, "Omega": Omega}
     size = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if inequality_id == ADD_FUNCTIONAL:
@@ -1002,11 +1014,10 @@ def _sequence_reports(inequality_id: str, sides: Callable, batch: tuple, tol: To
     edge columns (a, A, b, B): lhs, rhs, the size of the products lhs
     cancels from (1 if it does not) and the details.  ** 2, / and min are
     taken as Python takes them on one row (_pow2, _divide, _min), so an
-    overflowing power or a zero divisor raises, and inf and NaN pass on.
-    The data of the whole batch (see _check_sequences) and, for a
-    unit-weights id, its weights are checked once."""
+    overflowing power or a zero divisor raises.  The batch's data were
+    checked where it was built (WeightedSequences, harness._sequence_batch);
+    for a unit-weights id its weights are checked here."""
     a, b, w, edges = batch
-    _check_sequences(a, b, w, edges)
     if _REGISTRY[inequality_id].unit_weights and np.any(w != 1.0):
         raise ValueError(f"{inequality_id} requires unit weights (w_i = 1)")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -45,8 +45,7 @@ from .harness import (
     SCALAR_WINDOW,
     FuzzSummary,
     GeneratorConfig,
-    _batch,
-    _sequence_draw,
+    _sequence_batch,
     fuzz_run,
     gen_argmin_families,
     run_trial,
@@ -58,7 +57,7 @@ from .matalg import (
     Tolerance,
     as_element,
 )
-from .rng import _check_key, stream, streams
+from .rng import _check_key, _uniforms, stream
 
 __all__ = ["main", "CSV_HEADER"]
 
@@ -489,21 +488,21 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
     return 0 if deviation <= SHARPNESS_TOL else 2
 
 
-def _compare_batches(args: argparse.Namespace, tol: Tolerance):
+def _compare_batches(args: argparse.Namespace):
     """The constant-comparison study as PS_IMPROVED batches (a_seq, b_seq,
     w_seq, edges), in order.
 
-    Random windows first (the Philox stream of each sample index, one
-    re-keyed Philox per batch), SCALAR_WINDOW rows at a time so that memory
-    does not grow with --samples, then the three constructed families, so
-    the output is reproducible and schedule-independent.
+    Random windows first, SCALAR_WINDOW rows at a time so that memory does
+    not grow with --samples, row i the uniforms stream(seed, i).random(4 +
+    3n) from one stacked Philox pass (rng._uniforms), then the three
+    constructed families, so the output is reproducible and
+    schedule-independent.
     """
-    entry = _REGISTRY[PS_IMPROVED]
     for start in range(0, args.samples, SCALAR_WINDOW):
         indices = range(start, min(start + SCALAR_WINDOW, args.samples))
-        yield _batch(entry, [_sequence_draw(g, args.n) for g in streams(args.seed, indices)], tol)
+        yield _sequence_batch(_uniforms(args.seed, indices, 4 + 3 * args.n), True)
     for _, family in gen_argmin_families(max(2, args.n)):
-        yield _batch_of_one(entry.payload, family)
+        yield _batch_of_one("sequences", family)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -514,7 +513,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     tol = _resolve_tolerance(args)
     entry = _REGISTRY[PS_IMPROVED]
     columns: list[list] = [[] for _ in CSV_HEADER]
-    for batch in _compare_batches(args, tol):
+    for batch in _compare_batches(args):
         reports = entry.evaluate(batch, tol)
         details = reports.details
         residual = np.abs(details["equality_lhs"] - details["equality_rhs"])

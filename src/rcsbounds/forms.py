@@ -126,14 +126,11 @@ class PositiveFunctional:
         if self.kind == VECTOR_STATE:
             if self.state is None or self.state.shape != (self.dim,):
                 raise ValueError("vector_state requires a state of shape (dim,)")
-            norm = float(np.linalg.norm(self.state))
-            if not abs(norm - 1.0) <= 1e-9:
-                raise ValueError(f"vector_state payload must be a unit vector (norm {norm})")
+            _check_payloads(norms=[np.linalg.norm(self.state)])
         if self.kind == WEIGHTED_SUM:
             if self.weights is None or self.weights.shape != (self.dim,):
                 raise ValueError("weighted_sum requires weights of shape (dim,)")
-            if np.any(self.weights <= 0.0) or not np.all(np.isfinite(self.weights)):
-                raise ValueError("weighted_sum weights must be strictly positive and finite")
+            _check_payloads(weights=self.weights)
 
     @classmethod
     def vector_state(cls, x0) -> "PositiveFunctional":
@@ -189,6 +186,17 @@ class PositiveFunctional:
             weights = np.asarray(raw, dtype=np.float64)
             return cls(kind=kind, dim=dim, weights=weights)
         return cls(kind=kind, dim=dim)
+
+
+def _check_payloads(norms=(), weights=()) -> None:
+    """PositiveFunctional's value checks over stacks: vector-state norms
+    within 1e-9 of 1, weights strictly positive and finite."""
+    norms = np.asarray(norms, dtype=np.float64)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
+    if off.size:
+        raise ValueError(f"vector_state payload must be a unit vector (norm {norms[off[0]]})")
+    if not np.all((np.asarray(weights) > 0.0) & np.isfinite(weights)):
+        raise ValueError("weighted_sum weights must be strictly positive and finite")
 
 
 GRAM_TENSOR = "gram_tensor"
@@ -360,51 +368,71 @@ def form_eval(form: FormInstance, x, y) -> np.ndarray:
     return _form_eval([form], _coerce_argument(form, x)[None], _coerce_argument(form, y)[None])[0]
 
 
-def _form_eval(forms: list[FormInstance], x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x[k], y[k]> under forms[k] for N forms of one kind and batches x, y
-    of N arguments, each normalized by _coerce_argument: the
-    (N, algebra_dim, algebra_dim) stack of values."""
+def _form_eval(forms, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x[k], y[k]> under forms[k] for N forms of one kind (FormInstances,
+    or a _FunctionalForms) and batches x, y of N arguments, each normalized
+    by _coerce_argument: the (N, algebra_dim, algebra_dim) stack of values."""
+    if isinstance(forms, _FunctionalForms) or forms[0].kind == FUNCTIONAL_FORM:
+        # _coerce_argument has checked u and v, so v* u is evaluated
+        # unchecked; a value past the double range is an error, never a verdict.
+        values = _FunctionalForms.of(forms).values(y.conj().swapaxes(-1, -2) @ x)
+        if np.count_nonzero(~np.isfinite(values)):
+            raise ValueError("functional values must be finite")
+        return values[:, None, None]
     if forms[0].kind == MODULE_FORM:
         return y.conj().swapaxes(-1, -2) @ x
-    if forms[0].kind == GRAM_TENSOR:
-        members = zip(forms, x, y)
-        return np.stack([np.einsum("i,j,ijab->ab", u, v.conj(), f.gram) for f, u, v in members])
-    # _coerce_argument has checked u and v, so v* u is evaluated unchecked;
-    # a value past the double range is an error, never a verdict.
-    values = _FunctionalForms.of(forms).values(y.conj().swapaxes(-1, -2) @ x)
-    if np.count_nonzero(~np.isfinite(values)):
-        raise ValueError("functional values must be finite")
-    return values[:, None, None]
+    members = zip(forms, x, y)
+    return np.stack([np.einsum("i,j,ijab->ab", u, v.conj(), f.gram) for f, u, v in members])
 
 
-class _FunctionalForms(list):
-    """N functional forms of one dimension, as a "functional_form" batch
-    holds them, with their functionals grouped by kind once: for each kind
-    present, its members' indices (a slice when they are all N) and what
-    its formula needs of them, the stacked states s as rows conj(s) and
-    columns s, or the stacked weights.  Every _form_eval over the batch
-    reuses the grouping; the list is not changed after it is made."""
+class _FunctionalForms:
+    """N functionals of one dimension as a "functional_form" batch holds
+    them: the index of each one's kind in _FUNCTIONAL_KINDS, shape (N,), and
+    (N, dim) states and weights, read on the rows of their kind alone and
+    checked once as PositiveFunctional checks one.  They are grouped by kind
+    once: for each kind present, its members' indices (a slice when they
+    are all N) and what its formula needs, the states s as rows conj(s) and
+    columns s, or the weights; every _form_eval over the batch reuses it."""
 
-    def __init__(self, forms) -> None:
-        super().__init__(forms)
-        members: dict[str, list[int]] = {}
-        for k, form in enumerate(self):
-            members.setdefault(form.functional.kind, []).append(k)
+    def __init__(self, kinds: np.ndarray, states: np.ndarray, weights: np.ndarray) -> None:
+        self.kinds, self.states, self.weights = kinds, states, weights
         self.groups = []
-        for kind, index in members.items():
+        for kind, name in enumerate(_FUNCTIONAL_KINDS):
+            index = np.flatnonzero(kinds == kind)
+            if not index.size:
+                continue
             payload = None
-            if kind == VECTOR_STATE:
-                s = np.stack([self[k].functional.state for k in index])
+            if name == VECTOR_STATE:
+                s = states[index]
+                _check_payloads(norms=np.linalg.norm(s, axis=1))
                 payload = s.conj()[:, None, :], s[:, :, None]
-            elif kind == WEIGHTED_SUM:
-                payload = np.stack([self[k].functional.weights for k in index])
-            index = slice(None) if len(members) == 1 else np.array(index)
-            self.groups.append((kind, index, payload))
+            elif name == WEIGHTED_SUM:
+                payload = weights[index]
+                _check_payloads(weights=payload)
+            index = slice(None) if index.size == len(kinds) else index
+            self.groups.append((name, index, payload))
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
     @classmethod
-    def of(cls, forms: list[FormInstance]) -> "_FunctionalForms":
-        """forms itself if it is grouped, else forms grouped now."""
-        return forms if isinstance(forms, cls) else cls(forms)
+    def of(cls, forms) -> "_FunctionalForms":
+        """forms itself if it is grouped, else its FormInstances grouped now."""
+        if isinstance(forms, cls):
+            return forms
+        phis = [form.functional for form in forms]
+        ones = np.ones(phis[0].dim)
+        states = np.array([ones if phi.state is None else phi.state for phi in phis], complex)
+        weights = np.array([ones if phi.weights is None else phi.weights for phi in phis])
+        return cls(np.array([_FUNCTIONAL_KINDS.index(phi.kind) for phi in phis]), states, weights)
+
+    def form(self, k: int) -> FormInstance:
+        """The FormInstance of functional k."""
+        kind = _FUNCTIONAL_KINDS[self.kinds[k]]
+        state = self.states[k] if kind == VECTOR_STATE else None
+        weights = self.weights[k] if kind == WEIGHTED_SUM else None
+        phi = PositiveFunctional(kind, self.states.shape[1], state, weights)
+        return FormInstance.functional_form(phi)
 
     def values(self, m: np.ndarray) -> np.ndarray:
         """phi_k(m[k]) for an (N, dim, dim) complex128 stack m, unchecked,
@@ -429,7 +457,8 @@ class _FunctionalForms(list):
 def _functional_values(functionals: list[PositiveFunctional], m: np.ndarray) -> np.ndarray:
     """phi_k(m[k]) for N functionals of one dimension and an (N, dim, dim)
     complex128 stack m, unchecked (_FunctionalForms.values)."""
-    return _FunctionalForms(map(FormInstance.functional_form, functionals)).values(m)
+    forms = [FormInstance.functional_form(phi) for phi in functionals]
+    return _FunctionalForms.of(forms).values(m)
 
 
 def check_star1(
@@ -471,12 +500,16 @@ def _root_commutation(
     return dev <= tol.band(scale), dev
 
 
-def _re_term(forms: list[FormInstance], x: np.ndarray, y: np.ndarray, pairs) -> np.ndarray:
+def _pair_rows(pairs) -> np.ndarray:
+    """The (N, 2) array of the window pairs (omega, Omega) of N OmegaPairs."""
+    return np.array([(p.omega, p.Omega) for p in pairs])
+
+
+def _re_term(forms, x: np.ndarray, y: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Hermitian part of <Omega y - x, x - omega y> for forms and batches
-    x, y as _form_eval takes them and the N window pairs (omega, Omega)."""
+    x, y as _form_eval takes them and (N, 2) window pairs (_pair_rows)."""
     shape = (-1,) + (1,) * (x.ndim - 1)
-    omega = np.array([p.omega for p in pairs]).reshape(shape)
-    Omega = np.array([p.Omega for p in pairs]).reshape(shape)
+    omega, Omega = (np.ascontiguousarray(pairs[:, j]).reshape(shape) for j in (0, 1))
     return re_part(_form_eval(forms, Omega * y - x, x - omega * y))
 
 
@@ -485,7 +518,7 @@ def check_re_condition(
 ) -> tuple[bool, float]:
     """Check Re <Omega y - x, x - omega y> >= 0; margin is its least eigenvalue."""
     args = (_coerce_argument(form, a)[None] for a in (x, y))
-    m = _re_term([form], *args, [pair])[0]
+    m = _re_term([form], *args, _pair_rows([pair]))[0]
     return loewner_leq(np.zeros_like(m), m, tol)
 
 

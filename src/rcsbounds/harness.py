@@ -8,7 +8,7 @@ trials are schedule-independent.
 
 Batch invariant: run_trials draws each trial of a window once, groups the
 drawn trials by the dimension each carries (d, or the sequence length n)
-and passes each group to the id's one evaluator as a batch.  Every
+as columns and passes each group to the id's one evaluator as a batch.  Every
 evaluator works on the whole batch at once (stacked kernel calls and
 form values, row reductions) and treats each instance on its own, so a
 trial's outcome is also independent of which other trials share its
@@ -24,11 +24,13 @@ the instance, which gen_re_valid_instance("module") builds the same way.
 The evaluators never see U: each report is a function of its instance
 alone, as verify on an instance file computes it.
 
-Scalar instances: a trial draws only its values, in the order its
-generator draws them, with the fewest calls (a sequence trial one
-g.random(4 + 3n), from which g.uniform(lo, hi) is lo + (hi - lo) * u bit
-for bit), and each group builds its instances as one stack: the windows,
-pinned sequences and weights of a "sequences" group (_sequence_batch), and
+Scalar instances: a window of trials draws only values, in the order
+each trial's generator draws them, with no per-trial object: a sequence
+trial's n and 4 + 3n uniforms, and a functional trial's d and kind, come
+from one stacked Philox pass (rng._words), and a functional trial's
+Gaussians from its Generator past word 0.  Each group builds its
+instances as one stack: the windows, pinned sequences and weights of a
+"sequences" group (_sequence_batch), and the functionals as arrays,
 phi(y* y), phi(p* p), x and the Re check of every functional instance's
 first attempt (_functional_instances).  A functional slice whose first
 attempt is rejected continues its own rejection loop from its own stream.
@@ -51,6 +53,7 @@ from .bounds import (
     BoundReport,
     ScalarWindow,
     WeightedSequences,
+    _check_sequences,
     _failed_reports,
     _Inequality,
     _pow2,
@@ -58,6 +61,7 @@ from .bounds import (
     _window_edges,
 )
 from .forms import (
+    _FUNCTIONAL_KINDS,
     FormError,
     FormInstance,
     OmegaPair,
@@ -76,7 +80,7 @@ from .matalg import (
     frobenius,
     re_part,
 )
-from .rng import _check_key, stream, streams
+from .rng import _check_key, _integers, _unit, _words, stream, streams
 
 __all__ = [
     "REJECTION_CAP",
@@ -255,11 +259,17 @@ def _sequence_batch(u: np.ndarray, unit_weights: bool) -> list:
     """The "sequences" batch (a_seq, b_seq, w_seq, edges) of N trials from
     their (N, 4 + 3n) _sequence_draw rows: the window of sample_window(g,
     WINDOW_RANGE) and the sequences of gen_bounded_sequences(n, window, g),
-    every weight 1 when unit_weights.  The rows are unchecked: the evaluator
-    checks its whole batch at once."""
+    every weight 1 when unit_weights, checked at once as WeightedSequences
+    checks one instance (bounds._check_sequences)."""
     edges = _windows(u[:, :4], WINDOW_RANGE)
     a_seq, b_seq, w_seq = _sequences(edges, u[:, 4:])
-    return [a_seq, b_seq, np.ones_like(w_seq) if unit_weights else w_seq, edges]
+    batch = [a_seq, b_seq, np.ones_like(w_seq) if unit_weights else w_seq, edges]
+    _check_sequences(*batch)
+    return batch
+
+
+# The range of a weighted sum's weights.
+_WEIGHT_RANGE = (0.2, 2.0)
 
 
 def _random_functional(d: int, g: np.random.Generator) -> PositiveFunctional:
@@ -269,7 +279,7 @@ def _random_functional(d: int, g: np.random.Generator) -> PositiveFunctional:
         return PositiveFunctional.vector_state(x0 / np.linalg.norm(x0))
     if kind == 1:
         return PositiveFunctional.trace(d)
-    return PositiveFunctional.weighted_sum(g.uniform(0.2, 2.0, size=d))
+    return PositiveFunctional.weighted_sum(g.uniform(*_WEIGHT_RANGE, size=d))
 
 
 # The uniform ranges behind a functional instance's window pair, in the
@@ -289,27 +299,39 @@ def _complex_gaussians(z: np.ndarray) -> np.ndarray:
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def _functional_draw(d: int, g: np.random.Generator) -> tuple:
-    """The draws from g of a functional instance's first attempt, in the
-    order of the rejection loop (_functional_rejections): the functional,
-    the normals behind y, the uniforms behind the window pair, the normals
-    behind p and the uniform behind rho (see _RHO_RANGE)."""
-    phi = _random_functional(d, g)
-    return phi, g.standard_normal((2, d, d)), g.random(4), g.standard_normal((2, d, d)), g.random()
+def _functional_rows(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed rows for n _functional_draw draws at dimension d."""
+    return np.zeros((n, 2 * d + 4 * d * d)), np.zeros((n, d + 5))
 
 
-def _functional_pairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[OmegaPair]]:
-    """lambda, radius^2 and the window pairs (lambda - c, lambda + c) of N
-    functional instances from (N, 4) uniforms (see _PAIR_RANGES)."""
+def _functional_draw(kind: int, d: int, g: np.random.Generator, z: np.ndarray, u: np.ndarray):
+    """Draw from g a functional instance's first attempt past its kind, in
+    the order of _functional_rejections, into its rows z (the state's 2d
+    normals, y's and p's 2d^2) and u (the weights' d uniforms, the window
+    pair's 4, rho's 1), the state's normals and y's in one call."""
+    y = 2 * d + 2 * d * d
+    if kind == 0:
+        g.standard_normal(out=z[:y])
+    else:
+        if kind == 2:
+            g.random(out=u[:d])
+        g.standard_normal(out=z[2 * d : y])
+    g.random(out=u[d : d + 4])
+    g.standard_normal(out=z[y:])
+    g.random(out=u[d + 4 :])
+
+
+def _functional_pairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda, radius^2 and the (N, 2) window pairs (lambda - c, lambda + c)
+    of N functional instances from (N, 4) uniforms (see _PAIR_RANGES)."""
     lam_mod, arg_lam, share, arg_c = (_uniform(u[:, j], *r) for j, r in enumerate(_PAIR_RANGES))
     lam = lam_mod * np.exp(1j * arg_lam)
     radius = share * lam_mod
     c = radius * np.exp(1j * arg_c)
-    pairs = [OmegaPair(omega, Omega) for omega, Omega in zip((lam - c).tolist(), (lam + c).tolist())]
-    return lam, _pow2(radius), pairs
+    return lam, _pow2(radius), np.stack((lam - c, lam + c), axis=1)
 
 
-def _phi_norms(forms: list, m: np.ndarray) -> np.ndarray:
+def _phi_norms(forms, m: np.ndarray) -> np.ndarray:
     """The (N,) values phi_k(m[k]* m[k]) under N functional forms for an
     (N, d, d) stack m."""
     return _form_eval(forms, m, m)[:, 0, 0].real
@@ -322,7 +344,7 @@ def _functional_x(lam, radius_sq, y, fyy, p, fpp, rho) -> np.ndarray:
     return lam[:, None, None] * y + p * scale[:, None, None]
 
 
-def _re_accepts(forms: list, x: np.ndarray, y: np.ndarray, pairs: list, tol: Tolerance) -> np.ndarray:
+def _re_accepts(forms, x: np.ndarray, y: np.ndarray, pairs: np.ndarray, tol: Tolerance):
     """Which of N functional instances satisfy the Re hypothesis, as
     check_re_condition decides it: the 1 x 1 Re term is at least -band at
     the scale max(|value|, 1)."""
@@ -330,30 +352,35 @@ def _re_accepts(forms: list, x: np.ndarray, y: np.ndarray, pairs: list, tol: Tol
     return re >= -tol.band(np.maximum(np.abs(re), 1.0))
 
 
-def _functional_instances(rows: Sequence, tol: Tolerance, cap: int = REJECTION_CAP) -> list:
-    """The functional-form instances of N _functional_draw rows, each
-    followed by restart, a callable that returns the row's generator as it
-    was before its draws, as the "functional_form" batch columns (forms, x,
-    y, pairs).
-
-    phi(y* y), phi(p* p), x and the Re check of every first attempt are
-    computed over the stack.  A slice whose first attempt the generator
-    would not keep (a degenerate y or p, or a failed Re check) restarts its
-    own stream and runs the rejection loop on it (_functional_rejections),
-    which draws that first attempt again and continues from there, so every
-    slice is the instance its draws alone give, whatever else is in the stack."""
-    phis, zy, u, zp, rho, restarts = zip(*rows)
-    forms = _FunctionalForms(FormInstance.functional_form(phi) for phi in phis)
-    y, p = _complex_gaussians(np.stack(zy)), _complex_gaussians(np.stack(zp))
-    lam, radius_sq, pairs = _functional_pairs(np.stack(u))
+def _functional_instances(kinds, z, u, indices, tol: Tolerance, restart, cap=REJECTION_CAP) -> list:
+    """The "functional_form" batch columns (forms, x, y, pairs) of N first
+    attempts, their kinds (indices into _FUNCTIONAL_KINDS) and their rows z
+    and u of _functional_draw; restart(indices[k]) returns slice k's stream
+    as it was before its kind draw.  The functionals, phi(y* y), phi(p* p),
+    x and the Re check are computed over the stack.  A slice whose first
+    attempt the generator would not keep (a degenerate y or p, or a failed
+    Re check) restarts its stream and runs the rejection loop on it
+    (_functional_rejections), so every slice is the instance its draws
+    alone give, whatever else is in the stack."""
+    d = u.shape[1] - 5
+    y0, p0 = 2 * d, 2 * d + 2 * d * d
+    vector = kinds == 0
+    # Each state is x0 / np.linalg.norm(x0), as _random_functional draws it.
+    x0 = z[vector, :d] + 1j * z[vector, d:y0]
+    states = np.zeros((len(kinds), d), dtype=np.complex128)
+    states[vector] = x0 / np.array([np.linalg.norm(v) for v in x0]).reshape(-1, 1)
+    forms = _FunctionalForms(kinds, states, _uniform(u[:, :d], *_WEIGHT_RANGE))
+    y = _complex_gaussians(z[:, y0:p0].reshape(-1, 2, d, d))
+    p = _complex_gaussians(z[:, p0:].reshape(-1, 2, d, d))
+    lam, radius_sq, pairs = _functional_pairs(u[:, d : d + 4])
     fyy, fpp = _phi_norms(forms, y), _phi_norms(forms, p)
     kept = ~((fyy < _Y_NORM2_MIN) | (fpp < _P_NORM2_MIN))
-    rho = _uniform(np.array(rho), *_RHO_RANGE)
+    rho = _uniform(u[:, d + 4], *_RHO_RANGE)
     x = _functional_x(lam, radius_sq, y, fyy, p, np.where(kept, fpp, 1.0), rho)
     # The first attempt is one of the cap attempts.
     accepted = kept & _re_accepts(forms, x, y, pairs, tol) & (cap > 0)
     for k in np.flatnonzero(~accepted):
-        x[k], y[k], pairs[k] = _functional_rejections(phis[k].dim, restarts[k](), tol, cap)
+        x[k], y[k], pairs[k] = _functional_rejections(d, restart(indices[k]), tol, cap)
     return [forms, x, y, pairs]
 
 
@@ -364,7 +391,7 @@ def _functional_rejections(d: int, g: np.random.Generator, tol: Tolerance, cap: 
     while phi(p* p) is degenerate) and rho until the Re check passes, else
     RejectionCapExceededError.  g restarted at a trial's first attempt
     draws that attempt's functional again, so the batch keeps its form."""
-    forms = _FunctionalForms([FormInstance.functional_form(_random_functional(d, g))])
+    forms = _FunctionalForms.of([FormInstance.functional_form(_random_functional(d, g))])
     y = _complex_gaussians(g.standard_normal((1, 2, d, d)))
     fyy = _phi_norms(forms, y)
     while fyy[0] < _Y_NORM2_MIN:
@@ -414,13 +441,14 @@ def gen_re_valid_instance(
         raise ValueError(f"unknown instance kind {kind!r}")
     start = g.bit_generator.state
 
-    def restart() -> np.random.Generator:
+    def restart(_) -> np.random.Generator:
         g.bit_generator.state = start
         return g
 
-    row = (*_functional_draw(d, g), restart)
-    forms, x, y, pairs = _functional_instances([row], tol, cap)
-    return forms[0], x[0], y[0], pairs[0]
+    kinds, (z, u) = np.array([g.integers(len(_FUNCTIONAL_KINDS))]), _functional_rows(1, d)
+    _functional_draw(int(kinds[0]), d, g, z[0], u[0])
+    forms, x, y, pairs = _functional_instances(kinds, z, u, [0], tol, restart, cap)
+    return forms.form(0), x[0], y[0], OmegaPair(*pairs[0].tolist())
 
 
 def gen_argmin_families(n: int) -> list[tuple[str, WeightedSequences]]:
@@ -551,64 +579,92 @@ def _restarted(config: GeneratorConfig, index: int) -> np.random.Generator:
     return g
 
 
-def _draw(config: GeneratorConfig, entry: _Inequality, index: int, g: np.random.Generator) -> tuple:
-    """One trial's draws for the payload kind of a registry entry, from the
-    stream g of trial index: its dimension (d, or the sequence length n)
-    and its row, which _batch builds into the evaluator's batch.
+def _sequence_draws(config: GeneratorConfig, entry: _Inequality, window: list):
+    """(members, columns) per length n of a window of sequence trials: their
+    positions in window and (N, 4 + 3n) _sequence_draw rows, n from word 0
+    and the row from word 1 on of one stacked Philox pass (rng._words)."""
+    words = _words(config.seed, window, 1 + 4 + 3 * max(SPACE_DIMS))
+    (choice,), drawn = _integers(words[:, 0], (len(SPACE_DIMS),))
+    lengths, rows = np.array(SPACE_DIMS)[choice], _unit(words[:, 1:])
+    for j in np.flatnonzero(~drawn).tolist():
+        g = stream(config.seed, window[j])
+        lengths[j] = SPACE_DIMS[g.integers(len(SPACE_DIMS))]
+        rows[j, : 4 + 3 * lengths[j]] = _sequence_draw(g, lengths[j])
+    for n in sorted(set(lengths.tolist())):
+        members = np.flatnonzero(lengths == n)
+        yield members, (rows[members, : 4 + 3 * n],)
 
-    A "sequences" row is its _sequence_draw.  A "functional_form" row is
-    its _functional_draw followed by the callable that restarts its stream
-    there.  A "form" row is the _pair_draw of the commuting strictly
-    positive pair (t, s) that is x and y of gen_re_valid_instance("module");
-    an "operator_pair" row is that _pair_draw followed by the vector v.
-    """
+
+def _functional_draws(config: GeneratorConfig, entry: _Inequality, window: list):
+    """(members, columns) per dimension of a window of functional trials,
+    the columns of _functional_instances: d and the kind from word 0 of one
+    stacked Philox pass, the rest by _functional_draw past that word."""
+    word = _words(config.seed, window, 1)[:, 0]
+    (choice, kinds), drawn = _integers(word, (len(config.dims), len(_FUNCTIONAL_KINDS)))
+    dims, own = np.array(config.dims)[choice], {}
+    for j in np.flatnonzero(~drawn).tolist():
+        g = own[j] = stream(config.seed, window[j])
+        dims[j], kinds[j] = _dimension(config, g), g.integers(len(_FUNCTIONAL_KINDS))
+    for d in sorted(set(dims.tolist())):
+        members = np.flatnonzero(dims == d)
+        indices = [window[j] for j in members]
+        z, u = _functional_rows(len(members), d)
+        for row, (j, g) in enumerate(zip(members.tolist(), streams(config.seed, indices))):
+            if j not in own:
+                g.bit_generator.random_raw()  # word 0
+            _functional_draw(kinds[j], d, own.get(j, g), z[row], u[row])
+        yield members, (kinds[members], z, u, indices)
+
+
+def _matrix_draws(config: GeneratorConfig, entry: _Inequality, window: list):
+    """(members, columns) per dimension of a window of "form" or
+    "operator_pair" trials: the stacked _pair_draw draws, and for an
+    "operator_pair" the vector v, redrawn while ||v|| < 1e-6."""
+    dims, rows = [], []
+    for g in streams(config.seed, window):
+        dims.append(_dimension(config, g))
+        rows.append(_pair_draw(dims[-1], g))
+        if entry.payload == "operator_pair":
+            v = g.standard_normal(dims[-1]) + 1j * g.standard_normal(dims[-1])
+            while np.linalg.norm(v) < 1e-6:
+                v = g.standard_normal(dims[-1]) + 1j * g.standard_normal(dims[-1])
+            rows[-1] += (v,)
+    dims = np.array(dims)
+    for d in sorted(set(dims.tolist())):
+        members = np.flatnonzero(dims == d)
+        yield members, [np.stack(c) for c in zip(*(rows[j] for j in members))]
+
+
+_DRAWS = {"sequences": _sequence_draws, "functional_form": _functional_draws}
+
+
+def _batch(entry: _Inequality, columns: Sequence, tol: Tolerance, restart) -> list:
+    """The evaluator's batch of a group's drawn columns, built at once (tol
+    is the band of the generators' checks, restart as _functional_instances
+    takes it)."""
     if entry.payload == "sequences":
-        n = int(SPACE_DIMS[g.integers(len(SPACE_DIMS))])
-        return n, _sequence_draw(g, n)
-    d = _dimension(config, g)
+        return _sequence_batch(columns[0], entry.unit_weights)
     if entry.payload == "functional_form":
-        return d, (*_functional_draw(d, g), functools.partial(_restarted, config, index))
-    pair = _pair_draw(d, g)
-    if entry.payload == "form":
-        return d, pair
-    v = g.standard_normal(d) + 1j * g.standard_normal(d)
-    while np.linalg.norm(v) < 1e-6:
-        v = g.standard_normal(d) + 1j * g.standard_normal(d)
-    return d, (*pair, v)
-
-
-def _batch(entry: _Inequality, rows: Sequence, tol: Tolerance) -> list:
-    """The evaluator's batch of drawn rows of one dimension, built at once:
-    a "sequences" batch by _sequence_batch, a "functional_form" batch by
-    _functional_instances (tol is the band of its Re checks), a "form"
-    batch as its module instances (_module_instances) and an
-    "operator_pair" batch as its commuting pairs and vectors."""
-    if entry.payload == "sequences":
-        return _sequence_batch(np.stack(rows), entry.unit_weights)
-    if entry.payload == "functional_form":
-        return _functional_instances(rows, tol)
-    columns = [np.stack(c) for c in zip(*rows)]
+        return _functional_instances(*columns, tol, restart)
     if entry.payload == "form":
         return _module_instances(*columns, tol)
     return [*_commuting_pairs(*columns[:3])[1:], columns[3]]
 
 
-def _group_reports(
-    inequality_id: str, entry: _Inequality, rows: Sequence, tol: Tolerance
-) -> list[_Reports]:
-    """The reports of a group of drawn rows of one dimension, in row order,
-    as columns: one _Reports for the group, evaluated as one batch.  A
-    group of one that fails a hypothesis (one of HYPOTHESIS_ERRORS) gets
-    the columns of its precondition_failed_report; a larger one evaluates
-    each member alone from its row, one _Reports each.  Any other exception
-    propagates."""
+def _group_reports(inequality_id: str, entry, columns, tol: Tolerance, restart=None) -> list:
+    """The _Reports of a group's drawn columns, in row order: one for the
+    group, evaluated as one batch.  A group of one that fails a hypothesis
+    (one of HYPOTHESIS_ERRORS) gets its precondition_failed_report's; a
+    larger one evaluates each member alone from its rows.  Any other
+    exception propagates."""
     try:
-        return [entry.evaluate(_batch(entry, rows, tol), tol)]
+        return [entry.evaluate(_batch(entry, columns, tol, restart), tol)]
     except HYPOTHESIS_ERRORS as exc:
-        if len(rows) == 1:
+        if len(columns[0]) == 1:
             return [_failed_reports(inequality_id, exc)]
     # Some member failed a hypothesis: each is evaluated alone.
-    return [r for row in rows for r in _group_reports(inequality_id, entry, [row], tol)]
+    members = ([c[k : k + 1] for c in columns] for k in range(len(columns[0])))
+    return [part for m in members for part in _group_reports(inequality_id, entry, m, tol, restart)]
 
 
 def _trial_reports(config: GeneratorConfig, inequality_id: str, indices: Sequence, tol: Tolerance):
@@ -621,15 +677,12 @@ def _trial_reports(config: GeneratorConfig, inequality_id: str, indices: Sequenc
         if not 0 <= i < config.trials:
             raise ValueError(f"trial index {i} is outside the trials 0..{config.trials - 1}")
     size = TRIAL_WINDOW if entry.payload in ("form", "operator_pair") else SCALAR_WINDOW
+    draws = _DRAWS.get(entry.payload, _matrix_draws)
+    restart = functools.partial(_restarted, config)
     for start in range(0, len(indices), size):
-        window = indices[start : start + size]
-        groups: dict[int, list] = {}  # by dimension
-        for k, (i, g) in enumerate(zip(window, streams(config.seed, window)), start):
-            dim, row = _draw(config, entry, i, g)
-            groups.setdefault(dim, []).append((k, row))
-        for _, members in sorted(groups.items()):
-            positions, rows = zip(*members)
-            for part in _group_reports(inequality_id, entry, rows, tol):
+        for members, columns in draws(config, entry, indices[start : start + size]):
+            positions = (start + members).tolist()
+            for part in _group_reports(inequality_id, entry, columns, tol, restart):
                 yield positions[: len(part.holds)], part
                 positions = positions[len(part.holds) :]
 

@@ -155,6 +155,55 @@ def test_verify_sequences_outside_window(capsys, tmp_path):
     assert "a_seq leaves the window" in report["details"]["message"]
 
 
+def test_lone_sequence_instance_is_checked_once(capsys, monkeypatch):
+    # WeightedSequences checks its data when it is made; the evaluator does
+    # not check the batch of one again.
+    calls = []
+    checked = bounds._check_sequences
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return checked(*args)
+
+    monkeypatch.setattr(bounds, "_check_sequences", counted)
+    code, out, _ = run(capsys, "verify", os.path.join(INSTANCES, "refined_constants_family.json"))
+    assert code == 0 and "HOLDS" in out
+    assert calls == [1]
+
+
+SEQUENCE_IDS = [i for i, entry in bounds._REGISTRY.items() if entry.payload == "sequences"]
+
+
+def sequences_doc(target, a_seq, b_seq):
+    """A unit-weights sequences instance on the window its data span."""
+    window = {"a": min(a_seq), "A": max(a_seq), "b": min(b_seq), "B": max(b_seq)}
+    doc = {
+        "version": "1",
+        "target": target,
+        "sequences": {"a_seq": a_seq, "b_seq": b_seq, "w_seq": [1.0] * len(a_seq)},
+    }
+    doc["sequences"]["window"] = window
+    return doc
+
+
+@pytest.mark.parametrize(
+    "target, a_seq, b_seq",
+    [
+        # sqrt(sum a^2) is inf: HOLDS with margin -inf before.
+        ("INT_MULT", [1e200, 2e200], [1.0, 2.0]),
+        # A * B and the sums are inf: VIOLATED with NaN sides before.
+        ("INT_ADD", [1e160, 1.5e160], [1e160, 2e160]),
+        # sum a^2 overflows while every window constant stays finite.
+        *((target, [1e155, 2e155], [1e-10, 2e-10]) for target in SEQUENCE_IDS),
+    ],
+)
+def test_overflowing_scalar_sides_are_an_error(capsys, tmp_path, target, a_seq, b_seq):
+    path = write_instance(tmp_path, sequences_doc(target, a_seq, b_seq))
+    code, out, err = run(capsys, "verify", path)
+    one_line_error(code, out, err, 1)
+    assert f"$: target {target}: {target} values overflow the double range" in err
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_verify_non_finite_window_bound(capsys, tmp_path, bad):
     with open(os.path.join(INSTANCES, "refined_constants_family.json"), encoding="utf-8") as fh:

@@ -102,6 +102,28 @@ def test_vector_state_rejects_non_unit_states(state):
         PositiveFunctional.vector_state(state)
 
 
+@pytest.mark.parametrize(
+    "row, value, message",
+    [
+        (0, [1.0, 1.0], "unit vector"),
+        (0, [np.nan, 0.0], "unit vector"),
+        (2, [0.0, 1.0], "strictly positive"),
+        (2, [np.inf, 1.0], "strictly positive"),
+    ],
+)
+def test_stacked_functionals_are_checked_as_each_one(row, value, message):
+    # A stack of functionals built from arrays runs PositiveFunctional's
+    # value checks once over its rows of each kind, with the same errors;
+    # a trace row's payload is never read.
+    kinds = np.array([0, 1, 2, 1])
+    states = np.array([[1.0, 0.0], [np.nan, np.nan], [0.0, 1.0], [9.0, 9.0]], dtype=complex)
+    weights = np.array([[-1.0, 0.0], [np.nan, 0.0], [0.5, 2.0], [0.0, 0.0]])
+    forms._FunctionalForms(kinds, states, weights)
+    (states if row == 0 else weights)[row] = value
+    with pytest.raises(ValueError, match=message):
+        forms._FunctionalForms(kinds, states, weights)
+
+
 def test_gram_tensor_basis_evaluation():
     blocks = np.zeros((2, 2, 1, 1), dtype=np.complex128)
     blocks[0, 1] = [[1j]]

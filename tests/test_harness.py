@@ -1,6 +1,7 @@
 """Generators, the exact-minor oracle, and the deterministic fuzz loop."""
 
 import dataclasses
+import functools
 import importlib
 import json
 
@@ -290,8 +291,13 @@ def test_module_generator_is_the_campaign_instance(kind):
     inequality_id = {"module": ADD_MATRIX, "functional": ADD_FUNCTIONAL}[kind]
     config = GeneratorConfig(seed=13, trials=12, dims=(4,))
     entry = bounds._REGISTRY[inequality_id]
-    rows = [harness._draw(config, entry, i, stream(config.seed, i))[1] for i in range(config.trials)]
-    forms_, x, y, pairs = harness._batch(entry, rows, DEFAULT_TOL)
+    draws = harness._DRAWS.get(entry.payload, harness._matrix_draws)
+    ((_, columns),) = draws(config, entry, list(range(config.trials)))
+    restart = functools.partial(harness._restarted, config)
+    forms_, x, y, pairs = harness._batch(entry, columns, DEFAULT_TOL, restart)
+    if kind == "functional":
+        forms_ = [forms_.form(i) for i in range(config.trials)]
+        pairs = [forms.OmegaPair(*row) for row in pairs.tolist()]
     for i in range(config.trials):
         g = stream(config.seed, i)
         g.integers(len(config.dims))
@@ -737,7 +743,8 @@ def test_fuzz_margin_ties_go_to_the_lowest_index(monkeypatch):
 
     _rebound(monkeypatch, INT_ADD, zeros)
     config = GeneratorConfig(seed=3, trials=600)
-    assert harness._draw(config, bounds._REGISTRY[INT_ADD], 0, stream(3, 0))[0] == max(harness.SPACE_DIMS)
+    n = harness.SPACE_DIMS[stream(3, 0).integers(len(harness.SPACE_DIMS))]
+    assert n == max(harness.SPACE_DIMS)
     reports = run_trials(config, INT_ADD, range(config.trials))
     summary = fuzz_run(config, INT_ADD).to_dict()
     assert (summary["worst_margin"], summary["worst_seed"]) == (reports[0].margin, 0)
@@ -881,10 +888,11 @@ def test_out_of_window_row_is_isolated_in_its_group():
     rows[1][4 + 2] = -0.5
     rows[2][4 + 3] = 1.0 + 1e-13
     entry = bounds._REGISTRY[INT_ADD]
-    parts = harness._group_reports(INT_ADD, entry, rows, DEFAULT_TOL)
+    parts = harness._group_reports(INT_ADD, entry, (np.stack(rows),), DEFAULT_TOL)
     reports = [report for part in parts for report in part.reports()]
     for name, row, report in zip(names, rows, reports):
-        a, b, w, edges = (column[0] for column in harness._batch(entry, [row], DEFAULT_TOL))
+        edges = harness._windows(row[None, :4], harness.WINDOW_RANGE)
+        a, b, w, edges = (c[0] for c in (*harness._sequences(edges, row[None, 4:]), edges))
         assert (a[3] > edges[1]) == (name == "inside_slack")
         try:
             data = WeightedSequences(a, b, w, ScalarWindow(*edges.tolist()))

@@ -14,12 +14,16 @@ It imports rcsbounds from the src/ directory next to this script and writes:
 * fuzz/<ID>.json: ``fuzz ID --trials 150 --seed 11 --json``, with
   ``--dims 1 2 4`` for the ids that draw a matrix dimension;
 * fuzz_full/<ID>.json: ``fuzz ID --seed 12 --json`` at the default 1000
-  trials (full 64-trial windows) for each functional and sequence id;
+  trials (three full 256-trial windows and a partial one) for each
+  functional and sequence id;
+* fuzz_edge/<ID>.json: the same at ``--seed 18446744073709551615``, the
+  largest seed, where Philox's key arithmetic wraps at 2^64;
 * compare/default.csv, compare/n1_samples500.csv,
-  compare/n16_samples500.csv and compare/seed5_samples2000.csv:
-  ``compare --csv`` at the defaults, at ``--n 1 --samples 500``, at
-  ``--n 16 --samples 500`` and at ``--seed 5 --samples 2000``, with the
-  printed summary of each in the matching .txt file;
+  compare/n16_samples500.csv, compare/seed5_samples2000.csv and
+  compare/seedmax_samples500.csv: ``compare --csv`` at the defaults, at
+  ``--n 1 --samples 500``, at ``--n 16 --samples 500``, at ``--seed 5
+  --samples 2000`` and at ``--seed 18446744073709551615 --samples 500``,
+  with the printed summary of each in the matching .txt file;
 * sharpness/<kind>.json: ``sharpness --json --kind KIND --dim 3`` for each
   functional kind, and sharpness/complex_window.json: the same for the
   default kind with ``--omega 1+2j --Omega 3-1j``;
@@ -87,12 +91,15 @@ FUZZ_ARGS = ["--trials", "150", "--seed", "11", "--json"]
 # Sequence ids draw their length n themselves and reject --dims.
 DIMS_ARGS = ["--dims", "1", "2", "4"]
 FULL_FUZZ_ARGS = ["--seed", "12", "--json"]
+MAX_SEED = str((1 << 64) - 1)
+EDGE_FUZZ_ARGS = ["--seed", MAX_SEED, "--json"]
 SCALAR_PAYLOADS = ("functional_form", "sequences")
 COMPARE_RUNS = {
     "default": [],
     "n1_samples500": ["--n", "1", "--samples", "500"],
     "n16_samples500": ["--n", "16", "--samples", "500"],
     "seed5_samples2000": ["--seed", "5", "--samples", "2000"],
+    "seedmax_samples500": ["--seed", MAX_SEED, "--samples", "500"],
 }
 SHARPNESS_RUNS = {
     **{kind: ["--kind", kind] for kind in ("vector_state", "trace", "weighted_sum")},
@@ -236,6 +243,7 @@ def main(argv: list[str]) -> int:
         "run_trial",
         "fuzz",
         "fuzz_full",
+        "fuzz_edge",
         "compare",
         "sharpness",
         "run_trial_strict",
@@ -260,6 +268,8 @@ def main(argv: list[str]) -> int:
         if payload in SCALAR_PAYLOADS:
             full = _cli(["fuzz", inequality_id, *FULL_FUZZ_ARGS])
             (out / "fuzz_full" / f"{inequality_id}.json").write_text(full)
+            edge = _cli(["fuzz", inequality_id, *EDGE_FUZZ_ARGS])
+            (out / "fuzz_edge" / f"{inequality_id}.json").write_text(edge)
     for name, flags in COMPARE_RUNS.items():
         csv_path = out / "compare" / f"{name}.csv"
         summary = _cli(["compare", *flags, "--csv", str(csv_path)])
