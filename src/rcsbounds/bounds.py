@@ -434,8 +434,12 @@ def _scalar_reports(
 
 def _pow2(x: np.ndarray) -> np.ndarray:
     """x ** 2 element by element as Python's float power takes it (libm
-    pow), which may differ from x * x in the last bit."""
-    return np.array([v**2 for v in x.tolist()])
+    pow, not x * x), with its OverflowError at a finite x."""
+    with np.errstate(over="ignore"):
+        square = np.float_power(x, 2.0)
+    if np.any(np.isinf(square) & np.isfinite(x)):
+        raise OverflowError(34, "Numerical result out of range")
+    return square
 
 
 def _divide(x, y: np.ndarray) -> np.ndarray:

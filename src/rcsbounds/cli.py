@@ -12,8 +12,8 @@ any overrides stored in an instance file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -42,9 +42,9 @@ from .bounds import (
 from .forms import FormInstance, OmegaPair, PositiveFunctional, _coerce_argument
 from .harness import (
     SPACE_DIMS,
-    SCALAR_WINDOW,
     FuzzSummary,
     GeneratorConfig,
+    _scalar_rows,
     _sequence_batch,
     fuzz_run,
     gen_argmin_families,
@@ -492,14 +492,16 @@ def _compare_batches(args: argparse.Namespace):
     """The constant-comparison study as PS_IMPROVED batches (a_seq, b_seq,
     w_seq, edges), in order.
 
-    Random windows first, SCALAR_WINDOW rows at a time so that memory does
-    not grow with --samples, row i the uniforms stream(seed, i).random(4 +
-    3n) from one stacked Philox pass (rng._uniforms), then the three
-    constructed families, so the output is reproducible and
+    Random windows first, as many rows at a time as draw
+    SCALAR_WINDOW_WORDS words (harness._scalar_rows) so that memory does
+    not grow with --samples or --n, row i the uniforms stream(seed,
+    i).random(4 + 3n) from stacked Philox passes (rng._uniforms), then the
+    three constructed families, so the output is reproducible and
     schedule-independent.
     """
-    for start in range(0, args.samples, SCALAR_WINDOW):
-        indices = range(start, min(start + SCALAR_WINDOW, args.samples))
+    size = _scalar_rows(4 + 3 * args.n)
+    for start in range(0, args.samples, size):
+        indices = range(start, min(start + size, args.samples))
         yield _sequence_batch(_uniforms(args.seed, indices, 4 + 3 * args.n), True)
     for _, family in gen_argmin_families(max(2, args.n)):
         yield _batch_of_one("sequences", family)
@@ -512,25 +514,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise _UsageError("--samples must be nonnegative")
     tol = _resolve_tolerance(args)
     entry = _REGISTRY[PS_IMPROVED]
-    columns: list[list] = [[] for _ in CSV_HEADER]
-    for batch in _compare_batches(args):
-        reports = entry.evaluate(batch, tol)
-        details = reports.details
-        residual = np.abs(details["equality_lhs"] - details["equality_rhs"])
-        values = (*batch[3].T, *details["constants"].T, details["argmin"])
-        for column, value in zip(columns, (*values, reports.lhs, reports.margin, residual)):
-            column += value.tolist()
-    argmin = columns[CSV_HEADER.index("argmin")]
-    counts = {k: argmin.count(k) for k in (1, 2, 3)}
-    samples = len(argmin)
-    if args.csv is not None:
-        # The lines csv.writer writes: a float as its repr, "\r\n" after each row.
-        rows = itertools.chain([CSV_HEADER], zip(*(map(repr, c) for c in columns)))
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(f"{','.join(row)}\r\n" for row in rows)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {args.csv}: {exc}") from exc
+    counts = np.zeros(4, dtype=int)  # of each argmin, 1-3
+    try:
+        target = None if args.csv is None else open(args.csv, "w", encoding="utf-8", newline="")
+        with target or contextlib.nullcontext() as fh:
+            # The lines csv.writer writes: a float as its repr, "\r\n" after
+            # each row; one write per window, from no list of its floats.
+            if fh is not None:
+                fh.write(f"{','.join(CSV_HEADER)}\r\n")
+            for batch in _compare_batches(args):
+                reports = entry.evaluate(batch, tol)
+                details = reports.details
+                argmin = details["argmin"]
+                counts += np.bincount(argmin, minlength=4)
+                if fh is not None:
+                    residual = np.abs(details["equality_lhs"] - details["equality_rhs"])
+                    floats = (*batch[3].T, *details["constants"].T, reports.lhs, reports.margin)
+                    cells = [map(float.__repr__, c) for c in (*floats, residual)]
+                    cells.insert(CSV_HEADER.index("argmin"), map(repr, argmin.tolist()))
+                    fh.write("".join(f"{','.join(row)}\r\n" for row in zip(*cells)))
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.csv}: {exc}") from exc
+    samples, counts = int(counts.sum()), dict(zip((1, 2, 3), counts[1:].tolist()))
     if args.json:
         payload = {
             "samples": samples,

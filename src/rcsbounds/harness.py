@@ -24,10 +24,10 @@ the instance, which gen_re_valid_instance("module") builds the same way.
 The evaluators never see U: each report is a function of its instance
 alone, as verify on an instance file computes it.
 
-Scalar instances: a window of trials draws only values, in the order
+Scalar instances: a window (_window_size) draws only values, in the order
 each trial's generator draws them, with no per-trial object: a sequence
 trial's n and 4 + 3n uniforms, and a functional trial's d and kind, come
-from one stacked Philox pass (rng._words), and a functional trial's
+from stacked Philox passes (rng._words), and a functional trial's
 Gaussians from its Generator past word 0.  Each group builds its
 instances as one stack: the windows, pinned sequences and weights of a
 "sequences" group (_sequence_batch), and the functionals as arrays,
@@ -102,19 +102,20 @@ __all__ = [
 
 REJECTION_CAP = 1000
 
-# Trials evaluated together by run_trials: at most this many instances
-# are held and stacked at once, whatever the campaign's trial count.  The
-# scalar-valued payloads ("functional_form", "sequences") cost mostly per
-# batch, not per row, and take more; longer stacks of matrix instances do
-# not pay (d = 16 ADD_MATRIX: 1.3x the time and 20 MB more at 256).
+# Trials evaluated together by run_trials, whatever the campaign's trial
+# count: longer stacks of matrix instances do not pay (d = 16 ADD_MATRIX:
+# 1.3x the time and 20 MB more at 256).  Scalar payloads cost mostly per
+# batch, not per row: their windows hold as many trials as draw
+# SCALAR_WINDOW_WORDS words (_window_size), a default campaign's trials.
 TRIAL_WINDOW = 64
-SCALAR_WINDOW = 256
+SCALAR_WINDOW_WORDS = 1 << 17
 
 # The sequence lengths, the range of the scalar windows' endpoints, and the
 # range of the eigenvalues of the commuting positive pairs that trials draw.
 SPACE_DIMS = (4, 8, 16)
 WINDOW_RANGE = (0.1, 10.0)
 SPECTRUM_RANGE = (0.1, 10.0)
+_SEQUENCE_WORDS = 5 + 3 * max(SPACE_DIMS)  # n, then at most 4 + 3n uniforms
 
 RngLike = Union[int, np.random.Generator]
 
@@ -297,6 +298,11 @@ def _complex_gaussians(z: np.ndarray) -> np.ndarray:
     the complex Gaussian that g.standard_normal((d, d)) + 1j *
     g.standard_normal((d, d)) draws from the same normals."""
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def _scalar_rows(words: float) -> int:
+    """Rows of a scalar window at `words` words a row: at least one."""
+    return max(1, int(SCALAR_WINDOW_WORDS // words))
 
 
 def _functional_rows(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -579,11 +585,20 @@ def _restarted(config: GeneratorConfig, index: int) -> np.random.Generator:
     return g
 
 
+def _window_size(config: GeneratorConfig, payload: str) -> int:
+    """Trials per window of run_trials: TRIAL_WINDOW for a matrix payload,
+    else _scalar_rows of a trial's words (a functional trial's d is drawn
+    uniformly: the mean over config.dims of its _functional_rows)."""
+    widths = [sum(a.shape[1] for a in _functional_rows(0, d)) for d in config.dims]
+    words = {"sequences": _SEQUENCE_WORDS, "functional_form": np.mean(widths)}
+    return _scalar_rows(words[payload]) if payload in words else TRIAL_WINDOW
+
+
 def _sequence_draws(config: GeneratorConfig, entry: _Inequality, window: list):
     """(members, columns) per length n of a window of sequence trials: their
     positions in window and (N, 4 + 3n) _sequence_draw rows, n from word 0
-    and the row from word 1 on of one stacked Philox pass (rng._words)."""
-    words = _words(config.seed, window, 1 + 4 + 3 * max(SPACE_DIMS))
+    and the row from word 1 on of the window's stacked Philox (rng._words)."""
+    words = _words(config.seed, window, _SEQUENCE_WORDS)
     (choice,), drawn = _integers(words[:, 0], (len(SPACE_DIMS),))
     lengths, rows = np.array(SPACE_DIMS)[choice], _unit(words[:, 1:])
     for j in np.flatnonzero(~drawn).tolist():
@@ -598,7 +613,7 @@ def _sequence_draws(config: GeneratorConfig, entry: _Inequality, window: list):
 def _functional_draws(config: GeneratorConfig, entry: _Inequality, window: list):
     """(members, columns) per dimension of a window of functional trials,
     the columns of _functional_instances: d and the kind from word 0 of one
-    stacked Philox pass, the rest by _functional_draw past that word."""
+    stacked Philox, the rest by _functional_draw past that word."""
     word = _words(config.seed, window, 1)[:, 0]
     (choice, kinds), drawn = _integers(word, (len(config.dims), len(_FUNCTIONAL_KINDS)))
     dims, own = np.array(config.dims)[choice], {}
@@ -676,7 +691,7 @@ def _trial_reports(config: GeneratorConfig, inequality_id: str, indices: Sequenc
     for i in indices:
         if not 0 <= i < config.trials:
             raise ValueError(f"trial index {i} is outside the trials 0..{config.trials - 1}")
-    size = TRIAL_WINDOW if entry.payload in ("form", "operator_pair") else SCALAR_WINDOW
+    size = _window_size(config, entry.payload)
     draws = _DRAWS.get(entry.payload, _matrix_draws)
     restart = functools.partial(_restarted, config)
     for start in range(0, len(indices), size):
@@ -703,15 +718,14 @@ def run_trials(
     precondition_failed_report; any other exception propagates.  An index
     outside 0..config.trials - 1 is a ValueError.
 
-    The indices are taken TRIAL_WINDOW at a time (SCALAR_WINDOW for a
-    scalar-valued payload), and each trial of a window
-    is drawn once.  The drawn trials are grouped by the dimension each
-    carries, and each group is one batch of the id's evaluator; a group
-    that fails a hypothesis evaluates its members alone from the same
-    draws, and no other group is evaluated again.  The evaluators treat
-    each instance of a batch on its own (see matalg for the stacked kernel
-    calls), so a report is bit-equal whatever other indices share its
-    window.  The BoundReports are built here from the evaluators' columns.
+    The indices are taken a window at a time (_window_size), and each
+    trial of a window is drawn once.  The drawn trials are grouped by the
+    dimension each carries, and each group is one batch of the id's
+    evaluator; a group that fails a hypothesis evaluates its members alone
+    from the same draws, and no other group is evaluated again.  Each
+    instance of a batch is evaluated on its own (see matalg for the stacked
+    kernel calls), so a report is bit-equal whatever other indices share
+    its window.  The BoundReports are built here from the evaluators' columns.
     """
     indices = list(indices)
     reports: list = [None] * len(indices)

@@ -11,8 +11,8 @@ a window of trials one Philox, re-keyed per index: each generator it yields
 is bit-equal to `stream(seed, i)`.  Its words 4j..4j+3 are a pure function
 of the key and the counter j + 1 (Salmon, Moraes, Dror & Shaw, "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), so `_words` evaluates
-Philox4x64-10 for a whole window of streams at once as uint64 arrays, and
-`_unit` and `_integers` draw from them what a Generator would.
+Philox4x64-10 for a whole window of streams as uint64 arrays, and `_unit`
+and `_integers` draw from them what a Generator would.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 # Philox4x64-10 as numpy's Philox runs it: the multipliers of the two even
 # lanes, the key's Weyl increments, and at most this many 4-word blocks per
-# pass of _uniforms, which bounds its temporaries to a few MB.
+# pass of _words, which keeps its buffers in cache (about 1.5 MB).
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 _LOW, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
@@ -72,26 +72,48 @@ _PASS_BLOCKS = 1 << 14
 
 def _words(seed: int, indices: Sequence[int], count: int) -> np.ndarray:
     """The first count 64-bit words of stream(seed, i) for each i of
-    indices, (N, count) uint64: block j made at counter j + 1 in ten rounds,
-    each taking the 128-bit products of the even lanes from 32-bit halves,
-    the key wrapping at 2^64 as it is bumped."""
+    indices, (N, count) uint64: block j made at counter j + 1 in ten rounds
+    of 128-bit products from 32-bit halves, in place a pass at a time, the
+    key wrapping at 2^64 as it is bumped."""
     _check_key("seed", seed)
     index = np.fromiter(indices, dtype=np.uint64)
     blocks = -(-count // 4)
-    key = np.empty((2, len(index), 1), dtype=np.uint64)
-    key[0], key[1, :, 0] = seed, index
-    even = np.zeros((2, len(index), blocks), dtype=np.uint64)  # lanes 0 and 2
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)  # lanes 1 and 3
-    for _ in range(10):
-        low, high = even & _LOW, even >> _32
-        middle = high * _M_LOW + ((low * _M_LOW) >> _32)
-        carry = low * _M_HIGH + (middle & _LOW)
-        product_high = high * _M_HIGH + (middle >> _32) + (carry >> _32)
-        even, odd = product_high[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
-        key = key + _PHILOX_W
-    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
-    return words.reshape(len(index), 4 * blocks)[:, :count]
+    step = max(1, _PASS_BLOCKS // blocks)
+    # Round 1 in closed form: lane 2 and both odd lanes start at 0, so it
+    # leaves the even lanes (seed, hi(M0 (j + 1)) ^ index) and the odd lanes
+    # (0, lo(M0 (j + 1))); j + 1 < 2^32, so hi needs only M0's halves.
+    counter = np.arange(1, blocks + 1, dtype=np.uint64)
+    first_high = (counter * _M_HIGH[0] + ((counter * _M_LOW[0]) >> _32)) >> _32
+    first_low = counter * _PHILOX_M[0]
+    out = np.empty((len(index), blocks, 4), dtype=np.uint64)
+    scratch = np.empty((6, 2, min(step, len(index)), blocks), dtype=np.uint64)
+    for start in range(0, len(index), step):
+        rows = index[start : start + step, None]
+        even, odd, low, high, middle, carry = scratch[:, :, : len(rows)]
+        even[0], even[1], odd[0], odd[1] = seed, first_high ^ rows, 0, first_low
+        key = np.stack((np.full_like(rows, seed), rows)) + _PHILOX_W
+        for _ in range(9):
+            np.bitwise_and(even, _LOW, out=low)
+            np.right_shift(even, _32, out=high)
+            np.multiply(low, _M_LOW, out=carry)
+            carry >>= _32
+            np.multiply(high, _M_LOW, out=middle)
+            middle += carry
+            low *= _M_HIGH
+            np.bitwise_and(middle, _LOW, out=carry)
+            carry += low
+            carry >>= _32
+            high *= _M_HIGH
+            middle >>= _32
+            high += middle
+            high += carry  # the high halves of the products
+            even *= _PHILOX_M  # and their low halves
+            np.bitwise_xor(high[::-1], odd, out=odd)
+            odd ^= key
+            even, odd = odd, even[::-1]
+            key += _PHILOX_W
+        out[start : start + step] = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
+    return out.reshape(len(index), 4 * blocks)[:, :count]
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -101,12 +123,7 @@ def _unit(words: np.ndarray) -> np.ndarray:
 
 def _uniforms(seed: int, indices: Sequence[int], count: int) -> np.ndarray:
     """stream(seed, i).random(count) for each i of indices, (N, count)."""
-    indices = list(indices)
-    out = np.empty((len(indices), count))
-    step = max(1, _PASS_BLOCKS // -(-count // 4))
-    for start in range(0, len(indices), step):
-        out[start : start + step] = _unit(_words(seed, indices[start : start + step], count))
-    return out
+    return _unit(_words(seed, indices, count))
 
 
 def _integers(word: np.ndarray, bounds: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:

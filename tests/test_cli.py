@@ -26,6 +26,7 @@ from rcsbounds import (
     gen_argmin_families,
     gen_bounded_sequences,
     gen_re_valid_instance,
+    harness,
     jsonio,
     polya_szego_improved,
     run_trial,
@@ -740,6 +741,56 @@ def test_compare_rows_equal_lone_evaluations(capsys, tmp_path):
             result.report.margin, abs(result.equality_lhs - result.equality_rhs),
         )
         assert row == [repr(v) if isinstance(v, float) else str(v) for v in expected], k
+
+
+def test_compare_csv_does_not_depend_on_the_window_size(capsys, monkeypatch, tmp_path):
+    # Word budgets of one row per window (1 word) and a few rows (10 at
+    # --n 8, 300 words) write the rows of the default budget's one window.
+    texts = []
+    for budget in (harness.SCALAR_WINDOW_WORDS, 300, 1):
+        monkeypatch.setattr(harness, "SCALAR_WINDOW_WORDS", budget)
+        target = tmp_path / f"{budget}.csv"
+        code, out, _ = run(capsys, "compare", "--samples", "45", "--csv", str(target))
+        assert code == 0
+        texts.append(out.replace(str(target), "<csv>").encode() + target.read_bytes())
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+def test_compare_unwritable_csv_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "compare", "--samples", "5", "--csv", str(tmp_path))
+    one_line_error(code, out, err, 1)
+    assert err.startswith(f"rcsbounds: error: cannot write {tmp_path}: ")
+
+
+def _peak_rss_kb(*argv) -> int:
+    """The peak resident memory (VmHWM, kB) of a fresh interpreter that
+    runs the CLI with argv.  ru_maxrss would not do: Linux carries it
+    across exec from the forking process, this test's."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys; from rcsbounds.cli import main; code = main(sys.argv[1:]); "
+        "peak = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]; "
+        "print(code, peak[0].split()[1], file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    code, peak = result.stderr.split()[-2:]
+    assert code == "0"
+    return int(peak)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_compare_memory_does_not_grow_with_samples(tmp_path):
+    # A window at a time, CSV rows included: 40,000 samples (nine windows
+    # at --n 8) peak less than 8 MB above 2,000 (part of one), most of it
+    # the first full window, and no higher than 20,000.
+    peaks = [
+        _peak_rss_kb("compare", "--samples", str(samples), "--csv", str(tmp_path / "rows.csv"))
+        for samples in (2000, 20000, 40000)
+    ]
+    assert peaks[2] - peaks[0] < 8 * 1024 and peaks[2] - peaks[1] < 2 * 1024, peaks
 
 
 def test_compare_json_counts(capsys):

@@ -610,9 +610,53 @@ def test_functional_group_is_one_batch(monkeypatch, inequality_id):
     summary = fuzz_run(config, inequality_id)
     assert summary.holds == config.trials
     groups = len(lengths)
-    assert groups <= len(config.dims) * -(-config.trials // TRIAL_WINDOW)
+    assert groups == len(config.dims)  # the campaign is one window
     assert sum(re_terms) == 2 * config.trials and len(re_terms) == 2 * groups
     assert sum(form_evals) == 7 * config.trials and len(form_evals) == 7 * groups
+
+
+SCALAR_IDS = sorted(
+    i for i, e in bounds._REGISTRY.items() if e.payload in ("sequences", "functional_form")
+)
+
+
+@pytest.mark.parametrize("inequality_id", SCALAR_IDS)
+def test_scalar_window_size_does_not_change_a_trial(monkeypatch, inequality_id):
+    # A word budget of one word is one trial per window, 300 words a few
+    # (5 sequence trials, 2 functional ones at the default dims).
+    config = GeneratorConfig(seed=23, trials=40)
+    payload = bounds._REGISTRY[inequality_id].payload
+    outputs = []
+    for budget, rows in ((harness.SCALAR_WINDOW_WORDS, None), (300, (5, 2)), (1, (1, 1))):
+        monkeypatch.setattr(harness, "SCALAR_WINDOW_WORDS", budget)
+        if rows is not None:
+            assert harness._window_size(config, payload) == rows[payload != "sequences"]
+        reports = run_trials(config, inequality_id, range(config.trials))
+        summary = fuzz_run(config, inequality_id)
+        outputs.append(
+            (json.dumps(summary.to_dict()), [json.dumps(r.to_dict()) for r in reports])
+        )
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_scalar_windows_fit_the_word_budget():
+    budget = harness.SCALAR_WINDOW_WORDS
+    # Rows of 53 words (n, then 4 + 3n uniforms at n <= 16), of the mean
+    # functional row over the dims (2d + 4d^2 normals, d + 5 uniforms),
+    # and of compare's 4 + 3n uniforms.
+    cases = [(harness._window_size(GeneratorConfig(), "sequences"), 53)]
+    singles = [(d,) for d in range(1, 17)]
+    for dims in singles + [(1, 2, 4, 8), (1, 16), (4, 8, 16), tuple(range(1, 17))]:
+        rows = harness._window_size(GeneratorConfig(dims=dims), "functional_form")
+        cases.append((rows, sum(4 * d * d + 3 * d + 5 for d in dims) / len(dims)))
+    cases += [(harness._scalar_rows(4 + 3 * n), 4 + 3 * n) for n in (1, 8, 4096)]
+    for rows, words in cases:
+        assert 1 <= rows and rows * words <= budget < (rows + 1) * words, (rows, words)
+    # A default campaign is one window; matrix payloads keep TRIAL_WINDOW.
+    for payload in ("sequences", "functional_form"):
+        assert harness._window_size(GeneratorConfig(), payload) >= GeneratorConfig().trials
+    assert harness._window_size(GeneratorConfig(), "form") == TRIAL_WINDOW
+    assert harness._scalar_rows(budget + 1) == 1
 
 
 @pytest.mark.parametrize("index", [-1, 30, 2**64])
