@@ -507,6 +507,149 @@ def _compare_batches(args: argparse.Namespace):
         yield _batch_of_one("sequences", family)
 
 
+# compare --csv writes the lines csv.writer would: each float as its repr, the
+# shortest decimal that reads back to it and the nearest such, in fixed
+# notation for 1e-4 <= |x| < 1e16; "," between cells; "\r\n" after each row.
+# _float_cells finds those decimals for a chunk of floats at once, as Ryu
+# (Adams, PLDI 2018) and Schubfach (Giulietti, 2020) do for one.  With
+# x = m 2^e and 10^16 <= x 10^k < 10^17, x 10^k = m 5^k 2^-t (t = -e - k), so
+# the exact product m 5^k (128 bits from 32-bit halves, as rng._words
+# multiplies) gives D = floor(x 10^k) and its remainder, hence the 17-, 16-
+# and 15-digit roundings of x.  The shortest of them within half an ulp of x
+# (5^k / 2 in units of 2^-t; on the edge only for an even m, which reads
+# back by ties-to-even) is the repr.  float.__repr__ formats what this rule
+# leaves open: |x| outside [1e-4, 1e15), zeros, inf and NaN; an exact
+# halfway rounding; D outside [10^16, 10^17 - 100), from a log10 exponent
+# off by one or a rounding that carries into an 18th digit; and a
+# power-of-two m, whose interval is lopsided.  (Below 1e15 an interval's
+# edge has at least 19 significant digits and a power of two at most 15,
+# so neither the edge rule nor the lopsided interval decides a repr there.)
+
+# Values formatted at a time: few enough that a chunk's largest array, its
+# cells, stays under glibc's default mmap threshold of 128 KiB.  Larger
+# arrays raise that threshold as they are freed, and the heap then keeps
+# what later allocations take (over fuzz-scalar benchmark rounds: a peak
+# 1.5 MB above the repr version's at 8,192 values, 0.4 MB at 3,072).
+_CSV_CHUNK = 3072
+# A cell's bytes: a sign, places 10^15..10^0, ".", 10^-1..10^-20, and
+# three for the separators that follow it; unused bytes are 0.
+_CELL = 41
+_POW5 = 5 ** np.arange(21, dtype=np.uint64)
+_POW10 = 10 ** np.arange(4)
+_ARGMIN = CSV_HEADER.index("argmin")
+
+
+@functools.cache
+def _quad_text() -> np.ndarray:
+    """The ASCII of each group of four digits 0000..9999 as one uint32, in
+    four variants: as is, with its trailing zeros as 0 bytes, with its
+    leading zeros so, and both."""
+    quads = np.arange(10_000, dtype=np.int16)[:, None]
+    digits = (quads // 10 ** np.arange(3, -1, -1, dtype=np.int16) % 10).astype(np.uint8)
+    text = np.tile(digits + np.uint8(ord("0")), (4, 1, 1))
+    text[1] *= np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=np.uint8)[:, ::-1] == 0
+    text[2] *= np.cumprod(digits == 0, axis=1, dtype=np.uint8) == 0
+    text[3] *= (text[1] != 0) & (text[2] != 0)
+    return text.view(np.uint32).reshape(-1)
+
+
+def _shortest_digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, k, fast) for |x| = ax: digits 10^-k is repr's decimal of x,
+    17 digits with trailing zeros, where fast; float.__repr__ decides the
+    rest."""
+    bits = ax.view(np.uint64)
+    m = bits & np.uint64((1 << 52) - 1)
+    fast = (ax >= 1e-4) & (ax < 1e15) & (m != 0)
+    m |= np.uint64(1 << 52)
+    # Clipped to _POW5's range; the D check sends a wrong k to float.__repr__.
+    k = np.clip(16 - np.floor(np.log10(np.where(fast, ax, 1.0))), 0, 20).astype(np.int64)
+    t = (1075 - k - (bits >> np.uint64(52)).astype(np.int64)).astype(np.uint64)
+    five = _POW5[k]
+    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
+    ml, mh, fl, fh = m & low, m >> half, five & low, five >> half
+    ll = ml * fl
+    middle = ml * fh + mh * fl + (ll >> half)
+    product_low = (middle << half) | (ll & low)
+    product_high = mh * fh + (middle >> half)
+    d = ((product_high << (np.uint64(64) - t)) | (product_low >> t)).astype(np.int64)
+    r = (product_low & ((np.uint64(1) << t) - np.uint64(1))).astype(np.int64)
+    unit = (np.uint64(1) << t).astype(np.int64)
+    fast &= (d >= 10**16) & (d < 10**17 - 100)
+    # The roundings of x 10^k to multiples of q = 1, 10, 100: below and
+    # above are its distances to the two nearest, in units of 2^-t.  The
+    # last that reads back (2 min(below, above) < 5^k, or = for an even m)
+    # is the shortest.
+    limit = five.astype(np.int64) + ((m & np.uint64(1)) == 0)
+    digits = np.zeros(len(ax), dtype=np.int64)
+    for q in (1, 10, 100):
+        base = d // q
+        below = (d - base * q) * unit + r
+        above = q * unit - below
+        fast &= below != above
+        rounded = (base + (below > above)) * q
+        digits = np.where(2 * np.minimum(below, above) < limit, rounded, digits)
+    return digits, k, fast & (digits > 0)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """The cells (N, _CELL) uint8 whose nonzero bytes are repr(x[i]) in
+    ASCII, for a float64 vector x."""
+    n = len(x)
+    digits, k, fast = _shortest_digits(np.abs(x))
+    # digits 10^scale has its last digit at place -k - scale, a multiple of
+    # 4, so its groups of four digits are words of a grid of the places
+    # 10^15..10^-20 (high and tail hold its first 12 and last 8 digits),
+    # the first from word (k + scale) / 4 - 1 on.  Its leading zeros in the
+    # integer part and its trailing zeros in the fraction are written as 0
+    # bytes, as is every place it does not cover but 10^0.
+    scale = -k % 4
+    high = digits // 10**8
+    tail = (digits - high * 10**8) * _POW10[scale]
+    high = high * _POW10[scale] + tail // 10**8
+    tail -= tail // 10**8 * 10**8
+    top = (k + scale) // 4 - 1
+    at, table = np.arange(0, 9 * n, 9) + top, _quad_text()
+    grid = np.zeros((n, 9), dtype=np.uint32)
+    grid[:, 3] = np.frombuffer(b"\0\0\0" + b"0", dtype=np.uint32)[0]  # "0" at 10^0
+    parts = (high // 10**8, high // 10**4, high, tail // 10**4, tail)
+    zeros_after = np.ones(n, dtype=bool)  # every group after g is 0
+    for g in range(4, -1, -1):
+        quad = parts[g] - parts[g] // 10**4 * 10**4
+        # The _quad_text variant: trailing zeros dropped in the fraction
+        # (words 4-8), leading zeros in the integer part (words 0-3).
+        variant = (zeros_after & (top + g >= 4)) + 2 * ((g == 0) & (top <= 3))
+        grid.ravel()[at + g] = table[quad + 10_000 * variant]
+        zeros_after &= quad == 0
+    text = grid.view(np.uint8)
+    cells = np.zeros((n, _CELL), dtype=np.uint8)
+    cells[:, 0] = (x < 0) * ord("-")
+    cells[:, 1:17], cells[:, 17], cells[:, 18:38] = text[:, :16], ord("."), text[:, 16:]
+    cells[cells[:, 18] == 0, 18] = ord("0")  # an integer's ".0"
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        texts = list(map(float.__repr__, x[slow].tolist()))
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        data = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+        start = slow * _CELL - (np.cumsum(lengths) - lengths)
+        cells[slow] = 0
+        cells.ravel()[np.repeat(start, lengths) + np.arange(len(data))] = data
+    return cells
+
+
+def _csv_lines(floats: np.ndarray, argmin: np.ndarray):
+    """The text csv.writer writes for rows of floats (N, len(CSV_HEADER) - 1)
+    and their argmin (1..3, one digit), a chunk of rows at a time."""
+    rows = max(1, _CSV_CHUNK // floats.shape[1])
+    for start in range(0, len(floats), rows):
+        chunk = floats[start : start + rows]
+        cells = _float_cells(chunk.ravel()).reshape(len(chunk), -1, _CELL)
+        cells[:, :, -3] = ord(",")
+        cells[:, _ARGMIN - 1, -2] = argmin[start : start + rows] + ord("0")
+        cells[:, _ARGMIN - 1, -1] = ord(",")
+        cells[:, -1, -3:-1] = np.frombuffer(b"\r\n", dtype=np.uint8)
+        yield cells[cells != 0].tobytes().decode("ascii")
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     if not 1 <= args.n <= MAX_SEQUENCE_LENGTH:
         raise _UsageError(f"--n must be in 1..{MAX_SEQUENCE_LENGTH}")
@@ -518,8 +661,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         target = None if args.csv is None else open(args.csv, "w", encoding="utf-8", newline="")
         with target or contextlib.nullcontext() as fh:
-            # The lines csv.writer writes: a float as its repr, "\r\n" after
-            # each row; one write per window, from no list of its floats.
+            # csv.writer's lines, a chunk of rows at a time (_csv_lines).
             if fh is not None:
                 fh.write(f"{','.join(CSV_HEADER)}\r\n")
             for batch in _compare_batches(args):
@@ -529,10 +671,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 counts += np.bincount(argmin, minlength=4)
                 if fh is not None:
                     residual = np.abs(details["equality_lhs"] - details["equality_rhs"])
-                    floats = (*batch[3].T, *details["constants"].T, reports.lhs, reports.margin)
-                    cells = [map(float.__repr__, c) for c in (*floats, residual)]
-                    cells.insert(CSV_HEADER.index("argmin"), map(repr, argmin.tolist()))
-                    fh.write("".join(f"{','.join(row)}\r\n" for row in zip(*cells)))
+                    floats = np.column_stack(
+                        (batch[3], details["constants"], reports.lhs, reports.margin, residual)
+                    )
+                    fh.writelines(_csv_lines(floats, argmin))
     except OSError as exc:
         raise _UsageError(f"cannot write {args.csv}: {exc}") from exc
     samples, counts = int(counts.sum()), dict(zip((1, 2, 3), counts[1:].tolist()))

@@ -717,30 +717,93 @@ def test_compare_csv_contract(capsys, tmp_path):
         float(row[9])  # margin parses back
 
 
-def test_compare_rows_equal_lone_evaluations(capsys, tmp_path):
-    # compare evaluates its rows in PS_IMPROVED batches; each row equals the
-    # public polya_szego_improved on that row alone.  With --n 1 the
-    # families have n = 2 and form a second batch.
+@pytest.mark.parametrize(
+    "n, samples", [(1, 1000), (8, 1000), (4096, 25)], ids=["n1", "n8", "n4096"]
+)
+def test_compare_rows_equal_lone_evaluations(capsys, tmp_path, n, samples):
+    # compare evaluates its rows in PS_IMPROVED batches and formats them a
+    # chunk at a time; its file is the one csv.writer writes of the public
+    # polya_szego_improved on each row alone.  --n 1 gives negative lhs,
+    # exponent notation and zeros, and its families have n = 2 and form a
+    # second batch; 1000 rows cross a formatting chunk; --n 4096 windows
+    # hold 10 rows.
     target = tmp_path / "rows.csv"
-    code, _, _ = run(capsys, "compare", "--n", "1", "--samples", "200", "--csv", str(target))
+    argv = ["compare", "--n", str(n), "--samples", str(samples), "--csv", str(target)]
+    code, _, _ = run(capsys, *argv)
     assert code == 0
     lone = []
-    for i in range(200):
+    for i in range(samples):
         g = stream(0, i)
-        data = gen_bounded_sequences(1, sample_window(g, WINDOW_RANGE), g)
-        lone.append(replace(data, w_seq=np.ones(1)))
-    lone += [family for _, family in gen_argmin_families(2)]
-    with open(target, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    assert len(rows) == len(lone) == 203
-    for k, (row, data) in enumerate(zip(rows, lone)):
+        data = gen_bounded_sequences(n, sample_window(g, WINDOW_RANGE), g)
+        lone.append(replace(data, w_seq=np.ones(n)))
+    lone += [family for _, family in gen_argmin_families(max(2, n))]
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(cli.CSV_HEADER)
+    for data in lone:
         result = polya_szego_improved(data)
         win = data.window
-        expected = (
-            win.a, win.A, win.b, win.B, *result.constants, result.argmin, result.report.lhs,
-            result.report.margin, abs(result.equality_lhs - result.equality_rhs),
+        writer.writerow(
+            (
+                win.a, win.A, win.b, win.B, *result.constants, result.argmin,
+                result.report.lhs, result.report.margin,
+                abs(result.equality_lhs - result.equality_rhs),
+            )
         )
-        assert row == [repr(v) if isinstance(v, float) else str(v) for v in expected], k
+    lines = target.read_bytes().split(b"\r\n")
+    assert len(lines) == 1 + len(lone) + 1
+    assert lines == expected.getvalue().encode().split(b"\r\n")
+
+
+def _float_lines(values: np.ndarray) -> list[str]:
+    """The texts cli._float_cells gives for values, a chunk at a time."""
+    texts = []
+    for start in range(0, len(values), cli._CSV_CHUNK):
+        cells = cli._float_cells(values[start : start + cli._CSV_CHUNK])
+        cells[:, -1] = ord("\n")
+        texts.append(cells[cells != 0].tobytes().decode("ascii"))
+    return "".join(texts).split("\n")[:-1]
+
+
+def test_float_cells_are_float_repr():
+    # The CSV formatter against float.__repr__, byte for byte, on over a
+    # million values: random 64-bit patterns (subnormals, NaNs, huge and
+    # tiny values), the fast range [1e-4, 1e15) at random bits and
+    # log-uniform, short decimals k / 10^j, neighbours of the powers of ten
+    # (where log10 can be off by one), powers of two (lopsided intervals),
+    # odd eighths near 1e15 (exact halfway 17-digit roundings), the edges of
+    # the fast range, and each of them negated at random.
+    rng = np.random.default_rng(20)
+    size = 200_000
+    significands = rng.integers(1 << 52, 1 << 53, size, dtype=np.uint64)
+    fast = significands * 2.0 ** rng.integers(-66, -2, size)
+    tens = [float(f"1e{k}") for k in range(-6, 18)]
+    tens = np.array(tens + [float(f"{c}e{k}") for c in (2, 5, 9) for k in range(-6, 16)])
+    powers = 2.0 ** np.arange(-1074, 1024)
+    edges = np.array([1e-4, 1e15, 1e16, 2.0**49, 2.0**50])
+    values = np.concatenate(
+        [
+            rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64),
+            fast,
+            10.0 ** rng.uniform(-6, 17, size),
+            rng.integers(1, 10**7, size) / 10.0 ** rng.integers(0, 23, size),
+            rng.random(size // 2) * 10,
+            (rng.integers(2**52, 2**53, size // 4, dtype=np.uint64) | np.uint64(1)) / 8.0,
+            tens[:, None] * (1 + np.arange(-300, 301) * 2.0**-52),
+            np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            edges[:, None] * (1 + np.arange(-2000, 2001) * 2.0**-52),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308],
+            [1.7976931348623157e308],
+        ],
+        axis=None,
+    )
+    values.view(np.uint64)[rng.random(len(values)) < 0.5] ^= np.uint64(1 << 63)  # the sign
+    assert len(values) >= 10**6
+    expected = list(map(float.__repr__, values.tolist()))
+    got = _float_lines(values)
+    wrong = [(e, g) for e, g in zip(expected, got) if e != g]
+    assert len(got) == len(expected) and not wrong, wrong[:10]
 
 
 def test_compare_csv_does_not_depend_on_the_window_size(capsys, monkeypatch, tmp_path):

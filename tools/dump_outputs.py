@@ -23,12 +23,14 @@ It imports rcsbounds from the src/ directory next to this script and writes:
   largest seed, where Philox's key arithmetic wraps at 2^64;
 * compare/default.csv, compare/n1_samples500.csv,
   compare/n16_samples500.csv, compare/seed5_samples2000.csv,
-  compare/seedmax_samples500.csv and compare/seed6_samples9500.csv:
-  ``compare --csv`` at the defaults, at ``--n 1 --samples 500``, at ``--n
-  16 --samples 500``, at ``--seed 5 --samples 2000``, at ``--seed
-  18446744073709551615 --samples 500`` and at ``--seed 6 --samples
-  9500``, two windows of 4681 rows at the default n = 8 and part of a
-  third, with the printed summary of each in the matching .txt file;
+  compare/seedmax_samples500.csv, compare/seed6_samples9500.csv and
+  compare/n4096_samples25.csv: ``compare --csv`` at the defaults, at
+  ``--n 1 --samples 500``, at ``--n 16 --samples 500``, at ``--seed 5
+  --samples 2000``, at ``--seed 18446744073709551615 --samples 500``, at
+  ``--seed 6 --samples 9500``, two windows of 4681 rows at the default
+  n = 8 and part of a third, and at ``--n 4096 --samples 25``, three
+  windows of at most 10 rows, with the printed summary of each in the
+  matching .txt file;
 * sharpness/<kind>.json: ``sharpness --json --kind KIND --dim 3`` for each
   functional kind, and sharpness/complex_window.json: the same for the
   default kind with ``--omega 1+2j --Omega 3-1j``;
@@ -109,6 +111,7 @@ COMPARE_RUNS = {
     "seed5_samples2000": ["--seed", "5", "--samples", "2000"],
     "seedmax_samples500": ["--seed", MAX_SEED, "--samples", "500"],
     "seed6_samples9500": ["--seed", "6", "--samples", "9500"],
+    "n4096_samples25": ["--n", "4096", "--samples", "25"],
 }
 SHARPNESS_RUNS = {
     **{kind: ["--kind", kind] for kind in ("vector_state", "trace", "weighted_sum")},
