@@ -41,11 +41,13 @@ from .bounds import (
 )
 from .forms import FormInstance, OmegaPair, PositiveFunctional, _coerce_argument
 from .harness import (
+    _WEIGHT_RANGE,
     SPACE_DIMS,
     FuzzSummary,
     GeneratorConfig,
     _scalar_rows,
     _sequence_batch,
+    _uniform,
     fuzz_run,
     gen_argmin_families,
     run_trial,
@@ -57,7 +59,7 @@ from .matalg import (
     Tolerance,
     as_element,
 )
-from .rng import _check_key, _uniforms, stream
+from .rng import _check_key, _complex_normals, _uniforms, stream
 
 __all__ = ["main", "CSV_HEADER"]
 
@@ -430,14 +432,12 @@ def _sharpness_inputs(
         state = np.zeros(dim, dtype=np.complex128)
         state[0] = 1.0
         phi = PositiveFunctional.vector_state(state)
-        y = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-        return phi, y
+        return phi, _complex_normals(g.random((1, 2 * dim)), (dim,))[0]
     if kind == "trace":
         phi = PositiveFunctional.trace(dim)
     else:
-        phi = PositiveFunctional.weighted_sum(g.uniform(0.2, 2.0, size=dim))
-    y = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-    return phi, y
+        phi = PositiveFunctional.weighted_sum(_uniform(g.random(dim), *_WEIGHT_RANGE))
+    return phi, _complex_normals(g.random((1, 2 * dim * dim)), (dim, dim))[0]
 
 
 def cmd_sharpness(args: argparse.Namespace) -> int:

@@ -44,7 +44,7 @@ from .matalg import (
     spectrum_bounds,
     sqrt_psd,
 )
-from .rng import stream
+from .rng import _complex_normals, stream
 
 __all__ = [
     "FormError",
@@ -672,12 +672,11 @@ class PositivityReport:
 
 def _random_argument(form: FormInstance, rng: np.random.Generator, sample_idx: int):
     if form.kind == GRAM_TENSOR:
-        n = form.space_dim
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    k = form.algebra_dim if form.kind == MODULE_FORM else form.functional.dim
-    if form.kind == FUNCTIONAL_FORM and sample_idx % 2 == 1:
-        return rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        shape = (form.space_dim,)
+    else:
+        k = form.algebra_dim if form.kind == MODULE_FORM else form.functional.dim
+        shape = (k,) if form.kind == FUNCTIONAL_FORM and sample_idx % 2 == 1 else (k, k)
+    return _complex_normals(rng.random((1, 2 * int(np.prod(shape)))), shape)[0]
 
 
 def validate_positivity(

@@ -24,18 +24,19 @@ the instance, which gen_re_valid_instance("module") builds the same way.
 The evaluators never see U: each report is a function of its instance
 alone, as verify on an instance file computes it.
 
-Scalar instances: a window (_window_size) draws only values, in the order
-each trial's generator draws them, with no per-trial object: a sequence
-trial's n and 4 + 3n uniforms, and a functional trial's d and kind, come
-from stacked Philox passes (rng._words), and a functional trial's
-Gaussians from its Generator past word 0.  Each group builds its
-instances as one stack: the windows, pinned sequences and weights of a
-"sequences" group (_sequence_batch), and the functionals as arrays,
-phi(y* y), phi(p* p), x and the Re check of every functional instance's
-first attempt (_functional_instances).  A functional slice whose first
-attempt is rejected continues its own rejection loop from its own stream.
-gen_bounded_sequences, sample_window and gen_re_valid_instance("functional")
-are these builders for one instance.
+Draws: a trial draws bounded integers and uniforms alone, and its
+normals are rng._normals of uniforms: its size (d, or the sequence length
+n), a functional trial's kind, then a row of uniforms (_lone_draw,
+_ROW_WIDTHS).  A window (_window_size) takes them from stacked Philox
+passes (rng._words): word 0 of every trial, then one pass per size, or
+one pass in all when every size draws one width (_draws).  Each group
+builds its instances from its rows as one stack (_sequence_batch,
+_pair_draws, _vectors, _functional_instances).  One rule covers what a
+row cannot finish, a word 0 that Lemire's method rejects, a rejected
+first functional attempt or a degenerate operator-pair v: the trial's
+lone builder finishes it on its restarted stream (_restarted).
+gen_bounded_sequences, sample_window, gen_commuting_positive_pair and
+gen_re_valid_instance are these builders for one instance.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .forms import (
     FormError,
     FormInstance,
     OmegaPair,
-    PositiveFunctional,
     _form_eval,
     _FunctionalForms,
     _re_term,
@@ -80,7 +80,7 @@ from .matalg import (
     frobenius,
     re_part,
 )
-from .rng import _check_key, _integers, _unit, _words, stream, streams
+from .rng import _check_key, _complex_normals, _integers, _unit, _words, stream
 
 __all__ = [
     "REJECTION_CAP",
@@ -115,7 +115,6 @@ SCALAR_WINDOW_WORDS = 1 << 17
 SPACE_DIMS = (4, 8, 16)
 WINDOW_RANGE = (0.1, 10.0)
 SPECTRUM_RANGE = (0.1, 10.0)
-_SEQUENCE_WORDS = 5 + 3 * max(SPACE_DIMS)  # n, then at most 4 + 3n uniforms
 
 RngLike = Union[int, np.random.Generator]
 
@@ -151,11 +150,6 @@ class GeneratorConfig:
             raise ValueError("dims must be a nonempty tuple of values in 1..16")
 
 
-def _gaussian(d: int, g: np.random.Generator) -> np.ndarray:
-    """A d x d standard complex Gaussian matrix drawn from g."""
-    return (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / np.sqrt(2.0)
-
-
 def _unitaries(z: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries from an (N, d, d) stack of complex
     Gaussians: one stacked QR, with the phases of R's diagonal moved into
@@ -168,22 +162,23 @@ def _unitaries(z: np.ndarray) -> np.ndarray:
 
 def gen_random_unitary(d: int, rng: RngLike = 0) -> np.ndarray:
     """Haar-distributed d x d unitary via QR of a complex Gaussian matrix."""
-    return _unitaries(_gaussian(d, _as_rng(rng))[None])[0]
+    return _unitaries(_complex_normals(_as_rng(rng).random((1, 2 * d * d)), (d, d)))[0]
 
 
-def _pair_draw(d: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws from g behind one commuting positive pair of dimension
-    d, in this order: the Gaussian of its eigenbasis and its two spectra."""
-    z = _gaussian(d, g)
-    return z, g.uniform(*SPECTRUM_RANGE, size=d), g.uniform(*SPECTRUM_RANGE, size=d)
+def _pair_draws(u: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws behind N commuting positive pairs of dimension d from the
+    first 2d^2 + 2d uniforms of their rows, in this order: the complex
+    Gaussians of their eigenbases and their two spectra in SPECTRUM_RANGE."""
+    lam = _uniform(u[:, 2 * d * d : 2 * d * d + 2 * d], *SPECTRUM_RANGE)
+    return _complex_normals(u[:, : 2 * d * d], (d, d)), lam[:, :d], lam[:, d:]
 
 
 def _commuting_pairs(
     z: np.ndarray, lam_t: np.ndarray, lam_s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unitaries U = _unitaries(z) and the commuting pairs
-    t = U diag(lam_t) U*, s = U diag(lam_s) U* built in them, from stacked
-    _pair_draw draws: (N, d, d) Gaussians and (N, d) spectra.  Every
+    t = U diag(lam_t) U*, s = U diag(lam_s) U* built in them, from
+    _pair_draws: (N, d, d) Gaussians and (N, d) spectra.  Every
     operation is stacked and acts on each slice alone, so slice k equals
     the pair built from draw k alone."""
     u = _unitaries(z)
@@ -194,7 +189,7 @@ def _commuting_pairs(
 def _module_instances(
     z: np.ndarray, lam_t: np.ndarray, lam_s: np.ndarray, tol: Tolerance
 ) -> list:
-    """The module-form instances of stacked _pair_draw draws, as the "form"
+    """The module-form instances of _pair_draws, as the "form"
     batch columns (forms, x, y, pairs): x and y the commuting pairs of
     _commuting_pairs and the window pairs of their spectra at band tol,
     checked as omega_from_spectra checks them.  The window's eigensolve of
@@ -208,9 +203,9 @@ def _module_instances(
 
 def gen_commuting_positive_pair(d: int, rng: RngLike = 0) -> tuple[np.ndarray, np.ndarray]:
     """Commuting strictly positive pair sharing a random eigenbasis, with
-    eigenvalues in SPECTRUM_RANGE: the pair of one _pair_draw."""
-    _, t, s = _commuting_pairs(*(a[None] for a in _pair_draw(d, _as_rng(rng))))
-    return t[0], s[0]
+    eigenvalues in SPECTRUM_RANGE: the pair of one row of _pair_draws."""
+    u = _as_rng(rng).random((1, _ROW_WIDTHS["form"](d)))
+    return tuple(m[0] for m in _commuting_pairs(*_pair_draws(u, d))[1:])
 
 
 def gen_bounded_sequences(
@@ -227,24 +222,23 @@ def gen_bounded_sequences(
 
 
 def _uniform(u, lo, hi):
-    """lo + (hi - lo) * u: what g.uniform(lo, hi) draws from the uniforms u
-    in [0, 1) that g.random draws from the same stream, bit for bit."""
+    """lo + (hi - lo) * u: uniforms in [lo, hi) from uniforms u in [0, 1),
+    bit for bit what numpy's Generator.uniform makes of the same u."""
     return lo + (hi - lo) * u
 
 
 def _windows(u: np.ndarray, window_range: tuple[float, float]) -> np.ndarray:
     """The (N, 4) edges (a, A, b, B) of N random scalar windows from (N, 4)
     uniforms in [0, 1): each interval the sorted pair of two uniforms in
-    window_range, as g.uniform(lo, hi, size=2) draws it."""
+    window_range (_uniform)."""
     return np.sort(_uniform(u, *window_range).reshape(-1, 2, 2), axis=-1).reshape(-1, 4)
 
 
 def _sequences(edges: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unchecked (N, n) stacks a_seq, b_seq, w_seq in the windows of
     (N, 4) edges from (N, 3n) uniforms in [0, 1): a_seq, b_seq and w_seq
-    drawn in that order as g.uniform(a, A), g.uniform(b, B) and
-    1 - g.uniform(0, 1) draw them from the same uniforms, and for n >= 4
-    the window endpoints pinned at the first four positions."""
+    in that order, _uniform in [a, A], in [b, B] and 1 minus one in [0, 1),
+    and for n >= 4 the window endpoints pinned at the first four positions."""
     n = u.shape[1] // 3
     lo_a, hi_a, lo_b, hi_b = (edges[:, j : j + 1] for j in range(4))
     a_seq = _uniform(u[:, :n], lo_a, hi_a)
@@ -258,7 +252,7 @@ def _sequences(edges: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _sequence_batch(u: np.ndarray, unit_weights: bool) -> list:
     """The "sequences" batch (a_seq, b_seq, w_seq, edges) of N trials from
-    their (N, 4 + 3n) _sequence_draw rows: the window of sample_window(g,
+    their (N, 4 + 3n) uniforms (_lone_draw): the window of sample_window(g,
     WINDOW_RANGE) and the sequences of gen_bounded_sequences(n, window, g),
     every weight 1 when unit_weights, checked at once as WeightedSequences
     checks one instance (bounds._check_sequences)."""
@@ -271,18 +265,6 @@ def _sequence_batch(u: np.ndarray, unit_weights: bool) -> list:
 
 # The range of a weighted sum's weights.
 _WEIGHT_RANGE = (0.2, 2.0)
-
-
-def _random_functional(d: int, g: np.random.Generator) -> PositiveFunctional:
-    kind = g.integers(0, 3)
-    if kind == 0:
-        x0 = g.standard_normal(d) + 1j * g.standard_normal(d)
-        return PositiveFunctional.vector_state(x0 / np.linalg.norm(x0))
-    if kind == 1:
-        return PositiveFunctional.trace(d)
-    return PositiveFunctional.weighted_sum(g.uniform(*_WEIGHT_RANGE, size=d))
-
-
 # The uniform ranges behind a functional instance's window pair, in the
 # order they are drawn: |lambda|, arg(lambda), |c| / |lambda| and arg(c).
 _PAIR_RANGES = ((0.5, 2.0), (0.0, 2 * np.pi), (0.1, 0.9), (0.0, 2 * np.pi))
@@ -291,13 +273,31 @@ _RHO_RANGE = (0.0, 0.9)
 # A drawn y or p is kept when phi(y* y) or phi(p* p) is at least this.
 _Y_NORM2_MIN = 1e-8
 _P_NORM2_MIN = 1e-12
+# An operator pair's vector v is kept when ||v|| is at least this.
+_V_NORM_MIN = 1e-6
+# Attempts at a functional instance past its first, drawn and checked at once.
+_ATTEMPT_BLOCK = 16
+# The fewest trials a window draws by stacked passes of rng._words: a pass
+# costs about as much as 10-20 lone draws (_lone_draw).
+_PASS_ROWS = 16
 
 
-def _complex_gaussians(z: np.ndarray) -> np.ndarray:
-    """z[..., 0, :, :] + 1j z[..., 1, :, :] of (..., 2, d, d) standard normals:
-    the complex Gaussian that g.standard_normal((d, d)) + 1j *
-    g.standard_normal((d, d)) draws from the same normals."""
-    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+def _attempt_width(d: int) -> int:
+    """Uniforms of one attempt at a functional instance (_functional_attempts)."""
+    return 4 * d * d + 5
+
+
+# The uniforms of a trial's row, by payload, at dimension (or sequence
+# length) d: a sequence trial's window and a_seq, b_seq, w_seq, the first
+# 4 + 3n of a row as long as the longest sequences need; a functional
+# trial's functional and first attempt; a pair's eigenbasis and spectra,
+# and an operator pair's vector v.
+_ROW_WIDTHS = {
+    "sequences": lambda n: 4 + 3 * max(SPACE_DIMS),
+    "functional_form": lambda d: 3 * d + _attempt_width(d),
+    "form": lambda d: 2 * d * d + 2 * d,
+    "operator_pair": lambda d: 2 * d * d + 4 * d,
+}
 
 
 def _scalar_rows(words: float) -> int:
@@ -305,26 +305,17 @@ def _scalar_rows(words: float) -> int:
     return max(1, int(SCALAR_WINDOW_WORDS // words))
 
 
-def _functional_rows(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeroed rows for n _functional_draw draws at dimension d."""
-    return np.zeros((n, 2 * d + 4 * d * d)), np.zeros((n, d + 5))
-
-
-def _functional_draw(kind: int, d: int, g: np.random.Generator, z: np.ndarray, u: np.ndarray):
-    """Draw from g a functional instance's first attempt past its kind, in
-    the order of _functional_rejections, into its rows z (the state's 2d
-    normals, y's and p's 2d^2) and u (the weights' d uniforms, the window
-    pair's 4, rho's 1), the state's normals and y's in one call."""
-    y = 2 * d + 2 * d * d
-    if kind == 0:
-        g.standard_normal(out=z[:y])
-    else:
-        if kind == 2:
-            g.random(out=u[:d])
-        g.standard_normal(out=z[2 * d : y])
-    g.random(out=u[d : d + 4])
-    g.standard_normal(out=z[y:])
-    g.random(out=u[d + 4 :])
+def _functionals(d: int, kinds: np.ndarray, u: np.ndarray) -> _FunctionalForms:
+    """N functionals of dimension d from their kinds (indices into
+    _FUNCTIONAL_KINDS) and (N, 3d) uniform rows: a vector state from the
+    first 2d (_complex_normals), a weighted sum's weights in _WEIGHT_RANGE
+    from the last d.  Every kind draws the whole row."""
+    vector = kinds == 0
+    x0 = _complex_normals(u[vector, : 2 * d], (d,))
+    states = np.zeros((len(kinds), d), dtype=np.complex128)
+    # Each state is x0 / np.linalg.norm(x0), as PositiveFunctional.vector_state takes it.
+    states[vector] = x0 / np.array([np.linalg.norm(v) for v in x0]).reshape(-1, 1)
+    return _FunctionalForms(kinds, states, _uniform(u[:, 2 * d :], *_WEIGHT_RANGE))
 
 
 def _functional_pairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,60 +349,57 @@ def _re_accepts(forms, x: np.ndarray, y: np.ndarray, pairs: np.ndarray, tol: Tol
     return re >= -tol.band(np.maximum(np.abs(re), 1.0))
 
 
-def _functional_instances(kinds, z, u, indices, tol: Tolerance, restart, cap=REJECTION_CAP) -> list:
-    """The "functional_form" batch columns (forms, x, y, pairs) of N first
-    attempts, their kinds (indices into _FUNCTIONAL_KINDS) and their rows z
-    and u of _functional_draw; restart(indices[k]) returns slice k's stream
-    as it was before its kind draw.  The functionals, phi(y* y), phi(p* p),
-    x and the Re check are computed over the stack.  A slice whose first
-    attempt the generator would not keep (a degenerate y or p, or a failed
-    Re check) restarts its stream and runs the rejection loop on it
-    (_functional_rejections), so every slice is the instance its draws
-    alone give, whatever else is in the stack."""
-    d = u.shape[1] - 5
-    y0, p0 = 2 * d, 2 * d + 2 * d * d
-    vector = kinds == 0
-    # Each state is x0 / np.linalg.norm(x0), as _random_functional draws it.
-    x0 = z[vector, :d] + 1j * z[vector, d:y0]
-    states = np.zeros((len(kinds), d), dtype=np.complex128)
-    states[vector] = x0 / np.array([np.linalg.norm(v) for v in x0]).reshape(-1, 1)
-    forms = _FunctionalForms(kinds, states, _uniform(u[:, :d], *_WEIGHT_RANGE))
-    y = _complex_gaussians(z[:, y0:p0].reshape(-1, 2, d, d))
-    p = _complex_gaussians(z[:, p0:].reshape(-1, 2, d, d))
-    lam, radius_sq, pairs = _functional_pairs(u[:, d : d + 4])
+def _functional_attempts(forms: _FunctionalForms, u: np.ndarray, tol: Tolerance) -> tuple:
+    """x, y, the window pairs and which are kept, of N attempts at
+    functional instances under forms, from (N, _attempt_width(d)) uniform
+    rows in this order: y (_complex_normals), the window pair
+    (_PAIR_RANGES), p and rho.  An attempt is kept when neither phi(y* y)
+    nor phi(p* p) is degenerate and x passes the Re check at band tol."""
+    d = forms.states.shape[1]
+    y0, p0 = 2 * d * d, 2 * d * d + 4
+    y = _complex_normals(u[:, :y0], (d, d))
+    lam, radius_sq, pairs = _functional_pairs(u[:, y0:p0])
+    p = _complex_normals(u[:, p0:-1], (d, d))
     fyy, fpp = _phi_norms(forms, y), _phi_norms(forms, p)
     kept = ~((fyy < _Y_NORM2_MIN) | (fpp < _P_NORM2_MIN))
-    rho = _uniform(u[:, d + 4], *_RHO_RANGE)
+    rho = _uniform(u[:, -1], *_RHO_RANGE)
     x = _functional_x(lam, radius_sq, y, fyy, p, np.where(kept, fpp, 1.0), rho)
+    return x, y, pairs, kept & _re_accepts(forms, x, y, pairs, tol)
+
+
+def _functional_instances(
+    d: int, kinds, u, indices, tol: Tolerance, restart, cap: int = REJECTION_CAP
+) -> list:
+    """The "functional_form" batch columns (forms, x, y, pairs) of N trials
+    at dimension d from their kinds and (N, 3d + _attempt_width(d)) rows u: the
+    functionals (_functionals) and the first attempts
+    (_functional_attempts), built over the stack.  A trial whose first
+    attempt is rejected continues on restart(indices[k]), its stream
+    restarted past its row (_functional_rejections), so every slice is the
+    instance its draws alone give, whatever else is in the stack."""
+    forms = _functionals(d, kinds, u[:, : 3 * d])
+    x, y, pairs, kept = _functional_attempts(forms, u[:, 3 * d :], tol)
     # The first attempt is one of the cap attempts.
-    accepted = kept & _re_accepts(forms, x, y, pairs, tol) & (cap > 0)
-    for k in np.flatnonzero(~accepted):
-        x[k], y[k], pairs[k] = _functional_rejections(d, restart(indices[k]), tol, cap)
+    for k in np.flatnonzero(~kept | (cap < 1)):
+        x[k], y[k], pairs[k] = _functional_rejections(forms, k, restart(indices[k]), tol, cap)
     return [forms, x, y, pairs]
 
 
-def _functional_rejections(d: int, g: np.random.Generator, tol: Tolerance, cap: int) -> tuple:
-    """x, y and the window pair of one functional instance drawn from g as
-    the rejection loop draws it: the functional, y until phi(y* y) is not
-    degenerate, the window pair, then up to cap attempts of p (redrawn
-    while phi(p* p) is degenerate) and rho until the Re check passes, else
-    RejectionCapExceededError.  g restarted at a trial's first attempt
-    draws that attempt's functional again, so the batch keeps its form."""
-    forms = _FunctionalForms.of([FormInstance.functional_form(_random_functional(d, g))])
-    y = _complex_gaussians(g.standard_normal((1, 2, d, d)))
-    fyy = _phi_norms(forms, y)
-    while fyy[0] < _Y_NORM2_MIN:
-        y = _complex_gaussians(g.standard_normal((1, 2, d, d)))
-        fyy = _phi_norms(forms, y)
-    lam, radius_sq, pairs = _functional_pairs(g.random((1, 4)))
-    for _ in range(cap):
-        p = _complex_gaussians(g.standard_normal((1, 2, d, d)))
-        fpp = _phi_norms(forms, p)
-        if fpp[0] < _P_NORM2_MIN:
-            continue
-        x = _functional_x(lam, radius_sq, y, fyy, p, fpp, _uniform(g.random(1), *_RHO_RANGE))
-        if _re_accepts(forms, x, y, pairs, tol)[0]:
-            return x[0], y[0], pairs[0]
+def _functional_rejections(forms: _FunctionalForms, k: int, g: np.random.Generator, tol, cap):
+    """x, y and the window pair of functional instance k of forms, whose
+    first attempt was rejected: the first kept of attempts 2..cap, rows of
+    _functional_attempts drawn from g in turn, else
+    RejectionCapExceededError.  They are drawn and checked _ATTEMPT_BLOCK
+    at a time, each on its own, so the block changes no instance."""
+    d = forms.states.shape[1]
+    for start in range(1, cap, _ATTEMPT_BLOCK):
+        u = g.random((min(_ATTEMPT_BLOCK, cap - start), _attempt_width(d)))
+        rows = (forms.kinds, forms.states, forms.weights)
+        block = (np.repeat(a[k : k + 1], len(u), axis=0) for a in rows)
+        x, y, pairs, kept = _functional_attempts(_FunctionalForms(*block), u, tol)
+        if kept.any():
+            k = np.argmax(kept)
+            return x[k], y[k], pairs[k]
     raise RejectionCapExceededError(
         f"no admissible x found in {cap} attempts (kind=functional, d={d})"
     )
@@ -430,30 +418,25 @@ def gen_re_valid_instance(
     window pair read off their spectra, built as a campaign builds its
     module instances (_module_instances).
 
-    kind = "functional": a random positive functional with x sampled in
-    the disk spanned by (omega, Omega) around y plus a small admissible
-    perturbation, resampled until the Re check passes (cap attempts, then
-    RejectionCapExceededError), built as a campaign builds its functional
-    instances (_functional_instances).  The window pair always satisfies
-    Re(conj(omega) * Omega) > 0.
+    kind = "functional": a random positive functional (its kind drawn by
+    g.integers) with x sampled in the disk spanned by (omega, Omega) around
+    y plus a small admissible perturbation, each attempt at y, the window,
+    the perturbation and its share drawn anew until the Re check passes
+    (cap attempts, then RejectionCapExceededError), built as a campaign
+    builds its functional instances (_functional_instances).  The window
+    pair always satisfies Re(conj(omega) * Omega) > 0.
 
     tol is the band of the window and Re checks.
     """
     g = _as_rng(rng)
     if kind == "module":
-        forms, x, y, pairs = _module_instances(*(a[None] for a in _pair_draw(d, g)), tol)
-        return forms[0], x[0], y[0], pairs[0]
+        u = g.random((1, _ROW_WIDTHS["form"](d)))
+        return tuple(c[0] for c in _module_instances(*_pair_draws(u, d), tol))
     if kind != "functional":
         raise ValueError(f"unknown instance kind {kind!r}")
-    start = g.bit_generator.state
-
-    def restart(_) -> np.random.Generator:
-        g.bit_generator.state = start
-        return g
-
-    kinds, (z, u) = np.array([g.integers(len(_FUNCTIONAL_KINDS))]), _functional_rows(1, d)
-    _functional_draw(int(kinds[0]), d, g, z[0], u[0])
-    forms, x, y, pairs = _functional_instances(kinds, z, u, [0], tol, restart, cap)
+    kinds = np.array([g.integers(len(_FUNCTIONAL_KINDS))])
+    u = g.random((1, _ROW_WIDTHS["functional_form"](d)))
+    forms, x, y, pairs = _functional_instances(d, kinds, u, [None], tol, lambda _: g, cap)
     return forms.form(0), x[0], y[0], OmegaPair(*pairs[0].tolist())
 
 
@@ -565,111 +548,111 @@ def _entry(inequality_id: str) -> _Inequality:
     return _REGISTRY[inequality_id]
 
 
-def _sequence_draw(g: np.random.Generator, n: int) -> np.ndarray:
-    """The row of a trial with sequences of length n, drawn from g: the
-    4 + 3n uniforms behind its window and its a_seq, b_seq and w_seq, in
-    the order sample_window and gen_bounded_sequences draw them
-    (_sequence_batch)."""
-    return g.random(4 + 3 * n)
+def _choices(config: GeneratorConfig, payload: str) -> tuple[tuple[int, ...], int]:
+    """The sizes a trial's first draw picks from (its d, or a sequence
+    trial's length n) and how many kinds its second picks from: 1, which
+    draws nothing, but for a functional trial."""
+    sizes = SPACE_DIMS if payload == "sequences" else config.dims
+    return sizes, len(_FUNCTIONAL_KINDS) if payload == "functional_form" else 1
 
 
-def _dimension(config: GeneratorConfig, g: np.random.Generator) -> int:
-    """A trial's matrix dimension, its first draw from its stream g."""
-    return int(config.dims[g.integers(len(config.dims))])
+def _lone_draw(config: GeneratorConfig, payload: str, g: np.random.Generator) -> tuple:
+    """What a trial of payload draws from its stream g, in order: its size
+    d and kind by g.integers (_choices), then its row of
+    _ROW_WIDTHS[payload](d) uniforms: (d, kind, row)."""
+    sizes, kinds = _choices(config, payload)
+    d = sizes[g.integers(len(sizes))]
+    return d, g.integers(kinds), g.random(_ROW_WIDTHS[payload](d))
 
 
-def _restarted(config: GeneratorConfig, index: int) -> np.random.Generator:
-    """The stream of trial index, past its dimension draw."""
+def _restarted(config: GeneratorConfig, payload: str, index: int) -> np.random.Generator:
+    """The stream of trial index, restarted and past its _lone_draw: where
+    its lone builder goes on when the row alone does not finish the trial."""
     g = stream(config.seed, index)
-    _dimension(config, g)
+    _lone_draw(config, payload, g)
     return g
 
 
 def _window_size(config: GeneratorConfig, payload: str) -> int:
     """Trials per window of run_trials: TRIAL_WINDOW for a matrix payload,
-    else _scalar_rows of a trial's words (a functional trial's d is drawn
-    uniformly: the mean over config.dims of its _functional_rows)."""
-    widths = [sum(a.shape[1] for a in _functional_rows(0, d)) for d in config.dims]
-    words = {"sequences": _SEQUENCE_WORDS, "functional_form": np.mean(widths)}
-    return _scalar_rows(words[payload]) if payload in words else TRIAL_WINDOW
+    else _scalar_rows of a trial's words, word 0 and its row (its size is
+    drawn uniformly: the mean over the sizes)."""
+    if payload not in ("sequences", "functional_form"):
+        return TRIAL_WINDOW
+    sizes, _ = _choices(config, payload)
+    return _scalar_rows(1 + np.mean([_ROW_WIDTHS[payload](d) for d in sizes]))
 
 
-def _sequence_draws(config: GeneratorConfig, entry: _Inequality, window: list):
-    """(members, columns) per length n of a window of sequence trials: their
-    positions in window and (N, 4 + 3n) _sequence_draw rows, n from word 0
-    and the row from word 1 on of the window's stacked Philox (rng._words)."""
-    words = _words(config.seed, window, _SEQUENCE_WORDS)
-    (choice,), drawn = _integers(words[:, 0], (len(SPACE_DIMS),))
-    lengths, rows = np.array(SPACE_DIMS)[choice], _unit(words[:, 1:])
+def _draws(config: GeneratorConfig, payload: str, window: list):
+    """(members, columns) per size d of a window of trials: their positions
+    in window and the columns (rows, sizes, kinds, indices) of each trial's
+    _lone_draw and its index.  One stacked Philox pass (rng._words) gives
+    every trial's word 0, its size and kind, and its row too when every
+    size draws one width; else one pass per size gives the rows.  A trial
+    whose word 0 Lemire's method rejects is drawn by _lone_draw on its
+    restarted stream, and so is every trial of a window of fewer than
+    _PASS_ROWS."""
+    sizes, count = _choices(config, payload)
+    bounds = (len(sizes), count)
+    skip = int(max(bounds) > 1)  # a bound of 1 draws nothing
+    widths = {_ROW_WIDTHS[payload](d) for d in sizes}
+    one_pass = len(widths) == 1
+    choice, kinds = np.zeros((2, len(window)), dtype=np.int64)
+    drawn = np.zeros(len(window), dtype=bool)
+    if len(window) >= _PASS_ROWS:
+        words = _words(config.seed, window, skip + widths.pop() if one_pass else 1)
+        (choice, kinds), drawn = _integers(words[:, 0], bounds)
+    dims = np.array(sizes)[choice]
+    lone = {}
     for j in np.flatnonzero(~drawn).tolist():
-        g = stream(config.seed, window[j])
-        lengths[j] = SPACE_DIMS[g.integers(len(SPACE_DIMS))]
-        rows[j, : 4 + 3 * lengths[j]] = _sequence_draw(g, lengths[j])
-    for n in sorted(set(lengths.tolist())):
-        members = np.flatnonzero(lengths == n)
-        yield members, (rows[members, : 4 + 3 * n],)
-
-
-def _functional_draws(config: GeneratorConfig, entry: _Inequality, window: list):
-    """(members, columns) per dimension of a window of functional trials,
-    the columns of _functional_instances: d and the kind from word 0 of one
-    stacked Philox, the rest by _functional_draw past that word."""
-    word = _words(config.seed, window, 1)[:, 0]
-    (choice, kinds), drawn = _integers(word, (len(config.dims), len(_FUNCTIONAL_KINDS)))
-    dims, own = np.array(config.dims)[choice], {}
-    for j in np.flatnonzero(~drawn).tolist():
-        g = own[j] = stream(config.seed, window[j])
-        dims[j], kinds[j] = _dimension(config, g), g.integers(len(_FUNCTIONAL_KINDS))
+        dims[j], kinds[j], lone[j] = _lone_draw(config, payload, stream(config.seed, window[j]))
     for d in sorted(set(dims.tolist())):
         members = np.flatnonzero(dims == d)
         indices = [window[j] for j in members]
-        z, u = _functional_rows(len(members), d)
-        for row, (j, g) in enumerate(zip(members.tolist(), streams(config.seed, indices))):
-            if j not in own:
-                g.bit_generator.random_raw()  # word 0
-            _functional_draw(kinds[j], d, own.get(j, g), z[row], u[row])
-        yield members, (kinds[members], z, u, indices)
+        width = _ROW_WIDTHS[payload](d)
+        rows = np.empty((len(members), width))
+        if drawn[members].any():
+            group = words[members] if one_pass else _words(config.seed, indices, skip + width)
+            rows = _unit(group[:, skip:])
+        for row in np.flatnonzero(~drawn[members]).tolist():
+            rows[row] = lone[int(members[row])]
+        yield members, (rows, dims[members], kinds[members], indices)
 
 
-def _matrix_draws(config: GeneratorConfig, entry: _Inequality, window: list):
-    """(members, columns) per dimension of a window of "form" or
-    "operator_pair" trials: the stacked _pair_draw draws, and for an
-    "operator_pair" the vector v, redrawn while ||v|| < 1e-6."""
-    dims, rows = [], []
-    for g in streams(config.seed, window):
-        dims.append(_dimension(config, g))
-        rows.append(_pair_draw(dims[-1], g))
-        if entry.payload == "operator_pair":
-            v = g.standard_normal(dims[-1]) + 1j * g.standard_normal(dims[-1])
-            while np.linalg.norm(v) < 1e-6:
-                v = g.standard_normal(dims[-1]) + 1j * g.standard_normal(dims[-1])
-            rows[-1] += (v,)
-    dims = np.array(dims)
-    for d in sorted(set(dims.tolist())):
-        members = np.flatnonzero(dims == d)
-        yield members, [np.stack(c) for c in zip(*(rows[j] for j in members))]
-
-
-_DRAWS = {"sequences": _sequence_draws, "functional_form": _functional_draws}
+def _vectors(u: np.ndarray, d: int, indices, restart) -> np.ndarray:
+    """The (N, d) vectors v of N operator pairs from (N, 2d) uniform rows
+    (_complex_normals).  A v with ||v|| < _V_NORM_MIN is drawn again, 2d
+    uniforms at a time, from the trial's restarted stream restart(indices[k])
+    until it is not."""
+    v = _complex_normals(u, (d,))
+    for k in np.flatnonzero(np.linalg.norm(v, axis=1) < _V_NORM_MIN):
+        g, v[k] = restart(indices[k]), 0.0
+        while np.linalg.norm(v[k]) < _V_NORM_MIN:
+            v[k] = _complex_normals(g.random((1, 2 * d)), (d,))[0]
+    return v
 
 
 def _batch(entry: _Inequality, columns: Sequence, tol: Tolerance, restart) -> list:
-    """The evaluator's batch of a group's drawn columns, built at once (tol
-    is the band of the generators' checks, restart as _functional_instances
-    takes it)."""
+    """The evaluator's batch of a group's drawn columns (_draws), built at
+    once (tol is the band of the generators' checks, restart the trials'
+    restarted streams, _restarted)."""
+    rows, (d, *_), *rest = columns
     if entry.payload == "sequences":
-        return _sequence_batch(columns[0], entry.unit_weights)
+        return _sequence_batch(rows[:, : 4 + 3 * d], entry.unit_weights)
+    kinds, indices = rest
     if entry.payload == "functional_form":
-        return _functional_instances(*columns, tol, restart)
+        return _functional_instances(d, kinds, rows, indices, tol, restart)
+    pairs = _pair_draws(rows, d)
     if entry.payload == "form":
-        return _module_instances(*columns, tol)
-    return [*_commuting_pairs(*columns[:3])[1:], columns[3]]
+        return _module_instances(*pairs, tol)
+    width = _ROW_WIDTHS["form"](d)
+    return [*_commuting_pairs(*pairs)[1:], _vectors(rows[:, width:], d, indices, restart)]
 
 
 def _group_reports(inequality_id: str, entry, columns, tol: Tolerance, restart=None) -> list:
-    """The _Reports of a group's drawn columns, in row order: one for the
-    group, evaluated as one batch.  A group of one that fails a hypothesis
-    (one of HYPOTHESIS_ERRORS) gets its precondition_failed_report's; a
+    """The _Reports of a group's drawn columns, in row order: one
+    for the group, evaluated as one batch.  A group of one that fails a
+    hypothesis (one of HYPOTHESIS_ERRORS) gets its precondition_failed_report's; a
     larger one evaluates each member alone from its rows.  Any other
     exception propagates."""
     try:
@@ -692,10 +675,9 @@ def _trial_reports(config: GeneratorConfig, inequality_id: str, indices: Sequenc
         if not 0 <= i < config.trials:
             raise ValueError(f"trial index {i} is outside the trials 0..{config.trials - 1}")
     size = _window_size(config, entry.payload)
-    draws = _DRAWS.get(entry.payload, _matrix_draws)
-    restart = functools.partial(_restarted, config)
+    restart = functools.partial(_restarted, config, entry.payload)
     for start in range(0, len(indices), size):
-        for members, columns in draws(config, entry, indices[start : start + size]):
+        for members, columns in _draws(config, entry.payload, indices[start : start + size]):
             positions = (start + members).tolist()
             for part in _group_reports(inequality_id, entry, columns, tol, restart):
                 yield positions[: len(part.holds)], part

@@ -6,22 +6,25 @@ statistically independent, and a stream depends only on its key, never on
 how many draws other streams made.  That makes fuzz runs replayable per
 trial and independent of execution order.
 
-A Philox stream is fully defined by its key and counter, so `streams` gives
-a window of trials one Philox, re-keyed per index: each generator it yields
-is bit-equal to `stream(seed, i)`.  Its words 4j..4j+3 are a pure function
-of the key and the counter j + 1 (Salmon, Moraes, Dror & Shaw, "Parallel
-random numbers: as easy as 1, 2, 3", SC'11), so `_words` evaluates
-Philox4x64-10 for a whole window of streams as uint64 arrays, and `_unit`
-and `_integers` draw from them what a Generator would.
+One draw path: builders draw uniforms (Generator.random) and bounded
+integers (Generator.integers) alone, and normals are `_normals` of
+uniforms.  A Philox stream's words 4j..4j+3 are a pure function of its key
+and the counter j + 1 (Salmon, Moraes, Dror & Shaw, "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), so `_words` evaluates Philox4x64-10
+for a whole window of streams as uint64 arrays, and `_unit` and `_integers`
+make of them what a Generator draws.  So outputs rest on what
+tests/test_rng.py pins, not on numpy's CPU dispatch or on the Generator's
+distribution methods, whose streams NEP 19 leaves free to change.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["stream", "streams"]
+__all__ = ["stream"]
 
 _KEY_LIMIT = 1 << 64
 
@@ -32,32 +35,12 @@ def _check_key(name: str, value: int) -> None:
         raise ValueError(f"{name} {value} is outside 0..2^64 - 1")
 
 
-def streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
-    """The generator of stream(seed, i) for each i of indices, in order: one
-    Generator whose Philox is re-keyed to (seed, i) before it is yielded, so
-    each is valid only until the next is drawn.  seed and every index must
-    be in 0..2^64 - 1, else ValueError (for an index, when it is reached)."""
-    _check_key("seed", seed)
-    bit_generator = np.random.Philox(0)
-    start = bit_generator.state  # counter 0, empty buffer
-    # Lists, which the state setter reads faster than arrays.
-    key = [seed, 0]
-    start.update(buffer=[0] * 4, state={"counter": [0] * 4, "key": key})
-    generator = np.random.Generator(bit_generator)
-
-    def rekeyed(index: int) -> np.random.Generator:
-        _check_key("stream index", index)
-        key[1] = index
-        bit_generator.state = start
-        return generator
-
-    return map(rekeyed, indices)
-
-
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Generator for stream `index` of the run keyed by `seed`; both must be
     in 0..2^64 - 1, else ValueError."""
-    return next(streams(seed, (index,)))
+    _check_key("seed", seed)
+    _check_key("stream index", index)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 # Philox4x64-10 as numpy's Philox runs it: the multipliers of the two even
@@ -131,8 +114,8 @@ def _integers(word: np.ndarray, bounds: Sequence[int]) -> tuple[list[np.ndarray]
     words (N,) of N streams, and whether each row took them at its first
     try.  The Generator draws k by Lemire's method on a 32-bit half of a
     word, low half first (k = 1 draws nothing).  A half whose product
-    leaves a remainder below (2^32 - k) mod k is drawn again, so its row
-    must be drawn from its own stream.  At most two bounds draw."""
+    leaves a remainder below (2^32 - k) mod k is drawn again, so a window
+    cannot finish its row.  At most two bounds draw."""
     halves = [word & _LOW, word >> _32]
     accepted = np.ones(len(word), dtype=bool)
     values = []
@@ -141,3 +124,37 @@ def _integers(word: np.ndarray, bounds: Sequence[int]) -> tuple[list[np.ndarray]
         accepted &= (product & _LOW) >= np.uint64(((1 << 32) - k) % k)
         values.append((product >> _32).astype(np.int64))
     return values, accepted
+
+
+# log(m) = 2 atanh(s) with s = (m - 1) / (m + 1), summed to s^21: for m in
+# [sqrt(1/2), sqrt(2)), s^2 < 0.03 and the first term left out is below
+# 2^-60 of the sum.  ln 2 is split so that e * _LN2_HI is exact (fdlibm).
+_ATANH_SERIES = tuple(1.0 / (2 * k + 1) for k in range(11))[::-1]
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """ln x for x > 0, within 5e-16 of math.log, from frexp and IEEE
+    arithmetic alone: its bits do not depend on numpy's CPU dispatch,
+    which moves those of np.log."""
+    m, e = np.frexp(x)  # x = m 2^e, m in [1/2, 1)
+    low = m < math.sqrt(0.5)
+    m, e = np.where(low, m + m, m), e - low
+    s = (m - 1.0) / (m + 1.0)
+    return e * _LN2_HI + (e * _LN2_LO + 2.0 * s * np.polyval(_ATANH_SERIES, s * s))
+
+
+def _normals(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms u in [0, 1), two from each pair along
+    the last axis, which must be even (Box & Muller, 1958): u[2j], u[2j + 1]
+    give r cos t, r sin t with r = sqrt(-2 ln(1 - u[2j])), t = 2 pi u[2j + 1],
+    a function of the pair alone whatever the shape of u."""
+    r = np.sqrt(-2.0 * _log(1.0 - u[..., 0::2]))
+    t = 2.0 * np.pi * u[..., 1::2]
+    return np.stack((r * np.cos(t), r * np.sin(t)), axis=-1).reshape(u.shape)
+
+
+def _complex_normals(u: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """(N, *shape) complex normals r e^(it) of (N, 2 prod(shape)) uniform
+    rows, one from each pair of _normals: r cos t + i r sin t."""
+    return _normals(u).view(np.complex128).reshape(len(u), *shape)

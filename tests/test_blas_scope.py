@@ -1,14 +1,20 @@
-"""The scope of the determinism contract across BLAS kernels: a small set
-of outputs rerun in a subprocess under OpenBLAS's Prescott kernel
-(OPENBLAS_CORETYPE, read when numpy loads OpenBLAS).
+"""The scope of the determinism contract across BLAS kernels and numpy's
+CPU dispatch: a small set of outputs rerun in a subprocess under
+OpenBLAS's Prescott kernel (OPENBLAS_CORETYPE, read when numpy loads
+OpenBLAS), and under numpy's dispatch with AVX-512 turned off
+(NPY_DISABLE_CPU_FEATURES, read when numpy loads).
 
 The sequence campaigns and compare use no BLAS call on their values
 (row sums and the integer Philox), so they stay byte-identical.  Matrix
 and functional trials take stacked BLAS products, whose last bits may
 move with the kernel: their verdicts stay the same, and their margins
-agree within the default band of their verdict scale."""
+agree within the default band of their verdict scale.  Their drawn
+instances are uniforms, normals from rng._normals and what the builders
+make of them: under another dispatch they stay byte-identical."""
 
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import math
@@ -17,7 +23,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rcsbounds import GeneratorConfig, bounds, cli, run_trial
+import numpy as np
+
+from rcsbounds import GeneratorConfig, bounds, cli, forms, harness, run_trial
 from rcsbounds.matalg import DEFAULT_TOL
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,22 +59,51 @@ def _scale(report: dict) -> float:
     return max([1.0, *sizes])
 
 
+def _bytes(column) -> bytes:
+    """The bytes of a batch column: arrays, functionals as their arrays,
+    and lists of forms or window pairs as their reprs."""
+    if isinstance(column, forms._FunctionalForms):
+        return column.kinds.tobytes() + column.states.tobytes() + column.weights.tobytes()
+    if isinstance(column, list):
+        return repr(column).encode()
+    return np.asarray(column).tobytes()
+
+
+def instances() -> dict:
+    """The SHA-256 of the drawn rows and the built batches of the trials of
+    TRIAL_CONFIG, per functional and matrix id."""
+    digests = {}
+    for inequality_id in TRIAL_IDS:
+        entry = bounds._REGISTRY[inequality_id]
+        restart = functools.partial(harness._restarted, TRIAL_CONFIG, entry.payload)
+        digest, window = hashlib.sha256(), list(range(TRIAL_CONFIG.trials))
+        for _, columns in harness._draws(TRIAL_CONFIG, entry.payload, window):
+            digest.update(columns[0].tobytes())
+            for column in harness._batch(entry, columns, DEFAULT_TOL, restart):
+                digest.update(_bytes(column))
+        digests[inequality_id] = digest.hexdigest()
+    return digests
+
+
 def outputs(csv_path: str) -> dict:
-    """What the test compares between kernels: the JSON summaries of a
-    300-trial campaign of each sequence id, compare --samples 300 with its
-    CSV, and the reports of 10 trials of each functional and matrix id."""
+    """What the tests compare between kernels and dispatches: the JSON
+    summaries of a 300-trial campaign of each sequence id, compare
+    --samples 300 with its CSV, the reports of 10 trials of each
+    functional and matrix id, and the digests of their instances."""
     fuzz = {i: _cli(["fuzz", i, "--trials", "300", "--seed", "9", "--json"]) for i in SEQUENCE_IDS}
     summary = _cli(["compare", "--samples", "300", "--seed", "9", "--csv", csv_path])
     trials = {
         i: [run_trial(TRIAL_CONFIG, i, k).to_dict() for k in range(TRIAL_CONFIG.trials)]
         for i in TRIAL_IDS
     }
-    return {"fuzz": fuzz, "compare": summary + Path(csv_path).read_text(), "trials": trials}
+    compared = summary + Path(csv_path).read_text()
+    return {"fuzz": fuzz, "compare": compared, "trials": trials, "instances": instances()}
 
 
-def test_outputs_under_another_blas_kernel(tmp_path):
+def _elsewhere(tmp_path, **settings) -> tuple[dict, dict]:
+    """outputs() here, and in a subprocess with the environment settings."""
     here = outputs(str(tmp_path / "here.csv"))
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env = dict(os.environ, **settings)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
     code = (
         "import json, sys, test_blas_scope as t; "
@@ -77,7 +114,12 @@ def test_outputs_under_another_blas_kernel(tmp_path):
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    there = json.loads(run.stdout)
+    return here, json.loads(run.stdout)
+
+
+def _same_verdicts(here: dict, there: dict) -> None:
+    """The sequence outputs byte-identical, and each trial's verdict equal
+    and its margin within the default band of its verdict scale."""
     assert there["fuzz"] == here["fuzz"]
     assert there["compare"].replace("there.csv", "here.csv") == here["compare"]
     for inequality_id, reports in here["trials"].items():
@@ -90,3 +132,13 @@ def test_outputs_under_another_blas_kernel(tmp_path):
             assert math.isclose(a["margin"], b["margin"], rel_tol=0.0, abs_tol=band), (
                 inequality_id, k, a["margin"], b["margin"],
             )
+
+
+def test_outputs_under_another_blas_kernel(tmp_path):
+    _same_verdicts(*_elsewhere(tmp_path, OPENBLAS_CORETYPE="Prescott"))
+
+
+def test_outputs_under_another_cpu_dispatch(tmp_path):
+    here, there = _elsewhere(tmp_path, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    assert there["instances"] == here["instances"]
+    _same_verdicts(here, there)

@@ -1,7 +1,14 @@
-"""The stacked Philox draws of the scalar windows against numpy's own
-Philox and Generator: words, uniforms and bounded integers bit for bit,
-the fall-back of a rejected row to its own stream, and trials that do
-not depend on the window they are drawn in."""
+"""The stacked Philox draws of the windows against numpy's own Philox and
+Generator: words, uniforms and bounded integers bit for bit, a rejected
+row drawn by its lone builder on its restarted stream, and trials that do
+not depend on the window they are drawn in.  The normals of the one draw
+path: their law, their log against math.log, and no Generator method in
+the package but random and integers."""
+
+import ast
+import math
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -17,6 +24,7 @@ from rcsbounds.bounds import (
 from rcsbounds.rng import stream
 
 KEYS = (0, 1, 2**63, 2**64 - 1)
+PACKAGE_DIR = Path(rng.__file__).parent
 
 
 def _philox(seed, index):
@@ -116,8 +124,9 @@ def test_a_rejected_half_is_a_rejected_row():
 def test_rejected_row_is_drawn_from_its_own_stream(monkeypatch, inequality_id, bounds, dims):
     # Word 0 of a trial whose bounded draws are all nonzero is made one that
     # Lemire's method rejects, a zero half in place of each draw, which
-    # would draw zeros: that trial falls back to its own stream, whose true
-    # word is accepted, so every report is unchanged.
+    # would draw zeros: that trial is drawn by its lone builder on its
+    # restarted stream, whose true word is accepted, so every report is
+    # unchanged.
     config = GeneratorConfig(seed=2**64 - 1, trials=40, **({"dims": dims} if dims else {}))
     expected = [r.to_dict() for r in run_trials(config, inequality_id, range(config.trials))]
     target = next(i for i in range(config.trials) if all(stream(config.seed, i).integers(bounds)))
@@ -159,3 +168,65 @@ def test_a_trial_does_not_depend_on_its_window(inequality_id):
     assert [r.to_dict() for r in backwards[::-1]] == [r.to_dict() for r in campaign]
     for i in (0, 255, 256, 599):
         assert run_trial(config, inequality_id, i).to_dict() == campaign[i].to_dict(), i
+
+
+def test_normals_follow_the_standard_normal_law():
+    # 10^6 normals of stacked uniforms: mean, variance, skewness and excess
+    # kurtosis within 5 standard errors of the standard normal's, and a
+    # Kolmogorov-Smirnov distance below its 0.1% critical value.
+    z = rng._normals(rng._uniforms(7, range(1000), 1000)).ravel()
+    n = z.size
+    centred = z - z.mean()
+    var = np.mean(centred**2)
+    moments = [
+        (z.mean(), 0.0, 1.0),
+        (var, 1.0, 2.0),
+        (np.mean(centred**3) / var**1.5, 0.0, 6.0),
+        (np.mean(centred**4) / var**2 - 3.0, 0.0, 24.0),
+    ]
+    for k, (value, expected, n_var) in enumerate(moments):
+        assert abs(value - expected) <= 5.0 * math.sqrt(n_var / n), (k, value)
+    cdf = np.fromiter(map(NormalDist().cdf, np.sort(z).tolist()), dtype=float, count=n)
+    steps = np.arange(1, n + 1) / n
+    distance = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n)))
+    assert distance * math.sqrt(n) < 1.95, distance
+
+
+def test_normals_are_a_function_of_their_pair():
+    # Each normal depends on its pair of uniforms alone, whatever the shape
+    # it is drawn in, and a pair (u, v) gives r cos and r sin of 2 pi v.
+    u = rng._uniforms(9, range(40), 26)
+    z = rng._normals(u)
+    for k in range(0, 26, 2):
+        assert z[:, k : k + 2].tobytes() == rng._normals(u[:, k : k + 2]).tobytes()
+        assert z[3, k : k + 2].tobytes() == rng._normals(u[3, k : k + 2]).tobytes()
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    assert np.allclose(z[:, 0::2], r * np.cos(2 * np.pi * u[:, 1::2]), rtol=1e-14, atol=1e-14)
+    assert rng._normals(np.zeros((1, 2))).tolist() == [[0.0, 0.0]]
+
+
+def test_log_is_math_log():
+    # Within 5e-16 of math.log, relative, on uniforms' complements and on
+    # the ends of (0, 1]: 2^-53, the least one, and 1 - 2^-53 and 1.
+    x = 1.0 - rng._uniforms(3, range(20), 1000).ravel()
+    x = np.concatenate([x, [2.0**-53, 0.5, math.sqrt(0.5), 1.0 - 2.0**-53, 1.0]])
+    reference = np.array([math.log(v) for v in x.tolist()])
+    assert np.all(np.abs(rng._log(x) - reference) <= 5e-16 * np.abs(reference))
+
+
+# The attributes of a Generator the package may not use: every public one
+# but random and integers (bit_generator among them), and raw words.
+FORBIDDEN = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+FORBIDDEN = FORBIDDEN - {"random", "integers"} | {"random_raw"}
+
+
+def test_package_draws_only_uniforms_and_integers():
+    # One draw path: no module of the package takes a Generator attribute
+    # but random and integers (numpy's own functions, np.<name>, aside).
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in FORBIDDEN:
+                if getattr(node.value, "id", None) != "np":
+                    found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert found == []

@@ -16,8 +16,8 @@ It imports rcsbounds from the src/ directory next to this script and writes:
 * fuzz_full/<ID>.json: ``fuzz ID --seed 12 --json`` at the default 1000
   trials, one window, for each functional and sequence id;
 * fuzz_window/<ID>.json: ``fuzz ID --seed 13 --json`` for INT_ADD at
-  2474 trials and ADD_FUNCTIONAL at 1295, one trial more than a window
-  of each holds (2473 sequence trials, and 1294 functional trials at the
+  2474 trials and ADD_FUNCTIONAL at 1282, one trial more than a window
+  of each holds (2473 sequence trials, and 1281 functional trials at the
   default dims), so both cross a window boundary;
 * fuzz_edge/<ID>.json: the same at ``--seed 18446744073709551615``, the
   largest seed, where Philox's key arithmetic wraps at 2^64;
@@ -43,10 +43,12 @@ It imports rcsbounds from the src/ directory next to this script and writes:
   two functional ids and i in 0..19, trials at the largest dimension,
   where the eigensolver works hardest and the functionals sum the most terms;
 * env.json: the Python and numpy versions, the BLAS library and version
-  that numpy reports (``np.show_config``) and ``OPENBLAS_CORETYPE``, the
-  environment variable that picks OpenBLAS's CPU kernel.  Outputs are
-  reproducible bit for bit on one machine and one numpy/BLAS build; another
-  kernel may move the last bits of matrix margins.
+  that numpy reports (``np.show_config``), ``OPENBLAS_CORETYPE``, the
+  environment variable that picks OpenBLAS's CPU kernel, and
+  ``NPY_DISABLE_CPU_FEATURES`` with the CPU features numpy's dispatch has
+  enabled.  Outputs are reproducible bit for bit on one machine and one
+  numpy/BLAS build; another kernel may move the last bits of matrix
+  margins, and another dispatch those of ``np.log`` and ``np.exp``.
 
 Run it on two checkouts and compare the directories with ``diff -r``: no
 output means every report, summary and row is byte-identical.
@@ -102,7 +104,7 @@ MAX_SEED = str((1 << 64) - 1)
 EDGE_FUZZ_ARGS = ["--seed", MAX_SEED, "--json"]
 SCALAR_PAYLOADS = ("functional_form", "sequences")
 # One trial more than a window of each payload holds.
-WINDOW_FUZZ_RUNS = {"INT_ADD": 2474, "ADD_FUNCTIONAL": 1295}
+WINDOW_FUZZ_RUNS = {"INT_ADD": 2474, "ADD_FUNCTIONAL": 1282}
 WINDOW_FUZZ_ARGS = ["--seed", "13", "--json"]
 COMPARE_RUNS = {
     "default": [],
@@ -137,7 +139,18 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
+        "NPY_DISABLE_CPU_FEATURES": os.environ.get("NPY_DISABLE_CPU_FEATURES"),
+        "cpu_features": sorted(name for name, enabled in _cpu_features().items() if enabled),
     }
+
+
+def _cpu_features() -> dict:
+    """numpy's CPU features, each with whether its dispatch uses it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
 
 
 def _cli(argv: list[str]) -> str:
