@@ -58,6 +58,7 @@ from .matalg import (
     _adjoint,
     _norms,
     _psd_root,
+    _started,
     abs_element,
     as_element,
     eig_hermitian_stack,
@@ -159,9 +160,16 @@ class _Inequality:
       "functional_form" one forms._FunctionalForms), x and y as (N, ...)
       arrays normalized by forms._coerce_argument, and N window pairs
       (OmegaPairs; for "functional_form" an (N, 2) array, forms._pair_rows);
-    * "operator_pair": (N, d, d) stacks t, s and an (N, d) stack of nonzero v;
+      for "form" also the start bases of the first eigensolve (below);
+    * "operator_pair": (N, d, d) stacks t, s, an (N, d) stack of nonzero v
+      and the start bases of the window's eigensolve of t;
     * "sequences": (N, n) stacks of a_seq, b_seq, w_seq and the (N, 4)
       edges (a, A, b, B) of their windows, checked (_check_sequences).
+
+    A start basis column is an (N, d, d) stack of unitaries, such as those
+    a campaign built its commuting pairs in, or None for a cold start.  It
+    saves Jacobi sweeps and changes no check (see matalg); a report is a
+    function of its instance and its start basis.
 
     _batch_of_one makes the batch of a lone instance.  The callables look
     the evaluators up in this module when called, so a rebound evaluator
@@ -256,12 +264,14 @@ def _failed_reports(inequality_id: str, exc: Exception) -> _Reports:
 def _batch_of_one(payload: str, instance) -> tuple:
     """The batch (see _Inequality) holding one instance of the payload kind,
     a tuple as the public single-instance functions take it or, for
-    "sequences", a WeightedSequences.  Runs their argument checks."""
+    "sequences", a WeightedSequences.  A "form" or "operator_pair" tuple
+    may end in a d x d start basis (None or absent: a cold start).  Runs
+    their argument checks."""
     if payload == "sequences":
         edges = _window_edges([instance.window])
         return instance.a_seq[None], instance.b_seq[None], instance.w_seq[None], edges
     if payload == "operator_pair":
-        t, s, v = instance
+        t, s, v, *basis = instance
         tm = as_element(t)
         sm = as_element(s)
         vv = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -274,12 +284,12 @@ def _batch_of_one(payload: str, instance) -> tuple:
                 f"v must be nonzero and finite, with ||v||^2 in the double range "
                 f"(||v||^2 = {norm2:.3e})"
             )
-        return tm[None], sm[None], vv[None]
-    form, x, y, pair = instance
+        return tm[None], sm[None], vv[None], _started(basis[0] if basis else None, True)
+    form, x, y, pair, *basis = instance
     x, y = _coerce_argument(form, x)[None], _coerce_argument(form, y)[None]
     if payload == "functional_form":
         return _FunctionalForms.of([form]), x, y, _pair_rows([pair])
-    return [form], x, y, [pair]
+    return [form], x, y, [pair], _started(basis[0] if basis else None, True)
 
 
 def _evaluate_one(inequality_id: str, instance, tol: Tolerance) -> BoundReport:
@@ -503,6 +513,7 @@ def _matrix_reports(
     x: np.ndarray,
     y: np.ndarray,
     pairs: list[OmegaPair],
+    basis,
     tol: Tolerance,
 ) -> _Reports:
     """ADD_MATRIX or MULT_MATRIX reports for a "form" batch (see
@@ -511,25 +522,30 @@ def _matrix_reports(
     report does not depend on the other instances.
 
     The first eigensolve of a report (<y, y> for ADD_MATRIX, <x, x> for
-    MULT_MATRIX) starts cold; every later one starts in its eigenvectors,
-    which diagonalize all of them when x and y commute (see matalg).  The
-    basis lives only within this call."""
+    MULT_MATRIX) starts in basis, cold when it is None; every later one
+    starts in its eigenvectors, which diagonalize all of them when x and
+    y commute (see matalg).  ADD_MATRIX's lhs cancels from the products
+    <y,y>^(1/2) <x,x> <y,y>^(1/2) and <x,y><y,x>, so its margin is judged
+    at their size too."""
     if inequality_id == MULT_MATRIX:
         re_cross = _positive_re_cross(np.array([p.re_cross() for p in pairs])).tolist()
         coeffs = [(abs(p.Omega) + abs(p.omega)) / math.sqrt(c) for p, c in zip(pairs, re_cross)]
     xx, yy, xy, yx = (_form_eval(forms, u, v) for u, v in ((x, x), (y, y), (x, y), (y, x)))
     re_term = _re_term(forms, x, y, _pair_rows(pairs))
     s_ok, s_dev = _adjoint_symmetry(xy, yx, tol)
+    size = None
     if inequality_id == ADD_MATRIX:
-        dec = eig_hermitian_stack(yy, tol)
+        dec = eig_hermitian_stack(yy, tol, start=basis)
         root = _psd_root(dec, tol)
         name = "root_commutation"
         ok, value = _root_commutation(root, xy, tol)
-        lhs = re_part(root @ xx @ root - xy @ yx)
+        product, cross = root @ xx @ root, xy @ yx
+        size = np.maximum(_norms(product), _norms(cross))
+        lhs = re_part(product - cross)
         quarter_spread = np.array([0.25 * p.spread() ** 2 for p in pairs])
         rhs = re_part(quarter_spread[:, None, None] * (yy @ yy))
     else:
-        dec = eig_hermitian_stack(xx, tol)
+        dec = eig_hermitian_stack(xx, tol, start=basis)
         root_x = _psd_root(dec, tol)
         root_y = sqrt_psd(yy, tol, start=dec.eigenvectors)
         name = "cross_term_normal"
@@ -538,7 +554,7 @@ def _matrix_reports(
         absolute = abs_element(xy, tol, start=dec.eigenvectors)
         rhs = re_part(np.array(coeffs)[:, None, None] * absolute)
     r_ok, r_margin = loewner_leq(np.zeros_like(re_term), re_term, tol, start=dec.eigenvectors)
-    holds, margin = loewner_leq(lhs, rhs, tol, start=dec.eigenvectors)
+    holds, margin = loewner_leq(lhs, rhs, tol, start=dec.eigenvectors, scale=size)
     preconditions = (
         ("adjoint_symmetry", s_ok, s_dev),
         (name, ok, value),
@@ -737,14 +753,15 @@ def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairR
 
 
 def _operator_pair_reports(
-    inequality_id: str, t: np.ndarray, s: np.ndarray, v: np.ndarray, tol: Tolerance
+    inequality_id: str, t: np.ndarray, s: np.ndarray, v: np.ndarray, basis, tol: Tolerance
 ) -> _Reports:
     """OP_PAIR_ADD or OP_PAIR_MULT reports for an "operator_pair" batch (see
     _Inequality), every value computed over the whole (N, d, d) stack.
 
     Both ids take the spectra of t and s and check both windows, ts and
-    st, in one joint eigenbasis (forms._spectral_window), so they share
-    their hypotheses.  The functional route evaluates the vector state
+    st, in one joint eigenbasis (forms._spectral_window, its eigensolve of
+    t started in basis, cold when it is None), so they share their
+    hypotheses.  The functional route evaluates the vector state
     phi(R) = <R u, u>, u = v / ||v||, on stacked products R = b* a
     (_state_values): phi(t* t), phi(s* s), phi(s* t) and the Re term of
     each window the id checks, ts and, for OP_PAIR_ADD, st, with one
@@ -754,7 +771,7 @@ def _operator_pair_reports(
     double range is an error, never a verdict.  No step reduces over the
     batch axis, so a report does not depend on the other instances."""
     additive = inequality_id == OP_PAIR_ADD
-    edges = _spectral_window(t, s, tol, mirrored=True)
+    edges = _spectral_window(t, s, tol, mirrored=True, start=basis)
     lo_t, hi_t, lo_s, hi_s = edges
     # The window pairs (omega, Omega) whose Re terms the id checks, ts and,
     # for OP_PAIR_ADD, st, each with its arguments (x, y).
@@ -842,7 +859,8 @@ def _additive_pair_sides(edges, windows, norm, phi, nt2, ns2, cross):
     # window's values: only its rhs is used.
     rhs_ts = 0.25 * np.abs(Omega_ts - omega_ts) ** 2 * fyy**2
     rhs_st = 0.25 * np.abs(Omega_st - omega_st) ** 2 * fxx**2
-    scale4 = norm**4
+    # libm pow, whose bits do not depend on numpy's CPU dispatch as np.power's do.
+    scale4 = np.float_power(norm, 4.0)
     lhs = (fxx * fyy - np.abs(phi_cross) ** 2) * scale4
     rhs = np.minimum(rhs_ts, rhs_st) * scale4
     cf_lhs = nt2 * ns2 - np.abs(cross) ** 2

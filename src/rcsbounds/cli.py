@@ -56,7 +56,9 @@ from .matalg import (
     DEFAULT_TOL,
     MAX_DIM,
     DimMismatchError,
+    KernelError,
     Tolerance,
+    _unitary_start,
     as_element,
 )
 from .rng import _check_key, _complex_normals, _uniforms, stream
@@ -240,6 +242,7 @@ def _nonempty(item):
 
 
 _VECTOR = _nonempty(_complex)
+_MATRIX = _nonempty(_VECTOR)
 _NUMBERS = _nonempty(_number)
 _WINDOW = {"a": _finite, "A": _finite, "b": _finite, "B": _finite}
 
@@ -251,9 +254,13 @@ _PAYLOAD_SPECS = {
     "x": list,
     "y": list,
     "omega_pair": {"omega": _complex, "Omega": _complex},
-    "operator_pair": {"t": _nonempty(_VECTOR), "s": _nonempty(_VECTOR), "v": _VECTOR},
+    "basis": _MATRIX,
+    "operator_pair": {"t": _MATRIX, "s": _MATRIX, "v": _VECTOR, "basis": _MATRIX},
     "sequences": {"a_seq": _NUMBERS, "b_seq": _NUMBERS, "w_seq": _NUMBERS, "window": _WINDOW},
 }
+# Keys an object may leave out: without a start basis, an instance's first
+# eigensolve starts cold.
+_OPTIONAL = ("basis",)
 
 
 def _check(node, spec, path: str, optional: bool = False) -> None:
@@ -272,7 +279,7 @@ def _check(node, spec, path: str, optional: bool = False) -> None:
         for key, item in spec.items():
             if key in node:
                 _check(node[key], item, f"{path}.{key}")
-            elif not optional:
+            elif not (optional or key in _OPTIONAL):
                 raise ValueError(f"{path}.{key}: missing")
 
 
@@ -328,6 +335,22 @@ def _decode_form(doc: dict) -> tuple:
     return form, x, y, _decode_pair(doc["omega_pair"], "$.omega_pair")
 
 
+def _decode_basis(node, d: int, path: str) -> Optional[np.ndarray]:
+    """The start basis at path, a d x d matrix unitary to the kernel's
+    START_UNITARY_TOL, or None for an absent one (node None)."""
+    if node is None:
+        return None
+    try:
+        return _unitary_start(jsonio.decode_matrix(node, path)[None], (1, d, d))[0]
+    except KernelError as exc:
+        raise ValueError(f"{path}: must be a unitary {d} x {d} matrix: {exc}") from exc
+
+
+def _decode_matrix_form(doc: dict) -> tuple:
+    form, x, y, pair = _decode_form(doc)
+    return form, x, y, pair, _decode_basis(doc.get("basis"), form.algebra_dim, "$.basis")
+
+
 def _decode_functional_form(doc: dict) -> tuple:
     payload = _decode_form(doc)
     if payload[0].kind != "functional_form":
@@ -341,7 +364,8 @@ def _decode_operator_pair(doc: dict) -> tuple:
         _at(path, as_element, jsonio.decode_matrix(op[key], path))
         for key, path in (("t", "$.operator_pair.t"), ("s", "$.operator_pair.s"))
     )
-    return t, s, jsonio.decode_vector(op["v"], "$.operator_pair.v")
+    v = jsonio.decode_vector(op["v"], "$.operator_pair.v")
+    return t, s, v, _decode_basis(op.get("basis"), len(t), "$.operator_pair.basis")
 
 
 def _decode_sequences(doc: dict) -> WeightedSequences:
@@ -350,7 +374,7 @@ def _decode_sequences(doc: dict) -> WeightedSequences:
 
 # Each payload kind of the registry: its top-level keys and its decoder.
 _PAYLOADS = {
-    "form": (("form", "x", "y", "omega_pair"), _decode_form),
+    "form": (("form", "x", "y", "omega_pair"), _decode_matrix_form),
     "functional_form": (("form", "x", "y", "omega_pair"), _decode_functional_form),
     "operator_pair": (("operator_pair",), _decode_operator_pair),
     "sequences": (("sequences",), _decode_sequences),

@@ -16,13 +16,15 @@ batch.  A group that fails a hypothesis is evaluated again member by
 member from the same draws, and run_trial, a batch of one, replays a
 trial bit for bit.
 
-Module instances: a "form" trial's commuting pair x = U diag(lam_t) U*,
-y = U diag(lam_s) U* comes with the Haar unitary U it was built in, and
-its window's eigensolve of x starts in U (_module_instances), so it takes
-a fraction of a sweep instead of a cold solve.  The window pair is part of
-the instance, which gen_re_valid_instance("module") builds the same way.
-The evaluators never see U: each report is a function of its instance
-alone, as verify on an instance file computes it.
+Start bases: a "form" or "operator_pair" trial's commuting pair
+x = U diag(lam_t) U*, y = U diag(lam_s) U* comes with the Haar unitary U
+it was built in, which diagonalizes both to roundoff.  U is a column of
+the trial's batch, and the first eigensolve of every report starts in it
+(the module window's of x here, the evaluator's then, see bounds), so it
+takes a fraction of a sweep instead of a cold solve.  The window pair is
+part of a module instance, which gen_re_valid_instance("module") builds
+the same way.  A report is a function of its instance and U, as verify
+computes it on an instance file that carries U as its basis.
 
 Draws: a trial draws bounded integers and uniforms alone, and its
 normals are rng._normals of uniforms: its size (d, or the sequence length
@@ -190,15 +192,16 @@ def _module_instances(
     z: np.ndarray, lam_t: np.ndarray, lam_s: np.ndarray, tol: Tolerance
 ) -> list:
     """The module-form instances of _pair_draws, as the "form"
-    batch columns (forms, x, y, pairs): x and y the commuting pairs of
-    _commuting_pairs and the window pairs of their spectra at band tol,
-    checked as omega_from_spectra checks them.  The window's eigensolve of
-    x starts in the unitaries x and y were built in, which diagonalize
-    both to roundoff, so it takes a fraction of a sweep; each slice is
-    still decomposed, checked and decided on its own."""
+    batch columns (forms, x, y, pairs, u): x and y the commuting pairs of
+    _commuting_pairs, the window pairs of their spectra at band tol,
+    checked as omega_from_spectra checks them, and the unitaries u x and y
+    were built in, the start basis of each eigensolve that comes first.
+    u diagonalizes x and y to roundoff, so the window's eigensolve of x
+    takes a fraction of a sweep; each slice is still decomposed, checked
+    and decided on its own."""
     u, x, y = _commuting_pairs(z, lam_t, lam_s)
     pairs = _window_pairs(*_spectral_window(x, y, tol, start=u))
-    return [[FormInstance.module_form(x.shape[-1])] * len(x), x, y, pairs]
+    return [[FormInstance.module_form(x.shape[-1])] * len(x), x, y, pairs, u]
 
 
 def gen_commuting_positive_pair(d: int, rng: RngLike = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -431,7 +434,7 @@ def gen_re_valid_instance(
     g = _as_rng(rng)
     if kind == "module":
         u = g.random((1, _ROW_WIDTHS["form"](d)))
-        return tuple(c[0] for c in _module_instances(*_pair_draws(u, d), tol))
+        return tuple(c[0] for c in _module_instances(*_pair_draws(u, d), tol)[:4])
     if kind != "functional":
         raise ValueError(f"unknown instance kind {kind!r}")
     kinds = np.array([g.integers(len(_FUNCTIONAL_KINDS))])
@@ -635,7 +638,8 @@ def _vectors(u: np.ndarray, d: int, indices, restart) -> np.ndarray:
 def _batch(entry: _Inequality, columns: Sequence, tol: Tolerance, restart) -> list:
     """The evaluator's batch of a group's drawn columns (_draws), built at
     once (tol is the band of the generators' checks, restart the trials'
-    restarted streams, _restarted)."""
+    restarted streams, _restarted), a pair's batch ending in the unitaries
+    it was built in."""
     rows, (d, *_), *rest = columns
     if entry.payload == "sequences":
         return _sequence_batch(rows[:, : 4 + 3 * d], entry.unit_weights)
@@ -645,8 +649,8 @@ def _batch(entry: _Inequality, columns: Sequence, tol: Tolerance, restart) -> li
     pairs = _pair_draws(rows, d)
     if entry.payload == "form":
         return _module_instances(*pairs, tol)
-    width = _ROW_WIDTHS["form"](d)
-    return [*_commuting_pairs(*pairs)[1:], _vectors(rows[:, width:], d, indices, restart)]
+    u, t, s = _commuting_pairs(*pairs)
+    return [t, s, _vectors(rows[:, _ROW_WIDTHS["form"](d) :], d, indices, restart), u]
 
 
 def _group_reports(inequality_id: str, entry, columns, tol: Tolerance, restart=None) -> list:

@@ -560,13 +560,15 @@ def spectrum_bounds(a, tol: Tolerance = DEFAULT_TOL):
     return lam[:, 0], lam[:, -1]
 
 
-def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL, *, start=None):
+def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL, *, start=None, scale=None):
     """Test a <= b in the Loewner order.
 
     Returns (verdict, margin) with margin = min eig(b - a).  The verdict
-    is margin >= -(atol + rtol * scale), scale = max(||a||_F, ||b||_F, 1).
-    For stacks, a boolean and a float array of shape (N,).  start is the
-    start basis of the eigensolve of b - a, shaped like a.
+    is margin >= -(atol + rtol * s), s = max(||a||_F, ||b||_F, scale, 1):
+    scale, a float or one per slice, is the size of the operands a or b
+    cancels from, whose rounding is no violation (none: 0).  For stacks,
+    a boolean and a float array of shape (N,).  start is the start basis
+    of the eigensolve of b - a, shaped like a.
     """
     ma, single = _as_stack(a)
     mb, _ = _as_stack(b)
@@ -580,8 +582,8 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL, *, start=None):
     norm /= shrink
     start = _started(start, single)
     margin = eig_hermitian_stack(h[n:] - h[:n], tol, start=start).eigenvalues[:, 0]
-    scale = np.maximum(np.maximum(norm[:n], norm[n:]), 1.0)
-    holds = margin >= -tol.band(scale)
+    size = np.maximum(np.maximum(norm[:n], norm[n:]), 0.0 if scale is None else scale)
+    holds = margin >= -tol.band(np.maximum(size, 1.0))
     if single:
         return bool(holds[0]), float(margin[0])
     return holds, margin

@@ -32,6 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEQUENCE_IDS = [i for i, entry in bounds._REGISTRY.items() if entry.payload == "sequences"]
 TRIAL_IDS = [i for i, entry in bounds._REGISTRY.items() if entry.payload != "sequences"]
 TRIAL_CONFIG = GeneratorConfig(seed=21, trials=10)
+# The OP_PAIR_ADD trials tools/dump_outputs.py writes: with ||v||^4 taken
+# by np.power, 12 of them move under the other dispatch.
+DUMP_CONFIG = GeneratorConfig(seed=0, trials=200)
 
 
 def _cli(argv):
@@ -89,13 +92,16 @@ def outputs(csv_path: str) -> dict:
     """What the tests compare between kernels and dispatches: the JSON
     summaries of a 300-trial campaign of each sequence id, compare
     --samples 300 with its CSV, the reports of 10 trials of each
-    functional and matrix id, and the digests of their instances."""
+    functional and matrix id and of the DUMP_CONFIG trials of OP_PAIR_ADD,
+    and the digests of their instances."""
     fuzz = {i: _cli(["fuzz", i, "--trials", "300", "--seed", "9", "--json"]) for i in SEQUENCE_IDS}
     summary = _cli(["compare", "--samples", "300", "--seed", "9", "--csv", csv_path])
     trials = {
         i: [run_trial(TRIAL_CONFIG, i, k).to_dict() for k in range(TRIAL_CONFIG.trials)]
         for i in TRIAL_IDS
     }
+    dumped = harness.run_trials(DUMP_CONFIG, "OP_PAIR_ADD", range(DUMP_CONFIG.trials))
+    trials["OP_PAIR_ADD dump"] = [report.to_dict() for report in dumped]
     compared = summary + Path(csv_path).read_text()
     return {"fuzz": fuzz, "compare": compared, "trials": trials, "instances": instances()}
 
@@ -117,6 +123,19 @@ def _elsewhere(tmp_path, **settings) -> tuple[dict, dict]:
     return here, json.loads(run.stdout)
 
 
+def _same_verdict(a: dict, b: dict, where) -> None:
+    """Two reports' verdicts equal, and their margins within the default
+    band of their verdict scale."""
+    assert a["verdict"] == b["verdict"], where
+    if a["margin"] is None or b["margin"] is None:
+        assert a["margin"] is b["margin"] is None, where
+        return
+    band = DEFAULT_TOL.band(max(_scale(a), _scale(b)))
+    assert math.isclose(a["margin"], b["margin"], rel_tol=0.0, abs_tol=band), (
+        where, a["margin"], b["margin"],
+    )
+
+
 def _same_verdicts(here: dict, there: dict) -> None:
     """The sequence outputs byte-identical, and each trial's verdict equal
     and its margin within the default band of its verdict scale."""
@@ -124,14 +143,7 @@ def _same_verdicts(here: dict, there: dict) -> None:
     assert there["compare"].replace("there.csv", "here.csv") == here["compare"]
     for inequality_id, reports in here["trials"].items():
         for k, (a, b) in enumerate(zip(reports, there["trials"][inequality_id])):
-            assert a["verdict"] == b["verdict"], (inequality_id, k)
-            if a["margin"] is None or b["margin"] is None:
-                assert a["margin"] is b["margin"] is None, (inequality_id, k)
-                continue
-            band = DEFAULT_TOL.band(max(_scale(a), _scale(b)))
-            assert math.isclose(a["margin"], b["margin"], rel_tol=0.0, abs_tol=band), (
-                inequality_id, k, a["margin"], b["margin"],
-            )
+            _same_verdict(a, b, (inequality_id, k))
 
 
 def test_outputs_under_another_blas_kernel(tmp_path):
@@ -139,6 +151,32 @@ def test_outputs_under_another_blas_kernel(tmp_path):
 
 
 def test_outputs_under_another_cpu_dispatch(tmp_path):
+    # No operation on the way to a report depends on numpy's dispatch, so
+    # every instance and every report is byte-identical.
     here, there = _elsewhere(tmp_path, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     assert there["instances"] == here["instances"]
     _same_verdicts(here, there)
+    for inequality_id, reports in here["trials"].items():
+        for k, (a, b) in enumerate(zip(reports, there["trials"][inequality_id])):
+            assert json.dumps(a) == json.dumps(b), (inequality_id, k)
+
+
+def test_cold_solves_give_the_campaign_verdicts():
+    # A campaign starts each report's first eigensolve in the unitaries its
+    # pair was built in; the same instance without them, as the library
+    # functions and a verify file without a basis evaluate it, starts cold.
+    # The two give the same verdicts, and margins within the default band.
+    for inequality_id in ("ADD_MATRIX", "MULT_MATRIX", "OP_PAIR_ADD", "OP_PAIR_MULT"):
+        entry = bounds._REGISTRY[inequality_id]
+        for d in (2, 4, 8, 16):
+            config = GeneratorConfig(seed=23, trials=6, dims=(d,))
+            window = list(range(config.trials))
+            campaign = harness.run_trials(config, inequality_id, window)
+            restart = functools.partial(harness._restarted, config, entry.payload)
+            for members, columns in harness._draws(config, entry.payload, window):
+                *instances, basis = harness._batch(entry, columns, DEFAULT_TOL, restart)
+                assert basis.shape == (len(members), d, d)
+                for k, i in enumerate(members.tolist()):
+                    lone = tuple(column[k] for column in instances)
+                    cold = bounds._evaluate_one(inequality_id, lone, DEFAULT_TOL)
+                    _same_verdict(campaign[i].to_dict(), cold.to_dict(), (inequality_id, d, i))

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -25,7 +26,6 @@ from rcsbounds import (
     fuzz_run,
     gen_argmin_families,
     gen_bounded_sequences,
-    gen_re_valid_instance,
     harness,
     jsonio,
     polya_szego_improved,
@@ -33,10 +33,11 @@ from rcsbounds import (
     sample_window,
 )
 from rcsbounds.harness import WINDOW_RANGE
-from rcsbounds.matalg import KernelError, NoConvergenceError
+from rcsbounds.matalg import DEFAULT_TOL, KernelError, NoConvergenceError
 from rcsbounds.rng import stream
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "docs", "instances")
+MATRIX_TARGETS = ["ADD_MATRIX", "MULT_MATRIX", "OP_PAIR_ADD", "OP_PAIR_MULT"]
 
 
 def run(capsys, *argv):
@@ -68,6 +69,7 @@ def matrix_doc(omega=(2.0, 0.0), Omega=(3.0, 0.0), target="ADD_MATRIX"):
         "additive_matrix_diagonal.json",
         "functional_trace_sharp.json",
         "gram_tensor_diagonal.json",
+        "multiplicative_matrix_started.json",
         "operator_pair_swap.json",
         "refined_constants_family.json",
     ],
@@ -358,23 +360,61 @@ def test_verify_matrix_above_max_dim(capsys, tmp_path):
     assert err.startswith("rcsbounds: error: $.operator_pair.t: ") and "17" in err
 
 
-@pytest.mark.parametrize("target", ["ADD_MATRIX", "MULT_MATRIX"])
+def campaign_docs(config, target):
+    """(trial index, instance document) for each trial of a campaign of
+    target: the instance its batch holds, with the basis its pair was
+    built in, and for a module instance the window pair the generator
+    read off its spectra."""
+    entry = bounds._REGISTRY[target]
+    restart = functools.partial(harness._restarted, config, entry.payload)
+    for members, columns in harness._draws(config, entry.payload, list(range(config.trials))):
+        batch = harness._batch(entry, columns, DEFAULT_TOL, restart)
+        for k, i in enumerate(members.tolist()):
+            if entry.payload == "operator_pair":
+                t, s, v, basis = (column[k] for column in batch)
+                doc = operator_pair_doc(target, t, s, v)
+                doc["operator_pair"]["basis"] = jsonio.encode_matrix(basis)
+            else:
+                form, x, y, pair, basis = (column[k] for column in batch)
+                window = {"omega": jsonio.encode_complex(pair.omega)}
+                window["Omega"] = jsonio.encode_complex(pair.Omega)
+                doc = {"version": "1", "target": target, "form": form.to_dict(), "omega_pair": window}
+                doc.update(x=jsonio.encode_matrix(x), y=jsonio.encode_matrix(y))
+                doc["basis"] = jsonio.encode_matrix(basis)
+            yield i, doc
+
+
+@pytest.mark.parametrize("target", MATRIX_TARGETS)
 def test_verify_of_a_campaign_instance_gives_its_report(capsys, tmp_path, target):
-    # The generator's window is part of the instance: written to a file
-    # with its x, y and window pair, a campaign trial's instance verifies
-    # to the campaign's report bit for bit.
+    # The generator's window and basis are part of the instance: written to
+    # a file with them, a campaign trial's instance verifies to the
+    # campaign's report bit for bit.
     config = GeneratorConfig(seed=17, trials=6, dims=(1, 2, 4))
-    for i in range(config.trials):
-        g = stream(config.seed, i)
-        d = config.dims[g.integers(len(config.dims))]
-        form, x, y, pair = gen_re_valid_instance("module", d, g)
-        window = {"omega": jsonio.encode_complex(pair.omega)}
-        window["Omega"] = jsonio.encode_complex(pair.Omega)
-        doc = {"version": "1", "target": target, "form": form.to_dict(), "omega_pair": window}
-        doc.update(x=jsonio.encode_matrix(x), y=jsonio.encode_matrix(y))
+    for i, doc in campaign_docs(config, target):
         code, out, _ = run(capsys, "verify", write_instance(tmp_path, doc), "--json")
         assert code == 0
         assert json.loads(out) == run_trial(config, target, i).to_dict(), f"trial {i}"
+
+
+@pytest.mark.parametrize("target", MATRIX_TARGETS)
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ([[[1, 0], [1, 0]], [[0, 0], [1, 0]]], "is not unitary"),
+        ([[[1, 0]]], "does not match"),
+    ],
+)
+def test_verify_rejects_a_bad_basis(capsys, tmp_path, target, basis, message):
+    # A basis that is not unitary, or not d x d, is a usage error on one
+    # line, at its JSON path.
+    _, doc = next(campaign_docs(GeneratorConfig(seed=17, trials=1, dims=(2,)), target))
+    where = doc["operator_pair"] if "operator_pair" in doc else doc
+    where["basis"] = basis
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 1)
+    path = "$.operator_pair.basis" if "operator_pair" in doc else "$.basis"
+    assert err.startswith(f"rcsbounds: error: {path}: must be a unitary 2 x 2 matrix: ")
+    assert message in err
 
 
 def test_verify_solver_failure_is_not_a_precondition(capsys, tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
 """Verdicts at equality: a lhs that cancels is judged at the size it cancels from.
 
 The additive sequence bounds (INT_ADD, WEIGHTED_ADD, PS_ADD, PS_IMPROVED)
-form their lhs as sum(w a^2) sum(w b^2) - (sum(w a b))^2, and ADD_FUNCTIONAL
-as phi(x*x) phi(y*y) - |phi(y*x)|^2.  Where the true lhs and rhs are both 0,
-rounding leaves a lhs of about 1e-16 times those products, which must not
-read as a violation; a rhs made 1% too small must still read as one.
+form their lhs as sum(w a^2) sum(w b^2) - (sum(w a b))^2, ADD_FUNCTIONAL
+as phi(x*x) phi(y*y) - |phi(y*x)|^2, and ADD_MATRIX as
+<y,y>^(1/2) <x,x> <y,y>^(1/2) - <x,y><y,x>.  Where the true lhs and rhs are
+both 0, rounding leaves a lhs of about 1e-16 times those products, which
+must not read as a violation; a rhs made 1% too small must still read as one.
 """
 
 import json
@@ -12,12 +13,13 @@ import json
 import numpy as np
 import pytest
 
-from rcsbounds import bounds, cli
+from rcsbounds import bounds, cli, jsonio
 from rcsbounds.bounds import (
     HOLDS,
     VIOLATED,
     ScalarWindow,
     WeightedSequences,
+    additive_matrix_bound,
     functional_additive_bound,
     integral_bounds,
     polya_szego_additive,
@@ -25,7 +27,7 @@ from rcsbounds.bounds import (
     sharpness_witness,
     weighted_additive,
 )
-from rcsbounds.forms import OmegaPair, PositiveFunctional
+from rcsbounds.forms import FormInstance, OmegaPair, PositiveFunctional
 from rcsbounds.rng import stream
 
 # Constant sequences on their point window: the true lhs and rhs are 0,
@@ -51,6 +53,48 @@ def test_verify_point_window_equality_holds(capsys, tmp_path, target):
     report = json.loads(capsys.readouterr().out)
     assert (code, report["verdict"]) == (0, HOLDS)
     assert (report["lhs"], report["rhs"], report["margin"]) == (2.0, 0.0, -2.0)
+
+
+def _proportional_doc(form: FormInstance, y: np.ndarray, k: float) -> dict:
+    """The ADD_MATRIX instance x = k y on the window omega = Omega = k, where
+    the Re term and the true lhs and rhs are 0."""
+    encode = jsonio.encode_matrix if y.ndim == 2 else jsonio.encode_vector
+    window = {"omega": [k, 0.0], "Omega": [k, 0.0]}
+    doc = {"version": "1", "target": "ADD_MATRIX", "form": form.to_dict(), "omega_pair": window}
+    doc.update(x=encode(k * y), y=encode(y))
+    return doc
+
+
+# x = k y in the Gram-tensor form over C^2 with 2 x 2 blocks: the blocks
+# of the positive 4 x 4 matrix b b*.
+GRAM_ROOT = np.array([[1, 2j, 0, 1], [0, 1, 3, 1j], [2, 0, 1 - 1j, 1], [1j, 1, 0, 2]])
+GRAM_FORM = FormInstance.gram_tensor(
+    (GRAM_ROOT @ GRAM_ROOT.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+)
+PROPORTIONAL_MATRIX_DOCS = {
+    # The module-form instance whose lhs rounds to entries of up to 1536
+    # against products of size 4e18.
+    "module": _proportional_doc(
+        FormInstance.module_form(2),
+        np.array([[34.2 - 0.3j, 1359.7 - 0.5j], [1224.7 + 0.6j, -510.3 - 0.1j]]),
+        788.24,
+    ),
+    "gram_tensor": _proportional_doc(GRAM_FORM, np.array([1359.7 - 0.5j, -510.3 + 34.2j]), 41.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPORTIONAL_MATRIX_DOCS))
+def test_verify_proportional_matrix_instance_holds(capsys, tmp_path, name):
+    # ADD_MATRIX judges its margin at the size of the products its lhs
+    # cancels from, so the rounding of a 0 lhs is no violation: the module
+    # instance's margin rounds to -41.5 on OpenBLAS's SkylakeX kernel and
+    # to +397 on Prescott.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(PROPORTIONAL_MATRIX_DOCS[name]))
+    code = cli.main(["verify", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["verdict"]) == (0, HOLDS)
+    assert all(p["passed"] for p in report["preconditions"])
 
 
 def _functional(kind: str, d: int, g) -> PositiveFunctional:
@@ -97,7 +141,12 @@ def _tight_reports():
     # The sharpness witness attains the additive functional bound (lhs = rhs = 4).
     y = np.diag([1.0, 2.0]).astype(complex)
     witness = sharpness_witness(PositiveFunctional.trace(2), y, OmegaPair(1.0, 5.0))
+    # x = (20, 10), y = (10, 0) under the vector state of e_1 attain the
+    # additive matrix bound in the functional form (lhs = rhs = 10^4).
+    state = FormInstance.functional_form(PositiveFunctional.vector_state(np.array([1.0, 0.0])))
+    sharp = additive_matrix_bound(state, [20.0, 10.0], [10.0, 0.0], OmegaPair(1.0, 3.0))
     return {
+        "ADD_MATRIX": sharp,
         "INT_ADD": integral_bounds(weighted).additive,
         "WEIGHTED_ADD": weighted_additive(weighted),
         "PS_ADD": polya_szego_additive(unit),
@@ -113,13 +162,18 @@ def test_tight_interior_instances_hold():
 
 
 def test_rhs_scaled_by_099_is_violated(monkeypatch):
-    # The one scalar verdict rule, fed a rhs 1% too small, reads VIOLATED on
-    # every tight instance: the operand-size band does not hide it.
-    original = bounds._scalar_reports
+    # The one scalar verdict rule and ADD_MATRIX's Loewner margin, fed a
+    # rhs 1% too small, read VIOLATED on every tight instance: the
+    # operand-size band does not hide it.
+    original, original_leq = bounds._scalar_reports, bounds.loewner_leq
 
     def shrunk(inequality_id, lhs, rhs, tol, *args, **kwargs):
         return original(inequality_id, lhs, 0.99 * rhs, tol, *args, **kwargs)
 
+    def shrunk_leq(a, b, tol, **kwargs):
+        return original_leq(a, 0.99 * b, tol, **kwargs)
+
     monkeypatch.setattr(bounds, "_scalar_reports", shrunk)
+    monkeypatch.setattr(bounds, "loewner_leq", shrunk_leq)
     for name, report in _tight_reports().items():
         assert report.verdict == VIOLATED, name

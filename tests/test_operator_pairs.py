@@ -168,7 +168,7 @@ def test_overflowing_sides_are_an_error_not_a_verdict():
     v = np.ones((2, 2), dtype=complex)
     for inequality_id in ("OP_PAIR_ADD", "OP_PAIR_MULT"):
         with pytest.raises(ValueError, match="overflow the double range"):
-            bounds._operator_pair_reports(inequality_id, ts, ss, v, DEFAULT_TOL)
+            bounds._operator_pair_reports(inequality_id, ts, ss, v, None, DEFAULT_TOL)
 
 
 def test_stacked_sides_match_a_per_instance_reference():
