@@ -956,27 +956,25 @@ class WeightedSequences:
 
     @classmethod
     def from_dict(cls, obj: dict, path: str = "$") -> "WeightedSequences":
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: weighted sequences must be an object")
-        win = obj.get("window")
-        if not isinstance(win, dict):
-            raise ValueError(f"{path}.window: must be an object")
-        try:
-            window = ScalarWindow(
-                a=float(win["a"]), A=float(win["A"]), b=float(win["b"]), B=float(win["B"])
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}.window: missing key {exc}") from exc
-        seqs = {}
-        for name in ("a_seq", "b_seq", "w_seq"):
-            raw = obj.get(name)
-            if not isinstance(raw, list) or not raw:
-                raise ValueError(f"{path}.{name}: must be a nonempty array of numbers")
-            seqs[name] = np.asarray(raw, dtype=np.float64)
-        try:
-            return cls(seqs["a_seq"], seqs["b_seq"], seqs["w_seq"], window)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        return _sequences(jsonio._check(obj, _SEQUENCES, path), path)
+
+
+# The keys of a "sequences" object, with the spec of each.
+_NUMBERS = jsonio._nonempty(jsonio._number)
+_SEQUENCES = {
+    "a_seq": _NUMBERS,
+    "b_seq": _NUMBERS,
+    "w_seq": _NUMBERS,
+    "window": dict.fromkeys(("a", "A", "b", "B"), jsonio._finite),
+}
+
+
+def _sequences(fields: dict, path: str) -> WeightedSequences:
+    """The WeightedSequences of a decoded "sequences" object: a
+    WindowViolationError for a window or data its hypothesis excludes, a
+    ValueError at path for other data errors."""
+    window = ScalarWindow(**fields["window"])
+    return jsonio._at(path, WeightedSequences, **{**fields, "window": window})
 
 
 # What WeightedSequences raises for each of its data checks, in order: finite

@@ -25,17 +25,17 @@ import numpy as np
 from . import jsonio
 from .bounds import (
     _REGISTRY,
+    _SEQUENCES,
     HOLDS,
     HYPOTHESIS_ERRORS,
-    INEQUALITY_IDS,
     PS_IMPROVED,
     VIOLATED,
     BoundReport,
     DegenerateSpaceError,
-    WeightedSequences,
     _batch_of_one,
     _encode_value,
     _evaluate_one,
+    _sequences,
     precondition_failed_report,
     sharpness_witness,
 )
@@ -178,16 +178,6 @@ def _exit_code(verdict: str) -> int:
     return 3
 
 
-def _decode_argument(node, path: str) -> np.ndarray:
-    """Vector or matrix argument: nesting depth decides."""
-    if not isinstance(node, list) or not node:
-        raise ValueError(f"{path}: expected a nonempty array")
-    head = node[0]
-    if isinstance(head, list) and head and isinstance(head[0], list):
-        return jsonio.decode_matrix(node, path)
-    return jsonio.decode_vector(node, path)
-
-
 def _window_pair(omega: complex, Omega: complex, where: str) -> OmegaPair:
     """The window pair (omega, Omega), or a ValueError at where unless
     |Omega - omega|^2, a factor of every bound, is a finite double."""
@@ -200,193 +190,98 @@ def _window_pair(omega: complex, Omega: complex, where: str) -> OmegaPair:
     raise ValueError(f"{where}: |Omega - omega|^2 must be finite")
 
 
-def _decode_pair(node: dict, path: str) -> OmegaPair:
-    omega = jsonio.decode_complex(node["omega"], f"{path}.omega")
-    return _window_pair(omega, jsonio.decode_complex(node["Omega"], f"{path}.Omega"), path)
-
-
-def _number(node, path: str) -> None:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ValueError(f"{path}: must be a number")
-
-
-def _positive(node, path: str) -> None:
-    _number(node, path)
-    if not 0 < node < math.inf:
-        raise ValueError(f"{path}: must be positive and finite")
-
-
-def _finite(node, path: str) -> None:
-    _number(node, path)
-    if not math.isfinite(node):
-        raise ValueError(f"{path}: must be finite")
-
-
-def _complex(node, path: str) -> None:
-    if not isinstance(node, list) or len(node) != 2:
-        raise ValueError(f"{path}: must be a complex number [re, im]")
-    for i, part in enumerate(node):
-        _number(part, f"{path}[{i}]")
-
-
-def _nonempty(item):
-    """The check of a nonempty array whose entries pass item."""
-
-    def check(node, path: str) -> None:
-        if not isinstance(node, list) or not node:
-            raise ValueError(f"{path}: must be a nonempty array")
-        for i, entry in enumerate(node):
-            item(entry, f"{path}[{i}]")
-
-    return check
-
-
-_VECTOR = _nonempty(_complex)
-_MATRIX = _nonempty(_VECTOR)
-_NUMBERS = _nonempty(_number)
-_WINDOW = {"a": _finite, "A": _finite, "b": _finite, "B": _finite}
-
-# The spec of each top-level payload key: a type, a check, or an object's
-# keys with the spec of each.  FormInstance.from_dict and jsonio check the
-# rest: shapes, finiteness and the form's own keys.
-_PAYLOAD_SPECS = {
-    "form": dict,
-    "x": list,
-    "y": list,
-    "omega_pair": {"omega": _complex, "Omega": _complex},
-    "basis": _MATRIX,
-    "operator_pair": {"t": _MATRIX, "s": _MATRIX, "v": _VECTOR, "basis": _MATRIX},
-    "sequences": {"a_seq": _NUMBERS, "b_seq": _NUMBERS, "w_seq": _NUMBERS, "window": _WINDOW},
-}
-# Keys an object may leave out: without a start basis, an instance's first
-# eigensolve starts cold.
-_OPTIONAL = ("basis",)
-
-
-def _check(node, spec, path: str, optional: bool = False) -> None:
-    """ValueError at the first place node departs from spec; an object's
-    keys are all required unless optional, and no others are allowed."""
-    if isinstance(spec, type):
-        if not isinstance(node, spec):
-            raise ValueError(f"{path}: must be an {'object' if spec is dict else 'array'}")
-    elif callable(spec):
-        spec(node, path)
-    else:
-        _check(node, dict, path)
-        for key in node:
-            if key not in spec:
-                raise ValueError(f"{path}.{key}: unknown key")
-        for key, item in spec.items():
-            if key in node:
-                _check(node[key], item, f"{path}.{key}")
-            elif not (optional or key in _OPTIONAL):
-                raise ValueError(f"{path}.{key}: missing")
-
-
-def _check_instance(doc) -> None:
-    """Version, target, the target's payload keys, and the keys and value
-    types of the tolerance and of every payload present."""
-    _check(doc, dict, "$")
-    if doc.get("version") != "1":
-        raise ValueError('$.version: must be "1"')
-    target = doc.get("target")
-    if target not in INEQUALITY_IDS:  # a tuple: an unhashable target is no TypeError
-        raise ValueError(f"$.target: must be one of {', '.join(INEQUALITY_IDS)}")
-    for key in _PAYLOADS[_REGISTRY[target].payload][0]:
-        if key not in doc:
-            raise ValueError(f"$.{key}: required for target {target}")
-    for key, spec in _PAYLOAD_SPECS.items():
-        if key in doc:
-            _check(doc[key], spec, f"$.{key}")
-    if "tolerance" in doc:
-        tol_spec = {"rtol": _positive, "atol": _positive}
-        _check(doc["tolerance"], tol_spec, "$.tolerance", optional=True)
-
-
-def _load_instance(path: str) -> dict:
+def _load_instance(path: str):
+    """The JSON document of the instance file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise _UsageError(f"{path}: JSON parse error: {exc}") from exc
-    try:
-        _check_instance(doc)
-    except ValueError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
-    return doc
 
 
-def _at(path: str, fn, *args):
-    """fn(*args), with a dimension error reported as a usage error at path."""
-    try:
-        return fn(*args)
-    except DimMismatchError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+def _decode_form(fields: dict) -> tuple:
+    form = fields["form"]
+    x, y = (jsonio._at(f"$.{key}", _coerce_argument, form, fields[key]) for key in ("x", "y"))
+    pair = fields["omega_pair"]
+    return form, x, y, _window_pair(pair["omega"], pair["Omega"], "$.omega_pair")
 
 
-def _decode_form(doc: dict) -> tuple:
-    form = _at("$.form", FormInstance.from_dict, doc["form"], "$.form")
-    x = _decode_argument(doc["x"], "$.x")
-    y = _decode_argument(doc["y"], "$.y")
-    for path, arg in (("$.x", x), ("$.y", y)):
-        _at(path, _coerce_argument, form, arg)
-    return form, x, y, _decode_pair(doc["omega_pair"], "$.omega_pair")
-
-
-def _decode_basis(node, d: int, path: str) -> Optional[np.ndarray]:
-    """The start basis at path, a d x d matrix unitary to the kernel's
-    START_UNITARY_TOL, or None for an absent one (node None)."""
-    if node is None:
+def _decode_basis(b: Optional[np.ndarray], d: int, path: str) -> Optional[np.ndarray]:
+    """The start basis b at path, unitary to the kernel's START_UNITARY_TOL
+    and d x d, or None for an absent one."""
+    if b is None:
         return None
     try:
-        return _unitary_start(jsonio.decode_matrix(node, path)[None], (1, d, d))[0]
+        return _unitary_start(b[None], (1, d, d))[0]
     except KernelError as exc:
         raise ValueError(f"{path}: must be a unitary {d} x {d} matrix: {exc}") from exc
 
 
-def _decode_matrix_form(doc: dict) -> tuple:
-    form, x, y, pair = _decode_form(doc)
-    return form, x, y, pair, _decode_basis(doc.get("basis"), form.algebra_dim, "$.basis")
+def _decode_matrix_form(fields: dict) -> tuple:
+    form, x, y, pair = _decode_form(fields)
+    return form, x, y, pair, _decode_basis(fields.get("basis"), form.algebra_dim, "$.basis")
 
 
-def _decode_functional_form(doc: dict) -> tuple:
-    payload = _decode_form(doc)
-    if payload[0].kind != "functional_form":
-        raise ValueError(f"$.form.kind: target {doc['target']} needs a functional_form")
-    return payload
+def _decode_functional_form(fields: dict) -> tuple:
+    if fields["form"].kind != "functional_form":
+        raise ValueError(f"$.form.kind: target {fields['target']} needs a functional_form")
+    return _decode_form(fields)
 
 
-def _decode_operator_pair(doc: dict) -> tuple:
-    op = doc["operator_pair"]
-    t, s = (
-        _at(path, as_element, jsonio.decode_matrix(op[key], path))
-        for key, path in (("t", "$.operator_pair.t"), ("s", "$.operator_pair.s"))
-    )
-    v = jsonio.decode_vector(op["v"], "$.operator_pair.v")
-    return t, s, v, _decode_basis(op.get("basis"), len(t), "$.operator_pair.basis")
+def _decode_operator_pair(fields: dict) -> tuple:
+    op, path = fields["operator_pair"], "$.operator_pair"
+    t, s = (jsonio._at(f"{path}.{key}", as_element, op[key]) for key in ("t", "s"))
+    return t, s, op["v"], _decode_basis(op.get("basis"), len(t), f"{path}.basis")
 
 
-def _decode_sequences(doc: dict) -> WeightedSequences:
-    return _at("$.sequences", WeightedSequences.from_dict, doc["sequences"], "$.sequences")
-
-
-# Each payload kind of the registry: its top-level keys and its decoder.
+# Each payload kind of the registry: its top-level keys and the decoder of
+# their decoded values (jsonio._check) into the payload.
 _PAYLOADS = {
-    "form": (("form", "x", "y", "omega_pair"), _decode_matrix_form),
+    "form": (("form", "x", "y", "omega_pair", "basis"), _decode_matrix_form),
     "functional_form": (("form", "x", "y", "omega_pair"), _decode_functional_form),
     "operator_pair": (("operator_pair",), _decode_operator_pair),
-    "sequences": (("sequences",), _decode_sequences),
+    "sequences": (("sequences",), lambda fields: _sequences(fields["sequences"], "$.sequences")),
 }
+# The spec of each top-level payload key (see jsonio).
+_PAYLOAD_SPECS = {
+    "form": FormInstance.from_dict,
+    "x": jsonio._argument,
+    "y": jsonio._argument,
+    "omega_pair": {"omega": jsonio.decode_complex, "Omega": jsonio.decode_complex},
+    "basis": jsonio.decode_matrix,
+    "operator_pair": {
+        "t": jsonio.decode_matrix,
+        "s": jsonio.decode_matrix,
+        "v": jsonio.decode_vector,
+        "basis": jsonio.decode_matrix,
+    },
+    "sequences": _SEQUENCES,
+}
+# The keys of an instance of each target besides "target", with the spec of each.
+_INSTANCE_SPECS = {
+    target: {
+        "version": jsonio._const("1"),
+        "tolerance": {"rtol": jsonio._positive, "atol": jsonio._positive},
+        **{key: _PAYLOAD_SPECS[key] for key in _PAYLOADS[entry.payload][0]},
+    }
+    for target, entry in _REGISTRY.items()
+}
+# Keys an object may leave out: without a start basis, an instance's first
+# eigensolve starts cold; a tolerance bound left out keeps its default.
+_OPTIONAL = ("basis", "tolerance", "rtol", "atol")
 
 
-def _report_from_instance(doc: dict, tol: Tolerance) -> BoundReport:
-    """The target's report on the decoded instance: a PRECONDITION_FAILED
-    report if the decoder or evaluator finds a hypothesis failed."""
-    target = doc["target"]
+def _report_from_instance(doc, args: argparse.Namespace) -> BoundReport:
+    """The target's report on the instance doc, checked and decoded against
+    its target's spec: a PRECONDITION_FAILED report if the payload or the
+    evaluator finds a hypothesis failed."""
+    fields = jsonio._variant(doc, _INSTANCE_SPECS, "$", "target", _OPTIONAL)
+    target = fields["target"]
+    tol = _resolve_tolerance(args, fields.get("tolerance"))
     try:
-        payload = _PAYLOADS[_REGISTRY[target].payload][1](doc)  # errors carry their JSON path
+        payload = _PAYLOADS[_REGISTRY[target].payload][1](fields)  # errors carry their JSON path
         try:
             return _evaluate_one(target, payload, tol)
         except (ValueError, ArithmeticError, DimMismatchError) as exc:
@@ -399,9 +294,8 @@ def _report_from_instance(doc: dict, tol: Tolerance) -> BoundReport:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = _load_instance(args.file)
-    tol = _resolve_tolerance(args, doc.get("tolerance"))
     try:
-        report = _report_from_instance(doc, tol)
+        report = _report_from_instance(doc, args)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     _print_report(report, args.json)

@@ -100,7 +100,13 @@ class OmegaPair:
 VECTOR_STATE = "vector_state"
 TRACE = "trace"
 WEIGHTED_SUM = "weighted_sum"
-_FUNCTIONAL_KINDS = (VECTOR_STATE, TRACE, WEIGHTED_SUM)
+# The keys of each functional kind besides "kind", with the spec of each.
+_FUNCTIONAL_SPECS = {
+    VECTOR_STATE: {"dim": jsonio._integer, "state": jsonio.decode_vector},
+    TRACE: {"dim": jsonio._integer},
+    WEIGHTED_SUM: {"dim": jsonio._integer, "weights": jsonio._nonempty(jsonio._positive)},
+}
+_FUNCTIONAL_KINDS = tuple(_FUNCTIONAL_SPECS)
 
 
 @dataclass(frozen=True)
@@ -166,26 +172,10 @@ class PositiveFunctional:
 
     @classmethod
     def from_dict(cls, obj: dict, path: str = "$") -> "PositiveFunctional":
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: functional must be an object")
-        kind = obj.get("kind")
-        if kind not in _FUNCTIONAL_KINDS:
-            raise ValueError(f"{path}.kind: unknown functional kind {kind!r}")
-        dim = obj.get("dim")
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise ValueError(f"{path}.dim: must be an integer")
-        if kind == VECTOR_STATE:
-            state = jsonio.decode_vector(obj.get("state"), f"{path}.state")
-            if state.size != dim:
-                raise ValueError(f"{path}.state: length {state.size} != dim {dim}")
-            return cls(kind=kind, dim=dim, state=state)
-        if kind == WEIGHTED_SUM:
-            raw = obj.get("weights")
-            if not isinstance(raw, list) or len(raw) != dim:
-                raise ValueError(f"{path}.weights: must be an array of length {dim}")
-            weights = np.asarray(raw, dtype=np.float64)
-            return cls(kind=kind, dim=dim, weights=weights)
-        return cls(kind=kind, dim=dim)
+        fields = jsonio._variant(obj, _FUNCTIONAL_SPECS, path)
+        # A value error of the state or weights is reported at their key.
+        payload = [key for key in ("state", "weights") if key in fields]
+        return jsonio._at(".".join([path, *payload]), cls, **fields)
 
 
 def _check_payloads(norms=(), weights=()) -> None:
@@ -202,7 +192,16 @@ def _check_payloads(norms=(), weights=()) -> None:
 GRAM_TENSOR = "gram_tensor"
 MODULE_FORM = "module_form"
 FUNCTIONAL_FORM = "functional_form"
-_FORM_KINDS = (GRAM_TENSOR, MODULE_FORM, FUNCTIONAL_FORM)
+# The keys of each form kind besides "kind", with the spec of each.
+_DIMS = {"algebra_dim": jsonio._integer, "space_dim": jsonio._integer}
+_FORM_SPECS = {
+    GRAM_TENSOR: {**_DIMS, "gram": jsonio._square(jsonio.decode_matrix)},
+    MODULE_FORM: _DIMS,
+    FUNCTIONAL_FORM: {
+        **_DIMS, "algebra_dim": jsonio._const(1), "functional": PositiveFunctional.from_dict
+    },
+}
+_FORM_KINDS = tuple(_FORM_SPECS)
 
 
 @dataclass(frozen=True)
@@ -230,6 +229,8 @@ class FormInstance:
             )
         if self.space_dim < 1:
             raise DimMismatchError("space dimension must be at least 1")
+        if self.kind == MODULE_FORM and self.space_dim != self.algebra_dim:
+            raise ValueError("module_form requires algebra_dim == space_dim")
         if self.kind == GRAM_TENSOR:
             n, d = self.space_dim, self.algebra_dim
             if self.gram is None or self.gram.shape != (n, n, d, d):
@@ -288,41 +289,7 @@ class FormInstance:
 
     @classmethod
     def from_dict(cls, obj: dict, path: str = "$") -> "FormInstance":
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: form must be an object")
-        kind = obj.get("kind")
-        if kind not in _FORM_KINDS:
-            raise ValueError(f"{path}.kind: unknown form kind {kind!r}")
-        d = obj.get("algebra_dim")
-        n = obj.get("space_dim")
-        for name, val in (("algebra_dim", d), ("space_dim", n)):
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ValueError(f"{path}.{name}: must be an integer")
-        if kind == MODULE_FORM:
-            if d != n:
-                raise ValueError(f"{path}: module_form requires algebra_dim == space_dim")
-            return cls.module_form(d)
-        if kind == GRAM_TENSOR:
-            raw = obj.get("gram")
-            if not isinstance(raw, list) or len(raw) != n:
-                raise ValueError(f"{path}.gram: must be an n x n array of matrices")
-            blocks = np.zeros((n, n, d, d), dtype=np.complex128)
-            for i, row in enumerate(raw):
-                if not isinstance(row, list) or len(row) != n:
-                    raise ValueError(f"{path}.gram[{i}]: must contain {n} matrices")
-                for j, cell in enumerate(row):
-                    m = jsonio.decode_matrix(cell, f"{path}.gram[{i}][{j}]")
-                    if m.shape != (d, d):
-                        raise ValueError(
-                            f"{path}.gram[{i}][{j}]: block must be {d} x {d}"
-                        )
-                    blocks[i, j] = m
-            return cls.gram_tensor(blocks)
-        phi = PositiveFunctional.from_dict(obj.get("functional"), f"{path}.functional")
-        form = cls.functional_form(phi)
-        if form.space_dim != n:
-            raise ValueError(f"{path}.space_dim: must equal the functional dimension")
-        return form
+        return jsonio._at(path, cls, **jsonio._variant(obj, _FORM_SPECS, path))
 
 
 def _first_column_matrix(u: np.ndarray, k: int) -> np.ndarray:

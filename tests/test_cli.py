@@ -35,6 +35,7 @@ from rcsbounds import (
 from rcsbounds.harness import WINDOW_RANGE
 from rcsbounds.matalg import DEFAULT_TOL, KernelError, NoConvergenceError
 from rcsbounds.rng import stream
+from test_forms import BAD_FORMS
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "docs", "instances")
 MATRIX_TARGETS = ["ADD_MATRIX", "MULT_MATRIX", "OP_PAIR_ADD", "OP_PAIR_MULT"]
@@ -68,6 +69,8 @@ def matrix_doc(omega=(2.0, 0.0), Omega=(3.0, 0.0), target="ADD_MATRIX"):
     [
         "additive_matrix_diagonal.json",
         "functional_trace_sharp.json",
+        "functional_vector_state.json",
+        "functional_weighted_sum.json",
         "gram_tensor_diagonal.json",
         "multiplicative_matrix_started.json",
         "operator_pair_swap.json",
@@ -252,6 +255,11 @@ def test_verify_malformed_json(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 1
     assert "JSON parse error" in err
+    # Nesting deeper than the parser's recursion limit is malformed too.
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "verify", str(path))
+    one_line_error(code, out, err, 1)
+    assert "JSON parse error" in err
 
 
 def test_verify_schema_violation_reports_path(capsys, tmp_path):
@@ -304,6 +312,21 @@ def one_line_error(code, out, err, expected_code):
     assert code == expected_code
     assert out == "" and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("form, where, message", BAD_FORMS.values(), ids=list(BAD_FORMS))
+def test_verify_names_the_path_of_a_bad_form_node(capsys, tmp_path, form, where, message):
+    # Each node of $.form is checked: a bad one is a usage error on one
+    # line that starts at the path of the key or entry holding it.
+    if form["kind"] == "gram_tensor":
+        doc = gram_doc([[1, 0], [0, 1]])
+    else:
+        doc = matrix_doc(target="ADD_MATRIX" if form["kind"] == "module_form" else "ADD_FUNCTIONAL")
+    doc["form"] = form
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+    one_line_error(code, out, err, 1)
+    assert err.startswith(f"rcsbounds: error: $.form{where}: ")
+    assert message in err
 
 
 def test_verify_non_commuting_operator_pair(capsys, tmp_path):

@@ -9,11 +9,13 @@ must not read as a violation; a rhs made 1% too small must still read as one.
 """
 
 import json
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rcsbounds import bounds, cli, jsonio
+from rcsbounds import bounds, cli, harness, jsonio
 from rcsbounds.bounds import (
     HOLDS,
     VIOLATED,
@@ -28,6 +30,8 @@ from rcsbounds.bounds import (
     weighted_additive,
 )
 from rcsbounds.forms import FormInstance, OmegaPair, PositiveFunctional
+from rcsbounds.harness import SPACE_DIMS, WINDOW_RANGE
+from rcsbounds.matalg import DEFAULT_TOL
 from rcsbounds.rng import stream
 
 # Constant sequences on their point window: the true lhs and rhs are 0,
@@ -177,3 +181,61 @@ def test_rhs_scaled_by_099_is_violated(monkeypatch):
     monkeypatch.setattr(bounds, "loewner_leq", shrunk_leq)
     for name, report in _tight_reports().items():
         assert report.verdict == VIOLATED, name
+
+
+
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _exact_sides(target: str, data: WeightedSequences) -> tuple:
+    """(lhs, rhs, lhs size) of a sequence id from the paper's formulas in
+    exact arithmetic on the float inputs: Fractions, or for INT_MULT's
+    roots Decimals at the context's precision.  The lhs size is that of
+    the products a difference lhs is formed from, else |lhs|."""
+    w, a, b = ([Fraction(v) for v in seq] for seq in (data.w_seq, data.a_seq, data.b_seq))
+    window = data.window
+    lo_a, hi_a, lo_b, hi_b = (Fraction(v) for v in (window.a, window.A, window.b, window.B))
+    sff, sgg, sfg = (
+        sum(wi * ui * vi for wi, ui, vi in zip(w, u, v)) for u, v in ((a, a), (b, b), (a, b))
+    )
+    if target == "INT_MULT":
+        ratio = _decimal(lo_a * lo_b / (hi_a * hi_b))
+        lhs = _decimal(sff).sqrt() * _decimal(sgg).sqrt()
+        return lhs, (ratio.sqrt() + (1 / ratio).sqrt()) / 2 * _decimal(sfg), lhs
+    gap = (hi_a * hi_b - lo_a * lo_b) ** 2 / 4
+    c1 = gap * sff**2 / (hi_a * lo_a) ** 2
+    c2 = gap * sgg**2 / (hi_b * lo_b) ** 2
+    c3 = gap * sfg**2 / (lo_a * lo_b * hi_a * hi_b)
+    if target in ("PS_MULT", "GREUB_RHEINBOLDT"):
+        ab = lo_a * lo_b * hi_a * hi_b
+        return sff * sgg, (hi_a * hi_b + lo_a * lo_b) ** 2 / (4 * ab) * sfg**2, sff * sgg
+    rhs = {"PS_ADD": c3, "PS_IMPROVED": min(c1, c2, c3)}.get(target, min(c1, c2))
+    return sff * sgg - sfg**2, rhs, sff * sgg
+
+
+def _sequence_corpus():
+    """(instance, its unit-weights twin): 50 drawn instances, seeds 0-49 at
+    n = 4, 8 and 16 in turn, then the point-window instance."""
+    for seed in range(50):
+        g = stream(seed, 0)
+        window = harness.sample_window(g, WINDOW_RANGE)
+        data = harness.gen_bounded_sequences(SPACE_DIMS[seed % 3], window, g)
+        yield data, WeightedSequences(data.a_seq, data.b_seq, np.ones(data.n), window)
+    point = WeightedSequences.from_dict(POINT_SEQUENCES)
+    yield point, point
+
+
+def test_sequence_sides_agree_with_exact_arithmetic():
+    # Each side of each sequence id within 1e-12 of the size it is formed from.
+    units = ("PS_MULT", "PS_ADD", "PS_IMPROVED")
+    with localcontext() as context:
+        context.prec = 50
+        for k, (weighted, unit) in enumerate(_sequence_corpus()):
+            for target in ("INT_ADD", "INT_MULT", "GREUB_RHEINBOLDT", "WEIGHTED_ADD", *units):
+                data = unit if target in units else weighted
+                report = bounds._evaluate_one(target, data, DEFAULT_TOL)
+                lhs, rhs, size = _exact_sides(target, data)
+                exact = Decimal if target == "INT_MULT" else Fraction
+                assert abs(exact(report.lhs) - lhs) <= exact(1e-12) * size, (k, target, "lhs")
+                assert abs(exact(report.rhs) - rhs) <= exact(1e-12) * rhs, (k, target, "rhs")

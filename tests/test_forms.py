@@ -1,5 +1,7 @@
 """Form realizations and hypothesis checkers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -489,8 +491,60 @@ def test_form_instance_round_trip():
             np.testing.assert_array_equal(back.gram, form.gram)
 
 
+WEIGHTED_SUM = {"kind": "weighted_sum", "dim": 2, "weights": [1.0, 2.0]}
+
+
+def functional_form(functional=WEIGHTED_SUM, **keys):
+    form = {"kind": "functional_form", "algebra_dim": 1, "space_dim": 2, "functional": functional}
+    return {**form, **keys}
+
+
+def weights(values):
+    return functional_form({**WEIGHTED_SUM, "weights": values})
+
+
+_ONE, _ZERO = [[[1.0, 0.0]]], [[[0.0, 0.0]]]
+GRAM_TENSOR = {
+    "kind": "gram_tensor", "algebra_dim": 1, "space_dim": 2, "gram": [[_ONE, _ZERO], [_ZERO, _ONE]]
+}
+MODULE_FORM = {"kind": "module_form", "algebra_dim": 2, "space_dim": 2}
+
+# Form objects with one bad node: the path, below the form's own, that the
+# error names, and a part of its message.  Before every node of an instance
+# file was checked (jsonio), verify read HOLDS for the first seven and named
+# no JSON path for the rest.
+BAD_FORMS = {
+    "module_form_unknown_key": ({**MODULE_FORM, "extra": 1}, ".extra", "unknown key"),
+    "gram_tensor_unknown_key": ({**GRAM_TENSOR, "extra": 1}, ".extra", "unknown key"),
+    "functional_form_unknown_key": (functional_form(extra=1), ".extra", "unknown key"),
+    "functional_unknown_key": (
+        functional_form({**WEIGHTED_SUM, "extra": 1}), ".functional.extra", "unknown key"
+    ),
+    "weights_strings": (weights(["1", "2"]), ".functional.weights[0]", "must be a number"),
+    "weights_booleans": (weights([True, True]), ".functional.weights[0]", "must be a number"),
+    "functional_algebra_dim_2": (functional_form(algebra_dim=2), ".algebra_dim", "must be 1"),
+    "weights_not_numbers": (weights([1, "abc"]), ".functional.weights[1]", "must be a number"),
+    "weights_nested": (weights([[1.0], [1.0]]), ".functional.weights[0]", "must be a number"),
+    "weights_nan": (weights([math.nan, 1.0]), ".functional.weights[0]", "positive and finite"),
+    "weights_negative": (weights([-1.0, 1.0]), ".functional.weights[0]", "positive and finite"),
+    "state_of_norm_2": (
+        functional_form({"kind": "vector_state", "dim": 2, "state": [[2.0, 0.0], [0.0, 0.0]]}),
+        ".functional.state",
+        "unit vector (norm 2.0)",
+    ),
+}
+
+
 def test_from_dict_error_paths():
     with pytest.raises(ValueError, match=r"\$\.kind"):
         FormInstance.from_dict({"kind": "bogus", "algebra_dim": 1, "space_dim": 1})
     with pytest.raises(ValueError, match=r"\$\.weights"):
         PositiveFunctional.from_dict({"kind": "weighted_sum", "dim": 2, "weights": [1.0]})
+    for name, (form, where, message) in BAD_FORMS.items():
+        with pytest.raises(ValueError) as exc_info:
+            FormInstance.from_dict(form)
+        assert str(exc_info.value).startswith(f"${where}: "), name
+        assert message in str(exc_info.value), name
+    # Each kind decodes without its bad node.
+    for form in (MODULE_FORM, GRAM_TENSOR, functional_form()):
+        assert FormInstance.from_dict(form).to_dict() == form

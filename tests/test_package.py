@@ -1,8 +1,14 @@
 """The package surface: exported names and the documented id table."""
 
 import ast
+import importlib
+import inspect
 import os
 import re
+import subprocess
+import sys
+
+import numpy as np
 
 import rcsbounds
 from rcsbounds.bounds import _REGISTRY, INEQUALITY_IDS
@@ -75,3 +81,28 @@ def test_no_catch_all_handlers():
             if any(t is None or (isinstance(t, ast.Name) and t.id in catch_all) for t in caught):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_what_a_traced_benchmark_run_needs():
+    # perfbench's tracer imports these layers by name and wraps every plain
+    # function in each __all__; its layer probe calls run_trial(config, id,
+    # i) and eig_hermitian(a).eigenvalues, and reads the numpy and
+    # rcsbounds.cli lines of `python -X importtime -c "import rcsbounds.cli"`.
+    layers = {}
+    for layer in ("rng", "matalg", "forms", "bounds", "harness", "jsonio", "cli"):
+        layers[layer] = module = importlib.import_module(f"rcsbounds.{layer}")
+        assert len(module.__all__) == len(set(module.__all__)), layer
+        for name in module.__all__:
+            assert getattr(module, name) is not None, f"{layer}.{name}"
+    assert inspect.isfunction(layers["harness"].run_trial)
+    assert inspect.isfunction(layers["matalg"].eig_hermitian)
+    config = layers["harness"].GeneratorConfig(seed=0, trials=1, dims=(2,))
+    assert layers["harness"].run_trial(config, "ADD_MATRIX", 0).verdict
+    eigenvalues = layers["matalg"].eig_hermitian(np.diag([2.0, 1.0])).eigenvalues
+    assert sorted(eigenvalues.tolist()) == [1.0, 2.0]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = [sys.executable, "-X", "importtime", "-c", "import rcsbounds.cli"]
+    result = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
+    imported = {line.split("|")[-1].strip() for line in result.stderr.splitlines()}
+    assert {"numpy", "rcsbounds.cli"} <= imported
