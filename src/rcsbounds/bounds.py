@@ -38,6 +38,8 @@ from .forms import (
     OmegaPair,
     PositiveFunctional,
     WindowCheckError,
+    VECTOR_STATE,
+    _FUNCTIONAL_KINDS,
     _FunctionalForms,
     _adjoint_symmetry,
     _coerce_argument,
@@ -55,7 +57,6 @@ from .matalg import (
     NotHermitianError,
     NotPositiveError,
     Tolerance,
-    _adjoint,
     _norms,
     _psd_root,
     _started,
@@ -464,6 +465,26 @@ def _hypot(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _quarter_spread(omega: np.ndarray, Omega: np.ndarray) -> np.ndarray:
+    """(1/4) |Omega - omega|^2, the additive bounds' constant, of (N,)
+    window columns, as Python takes it on one pair."""
+    return 0.25 * _pow2(_hypot(Omega - omega))
+
+
+def _coefficient(omega: np.ndarray, Omega: np.ndarray) -> np.ndarray:
+    """(|Omega| + |omega|) / sqrt(Re(conj(omega) Omega)), the multiplicative
+    bounds' constant, of (N,) window columns, as Python takes it on one
+    pair: NonPositiveReOmegaError at the first pair whose
+    Re(conj(omega) Omega) is not positive."""
+    re_cross = omega.real * Omega.real + omega.imag * Omega.imag
+    low = re_cross <= 0.0
+    if np.count_nonzero(low):
+        raise NonPositiveReOmegaError(
+            f"Re(conj(omega) * Omega) = {re_cross[np.argmax(low)]:.6e} must be positive"
+        )
+    return (_hypot(Omega) + _hypot(omega)) / np.sqrt(re_cross)
+
+
 # ---------------------------------------------------------------------------
 # Matrix-valued bounds
 # ---------------------------------------------------------------------------
@@ -495,18 +516,6 @@ def multiplicative_matrix_bound(
     return _evaluate_one(MULT_MATRIX, (form, x, y, pair), tol)
 
 
-def _positive_re_cross(re_cross: np.ndarray) -> np.ndarray:
-    """The (N,) values Re(conj(omega) * Omega) of N window pairs, which the
-    multiplicative bounds require positive: NonPositiveReOmegaError at the
-    first that is not."""
-    low = re_cross <= 0.0
-    if np.count_nonzero(low):
-        raise NonPositiveReOmegaError(
-            f"Re(conj(omega) * Omega) = {re_cross[np.argmax(low)]:.6e} must be positive"
-        )
-    return re_cross
-
-
 def _matrix_reports(
     inequality_id: str,
     forms: list[FormInstance],
@@ -527,11 +536,12 @@ def _matrix_reports(
     y commute (see matalg).  ADD_MATRIX's lhs cancels from the products
     <y,y>^(1/2) <x,x> <y,y>^(1/2) and <x,y><y,x>, so its margin is judged
     at their size too."""
+    rows = _pair_rows(pairs)
+    omega, Omega = rows.T
     if inequality_id == MULT_MATRIX:
-        re_cross = _positive_re_cross(np.array([p.re_cross() for p in pairs])).tolist()
-        coeffs = [(abs(p.Omega) + abs(p.omega)) / math.sqrt(c) for p, c in zip(pairs, re_cross)]
+        coeffs = _coefficient(omega, Omega)
     xx, yy, xy, yx = (_form_eval(forms, u, v) for u, v in ((x, x), (y, y), (x, y), (y, x)))
-    re_term = _re_term(forms, x, y, _pair_rows(pairs))
+    re_term = _re_term(forms, x, y, rows)
     s_ok, s_dev = _adjoint_symmetry(xy, yx, tol)
     size = None
     if inequality_id == ADD_MATRIX:
@@ -542,8 +552,7 @@ def _matrix_reports(
         product, cross = root @ xx @ root, xy @ yx
         size = np.maximum(_norms(product), _norms(cross))
         lhs = re_part(product - cross)
-        quarter_spread = np.array([0.25 * p.spread() ** 2 for p in pairs])
-        rhs = re_part(quarter_spread[:, None, None] * (yy @ yy))
+        rhs = re_part(_quarter_spread(omega, Omega)[:, None, None] * (yy @ yy))
     else:
         dec = eig_hermitian_stack(xx, tol, start=basis)
         root_x = _psd_root(dec, tol)
@@ -552,7 +561,7 @@ def _matrix_reports(
         ok, value = is_normal(xy, tol)
         lhs = re_part(root_x @ root_y + root_y @ root_x)
         absolute = abs_element(xy, tol, start=dec.eigenvectors)
-        rhs = re_part(np.array(coeffs)[:, None, None] * absolute)
+        rhs = re_part(coeffs[:, None, None] * absolute)
     r_ok, r_margin = loewner_leq(np.zeros_like(re_term), re_term, tol, start=dec.eigenvectors)
     holds, margin = loewner_leq(lhs, rhs, tol, start=dec.eigenvectors, scale=size)
     preconditions = (
@@ -560,7 +569,7 @@ def _matrix_reports(
         (name, ok, value),
         ("re_term_positive", r_ok, r_margin),
     )
-    details = {"omega": [p.omega for p in pairs], "Omega": [p.Omega for p in pairs]}
+    details = {"omega": omega, "Omega": Omega}
     if inequality_id == MULT_MATRIX:
         details["coefficient"] = coeffs
     return _Reports(inequality_id, holds, margin, lhs, rhs, preconditions, details)
@@ -604,13 +613,13 @@ def _functional_reports(
     batch (see _Inequality): three form evaluations, one Re term and one
     Re check over the batch, its functionals grouped by kind once
     (forms._FunctionalForms), and the sides as column expressions, |.| and
-    ** 2 as Python takes them (_hypot, _pow2, and Re(conj(omega) Omega) as
-    Python's complex product).  Each functional sums its own weighted
+    ** 2 as Python takes them (_hypot, _pow2), with the window constants
+    of _quarter_spread and _coefficient.  Each functional sums its own weighted
     trace, so a report does not depend on the other instances.
     The additive lhs is judged at phi(x*x) phi(y*y), the size it cancels from."""
     omega, Omega = pairs[:, 0], pairs[:, 1]
     if inequality_id == MULT_FUNCTIONAL:
-        re_cross = _positive_re_cross(omega.real * Omega.real + omega.imag * Omega.imag)
+        coeff = 0.5 * _coefficient(omega, Omega)
     fxx, fyy, cross = (_form_eval(forms, u, v)[:, 0, 0] for u, v in ((x, x), (y, y), (x, y)))
     fxx, fyy = fxx.real, fyy.real
     re_term = _re_term(forms, x, y, pairs)
@@ -621,10 +630,9 @@ def _functional_reports(
         if inequality_id == ADD_FUNCTIONAL:
             size = fxx * fyy
             lhs = size - _pow2(_hypot(cross))
-            rhs = 0.25 * _pow2(_hypot(Omega - omega)) * _pow2(fyy)
+            rhs = _quarter_spread(omega, Omega) * _pow2(fyy)
         else:
             lhs = np.sqrt(np.maximum(fxx, 0.0)) * np.sqrt(np.maximum(fyy, 0.0))
-            coeff = 0.5 * (_hypot(Omega) + _hypot(omega)) / np.sqrt(re_cross)
             rhs = coeff * _hypot(cross)
             details["coefficient"] = coeff
         details.update(phi_xx=fxx, phi_yy=fyy, phi_yx=cross)
@@ -702,14 +710,9 @@ def sharpness_witness(
         )
     x = 0.5 * (pair.Omega + pair.omega) * y1 + 0.5 * (pair.Omega - pair.omega) * z
     report = functional_additive_bound(phi, x, y1, pair, tol)
-    spread2 = pair.spread() ** 2
-    fyy = report.details["phi_yy"]
-    denom = spread2 * fyy**2
-    ratio = float(report.lhs / denom) if denom > 0.0 else math.nan
-    re_value = re_part(
-        form_eval(form, pair.Omega * y1 - x, x - pair.omega * y1)
-    )[0, 0].real
-    report.details["re_term_value"] = re_value
+    # rhs = (1/4) |Omega - omega|^2 phi(y*y)^2, so lhs / (4 rhs) is the ratio.
+    ratio = float(report.lhs / (4.0 * report.rhs)) if report.rhs > 0.0 else math.nan
+    report.details["re_term_value"] = report.preconditions[0].value
     report.details["ratio"] = ratio
     return SharpnessResult(x=x, z=z, report=report, ratio=ratio)
 
@@ -728,9 +731,10 @@ class OperatorPairResult:
 def operator_pair_bounds(t, s, v, tol: Tolerance = DEFAULT_TOL) -> OperatorPairResult:
     """Reverse bounds for ||Tv||, ||Sv|| with T, S commuting strictly positive.
 
-    Evaluated through the functional phi(R) = <R v, v> (normalized
-    internally, then rescaled), with the window pairs coming from the
-    spectra of T and S.  The closed-form sides computed directly from
+    The sides are the functional bounds' under phi(R) = <R u, u>,
+    u = v / ||v||, x = T and y = S on the window of the spectra of T and S
+    (the additive rhs the lesser of it and of x = S, y = T on the mirrored
+    window), rescaled.  The closed-form sides computed directly from
     ||Tv||, ||Sv||, <Tv, Sv> and the spectral edges are carried in the
     report details and cross-checked against the functional route.
 
@@ -761,116 +765,71 @@ def _operator_pair_reports(
     Both ids take the spectra of t and s and check both windows, ts and
     st, in one joint eigenbasis (forms._spectral_window, its eigensolve of
     t started in basis, cold when it is None), so they share their
-    hypotheses.  The functional route evaluates the vector state
-    phi(R) = <R u, u>, u = v / ||v||, on stacked products R = b* a
-    (_state_values): phi(t* t), phi(s* s), phi(s* t) and the Re term of
-    each window the id checks, ts and, for OP_PAIR_ADD, st, with one
-    stacked Re check.  The id's builder forms its sides from these, rescaled
-    by ||v||, and its closed forms from Tv and Sv; the two routes are
-    cross-checked over the stack, and a slice whose values leave the
-    double range is an error, never a verdict.  No step reduces over the
-    batch axis, so a report does not depend on the other instances."""
+    hypotheses.  A slice whose closed forms, from Tv and Sv, leave the
+    double range is an error naming its ||v||, never a verdict, and so is
+    a batch whose values on the states leave it.  The functional route is
+    ADD_FUNCTIONAL's or MULT_FUNCTIONAL's evaluator on the vector states
+    u = v / ||v||, (x, y) = (t, s) on the ts window and, for OP_PAIR_ADD,
+    (s, t) on the st window, taking the lesser rhs; its sides, rescaled by
+    ||v||, are cross-checked against the closed forms.  No step reduces
+    over the batch axis, so a report does not depend on the other instances."""
     additive = inequality_id == OP_PAIR_ADD
-    edges = _spectral_window(t, s, tol, mirrored=True, start=basis)
-    lo_t, hi_t, lo_s, hi_s = edges
-    # The window pairs (omega, Omega) whose Re terms the id checks, ts and,
-    # for OP_PAIR_ADD, st, each with its arguments (x, y).
-    windows = [(lo_t / hi_s, hi_t / lo_s), (lo_s / hi_t, hi_s / lo_t)][: 1 + additive]
-    args = list(zip([(t, s), (s, t)], windows))
+    lo_t, hi_t, lo_s, hi_s = _spectral_window(t, s, tol, mirrored=True, start=basis)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = _norms(v[:, None, :])
-        a = [t, s, t] + [Omega[:, None, None] * y - x for (x, y), (_, Omega) in args]
-        b = [t, s, s] + [x - omega[:, None, None] * y for (x, y), (omega, _) in args]
-        phi = _state_values(v / norm[:, None], np.concatenate(a), np.concatenate(b))
-        phi = phi.reshape(len(a), len(v))
         tv, sv = t @ v[..., None], s @ v[..., None]
         nt2, ns2 = _inner(tv, tv).real, _inner(sv, sv).real
         cross = _inner(sv, tv)
-        build = _additive_pair_sides if additive else _multiplicative_pair_sides
-        lhs, rhs, size, closed, details = build(edges, windows, norm, phi[:3], nt2, ns2, cross)
-        margin = rhs - lhs
-    re_terms = phi[3:].real
-    bad = ~np.isfinite(np.vstack((lhs, rhs, margin, *closed, re_terms))).all(axis=0)
+        if additive:
+            half_gap = (hi_t * hi_s - lo_t * lo_s) / 2.0
+            bound = np.minimum(ns2**2 / (hi_s * lo_s) ** 2, nt2**2 / (hi_t * lo_t) ** 2)
+            closed = nt2 * ns2 - np.abs(cross) ** 2, half_gap**2 * bound
+        else:
+            ratio = (lo_t * lo_s) / (hi_t * hi_s)
+            cf_rhs = 0.5 * (np.sqrt(ratio) + np.sqrt(1.0 / ratio)) * np.abs(cross)
+            closed = np.sqrt(nt2) * np.sqrt(ns2), cf_rhs
+    bad = ~np.isfinite(np.vstack(closed)).all(axis=0)
     if np.count_nonzero(bad):
         k = int(np.argmax(bad))
         raise ValueError(
             f"operator pair values overflow the double range (||v|| = {norm[k]:.3e}, "
             f"||Tv||^2 = {nt2[k]:.3e}, ||Sv||^2 = {ns2[k]:.3e})"
         )
-    re_terms = re_terms.reshape(-1, 1, 1)
-    re_ok, re_margin = loewner_leq(np.zeros_like(re_terms), re_terms, tol)
+    kinds = np.full(len(v), _FUNCTIONAL_KINDS.index(VECTOR_STATE))
+    states = _FunctionalForms(kinds, v / norm[:, None], np.ones(v.shape))
+    # The (x, y) and (omega, Omega) of the ts window and, for OP_PAIR_ADD, st.
+    routes = [(t, s, (lo_t / hi_s, hi_t / lo_s)), (s, t, (lo_s / hi_t, hi_s / lo_t))]
+    functional = ADD_FUNCTIONAL if additive else MULT_FUNCTIONAL
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            reports = [
+                _functional_reports(functional, states, x, y, np.stack(pair, axis=1) + 0j, tol)
+                for x, y, pair in routes[: 1 + additive]
+            ]
+        except ValueError as exc:  # a value on the states past the double range
+            raise ValueError(f"operator pair values overflow the double range: {exc}") from exc
+        # libm pow, whose bits do not depend on numpy's CPU dispatch as np.power's do.
+        scale = np.float_power(norm, 4.0) if additive else norm**2
+        lhs = reports[0].lhs * scale
+        rhs = np.min([r.rhs for r in reports], axis=0) * scale
+    size = nt2 * ns2 if additive else 1.0
     label = "operator pair additive" if additive else "operator pair multiplicative"
     _cross_check(label, lhs, closed[0], size)
     _cross_check(label, rhs, closed[1])
-    names = ["re_term_positive_ts", "re_term_positive_st"] if additive else ["re_term_positive"]
-    preconditions = tuple(zip(names, re_ok.reshape(-1, len(v)), re_margin.reshape(-1, len(v))))
+    windows = list(zip(["_ts", "_st"] if additive else [""], reports))
+    preconditions = tuple(("re_term_positive" + w, *r.preconditions[0][1:]) for w, r in windows)
+    details = {key + w: r.details[key] for w, r in windows for key in ("omega", "Omega")}
+    details.update(closed_form_lhs=closed[0], closed_form_rhs=closed[1])
+    if additive:
+        details.update(norm_tv_sq=nt2, norm_sv_sq=ns2)
+    details["cross"] = cross
     return _scalar_reports(inequality_id, lhs, rhs, tol, size, preconditions, details)
-
-
-def _state_values(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The vector states phi(R) = <R u, u> of unit vectors u, shape (N, d),
-    on the products R = b* a of (K N, d, d) stacks a and b, slice j taking
-    the state of row j mod N: the (K N,) values, each formed on its own
-    slice as PositiveFunctional.value forms it."""
-    w = np.tile(u, (len(a) // len(u), 1))[..., None]
-    return _inner(w, (_adjoint(b) @ a) @ w)
 
 
 def _inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The inner products sum(conj(p[k]) q[k]), as np.vdot takes them, of
     (N, d, 1) stacks of columns: shape (N,)."""
     return (p.conj().swapaxes(1, 2) @ q)[:, 0, 0]
-
-
-def _multiplicative_pair_sides(edges, windows, norm, phi, nt2, ns2, cross):
-    """OP_PAIR_MULT's sides from the setup of _operator_pair_reports: lhs
-    and rhs of the multiplicative functional bound on the ts window,
-    rescaled by ||v||^2, the size 1 they are judged at, the closed forms
-    ||Tv|| ||Sv|| and (1/2) (sqrt(mt ms / (Mt Ms)) + sqrt(Mt Ms / (mt ms)))
-    |<Tv, Sv>|, and the report details as (N,) columns."""
-    lo_t, hi_t, lo_s, hi_s = edges
-    ((omega, Omega),) = windows
-    fxx, fyy, phi_cross = phi[0].real, phi[1].real, phi[2]
-    re_cross = _positive_re_cross(omega * Omega)
-    coeff = 0.5 * (np.abs(Omega) + np.abs(omega)) / np.sqrt(re_cross)
-    scale2 = norm**2
-    lhs = np.sqrt(np.maximum(fxx, 0.0)) * np.sqrt(np.maximum(fyy, 0.0)) * scale2
-    rhs = coeff * np.abs(phi_cross) * scale2
-    ratio = (lo_t * lo_s) / (hi_t * hi_s)
-    cf_lhs = np.sqrt(nt2) * np.sqrt(ns2)
-    cf_rhs = 0.5 * (np.sqrt(ratio) + np.sqrt(1.0 / ratio)) * np.abs(cross)
-    details = {"omega": omega + 0j, "Omega": Omega + 0j}
-    details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs, cross=cross)
-    return lhs, rhs, 1.0, (cf_lhs, cf_rhs), details
-
-
-def _additive_pair_sides(edges, windows, norm, phi, nt2, ns2, cross):
-    """OP_PAIR_ADD's sides from the setup of _operator_pair_reports: lhs of
-    the additive functional bound on the ts window and the lesser rhs of
-    the ts and st windows, rescaled by ||v||^4, the size ||Tv||^2 ||Sv||^2
-    they are judged at, the closed forms of operator_pair_bounds, and the
-    report details as (N,) columns.  Both routes form lhs as a difference
-    of two products of that size, so they agree, and lhs is judged, to
-    rounding at that size."""
-    lo_t, hi_t, lo_s, hi_s = edges
-    (omega_ts, Omega_ts), (omega_st, Omega_st) = windows
-    fxx, fyy, phi_cross = phi[0].real, phi[1].real, phi[2]
-    # phi(s* s), phi(t* t) and phi(t* s) = conj(phi(s* t)) are the st
-    # window's values: only its rhs is used.
-    rhs_ts = 0.25 * np.abs(Omega_ts - omega_ts) ** 2 * fyy**2
-    rhs_st = 0.25 * np.abs(Omega_st - omega_st) ** 2 * fxx**2
-    # libm pow, whose bits do not depend on numpy's CPU dispatch as np.power's do.
-    scale4 = np.float_power(norm, 4.0)
-    lhs = (fxx * fyy - np.abs(phi_cross) ** 2) * scale4
-    rhs = np.minimum(rhs_ts, rhs_st) * scale4
-    cf_lhs = nt2 * ns2 - np.abs(cross) ** 2
-    half_gap = (hi_t * hi_s - lo_t * lo_s) / 2.0
-    cf_rhs = half_gap**2 * np.minimum(ns2**2 / (hi_s * lo_s) ** 2, nt2**2 / (hi_t * lo_t) ** 2)
-    details = {"omega_ts": omega_ts + 0j, "Omega_ts": Omega_ts + 0j}
-    details.update(omega_st=omega_st + 0j, Omega_st=Omega_st + 0j)
-    details.update(closed_form_lhs=cf_lhs, closed_form_rhs=cf_rhs)
-    details.update(norm_tv_sq=nt2, norm_sv_sq=ns2, cross=cross)
-    return lhs, rhs, nt2 * ns2, (cf_lhs, cf_rhs), details
 
 
 def _cross_check(label: str, via_functional, closed_form, size=1.0) -> None:

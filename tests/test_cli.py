@@ -23,6 +23,7 @@ from rcsbounds import (
     GeneratorConfig,
     bounds,
     cli,
+    forms,
     fuzz_run,
     gen_argmin_families,
     gen_bounded_sequences,
@@ -81,6 +82,23 @@ def test_verify_shipped_instances(capsys, name):
     code, out, _ = run(capsys, "verify", os.path.join(INSTANCES, name))
     assert code == 0
     assert "HOLDS" in out
+
+
+NECESSITY_WITNESSES = sorted(n for n in os.listdir(INSTANCES) if n.startswith("necessity_"))
+
+
+@pytest.mark.parametrize("name", NECESSITY_WITNESSES)
+def test_necessity_witness_fails_its_hypothesis_and_its_bound(capsys, name):
+    # docs/instances/necessity_<ID>_<check>.json fails that one hypothesis
+    # of its id, and the sides, computed anyway, violate the bound by more
+    # than the verdict band: the hypothesis is needed.
+    code, out, err = run(capsys, "verify", os.path.join(INSTANCES, name), "--json")
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    check = name[len(f"necessity_{report['inequality_id']}_") : -len(".json")]
+    assert [p["name"] for p in report["preconditions"] if not p["passed"]] == [check]
+    size = max(np.linalg.norm(np.asarray(report[side], float)) for side in ("lhs", "rhs"))
+    assert report["margin"] < -(DEFAULT_TOL.atol + DEFAULT_TOL.rtol * max(size, 1.0))
 
 
 def test_verify_json_output(capsys, tmp_path):
@@ -510,22 +528,59 @@ def test_verify_bad_vector_ends_in_one_line(capsys, tmp_path, target, v, message
     assert message in err
 
 
+# verify --json of docs/instances/operator_pair_swap.json under each
+# operator-pair target: T = diag(1, 2), S = diag(2, 1), v = (1, 1).
+OPERATOR_PAIR_SWAP_JSON = {
+    "OP_PAIR_ADD": (
+        '{"inequality_id": "OP_PAIR_ADD", "verdict": "HOLDS", "margin": 5.062499999999998, '
+        '"lhs": 9.000000000000002, "rhs": 14.0625, "preconditions": '
+        '[{"name": "re_term_positive_ts", "passed": true, "value": 0.0}, '
+        '{"name": "re_term_positive_st", "passed": true, "value": 0.0}], '
+        '"details": {"omega_ts": 0.5, "Omega_ts": 2.0, "omega_st": 0.5, "Omega_st": 2.0, '
+        '"closed_form_lhs": 9.0, "closed_form_rhs": 14.0625, "norm_tv_sq": 5.0, '
+        '"norm_sv_sq": 5.0, "cross": 4.0}}\n'
+    ),
+    "OP_PAIR_MULT": (
+        '{"inequality_id": "OP_PAIR_MULT", "verdict": "HOLDS", "margin": 0.0, '
+        '"lhs": 5.0, "rhs": 5.0, "preconditions": '
+        '[{"name": "re_term_positive", "passed": true, "value": 0.0}], '
+        '"details": {"omega": 0.5, "Omega": 2.0, "closed_form_lhs": 5.000000000000001, '
+        '"closed_form_rhs": 5.0, "cross": 4.0}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(OPERATOR_PAIR_SWAP_JSON))
+def test_verify_operator_pair_report_is_pinned(capsys, tmp_path, target):
+    # The check names, the detail keys in their order and every value.
+    with open(os.path.join(INSTANCES, "operator_pair_swap.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["target"] = target
+    code, out, err = run(capsys, "verify", write_instance(tmp_path, doc), "--json")
+    assert (code, err) == (0, "")
+    assert out == OPERATOR_PAIR_SWAP_JSON[target]
+
+
 @pytest.mark.parametrize("target", ["OP_PAIR_ADD", "OP_PAIR_MULT"])
 def test_verify_perturbed_functional_route_fails_cross_check(
     capsys, tmp_path, monkeypatch, target
 ):
-    # The functional route's stacked values start with phi(t* t) of every
-    # instance; that value alone is perturbed by 1e-6 relative.
-    original = bounds._state_values
+    # The functional route evaluates its vector states on stacks of
+    # products; phi(t* t) of every instance, and no other value, is
+    # perturbed by 1e-6 relative.
+    doc = near_proportional_pair_doc(target)
+    t = np.array([[complex(*z) for z in row] for row in doc["operator_pair"]["t"]])
+    tt = t.conj().T @ t
+    original = forms._FunctionalForms.values
 
-    def perturbed(u, a, b):
-        values = original(u, a, b)
-        values[: len(u)] *= 1.0 + 1e-6
+    def perturbed(self, m):
+        values = original(self, m)
+        values[(m == tt).all(axis=(1, 2))] *= 1.0 + 1e-6
         return values
 
-    monkeypatch.setattr(bounds, "_state_values", perturbed)
+    monkeypatch.setattr(forms._FunctionalForms, "values", perturbed)
     with pytest.raises(KernelError, match="functional route"):
-        cli.main(["verify", write_instance(tmp_path, near_proportional_pair_doc(target))])
+        cli.main(["verify", write_instance(tmp_path, doc)])
     assert "HOLDS" not in capsys.readouterr().out
 
 

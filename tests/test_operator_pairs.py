@@ -171,6 +171,16 @@ def test_overflowing_sides_are_an_error_not_a_verdict():
             bounds._operator_pair_reports(inequality_id, ts, ss, v, None, DEFAULT_TOL)
 
 
+def test_overflow_on_the_unit_state_is_an_error_not_a_verdict():
+    # ||Tv||^2 = 1e200 and the closed forms are finite, but t* t, which
+    # the functional route evaluates on u = v / ||v||, is not.
+    t = np.diag([1e200, 2.0])
+    s = np.diag([2.0, 1.0])
+    for inequality_id in ("OP_PAIR_ADD", "OP_PAIR_MULT"):
+        with pytest.raises(ValueError, match="overflow the double range"):
+            bounds._evaluate_one(inequality_id, (t, s, [1e-100, 0.0]), DEFAULT_TOL)
+
+
 def test_stacked_sides_match_a_per_instance_reference():
     # The evaluator forms every value over the stack; the sides computed
     # one instance at a time through the public functional and window
