@@ -41,6 +41,7 @@ from .forms import (
     VECTOR_STATE,
     _FUNCTIONAL_KINDS,
     _FunctionalForms,
+    _Overflow,
     _adjoint_symmetry,
     _coerce_argument,
     _form_eval,
@@ -434,9 +435,10 @@ def _scalar_reports(
     bad = ~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(margin))
     if np.count_nonzero(bad):
         k = int(np.argmax(bad))
-        raise ValueError(
+        raise _Overflow(
             f"{inequality_id} values overflow the double range "
-            f"(lhs = {float(lhs[k])!r}, rhs = {float(rhs[k])!r})"
+            f"(lhs = {float(lhs[k])!r}, rhs = {float(rhs[k])!r})",
+            k,
         )
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(size, 1.0))
     holds = margin >= -tol.band(scale)
@@ -767,7 +769,7 @@ def _operator_pair_reports(
     t started in basis, cold when it is None), so they share their
     hypotheses.  A slice whose closed forms, from Tv and Sv, leave the
     double range is an error naming its ||v||, never a verdict, and so is
-    a batch whose values on the states leave it.  The functional route is
+    one whose values or sides on the states leave it.  The functional route is
     ADD_FUNCTIONAL's or MULT_FUNCTIONAL's evaluator on the vector states
     u = v / ||v||, (x, y) = (t, s) on the ts window and, for OP_PAIR_ADD,
     (s, t) on the st window, taking the lesser rhs; its sides, rescaled by
@@ -788,13 +790,6 @@ def _operator_pair_reports(
             ratio = (lo_t * lo_s) / (hi_t * hi_s)
             cf_rhs = 0.5 * (np.sqrt(ratio) + np.sqrt(1.0 / ratio)) * np.abs(cross)
             closed = np.sqrt(nt2) * np.sqrt(ns2), cf_rhs
-    bad = ~np.isfinite(np.vstack(closed)).all(axis=0)
-    if np.count_nonzero(bad):
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"operator pair values overflow the double range (||v|| = {norm[k]:.3e}, "
-            f"||Tv||^2 = {nt2[k]:.3e}, ||Sv||^2 = {ns2[k]:.3e})"
-        )
     kinds = np.full(len(v), _FUNCTIONAL_KINDS.index(VECTOR_STATE))
     states = _FunctionalForms(kinds, v / norm[:, None], np.ones(v.shape))
     # The (x, y) and (omega, Omega) of the ts window and, for OP_PAIR_ADD, st.
@@ -802,12 +797,19 @@ def _operator_pair_reports(
     functional = ADD_FUNCTIONAL if additive else MULT_FUNCTIONAL
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            bad = ~np.isfinite(np.vstack(closed)).all(axis=0)
+            if np.count_nonzero(bad):  # a closed form past the double range
+                raise _Overflow("closed forms", int(np.argmax(bad)))
             reports = [
                 _functional_reports(functional, states, x, y, np.stack(pair, axis=1) + 0j, tol)
                 for x, y, pair in routes[: 1 + additive]
             ]
-        except ValueError as exc:  # a value on the states past the double range
-            raise ValueError(f"operator pair values overflow the double range: {exc}") from exc
+        except _Overflow as exc:  # or a value or a side on the states
+            k = exc.slice
+            raise ValueError(
+                f"operator pair values overflow the double range (||v|| = {norm[k]:.3e}, "
+                f"||Tv||^2 = {nt2[k]:.3e}, ||Sv||^2 = {ns2[k]:.3e})"
+            ) from exc
         # libm pow, whose bits do not depend on numpy's CPU dispatch as np.power's do.
         scale = np.float_power(norm, 4.0) if additive else norm**2
         lhs = reports[0].lhs * scale

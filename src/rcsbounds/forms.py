@@ -80,6 +80,14 @@ class WindowCheckError(FormError, KernelError):
     """A spectral window pair fails omega * y <= x <= Omega * y within tolerance."""
 
 
+class _Overflow(ValueError):
+    """Values of a batch past the double range, the first at slice k."""
+
+    def __init__(self, message: str, k: int) -> None:
+        super().__init__(message)
+        self.slice = k
+
+
 @dataclass(frozen=True)
 class OmegaPair:
     """Scalar window pair (omega, Omega) entering the reverse bounds."""
@@ -343,8 +351,10 @@ def _form_eval(forms, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # _coerce_argument has checked u and v, so v* u is evaluated
         # unchecked; a value past the double range is an error, never a verdict.
         values = _FunctionalForms.of(forms).values(y.conj().swapaxes(-1, -2) @ x)
-        if np.count_nonzero(~np.isfinite(values)):
-            raise ValueError("functional values must be finite")
+        bad = ~np.isfinite(values)
+        if np.count_nonzero(bad):
+            k = int(np.argmax(bad))
+            raise _Overflow(f"functional values must be finite (slice {k} is not)", k)
         return values[:, None, None]
     if forms[0].kind == MODULE_FORM:
         return y.conj().swapaxes(-1, -2) @ x
@@ -552,7 +562,7 @@ def _spectral_window(
     in; it saves sweeps and leaves every check as it is."""
     dec = eig_hermitian_stack(x, tol, start=start)
     # y passes the Hermiticity check its own eig_hermitian would make.
-    _hermitian_scaled(y, tol, ("eig_hermitian",))
+    _hermitian_scaled(y, tol, "eig_hermitian")
     px, py = (_in_basis(dec.eigenvectors, m) for m in (x, y))
     lo_x, hi_x = dec.eigenvalues[:, 0], dec.eigenvalues[:, -1]
     lo_y, hi_y = py[0].min(axis=1), py[0].max(axis=1)

@@ -8,14 +8,17 @@ dtype complex128; all norms are Frobenius norms.
 
 re_part, sqrt_psd, abs_element, spectrum_bounds, loewner_leq and is_normal
 also accept a stack of N same-size matrices, shape (N, d, d), and then
-return one result per slice; eig_hermitian_stack is the stacked
-eigensolver behind all of them.  Batch invariant: every slice is scaled,
-checked, iterated and stopped on its own, so slice k of a stacked result
-is bit-equal to the result for that matrix alone, whatever its
-batch-mates.
+return one result per slice.  Every eigensolve runs in one private Jacobi
+core, _jacobi, which takes a stack already checked Hermitian and scaled
+by exact powers of two and returns unsorted eigenvalues and rotations:
+eig_hermitian_stack (and sqrt_psd and abs_element through it) checks its
+input, solves it there and orders the result; spectrum_bounds reads its
+edges off the core's eigenvalues; and a Loewner test a <= b is one
+checked solve of b - a, with a and b each checked once.  Batch invariant:
+every slice is scaled, checked, iterated and stopped on its own, so slice
+k of a stacked result is bit-equal to the result for that matrix alone.
 
-Start basis: eig_hermitian_stack, and sqrt_psd, abs_element and
-loewner_leq through it, can begin the Jacobi iteration of each slice in a
+Start basis: a solve can begin the Jacobi iteration of each slice in a
 given unitary basis B instead of the identity, that is on B* h B with B
 as the accumulated rotations.  A similarity changes no eigenvalue, and
 the stopping rule is unchanged (off-diagonal mass at most
@@ -200,18 +203,24 @@ def hermiticity_defect(a) -> float:
     return frobenius(m - m.conj().T)
 
 
+def _scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An (N, d, d) stack times its _shrink factors, the factors, and the
+    Frobenius norms of the scaled stack."""
+    shrink = _shrink(m)
+    s = m * shrink[:, None, None]
+    return s, shrink, _root_sumsq(_flat(s))
+
+
 def _hermitian_scaled(
-    m: np.ndarray, tol: Tolerance, names: tuple[str, ...]
+    m: np.ndarray, tol: Tolerance, name: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check each slice of an (N, d, d) stack for Hermiticity and symmetrize it.
 
-    Returns (h, shrink, norm): the Hermitian parts times their _shrink
-    factors (1 for 1 x 1 matrices), the factors, and the Frobenius norms
-    of the scaled inputs.  The defect and the norm are compared at that
-    exact scale, so finite inputs of any size neither overflow nor widen
-    the band.  The stack is
-    split into len(names) equal parts, and a failing slice is reported
-    under the name of its part.
+    Returns (h, shrink, norm) as _jacobi takes them: the Hermitian parts
+    times their _shrink factors (1 for 1 x 1 matrices), the factors, and
+    the Frobenius norms of the scaled inputs.  The defect and the norm are
+    compared at that exact scale, so finite inputs of any size neither
+    overflow nor widen the band.  A failing slice is reported under name.
     """
     if m.shape[-1] == 1:
         # Closed form: the defect 2 |Im a| and the norm |a| of a 1 x 1
@@ -221,18 +230,16 @@ def _hermitian_scaled(
         defect, norm = 2.0 * np.abs(a.imag), np.abs(a)
         h = a.real.astype(np.complex128).reshape(-1, 1, 1)
     else:
-        shrink = _shrink(m)
-        s = m * shrink[:, None, None]
+        s, shrink, norm = _scaled(m)
         sh = _adjoint(s)
         defect = _root_sumsq(_flat(s - sh))
-        norm = _root_sumsq(_flat(s))
         # Symmetrize so downstream arithmetic sees an exactly Hermitian matrix.
         h = (s + sh) / 2.0
     bad = defect > tol.atol * shrink + tol.rtol * norm
     if np.count_nonzero(bad):
         k = int(np.argmax(bad))
         raise NotHermitianError(
-            f"{names[k * len(names) // len(m)]}: input is not Hermitian "
+            f"{name}: input is not Hermitian "
             f"(defect {float(defect[k]) / float(shrink[k]):.3e})"
         )
     return h, shrink, norm
@@ -354,68 +361,33 @@ def _jacobi_sweep(
     return h, v
 
 
-def eig_hermitian_stack(
-    a,
-    tol: Tolerance = DEFAULT_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-    *,
-    start=None,
-) -> SpectralDecomposition:
-    """Eigendecompositions of a stack of Hermitian matrices, shape (N, d, d).
+def _jacobi(
+    h: np.ndarray, shrink: np.ndarray, norm: np.ndarray, max_sweeps=JACOBI_MAX_SWEEPS, *, start=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobi core behind every eigensolve of this module.
 
-    Parallel-ordering two-sided Jacobi: each sweep visits every
-    off-diagonal pivot once in round-robin order, d - 1 steps (d for odd d)
-    that each zero d // 2 disjoint pivots with one block rotation, applied
-    to every unconverged matrix of the stack at once.
+    h is an exactly Hermitian (N, d, d) stack, each slice times its exact
+    power of two shrink (by _hermitian_scaled, or by _scaled when it is
+    Hermitian by construction), and norm its slices' Frobenius norms at
+    that scale, which keeps the rotations clear of overflow and subnormals.
+    Each sweep visits every off-diagonal pivot once in round-robin order,
+    d - 1 steps (d for odd d) that each zero d // 2 disjoint pivots with
+    one block rotation, applied to every unconverged matrix at once.  A
+    matrix leaves the active set once its off-diagonal Frobenius mass drops
+    to JACOBI_REL_TARGET times its norm, so slice k is solved as it would
+    be alone; NoConvergenceError after max_sweeps sweeps.  start (one basis
+    B per slice, or None) is checked unitary here, and the iteration then
+    begins at B* h B, symmetrized, with B as the rotations.
 
-    Each matrix is iterated at its own exact power-of-two scale and leaves
-    the active set as soon as its off-diagonal Frobenius mass drops to
-    JACOBI_REL_TARGET times its own Frobenius norm, so slice k of the
-    result is bit-equal to the decomposition of a[k] alone.
-
-    With a start basis B (one unitary per slice), the iteration on h
-    begins at B* h B, symmetrized, with B as the accumulated rotations.
-    The similarity leaves the spectrum as it is, so the unchanged stopping
-    rule (measured against the norm of h itself) bounds the error of the
-    diagonal by Weyl's inequality exactly as in a solve from the identity;
-    only the number of sweeps depends on B, close to none when B nearly
-    diagonalizes h.  Without a start the iteration begins at h itself.
-
-    Parameters
-    ----------
-    a : array_like, shape (N, d, d)
-        Hermitian matrices (each within tol; symmetrized before iterating).
-    tol : Tolerance
-        Band for the Hermiticity precondition, checked slice by slice.
-    max_sweeps : int
-        Hard cap on full sweeps per matrix; NoConvergenceError beyond it.
-    start : array_like, shape (N, d, d), optional
-        Unitary start bases, for example the eigenvectors of a commuting
-        matrix.  KernelError for a slice that is not unitary to
-        START_UNITARY_TOL (Frobenius norm of B* B - I), which would change
-        the spectrum.
-
-    Returns
-    -------
-    SpectralDecomposition
-        Eigenvalues of shape (N, d), ascending along the last axis, and
-        unitary eigenvectors of shape (N, d, d).
+    Returns the real diagonal of the converged stack over shrink, shape
+    (N, d), unsorted, and the rotations, shape (N, d, d), whose column j
+    belongs to entry j.
     """
-    m = np.ascontiguousarray(a, dtype=np.complex128)
-    if m.ndim != 3:
-        raise DimMismatchError(f"expected a stack of square matrices, got shape {m.shape}")
-    # Jacobi commutes with scaling by a power of two, which is exact:
-    # iterating on h * 2^-e with max |h| near 1 keeps the rotations and
-    # norms clear of overflow and subnormals at any input scale.
-    h, shrink, norm = _hermitian_scaled(_validated(m), tol, ("eig_hermitian",))
     n, d, _ = h.shape
     if start is not None:
         start = _unitary_start(start, h.shape)
     if d == 1:
-        return SpectralDecomposition(
-            eigenvalues=h[:, 0, :].real / shrink[:, None],
-            eigenvectors=np.ones((n, 1, 1), dtype=np.complex128),
-        )
+        return h[:, 0, :].real / shrink[:, None], np.ones((n, 1, 1), dtype=np.complex128)
     off = _off_diagonal(d)
     steps = _round_robin(d)
     target = JACOBI_REL_TARGET * norm
@@ -451,12 +423,47 @@ def eig_hermitian_stack(
                 f"mass {mass[0] / shrink[k]:.3e}, target {target[0] / shrink[k]:.3e})"
             )
         hs, vs = _jacobi_sweep(hs, vs, eye[: active.size], steps)
-    lam = np.diagonal(out_h, axis1=1, axis2=2).real / shrink[:, None]
+    return np.diagonal(out_h, axis1=1, axis2=2).real / shrink[:, None], out_v
+
+
+def _edges(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's least and greatest entry, the first and the last of equal
+    ones (0.0 and -0.0), where eig_hermitian_stack's stable sort puts them."""
+    rows, last = np.arange(len(lam)), lam.shape[1] - 1
+    return lam[rows, lam.argmin(axis=1)], lam[rows, last - lam[:, ::-1].argmax(axis=1)]
+
+
+def eig_hermitian_stack(
+    a,
+    tol: Tolerance = DEFAULT_TOL,
+    max_sweeps: int = JACOBI_MAX_SWEEPS,
+    *,
+    start=None,
+) -> SpectralDecomposition:
+    """Eigendecompositions of a stack of Hermitian matrices, shape (N, d, d).
+
+    Each slice is checked Hermitian within tol, symmetrized and solved in
+    the Jacobi core (_jacobi) at its own exact power-of-two scale, with at
+    most max_sweeps sweeps, so slice k of the result is bit-equal to the
+    decomposition of a[k] alone.  start, shape (N, d, d), is one unitary
+    start basis per slice, such as the eigenvectors of a commuting matrix:
+    it saves sweeps and changes no eigenvalue, and a slice not unitary to
+    START_UNITARY_TOL (Frobenius norm of B* B - I) is a KernelError.
+
+    Returns eigenvalues of shape (N, d), ascending along the last axis, and
+    unitary eigenvectors of shape (N, d, d) in the same order; no other
+    function orders a solve's eigenvectors.
+    """
+    m = np.ascontiguousarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        raise DimMismatchError(f"expected a stack of square matrices, got shape {m.shape}")
+    h, shrink, norm = _hermitian_scaled(_validated(m), tol, "eig_hermitian")
+    lam, v = _jacobi(h, shrink, norm, max_sweeps, start=start)
     order = np.argsort(lam, axis=1, kind="stable")
-    rows = np.arange(n)[:, None]
+    rows = np.arange(len(lam))[:, None]
     return SpectralDecomposition(
         eigenvalues=lam[rows, order],
-        eigenvectors=np.ascontiguousarray(out_v.swapaxes(1, 2)[rows, order].swapaxes(1, 2)),
+        eigenvectors=np.ascontiguousarray(v.swapaxes(1, 2)[rows, order].swapaxes(1, 2)),
     )
 
 
@@ -480,26 +487,9 @@ def eig_hermitian(
     tol: Tolerance = DEFAULT_TOL,
     max_sweeps: int = JACOBI_MAX_SWEEPS,
 ) -> SpectralDecomposition:
-    """Eigendecomposition of one Hermitian matrix by parallel-ordering two-sided Jacobi.
-
-    The N = 1 case of eig_hermitian_stack: sweeps repeat until the
-    off-diagonal Frobenius mass drops to JACOBI_REL_TARGET times the
-    Frobenius norm of the input.
-
-    Parameters
-    ----------
-    a : array_like
-        Hermitian matrix (within tol; symmetrized before iterating).
-    tol : Tolerance
-        Band for the Hermiticity precondition.
-    max_sweeps : int
-        Hard cap on full sweeps; NoConvergenceError beyond it.
-
-    Returns
-    -------
-    SpectralDecomposition
-        Real eigenvalues in ascending order and unitary eigenvectors.
-    """
+    """Eigendecomposition of one Hermitian matrix: the N = 1 case of
+    eig_hermitian_stack, with its tol and max_sweeps.  Returns real
+    eigenvalues in ascending order and unitary eigenvectors."""
     dec = eig_hermitian_stack(as_element(a)[None], tol, max_sweeps)
     return SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
 
@@ -550,39 +540,37 @@ def abs_element(a, tol: Tolerance = DEFAULT_TOL, *, start=None) -> np.ndarray:
 
 
 def spectrum_bounds(a, tol: Tolerance = DEFAULT_TOL):
-    """Smallest and largest eigenvalue of a Hermitian matrix.
-
-    For a stack, two arrays of shape (N,)."""
+    """Smallest and largest eigenvalue of a Hermitian matrix, from one
+    checked solve.  For a stack, two arrays of shape (N,)."""
     m, single = _as_stack(a)
-    lam = eig_hermitian_stack(m, tol).eigenvalues
+    lo, hi = _edges(_jacobi(*_hermitian_scaled(m, tol, "eig_hermitian"))[0])
     if single:
-        return float(lam[0, 0]), float(lam[0, -1])
-    return lam[:, 0], lam[:, -1]
+        return float(lo[0]), float(hi[0])
+    return lo, hi
 
 
 def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL, *, start=None, scale=None):
-    """Test a <= b in the Loewner order.
+    """Test a <= b in the Loewner order by one solve of b - a.
 
     Returns (verdict, margin) with margin = min eig(b - a).  The verdict
     is margin >= -(atol + rtol * s), s = max(||a||_F, ||b||_F, scale, 1):
     scale, a float or one per slice, is the size of the operands a or b
     cancels from, whose rounding is no violation (none: 0).  For stacks,
     a boolean and a float array of shape (N,).  start is the start basis
-    of the eigensolve of b - a, shaped like a.
-    """
+    of the eigensolve of b - a, shaped like a.  a and b are each checked
+    Hermitian once, and b - a, exactly Hermitian, is checked finite (an
+    overflowing difference is a ValueError) and solved once in the core."""
     ma, single = _as_stack(a)
     mb, _ = _as_stack(b)
     if ma.shape != mb.shape:
         raise DimMismatchError(f"shape mismatch {np.shape(a)} vs {np.shape(b)}")
-    n = len(ma)
-    h, shrink, norm = _hermitian_scaled(
-        np.concatenate((ma, mb)), tol, ("loewner_leq lhs", "loewner_leq rhs")
-    )
-    h /= shrink[:, None, None]
-    norm /= shrink
-    start = _started(start, single)
-    margin = eig_hermitian_stack(h[n:] - h[:n], tol, start=start).eigenvalues[:, 0]
-    size = np.maximum(np.maximum(norm[:n], norm[n:]), 0.0 if scale is None else scale)
+    ha, sa, na = _hermitian_scaled(ma, tol, "loewner_leq lhs")
+    hb, sb, nb = _hermitian_scaled(mb, tol, "loewner_leq rhs")
+    ha /= sa[:, None, None]
+    hb /= sb[:, None, None]
+    lam, _ = _jacobi(*_scaled(_validated(hb - ha)), start=_started(start, single))
+    margin = _edges(lam)[0]
+    size = np.maximum(np.maximum(na / sa, nb / sb), 0.0 if scale is None else scale)
     holds = margin >= -tol.band(np.maximum(size, 1.0))
     if single:
         return bool(holds[0]), float(margin[0])

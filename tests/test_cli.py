@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from rcsbounds import (
 from rcsbounds.harness import WINDOW_RANGE
 from rcsbounds.matalg import DEFAULT_TOL, KernelError, NoConvergenceError
 from rcsbounds.rng import stream
+from test_equality_verdicts import _exact_sides
 from test_forms import BAD_FORMS
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "docs", "instances")
@@ -87,18 +89,46 @@ def test_verify_shipped_instances(capsys, name):
 NECESSITY_WITNESSES = sorted(n for n in os.listdir(INSTANCES) if n.startswith("necessity_"))
 
 
+def _sides_without_evaluator(doc: dict) -> tuple:
+    """(lhs, rhs, size) of a witness whose evaluator raises before any
+    sides exist, size that of the products a cancelling lhs is formed
+    from: a sequence id's exact sums (_exact_sides), or OP_PAIR_ADD's
+    closed forms from the operator_pair_bounds docstring, with the
+    spectral edges from numpy's eigvalsh."""
+    if doc["target"] != "OP_PAIR_ADD":
+        seq = doc["sequences"]
+        data = SimpleNamespace(**seq | {"window": SimpleNamespace(**seq["window"])})
+        return _exact_sides(doc["target"], data)
+    pair = {k: np.asarray(m, float) for k, m in doc["operator_pair"].items()}
+    t, s, v = (pair[k][..., 0] + 1j * pair[k][..., 1] for k in "tsv")
+    (mt, *_, big_t), (ms, *_, big_s) = np.linalg.eigvalsh(t), np.linalg.eigvalsh(s)
+    tv, sv = t @ v, s @ v
+    nt2, ns2, cross = np.vdot(tv, tv).real, np.vdot(sv, sv).real, np.vdot(sv, tv)
+    bound = min(ns2**2 / (big_s * ms) ** 2, nt2**2 / (big_t * mt) ** 2)
+    return nt2 * ns2 - abs(cross) ** 2, ((big_t * big_s - mt * ms) / 2) ** 2 * bound, nt2 * ns2
+
+
 @pytest.mark.parametrize("name", NECESSITY_WITNESSES)
 def test_necessity_witness_fails_its_hypothesis_and_its_bound(capsys, name):
     # docs/instances/necessity_<ID>_<check>.json fails that one hypothesis
     # of its id, and the sides, computed anyway, violate the bound by more
-    # than the verdict band: the hypothesis is needed.
-    code, out, err = run(capsys, "verify", os.path.join(INSTANCES, name), "--json")
+    # than the verdict band: the hypothesis is needed.  Where the failed
+    # check raises before the evaluator forms any sides (sequences_in_window,
+    # commuting), the test forms them itself.
+    path = os.path.join(INSTANCES, name)
+    code, out, err = run(capsys, "verify", path, "--json")
     assert (code, err) == (3, "")
     report = json.loads(out)
     check = name[len(f"necessity_{report['inequality_id']}_") : -len(".json")]
     assert [p["name"] for p in report["preconditions"] if not p["passed"]] == [check]
-    size = max(np.linalg.norm(np.asarray(report[side], float)) for side in ("lhs", "rhs"))
-    assert report["margin"] < -(DEFAULT_TOL.atol + DEFAULT_TOL.rtol * max(size, 1.0))
+    if report["margin"] is None:
+        with open(path) as f:
+            lhs, rhs, size = _sides_without_evaluator(json.load(f))
+        margin, size = float(rhs - lhs), float(max(abs(lhs), abs(rhs), size))
+    else:
+        margin = report["margin"]
+        size = max(np.linalg.norm(np.asarray(report[side], float)) for side in ("lhs", "rhs"))
+    assert margin < -(DEFAULT_TOL.atol + DEFAULT_TOL.rtol * max(size, 1.0))
 
 
 def test_verify_json_output(capsys, tmp_path):

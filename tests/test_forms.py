@@ -95,6 +95,10 @@ def test_functional_form_checks_its_arguments_once(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="functional values must be finite"):
             form_eval(form, 1e200 * np.eye(2), 1e200 * np.eye(2))
+        # In a batch, the error names the first slice past the double range.
+        big = np.stack([np.eye(2), 1e200 * np.eye(2), 1e200 * np.eye(2)])
+        with pytest.raises(ValueError, match=r"finite \(slice 1 is not\)$"):
+            forms._form_eval([form] * 3, big, big)
 
 
 @pytest.mark.parametrize("state", [[np.nan, 0.0], [np.inf, 0.0], [1.0, 1.0]])

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import importlib
 import json
 
 import numpy as np
@@ -185,19 +184,17 @@ def test_run_trial_is_pure():
 )
 def test_eigensolves_per_report(monkeypatch, inequality_id, solves):
     # Generator plus evaluator: each spectral decomposition of a report is
-    # computed once.  Every decomposed matrix is counted: each slice of an
-    # eig_hermitian_stack call, through every module binding.
+    # computed once.  Every decomposed matrix is counted: each slice of a
+    # call of the Jacobi core, where eig_hermitian_stack, spectrum_bounds
+    # and loewner_leq all solve.
     calls = []
-    original = eig_hermitian_stack
+    original = matalg._jacobi
 
-    def counted(a, *args, **kwargs):
-        calls.append(len(a))
-        return original(a, *args, **kwargs)
+    def counted(h, *args, **kwargs):
+        calls.append(len(h))
+        return original(h, *args, **kwargs)
 
-    for name in ("", ".matalg", ".forms", ".bounds", ".harness", ".cli"):
-        module = importlib.import_module(f"rcsbounds{name}")
-        if getattr(module, "eig_hermitian_stack", None) is original:
-            monkeypatch.setattr(module, "eig_hermitian_stack", counted)
+    monkeypatch.setattr(matalg, "_jacobi", counted)
     config = GeneratorConfig(seed=3, trials=8, dims=(1, 2, 4, 8))
     for i in range(config.trials):
         calls.clear()
@@ -225,20 +222,17 @@ def test_jacobi_sweeps_per_report(monkeypatch, inequality_id, sweeps):
     # rotation of the Re term at d = 2 (trials 4 and 6), and none at d = 1,
     # 4 and 8.  Every sweep of every matrix is counted.
     solves = []
-    original_stack, original_sweep = eig_hermitian_stack, matalg._jacobi_sweep
+    original_core, original_sweep = matalg._jacobi, matalg._jacobi_sweep
 
-    def counted_stack(a, *args, start=None, **kwargs):
-        solves.append([start is not None or np.shape(a)[-1] == 1, 0])
-        return original_stack(a, *args, start=start, **kwargs)
+    def counted_core(h, *args, start=None, **kwargs):
+        solves.append([start is not None or h.shape[-1] == 1, 0])
+        return original_core(h, *args, start=start, **kwargs)
 
     def counted_sweep(h, *args):
         solves[-1][1] += len(h)
         return original_sweep(h, *args)
 
-    for name in ("", ".matalg", ".forms", ".bounds", ".harness", ".cli"):
-        module = importlib.import_module(f"rcsbounds{name}")
-        if getattr(module, "eig_hermitian_stack", None) is original_stack:
-            monkeypatch.setattr(module, "eig_hermitian_stack", counted_stack)
+    monkeypatch.setattr(matalg, "_jacobi", counted_core)
     monkeypatch.setattr(matalg, "_jacobi_sweep", counted_sweep)
     config = GeneratorConfig(seed=3, trials=8, dims=(1, 2, 4, 8))
     for i in range(config.trials):

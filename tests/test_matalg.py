@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcsbounds import matalg
 from rcsbounds.harness import gen_random_unitary, oracle_psd_minors
 from rcsbounds.matalg import (
     DEFAULT_TOL,
@@ -456,6 +457,62 @@ def test_stacked_primitives_equal_single_calls():
             assert (normal[k], devs[k]) == is_normal(b[k] @ a[k])
     with pytest.raises(NotHermitianError, match="rhs"):
         loewner_leq(np.stack([np.eye(2)] * 2), np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+
+
+def test_loewner_names_the_operand_that_is_not_hermitian():
+    # Each operand is checked once, under its own name: a first, then b.
+    skew = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(NotHermitianError, match="^loewner_leq lhs: "):
+        loewner_leq(skew, skew)
+    with pytest.raises(NotHermitianError, match="^loewner_leq rhs: "):
+        loewner_leq(np.stack([np.eye(2)] * 2), skew)
+
+
+def test_loewner_overflowing_difference_is_not_finite():
+    # Finite operands whose difference b - a leaves the double range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            loewner_leq(-1e308 * np.eye(3), 1e308 * np.eye(3))
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
+def test_loewner_margin_is_the_least_eigenvalue_of_the_difference(d):
+    # For exactly Hermitian operands, the one solve of b - a gives the
+    # margin eig_hermitian_stack gives as its least eigenvalue, bit for
+    # bit, from the identity and from a start basis alike.
+    g = stream(870, d)
+    a, b = (re_part(g.standard_normal((5, d, d)) + 1j * g.standard_normal((5, d, d))) for _ in "ab")
+    starts = np.stack([gen_random_unitary(d, g) for _ in range(5)])
+    for start in (None, starts):
+        _, margin = loewner_leq(a, b, start=start)
+        want = eig_hermitian_stack(b - a, start=start).eigenvalues[:, 0]
+        assert margin.tobytes() == want.tobytes()
+
+
+def test_loewner_is_one_checked_solve(monkeypatch):
+    # Each operand is checked once, and b - a alone is solved, once.
+    checks, solves = [], []
+    check, solve = matalg._hermitian_scaled, matalg._jacobi
+    monkeypatch.setattr(matalg, "_hermitian_scaled", lambda m, *a: checks.append(len(m)) or check(m, *a))
+    monkeypatch.setattr(matalg, "_jacobi", lambda h, *a, **k: solves.append(len(h)) or solve(h, *a, **k))
+    g = stream(871, 0)
+    a, b = (np.stack([rand_psd(4, g) for _ in range(3)]) for _ in "ab")
+    loewner_leq(a, b)
+    assert (checks, solves) == ([3, 3], [3])
+
+
+def test_signed_zero_edges_are_those_of_the_sorted_spectrum():
+    # At tiny = -1e-300 this matrix's solve ends with the diagonal
+    # (-0.0, 2, 0.0), whose least entries compare equal: the margin and the
+    # edges are the first and the last of eig_hermitian_stack's stable
+    # order, which numpy's min is not.
+    for tiny in (1e-300, -1e-300):
+        m = np.array([[0.0, tiny, tiny], [tiny, 1.0, 1.0], [tiny, 1.0, 1.0]])
+        lam = eig_hermitian_stack(m[None]).eigenvalues[0]
+        _, margin = loewner_leq(np.zeros_like(m), m)
+        edges = (margin, *spectrum_bounds(m))
+        assert edges == (lam[0], lam[0], lam[-1])
+        assert np.signbit(edges).tolist() == np.signbit(lam[[0, 0, -1]]).tolist(), tiny
 
 
 @pytest.mark.parametrize("d", range(2, MAX_DIM + 1))

@@ -171,14 +171,32 @@ def test_overflowing_sides_are_an_error_not_a_verdict():
             bounds._operator_pair_reports(inequality_id, ts, ss, v, None, DEFAULT_TOL)
 
 
+UNIT_STATE_OVERFLOW = (
+    r"^operator pair values overflow the double range "
+    r"\(\|\|v\|\| = 1\.000e-100, \|\|Tv\|\|\^2 = 1\.000e\+200, \|\|Sv\|\|\^2 = 4\.000e-200\)$"
+)
+
+
 def test_overflow_on_the_unit_state_is_an_error_not_a_verdict():
-    # ||Tv||^2 = 1e200 and the closed forms are finite, but t* t, which
-    # the functional route evaluates on u = v / ||v||, is not.
+    # ||Tv||^2 = 1e200 and OP_PAIR_MULT's closed forms are finite, but
+    # t* t, which the functional route evaluates on u = v / ||v||, is not:
+    # the error names the slice's ||v|| as a closed form's overflow does.
     t = np.diag([1e200, 2.0])
     s = np.diag([2.0, 1.0])
     for inequality_id in ("OP_PAIR_ADD", "OP_PAIR_MULT"):
-        with pytest.raises(ValueError, match="overflow the double range"):
+        with pytest.raises(ValueError, match=UNIT_STATE_OVERFLOW):
             bounds._evaluate_one(inequality_id, (t, s, [1e-100, 0.0]), DEFAULT_TOL)
+
+
+def test_overflow_on_the_unit_state_names_its_slice():
+    # In a batch, the error names the ||v|| of the slice that overflows on
+    # its unit state, not that of the first slice.
+    ts = np.stack((np.diag([1.0, 2.0]), np.diag([1e200, 2.0])))
+    ss = np.stack((np.diag([2.0, 1.0]), np.diag([2.0, 1.0])))
+    v = np.array([[1.0, 1.0], [1e-100, 0.0]], dtype=complex)
+    for inequality_id in ("OP_PAIR_ADD", "OP_PAIR_MULT"):
+        with pytest.raises(ValueError, match=UNIT_STATE_OVERFLOW):
+            bounds._operator_pair_reports(inequality_id, ts, ss, v, None, DEFAULT_TOL)
 
 
 def test_stacked_sides_match_a_per_instance_reference():
