@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .forms import (
     _re_term,
     _root_commutation,
     _spectral_window,
+    _window,
     form_eval,
 )
 from .matalg import (
@@ -160,9 +161,10 @@ class _Inequality:
 
     * "form", "functional_form": N forms of one kind, one per instance (for
       "functional_form" one forms._FunctionalForms), x and y as (N, ...)
-      arrays normalized by forms._coerce_argument, and N window pairs
-      (OmegaPairs; for "functional_form" an (N, 2) array, forms._pair_rows);
-      for "form" also the start bases of the first eigensolve (below);
+      arrays normalized by forms._coerce_argument, and the (N, 2) array of
+      their window pairs (omega, Omega), from spectral edges (forms._window)
+      or OmegaPairs (forms._pair_rows); for "form" also the start bases of
+      the first eigensolve (below);
     * "operator_pair": (N, d, d) stacks t, s, an (N, d) stack of nonzero v
       and the start bases of the window's eigensolve of t;
     * "sequences": (N, n) stacks of a_seq, b_seq, w_seq and the (N, 4)
@@ -291,7 +293,7 @@ def _batch_of_one(payload: str, instance) -> tuple:
     x, y = _coerce_argument(form, x)[None], _coerce_argument(form, y)[None]
     if payload == "functional_form":
         return _FunctionalForms.of([form]), x, y, _pair_rows([pair])
-    return [form], x, y, [pair], _started(basis[0] if basis else None, True)
+    return [form], x, y, _pair_rows([pair]), _started(basis[0] if basis else None, True)
 
 
 def _evaluate_one(inequality_id: str, instance, tol: Tolerance) -> BoundReport:
@@ -519,13 +521,7 @@ def multiplicative_matrix_bound(
 
 
 def _matrix_reports(
-    inequality_id: str,
-    forms: list[FormInstance],
-    x: np.ndarray,
-    y: np.ndarray,
-    pairs: list[OmegaPair],
-    basis,
-    tol: Tolerance,
+    inequality_id: str, forms: list[FormInstance], x, y, pairs: np.ndarray, basis, tol: Tolerance
 ) -> _Reports:
     """ADD_MATRIX or MULT_MATRIX reports for a "form" batch (see
     _Inequality).  Each form evaluation, square root, Re-term check,
@@ -538,12 +534,11 @@ def _matrix_reports(
     y commute (see matalg).  ADD_MATRIX's lhs cancels from the products
     <y,y>^(1/2) <x,x> <y,y>^(1/2) and <x,y><y,x>, so its margin is judged
     at their size too."""
-    rows = _pair_rows(pairs)
-    omega, Omega = rows.T
+    omega, Omega = pairs.T
     if inequality_id == MULT_MATRIX:
         coeffs = _coefficient(omega, Omega)
     xx, yy, xy, yx = (_form_eval(forms, u, v) for u, v in ((x, x), (y, y), (x, y), (y, x)))
-    re_term = _re_term(forms, x, y, rows)
+    re_term = _re_term(forms, x, y, pairs)
     s_ok, s_dev = _adjoint_symmetry(xy, yx, tol)
     size = None
     if inequality_id == ADD_MATRIX:
@@ -792,8 +787,8 @@ def _operator_pair_reports(
             closed = np.sqrt(nt2) * np.sqrt(ns2), cf_rhs
     kinds = np.full(len(v), _FUNCTIONAL_KINDS.index(VECTOR_STATE))
     states = _FunctionalForms(kinds, v / norm[:, None], np.ones(v.shape))
-    # The (x, y) and (omega, Omega) of the ts window and, for OP_PAIR_ADD, st.
-    routes = [(t, s, (lo_t / hi_s, hi_t / lo_s)), (s, t, (lo_s / hi_t, hi_s / lo_t))]
+    # The (x, y) and window pairs of the ts window and, for OP_PAIR_ADD, st.
+    routes = [(t, s, (lo_t, hi_t, lo_s, hi_s)), (s, t, (lo_s, hi_s, lo_t, hi_t))]
     functional = ADD_FUNCTIONAL if additive else MULT_FUNCTIONAL
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -801,8 +796,8 @@ def _operator_pair_reports(
             if np.count_nonzero(bad):  # a closed form past the double range
                 raise _Overflow("closed forms", int(np.argmax(bad)))
             reports = [
-                _functional_reports(functional, states, x, y, np.stack(pair, axis=1) + 0j, tol)
-                for x, y, pair in routes[: 1 + additive]
+                _functional_reports(functional, states, x, y, _window(*edges), tol)
+                for x, y, edges in routes[: 1 + additive]
             ]
         except _Overflow as exc:  # or a value or a side on the states
             k = exc.slice
@@ -907,12 +902,7 @@ class WeightedSequences:
             "a_seq": [float(v) for v in self.a_seq],
             "b_seq": [float(v) for v in self.b_seq],
             "w_seq": [float(v) for v in self.w_seq],
-            "window": {
-                "a": self.window.a,
-                "A": self.window.A,
-                "b": self.window.b,
-                "B": self.window.B,
-            },
+            "window": asdict(self.window),
         }
 
     @classmethod

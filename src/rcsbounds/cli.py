@@ -45,9 +45,9 @@ from .harness import (
     SPACE_DIMS,
     FuzzSummary,
     GeneratorConfig,
-    _scalar_rows,
     _sequence_batch,
     _uniform,
+    _window_rows,
     fuzz_run,
     gen_argmin_families,
     run_trial,
@@ -411,13 +411,13 @@ def _compare_batches(args: argparse.Namespace):
     w_seq, edges), in order.
 
     Random windows first, as many rows at a time as draw
-    SCALAR_WINDOW_WORDS words (harness._scalar_rows) so that memory does
+    SCALAR_WINDOW_WORDS words (harness._window_rows) so that memory does
     not grow with --samples or --n, row i the uniforms stream(seed,
     i).random(4 + 3n) from stacked Philox passes (rng._uniforms), then the
     three constructed families, so the output is reproducible and
     schedule-independent.
     """
-    size = _scalar_rows(4 + 3 * args.n)
+    size = _window_rows(4 + 3 * args.n)
     for start in range(0, args.samples, size):
         indices = range(start, min(start + size, args.samples))
         yield _sequence_batch(_uniforms(args.seed, indices, 4 + 3 * args.n), True)

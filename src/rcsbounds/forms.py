@@ -32,7 +32,9 @@ from .matalg import (
     KernelError,
     Tolerance,
     _as_stack,
+    _edges,
     _hermitian_scaled,
+    _jacobi,
     _norms,
     as_element,
     eig_hermitian,
@@ -41,7 +43,6 @@ from .matalg import (
     hermiticity_defect,
     loewner_leq,
     re_part,
-    spectrum_bounds,
     sqrt_psd,
 )
 from .rng import _complex_normals, stream
@@ -532,7 +533,8 @@ def omega_from_spectra(x, y, tol: Tolerance = DEFAULT_TOL):
     diagonalize y that far (as x with a repeated eigenvalue, such as
     x = I, can leave it), or that fails any of these checks (as at a band
     below roundoff), is decided on its own by the per-matrix route
-    instead: the spectrum of y from eig_hermitian and both checks by
+    instead: the spectrum of y from its own solve (of the y that its
+    Hermiticity check scaled, so y is checked once) and both checks by
     loewner_leq.  So a slice's pair never depends on the other slices of
     the stack.
     """
@@ -540,14 +542,16 @@ def omega_from_spectra(x, y, tol: Tolerance = DEFAULT_TOL):
     ym, _ = _as_stack(y)
     if xm.shape != ym.shape:
         raise DimMismatchError(f"shape mismatch {np.shape(x)} vs {np.shape(y)}")
-    pairs = _window_pairs(*_spectral_window(xm, ym, tol))
+    pairs = [OmegaPair(*row) for row in _window(*_spectral_window(xm, ym, tol)).tolist()]
     return pairs[0] if single else pairs
 
 
-def _window_pairs(lo_x, hi_x, lo_y, hi_y) -> list[OmegaPair]:
-    """The pairs (min sigma(x) / max sigma(y), max sigma(x) / min sigma(y))
-    of spectral edges, arrays of shape (N,)."""
-    return [OmegaPair(complex(lo), complex(hi)) for lo, hi in zip(lo_x / hi_y, hi_x / lo_y)]
+def _window(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """The (N, 2) complex window pairs (omega, Omega) =
+    (min sigma(a) / max sigma(b), max sigma(a) / min sigma(b)) of N pairs
+    (a, b) from their spectral edges, arrays of shape (N,), so that
+    omega * b <= a <= Omega * b: the one place the window is computed."""
+    return np.stack((lo_a / hi_b, hi_a / lo_b), axis=1).astype(np.complex128)
 
 
 def _spectral_window(
@@ -561,23 +565,26 @@ def _spectral_window(
     eig_hermitian_stack), such as the unitaries a generator built x and y
     in; it saves sweeps and leaves every check as it is."""
     dec = eig_hermitian_stack(x, tol, start=start)
-    # y passes the Hermiticity check its own eig_hermitian would make.
-    _hermitian_scaled(y, tol, "eig_hermitian")
+    # y passes the Hermiticity check its own eig_hermitian would make, and
+    # the fallback solves what that check returns.
+    hy = _hermitian_scaled(y, tol, "eig_hermitian")
     px, py = (_in_basis(dec.eigenvectors, m) for m in (x, y))
     lo_x, hi_x = dec.eigenvalues[:, 0], dec.eigenvalues[:, -1]
     lo_y, hi_y = py[0].min(axis=1), py[0].max(axis=1)
-    # Each window omega * b <= a <= Omega * b as (a, b, omega, Omega).
-    windows = [(px, py, lo_x / hi_y, hi_x / lo_y)]
+    # Each window omega * b <= a <= Omega * b as (a, b, their _in_basis
+    # triples, the edges of a and b); the fallback updates y's in place.
+    windows = [(x, y, px, py, (lo_x, hi_x, lo_y, hi_y))]
     if mirrored:
-        windows.append((py, px, lo_y / hi_x, hi_y / lo_x))
+        windows.append((y, x, py, px, (lo_y, hi_y, lo_x, hi_x)))
     # Nonpositive or non-finite edges fail these tests and fall back.
     with np.errstate(all="ignore"):
         fast = (py[1] <= _JOINT_REL_RESIDUAL * py[2]) & (lo_x > tol.atol) & (lo_y > tol.atol)
-        for a, b, omega, Omega in windows:
+        for _, _, a, b, edges in windows:
+            omega, Omega = _window(*edges).real.T
             fast &= _weyl_leq(_scaled(b, omega), a, tol) & _weyl_leq(a, _scaled(b, Omega), tol)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        lo_y[slow], hi_y[slow] = spectrum_bounds(y[slow], tol)
+        lo_y[slow], hi_y[slow] = _edges(_jacobi(*(c[slow] for c in hy))[0])
     for name, lo in (("x", lo_x), ("y", lo_y)):
         low = lo <= tol.atol
         if np.count_nonzero(low):
@@ -591,13 +598,11 @@ def _spectral_window(
             f"inputs do not commute (||[x, y]|| = {comm[np.argmax(apart)]:.6e})"
         )
     if slow.size:
-        xs, ys = x[slow], y[slow]
-        stacks = [(xs, ys, lo_x[slow], hi_x[slow], lo_y[slow], hi_y[slow])]
-        if mirrored:
-            stacks.append((ys, xs, lo_y[slow], hi_y[slow], lo_x[slow], hi_x[slow]))
-        for a, b, lo_a, hi_a, lo_b, hi_b in stacks:
-            ok_lo, _ = loewner_leq((lo_a / hi_b)[:, None, None] * b, a, tol)
-            ok_hi, _ = loewner_leq(a, (hi_a / lo_b)[:, None, None] * b, tol)
+        for a, b, _, _, edges in windows:
+            a, b = a[slow], b[slow]
+            omega, Omega = _window(*edges)[slow].real.T[..., None, None]
+            ok_lo, _ = loewner_leq(omega * b, a, tol)
+            ok_hi, _ = loewner_leq(a, Omega * b, tol)
             if not (ok_lo.all() and ok_hi.all()):
                 raise WindowCheckError("spectral window failed its Loewner sanity check")
     return lo_x, hi_x, lo_y, hi_y

@@ -23,15 +23,18 @@ the trial's batch, and the first eigensolve of every report starts in it
 (the module window's of x here, the evaluator's then, see bounds), so it
 takes a fraction of a sweep instead of a cold solve.  The window pair is
 part of a module instance, which gen_re_valid_instance("module") builds
-the same way.  A report is a function of its instance and U, as verify
-computes it on an instance file that carries U as its basis.
+the same way: every batch carries its pairs as one (N, 2) column
+(forms._window), and an OmegaPair is made only for a returned instance.
+A report is a function of its instance and U, as verify computes it on
+an instance file that carries U as its basis.
 
 Draws: a trial draws bounded integers and uniforms alone, and its
 normals are rng._normals of uniforms: its size (d, or the sequence length
 n), a functional trial's kind, then a row of uniforms (_lone_draw,
-_ROW_WIDTHS).  A window (_window_size) takes them from stacked Philox
-passes (rng._words): word 0 of every trial, then one pass per size, or
-one pass in all when every size draws one width (_draws).  Each group
+_ROW_WIDTHS).  A window holds as many trials as draw its payload's word
+budget (_window_size) and takes them from stacked Philox passes
+(rng._words): word 0 of every trial, then one pass per size, or one pass
+in all when every size draws one width (_draws).  Each group
 builds its instances from its rows as one stack (_sequence_batch,
 _pair_draws, _vectors, _functional_instances).  One rule covers what a
 row cannot finish, a word 0 that Lemire's method rejects, a rejected
@@ -45,8 +48,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,7 +75,7 @@ from .forms import (
     _FunctionalForms,
     _re_term,
     _spectral_window,
-    _window_pairs,
+    _window,
 )
 from .matalg import (
     DEFAULT_TOL,
@@ -105,12 +108,14 @@ __all__ = [
 REJECTION_CAP = 1000
 
 # Trials evaluated together by run_trials, whatever the campaign's trial
-# count: longer stacks of matrix instances do not pay (d = 16 ADD_MATRIX:
-# 1.3x the time and 20 MB more at 256).  Scalar payloads cost mostly per
-# batch, not per row: their windows hold as many trials as draw
-# SCALAR_WINDOW_WORDS words (_window_size), a default campaign's trials.
-TRIAL_WINDOW = 64
+# count: as many as draw their payload's word budget (_window_size).
+# Scalar payloads cost mostly per batch, not per row: SCALAR_WINDOW_WORDS
+# words hold a default campaign's trials.  MATRIX_WINDOW_WORDS words hold
+# about 640 matrix trials at the default dims and 60 at d = 16, where
+# longer stacks stop paying (1000 ADD_MATRIX trials at d = 16: 209 against
+# 171 ms and 20 MB more peak memory at 240 trials a window than at 64).
 SCALAR_WINDOW_WORDS = 1 << 17
+MATRIX_WINDOW_WORDS = 1 << 15
 
 # The sequence lengths, the range of the scalar windows' endpoints, and the
 # range of the eigenvalues of the commuting positive pairs that trials draw.
@@ -118,7 +123,8 @@ SPACE_DIMS = (4, 8, 16)
 WINDOW_RANGE = (0.1, 10.0)
 SPECTRUM_RANGE = (0.1, 10.0)
 
-RngLike = Union[int, np.random.Generator]
+if TYPE_CHECKING:  # numpy.random stays off the import path
+    RngLike = Union[int, np.random.Generator]
 
 
 class RejectionCapExceededError(FormError):
@@ -200,7 +206,7 @@ def _module_instances(
     takes a fraction of a sweep; each slice is still decomposed, checked
     and decided on its own."""
     u, x, y = _commuting_pairs(z, lam_t, lam_s)
-    pairs = _window_pairs(*_spectral_window(x, y, tol, start=u))
+    pairs = _window(*_spectral_window(x, y, tol, start=u))
     return [[FormInstance.module_form(x.shape[-1])] * len(x), x, y, pairs, u]
 
 
@@ -303,9 +309,10 @@ _ROW_WIDTHS = {
 }
 
 
-def _scalar_rows(words: float) -> int:
-    """Rows of a scalar window at `words` words a row: at least one."""
-    return max(1, int(SCALAR_WINDOW_WORDS // words))
+def _window_rows(words: float, matrix: bool = False) -> int:
+    """Rows of a window at `words` words a row within the word budget of a
+    scalar or a matrix payload: at least one."""
+    return max(1, int((MATRIX_WINDOW_WORDS if matrix else SCALAR_WINDOW_WORDS) // words))
 
 
 def _functionals(d: int, kinds: np.ndarray, u: np.ndarray) -> _FunctionalForms:
@@ -434,7 +441,8 @@ def gen_re_valid_instance(
     g = _as_rng(rng)
     if kind == "module":
         u = g.random((1, _ROW_WIDTHS["form"](d)))
-        return tuple(c[0] for c in _module_instances(*_pair_draws(u, d), tol)[:4])
+        forms, x, y, pairs, _ = _module_instances(*_pair_draws(u, d), tol)
+        return forms[0], x[0], y[0], OmegaPair(*pairs[0].tolist())
     if kind != "functional":
         raise ValueError(f"unknown instance kind {kind!r}")
     kinds = np.array([g.integers(len(_FUNCTIONAL_KINDS))])
@@ -526,16 +534,7 @@ class FuzzSummary:
     worst_seed: Optional[int]
 
     def to_dict(self) -> dict:
-        return {
-            "inequality_id": self.inequality_id,
-            "seed": self.seed,
-            "trials_run": self.trials_run,
-            "holds": self.holds,
-            "violated": self.violated,
-            "precondition_failed": self.precondition_failed,
-            "worst_margin": self.worst_margin,
-            "worst_seed": self.worst_seed,
-        }
+        return asdict(self)
 
 
 def sample_window(g: np.random.Generator, window_range: tuple[float, float]) -> ScalarWindow:
@@ -577,13 +576,12 @@ def _restarted(config: GeneratorConfig, payload: str, index: int) -> np.random.G
 
 
 def _window_size(config: GeneratorConfig, payload: str) -> int:
-    """Trials per window of run_trials: TRIAL_WINDOW for a matrix payload,
-    else _scalar_rows of a trial's words, word 0 and its row (its size is
-    drawn uniformly: the mean over the sizes)."""
-    if payload not in ("sequences", "functional_form"):
-        return TRIAL_WINDOW
+    """Trials per window of run_trials: _window_rows of a trial's words,
+    word 0 and its row (its size is drawn uniformly: the mean over the
+    sizes), in the budget of its payload."""
     sizes, _ = _choices(config, payload)
-    return _scalar_rows(1 + np.mean([_ROW_WIDTHS[payload](d) for d in sizes]))
+    words = 1 + np.mean([_ROW_WIDTHS[payload](d) for d in sizes])
+    return _window_rows(words, payload in ("form", "operator_pair"))
 
 
 def _draws(config: GeneratorConfig, payload: str, window: list):

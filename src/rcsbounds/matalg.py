@@ -559,19 +559,26 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL, *, start=None, scale=None):
     a boolean and a float array of shape (N,).  start is the start basis
     of the eigensolve of b - a, shaped like a.  a and b are each checked
     Hermitian once, and b - a, exactly Hermitian, is checked finite (an
-    overflowing difference is a ValueError) and solved once in the core."""
+    overflowing difference is a ValueError) and solved once in the core.
+    Finite operands of any size are unscaled without overflow, and their
+    band stays finite when ||a||_F or ||b||_F is past the double range."""
     ma, single = _as_stack(a)
     mb, _ = _as_stack(b)
     if ma.shape != mb.shape:
         raise DimMismatchError(f"shape mismatch {np.shape(a)} vs {np.shape(b)}")
     ha, sa, na = _hermitian_scaled(ma, tol, "loewner_leq lhs")
     hb, sb, nb = _hermitian_scaled(mb, tol, "loewner_leq rhs")
-    ha /= sa[:, None, None]
-    hb /= sb[:, None, None]
+    # Unscaled in real arithmetic, as a complex division by a subnormal
+    # shrink overflows through its reciprocal; rtol multiplies each norm
+    # before its unscaling, so a norm past the double range keeps its band.
+    for h, shrink in ((ha, sa), (hb, sb)):
+        h.view(np.float64)[...] /= shrink[:, None, None]
     lam, _ = _jacobi(*_scaled(_validated(hb - ha)), start=_started(start, single))
     margin = _edges(lam)[0]
-    size = np.maximum(np.maximum(na / sa, nb / sb), 0.0 if scale is None else scale)
-    holds = margin >= -tol.band(np.maximum(size, 1.0))
+    with np.errstate(over="ignore"):
+        norms = np.maximum(tol.rtol * na / sa, tol.rtol * nb / sb)
+    floor = tol.rtol * np.maximum(0.0 if scale is None else scale, 1.0)
+    holds = margin >= -(tol.atol + np.maximum(norms, floor))
     if single:
         return bool(holds[0]), float(margin[0])
     return holds, margin

@@ -177,6 +177,8 @@ def test_cold_solves_give_the_campaign_verdicts():
                 *instances, basis = harness._batch(entry, columns, DEFAULT_TOL, restart)
                 assert basis.shape == (len(members), d, d)
                 for k, i in enumerate(members.tolist()):
-                    lone = tuple(column[k] for column in instances)
+                    lone = [column[k] for column in instances]
+                    if entry.payload == "form":  # its window row as an OmegaPair
+                        lone[3] = forms.OmegaPair(*lone[3].tolist())
                     cold = bounds._evaluate_one(inequality_id, lone, DEFAULT_TOL)
                     _same_verdict(campaign[i].to_dict(), cold.to_dict(), (inequality_id, d, i))

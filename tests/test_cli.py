@@ -446,9 +446,9 @@ def campaign_docs(config, target):
                 doc = operator_pair_doc(target, t, s, v)
                 doc["operator_pair"]["basis"] = jsonio.encode_matrix(basis)
             else:
-                form, x, y, pair, basis = (column[k] for column in batch)
-                window = {"omega": jsonio.encode_complex(pair.omega)}
-                window["Omega"] = jsonio.encode_complex(pair.Omega)
+                form, x, y, (omega, Omega), basis = (column[k] for column in batch)
+                window = {"omega": jsonio.encode_complex(omega)}
+                window["Omega"] = jsonio.encode_complex(Omega)
                 doc = {"version": "1", "target": target, "form": form.to_dict(), "omega_pair": window}
                 doc.update(x=jsonio.encode_matrix(x), y=jsonio.encode_matrix(y))
                 doc["basis"] = jsonio.encode_matrix(basis)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rcsbounds import forms
+from rcsbounds import forms, matalg
 from rcsbounds.forms import (
     FormInstance,
     NotCommutingError,
@@ -305,14 +305,15 @@ def rotated(w, diagonal):
 
 
 def counted_fallbacks(monkeypatch):
-    # Slices that leave the joint eigenbasis take y's spectrum on its own.
+    # Slices that leave the joint eigenbasis take y's spectrum on its own,
+    # in one Jacobi solve of the checked y.
     slices = []
 
-    def counted(m, tol=DEFAULT_TOL):
-        slices.append(len(m))
-        return spectrum_bounds(m, tol)
+    def counted(h, *args, **kwargs):
+        slices.append(len(h))
+        return matalg._jacobi(h, *args, **kwargs)
 
-    monkeypatch.setattr(forms, "spectrum_bounds", counted)
+    monkeypatch.setattr(forms, "_jacobi", counted)
     return slices
 
 
@@ -344,6 +345,25 @@ def test_window_fallback_slices_match_per_matrix_route(monkeypatch):
     for x, y in fallback_cases():
         assert omega_from_spectra(x, y) == per_matrix_pair(x, y)
     assert slices == [1, 1, 1, 1]
+
+
+def test_window_fallback_checks_y_once(monkeypatch):
+    # The fallback solves the y its Hermiticity check scaled, so x = I
+    # makes six checks: x's and y's solves, then a and b of the two
+    # Loewner sanity checks.  Its edges are spectrum_bounds(y) bit for bit.
+    calls, hermitian_scaled = [], matalg._hermitian_scaled
+
+    def counted(m, *args):
+        calls.append(len(m))
+        return hermitian_scaled(m, *args)
+
+    for x, y in fallback_cases():
+        edges = _spectral_window(x[None], y[None], DEFAULT_TOL)
+        assert [e.tobytes() for e in edges[2:]] == [e.tobytes() for e in spectrum_bounds(y[None])]
+    for module in (forms, matalg):
+        monkeypatch.setattr(module, "_hermitian_scaled", counted)
+    omega_from_spectra(np.eye(2), np.diag([1.0, 2.0]) + 0.5 * np.ones((2, 2)))
+    assert calls == [1] * 6
 
 
 def test_window_of_mixed_stack_is_bit_equal_to_lone_calls(monkeypatch):

@@ -58,7 +58,7 @@ from rcsbounds import (
     sample_window,
 )
 from rcsbounds import bounds, forms, harness, matalg, rng
-from rcsbounds.harness import REJECTION_CAP, TRIAL_WINDOW
+from rcsbounds.harness import REJECTION_CAP
 from rcsbounds.rng import stream
 
 
@@ -282,7 +282,7 @@ def test_started_window_equals_cold_window():
         draws = harness._pair_draws(g.random((8, 2 * d * d + 2 * d)), d)
         _, x, y, pairs, u = harness._module_instances(*draws, DEFAULT_TOL)
         for started, cold in zip(pairs, omega_from_spectra(x, y)):
-            for a, b in ((started.omega, cold.omega), (started.Omega, cold.Omega)):
+            for a, b in zip(started, (cold.omega, cold.Omega)):
                 assert abs(a - b) <= 1e-12 * abs(b), (d, a, b)
         yy = forms._form_eval([forms.FormInstance.module_form(d)] * 8, y, y)
         started = eig_hermitian_stack(yy, start=u).eigenvalues
@@ -318,7 +318,7 @@ def _comparable(value):
     """What of an instance's part must agree bit for bit."""
     if isinstance(value, forms.FormInstance):
         return json.dumps(value.to_dict())
-    if isinstance(value, forms.OmegaPair):
+    if isinstance(value, forms.OmegaPair):  # as a batch's window column holds it
         return np.array([value.omega, value.Omega]).tobytes()
     return np.asarray(value).tobytes()
 
@@ -339,9 +339,8 @@ def test_module_generator_is_the_campaign_instance(kind):
             d = columns[1][0]
             batch = harness._batch(entry, columns, DEFAULT_TOL, restart)
             if kind == "functional":
-                forms_, x, y, pairs = batch
-                forms_ = [forms_.form(k) for k in range(len(x))]
-                batch = [forms_, x, y, [forms.OmegaPair(*row) for row in pairs.tolist()]]
+                forms_, *rest = batch
+                batch = [[forms_.form(k) for k in range(len(forms_))], *rest]
             for k, i in enumerate(members.tolist()):
                 g = stream(config.seed, i)
                 assert sizes[g.integers(len(sizes))] == d
@@ -560,12 +559,15 @@ def test_stacked_functional_values_are_each_functional_value():
 
 
 @pytest.mark.parametrize("inequality_id", sorted(INEQUALITY_IDS))
-def test_campaign_margins_equal_replays(inequality_id):
+def test_campaign_margins_equal_replays(monkeypatch, inequality_id):
     # Batch invariant: in a campaign, trials of one dimension are one batch
     # of the id's evaluator; each trial's report is bit-equal to replaying
-    # it alone, a batch of one.  70 trials span a full window and a partial one.
+    # it alone, a batch of one.  70 trials span a full window and a partial
+    # one, with windows of 64 trials.
+    window = 64
+    monkeypatch.setattr(harness, "_window_size", lambda config, payload: window)
     config = GeneratorConfig(seed=21, trials=70, dims=(1, 2, 4, 8, 16))
-    assert config.trials % TRIAL_WINDOW != 0
+    assert config.trials % window != 0
     outcomes = run_trials(config, inequality_id, range(config.trials))
     assert len(outcomes) == config.trials
     for i, report in enumerate(outcomes):
@@ -727,14 +729,23 @@ def test_scalar_windows_fit_the_word_budget():
     for dims in singles + [(1, 2, 4, 8), (1, 16), (4, 8, 16), tuple(range(1, 17))]:
         rows = harness._window_size(GeneratorConfig(dims=dims), "functional_form")
         cases.append((rows, 1 + sum(4 * d * d + 3 * d + 5 for d in dims) / len(dims)))
-    cases += [(harness._scalar_rows(4 + 3 * n), 4 + 3 * n) for n in (1, 8, 4096)]
+    cases += [(harness._window_rows(4 + 3 * n), 4 + 3 * n) for n in (1, 8, 4096)]
     for rows, words in cases:
         assert 1 <= rows and rows * words <= budget < (rows + 1) * words, (rows, words)
-    # A default campaign is one window; matrix payloads keep TRIAL_WINDOW.
+    # A default campaign is one window.
     for payload in ("sequences", "functional_form"):
         assert harness._window_size(GeneratorConfig(), payload) >= GeneratorConfig().trials
-    assert harness._window_size(GeneratorConfig(), "form") == TRIAL_WINDOW
-    assert harness._scalar_rows(budget + 1) == 1
+    assert harness._window_rows(budget + 1) == 1
+    # Matrix payloads take the same rule in their own budget: rows of word 0
+    # and the mean pair row (2d^2 + 2d uniforms, and 2d more for v), 642
+    # and 560 at the default dims, 60 and 56 at d = 16.
+    budget = harness.MATRIX_WINDOW_WORDS
+    for dims in [(1, 2, 4, 8), (8,), (16,), tuple(range(1, 17))]:
+        for payload, extra in (("form", 0), ("operator_pair", 2)):
+            rows = harness._window_size(GeneratorConfig(dims=dims), payload)
+            words = 1 + sum(2 * d * d + (2 + extra) * d for d in dims) / len(dims)
+            assert 1 <= rows and rows * words <= budget < (rows + 1) * words, (rows, words)
+    assert harness._window_rows(budget + 1, matrix=True) == 1
 
 
 @pytest.mark.parametrize("index", [-1, 30, 2**64])

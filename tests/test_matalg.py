@@ -475,6 +475,22 @@ def test_loewner_overflowing_difference_is_not_finite():
             loewner_leq(-1e308 * np.eye(3), 1e308 * np.eye(3))
 
 
+@pytest.mark.parametrize("c", [9e307, 1e308])
+def test_loewner_equal_operands_near_the_double_range(c):
+    # Entries at or past 2^1023 are unscaled in real arithmetic, where a
+    # complex division by their subnormal shrink overflowed.
+    assert loewner_leq(c * np.eye(3), c * np.eye(3)) == (True, 0.0)
+    assert loewner_leq(-c * np.eye(3), -c * np.eye(3)) == (True, 0.0)
+
+
+def test_loewner_band_of_a_norm_past_the_double_range():
+    # ||a||_F = 4 * 8.9e307 overflows, yet its band stays finite: a margin
+    # of -3.9e307 is a violation, not a pass at an infinite band.
+    a, b = 8.9e307 * np.eye(16), 5e307 * np.eye(16)
+    assert loewner_leq(a, b) == (False, -3.9e307)
+    assert loewner_leq(b, a) == (True, 3.9e307)
+
+
 @pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
 def test_loewner_margin_is_the_least_eigenvalue_of_the_difference(d):
     # For exactly Hermitian operands, the one solve of b - a gives the

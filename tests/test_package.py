@@ -106,3 +106,14 @@ def test_what_a_traced_benchmark_run_needs():
     result = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
     imported = {line.split("|")[-1].strip() for line in result.stderr.splitlines()}
     assert {"numpy", "rcsbounds.cli"} <= imported
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # Only rng.stream builds a Generator, and campaigns draw through
+    # rng._words: importing the CLI loads neither numpy.random nor the
+    # secrets, hmac and hashlib modules it pulls in.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = [sys.executable, "-c", "import sys, rcsbounds.cli; print('numpy.random' in sys.modules)"]
+    result = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
