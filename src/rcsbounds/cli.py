@@ -61,7 +61,7 @@ from .matalg import (
     _unitary_start,
     as_element,
 )
-from .rng import _check_key, _complex_normals, _uniforms, stream
+from .rng import _check_key, _complex_normals, _uniforms
 
 __all__ = ["main", "CSV_HEADER"]
 
@@ -345,17 +345,16 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def _sharpness_inputs(
     kind: str, dim: int, seed: int
 ) -> tuple[PositiveFunctional, np.ndarray]:
-    g = stream(seed, 0)
+    u = _uniforms(seed, [0], dim + 2 * dim * dim)  # a weighted sum's weights, then y's
     if kind == "vector_state":
         state = np.zeros(dim, dtype=np.complex128)
         state[0] = 1.0
         phi = PositiveFunctional.vector_state(state)
-        return phi, _complex_normals(g.random((1, 2 * dim)), (dim,))[0]
+        return phi, _complex_normals(u[:, : 2 * dim], (dim,))[0]
     if kind == "trace":
-        phi = PositiveFunctional.trace(dim)
-    else:
-        phi = PositiveFunctional.weighted_sum(_uniform(g.random(dim), *_WEIGHT_RANGE))
-    return phi, _complex_normals(g.random((1, 2 * dim * dim)), (dim, dim))[0]
+        return PositiveFunctional.trace(dim), _complex_normals(u[:, : 2 * dim * dim], (dim, dim))[0]
+    phi = PositiveFunctional.weighted_sum(_uniform(u[0, :dim], *_WEIGHT_RANGE))
+    return phi, _complex_normals(u[:, dim:], (dim, dim))[0]
 
 
 def cmd_sharpness(args: argparse.Namespace) -> int:

@@ -31,15 +31,16 @@ an instance file that carries U as its basis.
 Draws: a trial draws bounded integers and uniforms alone, and its
 normals are rng._normals of uniforms: its size (d, or the sequence length
 n), a functional trial's kind, then a row of uniforms (_lone_draw,
-_ROW_WIDTHS).  A window holds as many trials as draw its payload's word
-budget (_window_size) and takes them from stacked Philox passes
-(rng._words): word 0 of every trial, then one pass per size, or one pass
-in all when every size draws one width (_draws).  Each group
-builds its instances from its rows as one stack (_sequence_batch,
+_ROW_WIDTHS).  A window holds at most as many trials as draw its
+payload's word budget (_window_size), a replay one, and takes them from
+stacked Philox passes (rng._words): word 0 of every trial, then one pass
+per size, or one pass in all when every size draws one width (_draws).
+Each group builds its instances from its rows as one stack (_sequence_batch,
 _pair_draws, _vectors, _functional_instances).  One rule covers what a
 row cannot finish, a word 0 that Lemire's method rejects, a rejected
 first functional attempt or a degenerate operator-pair v: the trial's
-lone builder finishes it on its restarted stream (_restarted).
+lone builder finishes it on its restarted stream (_restarted), the only
+Generator a campaign or a replay builds.
 gen_bounded_sequences, sample_window, gen_commuting_positive_pair and
 gen_re_valid_instance are these builders for one instance.
 """
@@ -286,9 +287,6 @@ _P_NORM2_MIN = 1e-12
 _V_NORM_MIN = 1e-6
 # Attempts at a functional instance past its first, drawn and checked at once.
 _ATTEMPT_BLOCK = 16
-# The fewest trials a window draws by stacked passes of rng._words: a pass
-# costs about as much as 10-20 lone draws (_lone_draw).
-_PASS_ROWS = 16
 
 
 def _attempt_width(d: int) -> int:
@@ -591,33 +589,24 @@ def _draws(config: GeneratorConfig, payload: str, window: list):
     every trial's word 0, its size and kind, and its row too when every
     size draws one width; else one pass per size gives the rows.  A trial
     whose word 0 Lemire's method rejects is drawn by _lone_draw on its
-    restarted stream, and so is every trial of a window of fewer than
-    _PASS_ROWS."""
+    restarted stream, a group of its own."""
     sizes, count = _choices(config, payload)
     bounds = (len(sizes), count)
     skip = int(max(bounds) > 1)  # a bound of 1 draws nothing
     widths = {_ROW_WIDTHS[payload](d) for d in sizes}
     one_pass = len(widths) == 1
-    choice, kinds = np.zeros((2, len(window)), dtype=np.int64)
-    drawn = np.zeros(len(window), dtype=bool)
-    if len(window) >= _PASS_ROWS:
-        words = _words(config.seed, window, skip + widths.pop() if one_pass else 1)
-        (choice, kinds), drawn = _integers(words[:, 0], bounds)
+    words = _words(config.seed, window, skip + widths.pop() if one_pass else 1)
+    (choice, kinds), drawn = _integers(words[:, 0], bounds)
     dims = np.array(sizes)[choice]
-    lone = {}
     for j in np.flatnonzero(~drawn).tolist():
-        dims[j], kinds[j], lone[j] = _lone_draw(config, payload, stream(config.seed, window[j]))
-    for d in sorted(set(dims.tolist())):
-        members = np.flatnonzero(dims == d)
+        d, kind, row = _lone_draw(config, payload, stream(config.seed, window[j]))
+        yield np.array([j]), (row[None], np.array([d]), np.array([kind]), [window[j]])
+    for d in sorted(set(dims[drawn].tolist())):
+        members = np.flatnonzero(drawn & (dims == d))
         indices = [window[j] for j in members]
         width = _ROW_WIDTHS[payload](d)
-        rows = np.empty((len(members), width))
-        if drawn[members].any():
-            group = words[members] if one_pass else _words(config.seed, indices, skip + width)
-            rows = _unit(group[:, skip:])
-        for row in np.flatnonzero(~drawn[members]).tolist():
-            rows[row] = lone[int(members[row])]
-        yield members, (rows, dims[members], kinds[members], indices)
+        group = words[members] if one_pass else _words(config.seed, indices, skip + width)
+        yield members, (_unit(group[:, skip:]), dims[members], kinds[members], indices)
 
 
 def _vectors(u: np.ndarray, d: int, indices, restart) -> np.ndarray:

@@ -379,15 +379,15 @@ def _jacobi(
     B per slice, or None) is checked unitary here, and the iteration then
     begins at B* h B, symmetrized, with B as the rotations.
 
-    Returns the real diagonal of the converged stack over shrink, shape
-    (N, d), unsorted, and the rotations, shape (N, d, d), whose column j
+    Returns the real diagonal of the converged stack over shrink (_unscaled),
+    shape (N, d), unsorted, and the rotations, shape (N, d, d), whose column j
     belongs to entry j.
     """
     n, d, _ = h.shape
     if start is not None:
         start = _unitary_start(start, h.shape)
     if d == 1:
-        return h[:, 0, :].real / shrink[:, None], np.ones((n, 1, 1), dtype=np.complex128)
+        return _unscaled(h[:, 0, :].real, shrink), np.ones((n, 1, 1), dtype=np.complex128)
     off = _off_diagonal(d)
     steps = _round_robin(d)
     target = JACOBI_REL_TARGET * norm
@@ -423,7 +423,18 @@ def _jacobi(
                 f"mass {mass[0] / shrink[k]:.3e}, target {target[0] / shrink[k]:.3e})"
             )
         hs, vs = _jacobi_sweep(hs, vs, eye[: active.size], steps)
-    return np.diagonal(out_h, axis1=1, axis2=2).real / shrink[:, None], out_v
+    return _unscaled(np.diagonal(out_h, axis1=1, axis2=2).real, shrink), out_v
+
+
+def _unscaled(lam: np.ndarray, shrink: np.ndarray) -> np.ndarray:
+    """lam over shrink; ValueError naming a slice whose eigenvalue leaves the
+    double range, which a finite input's can (up to d times its largest entry)."""
+    with np.errstate(over="ignore"):
+        lam = lam / shrink[:, None]
+    bad = ~np.isfinite(lam).all(axis=1)
+    if np.count_nonzero(bad):
+        raise ValueError(f"eigenvalues overflow the double range (slice {np.argmax(bad)})")
+    return lam
 
 
 def _edges(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -491,6 +491,18 @@ def test_loewner_band_of_a_norm_past_the_double_range():
     assert loewner_leq(b, a) == (True, 3.9e307)
 
 
+def test_an_eigenvalue_past_the_double_range_is_an_error():
+    # Finite matrices whose spectrum leaves the double range: the largest
+    # eigenvalue of c * ones(16, 16) is 16 c.  Every solve unscales in the
+    # Jacobi core, which raises rather than give an infinite eigenvalue or margin.
+    ones = np.ones((16, 16))
+    overflow = "^eigenvalues overflow the double range \\(slice 0\\)$"
+    with pytest.raises(ValueError, match=overflow):
+        eig_hermitian(5e307 * ones)
+    with pytest.raises(ValueError, match=overflow):
+        loewner_leq(np.zeros((16, 16)), -1e308 * ones)
+
+
 @pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
 def test_loewner_margin_is_the_least_eigenvalue_of_the_difference(d):
     # For exactly Hermitian operands, the one solve of b - a gives the

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -108,12 +109,41 @@ def test_what_a_traced_benchmark_run_needs():
     assert {"numpy", "rcsbounds.cli"} <= imported
 
 
+def _fresh_python(*args: str) -> str:
+    """The stdout of a fresh interpreter run with args, the package's src first on its path."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+    return result.stdout
+
+
 def test_cli_import_leaves_numpy_random_unloaded():
     # Only rng.stream builds a Generator, and campaigns draw through
     # rng._words: importing the CLI loads neither numpy.random nor the
     # secrets, hmac and hashlib modules it pulls in.
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = [sys.executable, "-c", "import sys, rcsbounds.cli; print('numpy.random' in sys.modules)"]
-    result = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
+    assert _fresh_python("-c", "import sys, rcsbounds.cli; print('numpy.random' in sys.modules)") == "False\n"
+
+
+# A replay of one id of each payload kind, a small campaign and each
+# sharpness kind: every window, one trial or five, draws from rng._words.
+DRAWING_COMMANDS = [
+    *(["fuzz", i, "--replay", "7"] for i in ("ADD_MATRIX", "ADD_FUNCTIONAL", "OP_PAIR_ADD", "INT_ADD")),
+    ["fuzz", "ADD_MATRIX", "--trials", "5"],
+    *(["sharpness", "--kind", k] for k in ("vector_state", "trace", "weighted_sum")),
+]
+
+
+def test_commands_leave_numpy_random_unloaded():
+    # A Generator is built on a command path only for a rejected word 0 or
+    # a restart, and these commands meet neither: after each, numpy.random
+    # is still not loaded, and each exits 0, so none stopped before its draws.
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from rcsbounds import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, 'numpy.random' in sys.modules)\n"
+    )
+    lines = _fresh_python("-c", probe, json.dumps(DRAWING_COMMANDS)).splitlines()
+    assert lines == ["0 False"] * len(DRAWING_COMMANDS)

@@ -16,9 +16,11 @@ import pytest
 from rcsbounds import GeneratorConfig, harness, rng, run_trial, run_trials
 from rcsbounds.bounds import (
     ADD_FUNCTIONAL,
+    ADD_MATRIX,
     GREUB_RHEINBOLDT,
     INT_ADD,
     MULT_FUNCTIONAL,
+    OP_PAIR_ADD,
     PS_IMPROVED,
 )
 from rcsbounds.rng import stream
@@ -154,16 +156,22 @@ def test_rejected_row_is_drawn_from_its_own_stream(monkeypatch, inequality_id, b
 
 
 @pytest.mark.parametrize(
-    "inequality_id", [INT_ADD, GREUB_RHEINBOLDT, PS_IMPROVED, ADD_FUNCTIONAL, MULT_FUNCTIONAL]
+    "inequality_id",
+    [INT_ADD, GREUB_RHEINBOLDT, PS_IMPROVED, ADD_FUNCTIONAL, MULT_FUNCTIONAL, ADD_MATRIX, OP_PAIR_ADD],
 )
 def test_a_trial_does_not_depend_on_its_window(inequality_id):
-    # The same trial drawn in windows of other compositions, and alone by
-    # run_trial, gives the campaign's report bit for bit.
+    # The same trial drawn in windows of other compositions and sizes, one
+    # trial to 17, and alone by run_trial, gives the campaign's report bit
+    # for bit.
     config = GeneratorConfig(seed=2**63 + 5, trials=600)
     campaign = run_trials(config, inequality_id, range(config.trials))
     mixed = [599, 3, 256, 255, 0, 511, 300, 257]
     for i, report in zip(mixed, run_trials(config, inequality_id, mixed)):
         assert report.to_dict() == campaign[i].to_dict(), i
+    for size in (1, 2, 15, 16, 17):
+        window = [(37 * j + 11 * size) % config.trials for j in range(size)]
+        for i, report in zip(window, run_trials(config, inequality_id, window)):
+            assert report.to_dict() == campaign[i].to_dict(), (size, i)
     backwards = run_trials(config, inequality_id, range(config.trials - 1, -1, -1))
     assert [r.to_dict() for r in backwards[::-1]] == [r.to_dict() for r in campaign]
     for i in (0, 255, 256, 599):

@@ -11,6 +11,13 @@ package, each applied alone.  It holds:
   1.01, each naming the inequality ids whose rhs it computes, so that the
   13 ids are covered: a test suite that checks the sides should notice a
   bound 1% too loose;
+* one edit per distinct expression of a left-hand side, scaling it by
+  0.99, named and covering the 13 ids the same way: a side 1% too small;
+* the two verdict comparisons, margin >= -band made strict, of the
+  scalar ids (bounds._scalar_reports) and of the Loewner order
+  (matalg.loewner_leq);
+* one draw edit, rng._words keyed at index + 1, which moves every
+  trial of every id onto the next trial's stream;
 * three controls, each forcing a theorem hypothesis check to pass
   (root_commutation of ADD_MATRIX, cross_term_normal of MULT_MATRIX and
   re_term_positive of the functional ids), which only the necessity
@@ -46,6 +53,7 @@ INEQUALITY_IDS = (
 )
 
 SELECTION = (
+    "tests/test_rng.py",
     "tests/test_bounds_discrete.py",
     "tests/test_bounds_functional.py",
     "tests/test_bounds_matrix.py",
@@ -55,16 +63,23 @@ SELECTION = (
 )
 
 BOUNDS = "src/rcsbounds/bounds.py"
+MATALG = "src/rcsbounds/matalg.py"
+RNG = "src/rcsbounds/rng.py"
+
+SCALAR_IDS = tuple(i for i in INEQUALITY_IDS if i not in ("ADD_MATRIX", "MULT_MATRIX"))
+
+# The kinds of mutant; the rhs and lhs edits must each cover every id.
+RHS, LHS, VERDICT, DRAW, CONTROL = "rhs x1.01", "lhs x0.99", "verdict", "draw", "control"
 
 
 @dataclass(frozen=True)
 class Mutant:
     name: str
-    ids: tuple[str, ...]  # the ids whose rhs (or check) the edit changes
+    ids: tuple[str, ...]  # the ids whose side (or check, or draws) the edit changes
     path: str
     old: str
     new: str
-    control: bool = False
+    kind: str = RHS
 
 
 MUTANTS = (
@@ -119,30 +134,109 @@ MUTANTS = (
         "return sa2 * sb2 - sab * sab, 1.01 * least, sa2 * sb2, details",
     ),
     Mutant(
+        "lhs_additive_matrix", ("ADD_MATRIX",), BOUNDS,
+        "lhs = re_part(product - cross)",
+        "lhs = re_part(0.99 * (product - cross))",
+        LHS,
+    ),
+    Mutant(
+        "lhs_multiplicative_matrix", ("MULT_MATRIX",), BOUNDS,
+        "lhs = re_part(root_x @ root_y + root_y @ root_x)",
+        "lhs = re_part(0.99 * (root_x @ root_y + root_y @ root_x))",
+        LHS,
+    ),
+    Mutant(
+        "lhs_additive_functional", ("ADD_FUNCTIONAL",), BOUNDS,
+        "lhs = size - _pow2(_hypot(cross))",
+        "lhs = 0.99 * (size - _pow2(_hypot(cross)))",
+        LHS,
+    ),
+    Mutant(
+        "lhs_multiplicative_functional", ("MULT_FUNCTIONAL",), BOUNDS,
+        "lhs = np.sqrt(np.maximum(fxx, 0.0)) * np.sqrt(np.maximum(fyy, 0.0))",
+        "lhs = 0.99 * np.sqrt(np.maximum(fxx, 0.0)) * np.sqrt(np.maximum(fyy, 0.0))",
+        LHS,
+    ),
+    Mutant(
+        "lhs_operator_pair", ("OP_PAIR_ADD", "OP_PAIR_MULT"), BOUNDS,
+        "lhs = reports[0].lhs * scale",
+        "lhs = 0.99 * reports[0].lhs * scale",
+        LHS,
+    ),
+    Mutant(
+        "lhs_additive_sums", ("INT_ADD", "WEIGHTED_ADD"), BOUNDS,
+        "return sa2 * sb2 - sab * sab, _min(branch_a, branch_b), sa2 * sb2, details",
+        "return 0.99 * (sa2 * sb2 - sab * sab), _min(branch_a, branch_b), sa2 * sb2, details",
+        LHS,
+    ),
+    Mutant(
+        "lhs_multiplicative_sums", ("INT_MULT",), BOUNDS,
+        "lhs = np.sqrt(sa2) * np.sqrt(sb2)",
+        "lhs = 0.99 * np.sqrt(sa2) * np.sqrt(sb2)",
+        LHS,
+    ),
+    Mutant(
+        "lhs_product", ("GREUB_RHEINBOLDT", "PS_MULT"), BOUNDS,
+        "return sa2 * sb2, _divide(_pow2(A * B + a * b), 4.0 * prod) * sab * sab, 1.0, {}",
+        "return 0.99 * sa2 * sb2, _divide(_pow2(A * B + a * b), 4.0 * prod) * sab * sab, 1.0, {}",
+        LHS,
+    ),
+    Mutant(
+        "lhs_classical_additive", ("PS_ADD",), BOUNDS,
+        "return sa2 * sb2 - sab * sab, _scaled_constants(sa2, sb2, sab, win)[2], sa2 * sb2, {}",
+        "return 0.99 * (sa2 * sb2 - sab * sab), _scaled_constants(sa2, sb2, sab, win)[2], sa2 * sb2, {}",
+        LHS,
+    ),
+    Mutant(
+        "lhs_improved", ("PS_IMPROVED",), BOUNDS,
+        "return sa2 * sb2 - sab * sab, least, sa2 * sb2, details",
+        "return 0.99 * (sa2 * sb2 - sab * sab), least, sa2 * sb2, details",
+        LHS,
+    ),
+    Mutant(
+        "verdict_scalar_strict", SCALAR_IDS, BOUNDS,
+        "holds = margin >= -tol.band(scale)",
+        "holds = margin > -tol.band(scale)",
+        VERDICT,
+    ),
+    Mutant(
+        "verdict_loewner_strict", ("ADD_MATRIX", "MULT_MATRIX"), MATALG,
+        "holds = margin >= -(tol.atol + np.maximum(norms, floor))",
+        "holds = margin > -(tol.atol + np.maximum(norms, floor))",
+        VERDICT,
+    ),
+    Mutant(
+        "draw_words_next_index", INEQUALITY_IDS, RNG,
+        "index = np.fromiter(indices, dtype=np.uint64)",
+        "index = np.fromiter(indices, dtype=np.uint64) + np.uint64(1)",
+        DRAW,
+    ),
+    Mutant(
         "force_root_commutation", ("ADD_MATRIX",), BOUNDS,
         "ok, value = _root_commutation(root, xy, tol)",
         "ok, value = _root_commutation(root, xy, tol); ok = ok | True",
-        control=True,
+        CONTROL,
     ),
     Mutant(
         "force_cross_term_normal", ("MULT_MATRIX",), BOUNDS,
         "ok, value = is_normal(xy, tol)",
         "ok, value = is_normal(xy, tol); ok = ok | True",
-        control=True,
+        CONTROL,
     ),
     Mutant(
         "force_functional_re_term", ("ADD_FUNCTIONAL", "MULT_FUNCTIONAL"), BOUNDS,
         'preconditions = (("re_term_positive", *loewner_leq(np.zeros_like(re_term), re_term, tol)),)',
         "ok, value = loewner_leq(np.zeros_like(re_term), re_term, tol); "
         'preconditions = (("re_term_positive", ok | True, value),)',
-        control=True,
+        CONTROL,
     ),
 )
 
 
 def check_list(root: str) -> list[str]:
     """The problems of MUTANTS against the files under root: an old text
-    that does not occur exactly once, a repeated name, an uncovered id."""
+    that does not occur exactly once, a repeated name, an id no rhs or no
+    lhs edit covers."""
     problems = []
     for m in MUTANTS:
         with open(os.path.join(root, m.path), encoding="utf-8") as f:
@@ -152,10 +246,11 @@ def check_list(root: str) -> list[str]:
     names = [m.name for m in MUTANTS]
     if len(set(names)) != len(names):
         problems.append("mutant names repeat")
-    covered = {i for m in MUTANTS if not m.control for i in m.ids}
-    missing = [i for i in INEQUALITY_IDS if i not in covered]
-    if missing:
-        problems.append(f"no rhs mutant covers {', '.join(missing)}")
+    for kind in (RHS, LHS):
+        covered = {i for m in MUTANTS if m.kind == kind for i in m.ids}
+        missing = [i for i in INEQUALITY_IDS if i not in covered]
+        if missing:
+            problems.append(f"no {kind} mutant covers {', '.join(missing)}")
     return problems
 
 
@@ -205,8 +300,7 @@ def main() -> int:
     print(f"{len(MUTANTS)} mutants, {len(SELECTION)} selections, "
           f"{time.perf_counter() - start:.1f} s")
     for m in MUTANTS:
-        kind = "control" if m.control else "rhs x1.01"
-        print(f"\n{m.name} ({kind}; {', '.join(m.ids)}): killed by {len(kills[m.name])}")
+        print(f"\n{m.name} ({m.kind}; {', '.join(m.ids)}): killed by {len(kills[m.name])}")
         for test in kills[m.name]:
             print(f"  {test}")
     survivors = [m.name for m in MUTANTS if not kills[m.name]]
