@@ -983,8 +983,8 @@ def _sequence_reports(inequality_id: str, sides: Callable, batch: tuple, tol: To
     _Inequality): the weighted sums of every row at once, then the id's
     sides(sa2, sb2, sab, window) as column expressions, window the (N,)
     edge columns (a, A, b, B): lhs, rhs, the size of the products lhs
-    cancels from (1 if it does not) and the details.  ** 2, / and min are
-    taken as Python takes them on one row (_pow2, _divide, _min), so an
+    cancels from (1 if it does not) and the details.  ** 2 and / are
+    taken as Python takes them on one row (_pow2, _divide), so an
     overflowing power or a zero divisor raises.  The batch's data were
     checked where it was built (WeightedSequences, harness._sequence_batch);
     for a unit-weights id its weights are checked here."""
@@ -994,14 +994,6 @@ def _sequence_reports(inequality_id: str, sides: Callable, batch: tuple, tol: To
     with np.errstate(over="ignore", invalid="ignore"):
         lhs, rhs, size, details = sides(*_weighted_sums(a, b, w), tuple(edges.T))
         return _scalar_reports(inequality_id, lhs, rhs, tol, size, details=details)
-
-
-def _min(*columns: np.ndarray) -> np.ndarray:
-    """Python's min of each row of the columns: the first least value."""
-    least = columns[0]
-    for c in columns[1:]:
-        least = np.where(c < least, c, least)
-    return least
 
 
 def _scaled_constants(sa2, sb2, sab, win) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1022,7 +1014,7 @@ def _additive_sides(sa2, sb2, sab, win) -> tuple:
     """The additive bound for weighted sums (INT_ADD, WEIGHTED_ADD)."""
     branch_a, branch_b, _ = _scaled_constants(sa2, sb2, sab, win)
     details = {"branch_a": branch_a, "branch_b": branch_b}
-    return sa2 * sb2 - sab * sab, _min(branch_a, branch_b), sa2 * sb2, details
+    return sa2 * sb2 - sab * sab, np.minimum(branch_a, branch_b), sa2 * sb2, details
 
 
 def _multiplicative_sides(sa2, sb2, sab, win) -> tuple:
@@ -1065,7 +1057,7 @@ def _improved_sides(sa2, sb2, sab, win) -> tuple:
     """The refined difference bound (PS_IMPROVED); see polya_szego_improved."""
     a, A, b, B = win
     constants = _scaled_constants(sa2, sb2, sab, win)
-    least = _min(*constants)
+    least = np.minimum.reduce(constants)
     threshold = least + 1e-12 * np.abs(least)
     c1, c2, _ = (c <= threshold for c in constants)
     details = {

@@ -36,16 +36,14 @@ from .matalg import (
     _hermitian_scaled,
     _jacobi,
     _norms,
+    _validated,
     as_element,
-    eig_hermitian,
     eig_hermitian_stack,
-    frobenius,
-    hermiticity_defect,
     loewner_leq,
     re_part,
     sqrt_psd,
 )
-from .rng import _complex_normals, stream
+from .rng import _complex_normals, _uniforms
 
 __all__ = [
     "FormError",
@@ -652,15 +650,6 @@ class PositivityReport:
     failing_sample: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _random_argument(form: FormInstance, rng: np.random.Generator, sample_idx: int):
-    if form.kind == GRAM_TENSOR:
-        shape = (form.space_dim,)
-    else:
-        k = form.algebra_dim if form.kind == MODULE_FORM else form.functional.dim
-        shape = (k,) if form.kind == FUNCTIONAL_FORM and sample_idx % 2 == 1 else (k, k)
-    return _complex_normals(rng.random((1, 2 * int(np.prod(shape)))), shape)[0]
-
-
 def validate_positivity(
     form: FormInstance,
     samples: int = 64,
@@ -671,42 +660,46 @@ def validate_positivity(
 
     Necessary-condition testing only: a pass does not prove positivity,
     but a failure pinpoints a concrete violating argument.
+
+    Sample i is a vector for gram_tensor, and for a functional form when i
+    is odd; else a matrix.  The samples' entries are complex normals of the
+    words of stream(seed, 0) in sample order, drawn as one row; <x, x> is
+    evaluated, and its Hermitian samples solved, as one stack.  A sample
+    fails when its defect, or minus its least eigenvalue, exceeds the band
+    at max(||<x, x>||_F, 1).  The report gives the first failing sample and
+    the first least eigenvalue (0.0 at index -1 if no sample is Hermitian).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = stream(seed, 0)
-    worst_margin = np.inf
-    worst_index = -1
-    max_defect = 0.0
-    failing = None
-    passed = True
-    for i in range(samples):
-        x = _random_argument(form, rng, i)
-        xx = form_eval(form, x, x)
-        defect = hermiticity_defect(xx)
-        scale = max(frobenius(xx), 1.0)
-        if defect > tol.band(scale):
-            max_defect = max(max_defect, defect)
-            if passed:
-                failing = np.asarray(x)
-            passed = False
-            continue
-        margin = float(eig_hermitian(re_part(xx), tol).eigenvalues[0])
-        max_defect = max(max_defect, defect)
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_index = i
-        if margin < -tol.band(scale):
-            if passed:
-                failing = np.asarray(x)
-            passed = False
-    if not np.isfinite(worst_margin):
-        worst_margin = 0.0
+    k, gram = form.space_dim, form.kind == GRAM_TENSOR
+    index = np.arange(samples)
+    # A functional form's vector argument is its first-column matrix (_coerce_argument).
+    column = (index % 2 == 1) & (form.kind == FUNCTIONAL_FORM)
+    sizes = np.where(column | gram, k, k * k)
+    total = int(sizes.sum())
+    entries = _complex_normals(_uniforms(seed, [0], 2 * total), (total,))[0]
+    owner = np.repeat(index, sizes)
+    entry = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    x = np.zeros((samples, k) if gram else (samples, k, k), dtype=np.complex128)
+    x.reshape(samples, -1)[owner, np.where(column[owner], entry * k, entry)] = entries
+    xx = _validated(_form_eval([form] * samples, x, x))
+    defect = _norms(xx - xx.conj().swapaxes(1, 2))
+    band = tol.band(np.maximum(_norms(xx), 1.0))
+    # A NaN defect or band (rtol 0 at an infinite norm) fails no
+    # comparison: its sample goes on to the solve.
+    solved = np.flatnonzero(~(defect > band))
+    margin = np.full(samples, np.inf)
+    if solved.size:
+        margin[solved] = eig_hermitian_stack(re_part(xx[solved]), tol).eigenvalues[:, 0]
+    worst = int(np.argmin(margin)) if solved.size else -1
+    failed = (defect > band) | (margin < -band)
+    first = int(np.argmax(failed))
+    sample = x[first, :, 0] if column[first] else x[first]
     return PositivityReport(
         samples=samples,
-        worst_margin=worst_margin,
-        worst_index=worst_index,
-        max_defect=max_defect,
-        passed=passed,
-        failing_sample=failing,
+        worst_margin=float(margin[worst]) if solved.size else 0.0,
+        worst_index=worst,
+        max_defect=float(np.fmax.reduce(defect, initial=0.0)),
+        passed=not failed[first],
+        failing_sample=sample.copy() if failed[first] else None,
     )

@@ -217,24 +217,16 @@ def _hermitian_scaled(
     """Check each slice of an (N, d, d) stack for Hermiticity and symmetrize it.
 
     Returns (h, shrink, norm) as _jacobi takes them: the Hermitian parts
-    times their _shrink factors (1 for 1 x 1 matrices), the factors, and
-    the Frobenius norms of the scaled inputs.  The defect and the norm are
-    compared at that exact scale, so finite inputs of any size neither
-    overflow nor widen the band.  A failing slice is reported under name.
+    times their _shrink factors, the factors, and the Frobenius norms of
+    the scaled inputs.  The defect and the norm are compared at that exact
+    scale, so finite inputs of any size neither overflow nor widen the
+    band.  A failing slice is reported under name.
     """
-    if m.shape[-1] == 1:
-        # Closed form: the defect 2 |Im a| and the norm |a| of a 1 x 1
-        # matrix square nothing, so they need no scaling.
-        a = m[:, 0, 0]
-        shrink = np.ones(len(m))
-        defect, norm = 2.0 * np.abs(a.imag), np.abs(a)
-        h = a.real.astype(np.complex128).reshape(-1, 1, 1)
-    else:
-        s, shrink, norm = _scaled(m)
-        sh = _adjoint(s)
-        defect = _root_sumsq(_flat(s - sh))
-        # Symmetrize so downstream arithmetic sees an exactly Hermitian matrix.
-        h = (s + sh) / 2.0
+    s, shrink, norm = _scaled(m)
+    sh = _adjoint(s)
+    defect = _root_sumsq(_flat(s - sh))
+    # Symmetrize so downstream arithmetic sees an exactly Hermitian matrix.
+    h = (s + sh) / 2.0
     bad = defect > tol.atol * shrink + tol.rtol * norm
     if np.count_nonzero(bad):
         k = int(np.argmax(bad))

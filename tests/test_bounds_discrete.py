@@ -22,6 +22,7 @@ from rcsbounds.bounds import (
     weighted_additive,
 )
 from rcsbounds.harness import gen_argmin_families
+from rcsbounds.matalg import Tolerance
 
 
 def seqs(a, b, w=None, window=None):
@@ -44,6 +45,16 @@ def test_window_validation():
         ScalarWindow(2.0, 1.0, 1.0, 2.0)
     with pytest.raises(WindowViolationError):
         seqs([1.0, 5.0], [1.0, 1.0], window=ScalarWindow(1.0, 2.0, 1.0, 2.0))
+
+
+def test_point_window_equality_holds_at_a_zero_band():
+    # a = b = (1, 1, 1, 1) on the point window 1: both halves have lhs = rhs
+    # exactly, so each margin is 0, at minus its band of 0.
+    data = seqs([1.0] * 4, [1.0] * 4, window=ScalarWindow(1.0, 1.0, 1.0, 1.0))
+    result = integral_bounds(data, Tolerance(0.0, 0.0))
+    for report in (result.additive, result.multiplicative):
+        assert report.verdict == HOLDS
+        assert report.lhs == report.rhs and report.margin == 0.0
 
 
 def test_constant_sequences_are_tight():

@@ -31,7 +31,7 @@ from rcsbounds.bounds import (
 )
 from rcsbounds.forms import FormInstance, OmegaPair, PositiveFunctional
 from rcsbounds.harness import SPACE_DIMS, WINDOW_RANGE
-from rcsbounds.matalg import DEFAULT_TOL
+from rcsbounds.matalg import DEFAULT_TOL, Tolerance, loewner_leq, re_part
 from rcsbounds.rng import stream
 
 # Constant sequences on their point window: the true lhs and rhs are 0,
@@ -45,6 +45,9 @@ POINT_SEQUENCES = {
     "window": {"a": A_VALUE, "A": A_VALUE, "b": B_VALUE, "B": B_VALUE},
 }
 SEQUENCE_TARGETS = ("INT_ADD", "WEIGHTED_ADD", "PS_ADD", "PS_IMPROVED")
+# A band of 0: a margin of exactly 0 sits at minus its band, where the
+# verdict must still read as holding.
+ZERO_BAND = Tolerance(0.0, 0.0)
 
 
 @pytest.mark.parametrize("target", SEQUENCE_TARGETS)
@@ -239,3 +242,22 @@ def test_sequence_sides_agree_with_exact_arithmetic():
                 exact = Decimal if target == "INT_MULT" else Fraction
                 assert abs(exact(report.lhs) - lhs) <= exact(1e-12) * size, (k, target, "lhs")
                 assert abs(exact(report.rhs) - rhs) <= exact(1e-12) * rhs, (k, target, "rhs")
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_loewner_equal_operands_hold_at_a_zero_band(d):
+    # b - a is exactly 0, so the margin is 0.0, alone and in a stack.
+    m = np.arange(d * d).reshape(d, d) + 1j * np.cos(np.arange(d * d)).reshape(d, d)
+    a = re_part(m)
+    assert loewner_leq(a, a, ZERO_BAND) == (True, 0.0)
+    stack = np.stack([a, -2.0 * a])
+    holds, margin = loewner_leq(stack, stack, ZERO_BAND)
+    assert holds.tolist() == [True, True] and margin.tolist() == [0.0, 0.0]
+
+
+def test_additive_matrix_equality_holds_at_a_zero_band():
+    # x = y = I and omega = Omega = 1: the lhs, the rhs and the Re term are
+    # all exactly 0, so every margin sits at minus its band of 0.
+    eye = np.eye(2)
+    report = additive_matrix_bound(FormInstance.module_form(2), eye, eye, OmegaPair(1, 1), ZERO_BAND)
+    assert report.verdict == HOLDS and report.margin == 0.0

@@ -28,13 +28,16 @@ from rcsbounds.matalg import (
     DEFAULT_TOL,
     DimMismatchError,
     NotHermitianError,
+    Tolerance,
+    eig_hermitian,
     eig_hermitian_stack,
     frobenius,
+    hermiticity_defect,
     loewner_leq,
     re_part,
     spectrum_bounds,
 )
-from rcsbounds.rng import stream
+from rcsbounds.rng import _complex_normals, stream
 
 
 def rand_matrix(d, g):
@@ -443,6 +446,81 @@ def test_validate_positivity_indefinite_gram_fails():
     report = validate_positivity(gram_from_blocks(blocks), samples=64, seed=7)
     assert not report.passed
     assert report.worst_margin < -DEFAULT_TOL.atol
+
+
+def _positivity_reference(form, samples, seed, tol):
+    """validate_positivity's report, one sample at a time from stream(seed, 0):
+    sample i is a vector for gram_tensor and for a functional form's odd i,
+    else a matrix, of complex normals of the stream's next uniforms."""
+    g = stream(seed, 0)
+    worst_margin, worst_index, max_defect, failing, passed = math.inf, -1, 0.0, None, True
+    for i in range(samples):
+        k = form.space_dim
+        vector = form.kind == "gram_tensor" or (form.kind == "functional_form" and i % 2 == 1)
+        shape = (k,) if vector else (k, k)
+        x = _complex_normals(g.random((1, 2 * math.prod(shape))), shape)[0]
+        xx = form_eval(form, x, x)
+        defect = hermiticity_defect(xx)
+        scale = max(frobenius(xx), 1.0)
+        max_defect = max(max_defect, defect)
+        if defect > tol.band(scale):
+            failing = x if passed else failing
+            passed = False
+            continue
+        margin = float(eig_hermitian(re_part(xx), tol).eigenvalues[0])
+        if margin < worst_margin:
+            worst_margin, worst_index = margin, i
+        if margin < -tol.band(scale):
+            failing = x if passed else failing
+            passed = False
+    worst_margin = worst_margin if math.isfinite(worst_margin) else 0.0
+    return worst_margin, worst_index, max_defect, passed, failing
+
+
+def _positivity_forms():
+    g = stream(18, 0)
+    bs = [rand_matrix(2, g) for _ in range(3)]
+    positive = [[bs[j].conj().T @ bs[i] for j in range(3)] for i in range(3)]
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]]).reshape(2, 2, 1, 1)
+    functionals = (
+        PositiveFunctional.vector_state([0.6, 0.8j, 0.0]),
+        PositiveFunctional.trace(3),
+        PositiveFunctional.weighted_sum([0.5, 1.0, 2.0]),
+    )
+    return {
+        "module_form_1": FormInstance.module_form(1),
+        "module_form_3": FormInstance.module_form(3),
+        "gram_positive": gram_from_blocks(positive),
+        "gram_indefinite": gram_from_blocks(indefinite),
+        **{phi.kind: FormInstance.functional_form(phi) for phi in functionals},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_positivity_forms()))
+def test_validate_positivity_equals_its_sample_by_sample_reference(name):
+    # Every field bit for bit, against the per-sample loop over the same
+    # stream: at 1, 2, 7 and 64 samples, at the default band and at 0.
+    form = _positivity_forms()[name]
+    failed = set()
+    for samples in (1, 2, 7, 64):
+        for seed, tol in ((11, DEFAULT_TOL), (12, Tolerance(0.0, 0.0))):
+            report = validate_positivity(form, samples, seed, tol)
+            margin, index, defect, passed, failing = _positivity_reference(form, samples, seed, tol)
+            assert report.samples == samples
+            assert report.worst_margin.hex() == margin.hex()
+            assert (report.worst_index, report.passed) == (index, passed)
+            assert report.max_defect.hex() == defect.hex()
+            if failing is None:
+                assert report.failing_sample is None
+            else:
+                assert report.failing_sample.shape == failing.shape
+                assert report.failing_sample.tobytes() == failing.tobytes()
+            failed |= set() if passed else {tol}
+    # The indefinite gram fails at the default band; the band 0 fails the
+    # others on roundoff, except the 1 x 1 module form, whose |x|^2 is exact.
+    if name == "gram_indefinite":
+        assert DEFAULT_TOL in failed
+    assert (Tolerance(0.0, 0.0) in failed) == (name != "module_form_1")
 
 
 def test_functional_cauchy_schwarz_baseline():

@@ -568,3 +568,31 @@ def test_kernel_near_overflow(d):
         for call in (eig_hermitian, sqrt_psd, lambda m: loewner_leq(m, m)):
             with pytest.raises(NotHermitianError):
                 call(skew)
+
+
+def test_one_by_one_stacks_take_the_general_path():
+    # A 1 x 1 slice a is checked and solved as every d is: it is not
+    # Hermitian exactly where 2 |Im a| > atol + rtol |a|, and otherwise its
+    # eigenvalue is Re a bit for bit, from subnormal entries to entries near
+    # 1e308.  Each Im a sits a factor of 2.5 or more off the band edge.
+    tol = DEFAULT_TOL
+    hermitian = []
+    for re in (3.0, -2.5, 0.0, 5e-324, -2.5e-310, 1e-300, 1.7e308, -1e308):
+        for factor in (0.0, 0.1, 0.4, 2.5, 10.0):
+            im = factor * tol.band(abs(re)) / 2.0
+            a = complex(re, im)
+            stack = np.array([[[a]]])
+            if 2.0 * abs(a.imag) > tol.atol + tol.rtol * abs(a):
+                with pytest.raises(NotHermitianError):
+                    eig_hermitian_stack(stack, tol)
+            else:
+                hermitian.append(a)
+                got = eig_hermitian_stack(stack, tol).eigenvalues[:, 0]
+                assert got.tobytes() == np.array([re]).tobytes(), a
+    assert len(hermitian) == 8 * 3
+    lam = eig_hermitian_stack(np.array(hermitian).reshape(-1, 1, 1), tol).eigenvalues[:, 0]
+    assert lam.tobytes() == np.array([a.real for a in hermitian]).tobytes()
+    # The symmetrization (s + s*) / 2 divides by 2 + 0j, which reads a -0.0
+    # diagonal entry as 0.0 at every d, the 1 x 1 one included.
+    for d in (1, 2):
+        assert np.signbit(eig_hermitian(np.diag([-0.0, 1.0][:d])).eigenvalues).tolist() == [False] * d

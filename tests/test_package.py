@@ -147,3 +147,15 @@ def test_commands_leave_numpy_random_unloaded():
     )
     lines = _fresh_python("-c", probe, json.dumps(DRAWING_COMMANDS)).splitlines()
     assert lines == ["0 False"] * len(DRAWING_COMMANDS)
+
+
+def test_validate_positivity_leaves_numpy_random_unloaded():
+    # validate_positivity draws its samples as one row of rng._words and
+    # builds no Generator.
+    probe = (
+        "import sys\n"
+        "from rcsbounds import FormInstance, validate_positivity\n"
+        "assert validate_positivity(FormInstance.module_form(3)).passed\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _fresh_python("-c", probe) == "False\n"

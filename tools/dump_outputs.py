@@ -42,6 +42,11 @@ It imports rcsbounds from the src/ directory next to this script and writes:
   dims=(16,)), ID, i).to_dict()`` for the four matrix-valued ids and the
   two functional ids and i in 0..19, trials at the largest dimension,
   where the eigensolver works hardest and the functionals sum the most terms;
+* positivity/<case>.json: every field of ``validate_positivity(form,
+  seed=s)``, the failing sample as [re, im] pairs or null, one JSON line
+  for each seed s in 0 and 9, for a module form at d = 3, a positive and
+  an indefinite gram tensor, and a functional form of each kind at
+  dimension 3;
 * env.json: the Python and numpy versions, the BLAS library and version
   that numpy reports (``np.show_config``), ``OPENBLAS_CORETYPE``, the
   environment variable that picks OpenBLAS's CPU kernel, and
@@ -91,7 +96,16 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rcsbounds import INEQUALITY_IDS, GeneratorConfig, Tolerance, cli, run_trial  # noqa: E402
+from rcsbounds import (  # noqa: E402
+    INEQUALITY_IDS,
+    FormInstance,
+    GeneratorConfig,
+    PositiveFunctional,
+    Tolerance,
+    cli,
+    run_trial,
+    validate_positivity,
+)
 from rcsbounds.bounds import _REGISTRY  # noqa: E402
 
 INSTANCES = sorted((ROOT / "docs" / "instances").glob("*.json"))
@@ -125,6 +139,7 @@ STRICT_CONFIG = GeneratorConfig(seed=4, trials=30, dims=(2,))
 STRICT_TOL = Tolerance(3e-17, 3e-17)
 D16_CONFIG = GeneratorConfig(seed=0, dims=(16,))
 D16_TRIALS = 20
+POSITIVITY_SEEDS = (0, 9)
 VERDICT_KEYS = ("verdict", "holds", "violated", "precondition_failed")
 VERDICT_PREFIXES = ("verdict:", "exit ")
 MARGIN_KEYS = ("margin", "worst_margin")
@@ -151,6 +166,42 @@ def _cpu_features() -> dict:
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_features__
     return __cpu_features__
+
+
+def _positivity_forms() -> dict:
+    """The forms of the positivity/ files: a module form, a gram tensor
+    <e_i, e_j> = B_j* B_i of fixed blocks B_i (positive) and one with
+    <e_0, e_1> = 2 and unit diagonal (indefinite), and each functional kind."""
+    t = np.arange(3 * 2 * 2).reshape(3, 2, 2)
+    blocks = np.cos(t) + 1j * np.sin(2 * t + 1)
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]]).reshape(2, 2, 1, 1)
+    functionals = (
+        PositiveFunctional.vector_state([0.6, 0.8j, 0.0]),
+        PositiveFunctional.trace(3),
+        PositiveFunctional.weighted_sum([0.5, 1.0, 2.0]),
+    )
+    return {
+        "module_form": FormInstance.module_form(3),
+        "gram_positive": FormInstance.gram_tensor(np.einsum("jba,ibc->ijac", blocks.conj(), blocks)),
+        "gram_indefinite": FormInstance.gram_tensor(indefinite),
+        **{f"functional_{phi.kind}": FormInstance.functional_form(phi) for phi in functionals},
+    }
+
+
+def _positivity(form: FormInstance, seed: int) -> str:
+    """One JSON line of every PositivityReport field of validate_positivity(form, seed=seed)."""
+    report = validate_positivity(form, seed=seed)
+    sample = report.failing_sample
+    fields = {
+        "seed": seed,
+        "samples": report.samples,
+        "worst_margin": report.worst_margin,
+        "worst_index": report.worst_index,
+        "max_defect": report.max_defect,
+        "passed": report.passed,
+        "failing_sample": None if sample is None else np.stack((sample.real, sample.imag), -1).tolist(),
+    }
+    return json.dumps(fields) + "\n"
 
 
 def _cli(argv: list[str]) -> str:
@@ -274,6 +325,7 @@ def main(argv: list[str]) -> int:
         "sharpness",
         "run_trial_strict",
         "run_trial_d16",
+        "positivity",
     )
     for sub in subdirs:
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -319,6 +371,9 @@ def main(argv: list[str]) -> int:
             for i in range(D16_TRIALS)
         )
         (out / "run_trial_d16" / f"{inequality_id}.jsonl").write_text("".join(lines))
+    for name, form in _positivity_forms().items():
+        lines = (_positivity(form, seed) for seed in POSITIVITY_SEEDS)
+        (out / "positivity" / f"{name}.json").write_text("".join(lines))
     return 0
 
 

@@ -16,6 +16,11 @@ package, each applied alone.  It holds:
 * the two verdict comparisons, margin >= -band made strict, of the
   scalar ids (bounds._scalar_reports) and of the Loewner order
   (matalg.loewner_leq);
+* the default band ten times wider and ten times narrower: the rtol of
+  matalg.Tolerance at 1e-8 and at 1e-10 in place of 1e-9;
+* omega and Omega swapped where a window pair is read: in
+  bounds._matrix_reports, in bounds._functional_reports and in
+  forms._re_term;
 * one draw edit, rng._words keyed at index + 1, which moves every
   trial of every id onto the next trial's stream;
 * three controls, each forcing a theorem hypothesis check to pass
@@ -65,11 +70,14 @@ SELECTION = (
 BOUNDS = "src/rcsbounds/bounds.py"
 MATALG = "src/rcsbounds/matalg.py"
 RNG = "src/rcsbounds/rng.py"
+FORMS = "src/rcsbounds/forms.py"
 
 SCALAR_IDS = tuple(i for i in INEQUALITY_IDS if i not in ("ADD_MATRIX", "MULT_MATRIX"))
 
 # The kinds of mutant; the rhs and lhs edits must each cover every id.
-RHS, LHS, VERDICT, DRAW, CONTROL = "rhs x1.01", "lhs x0.99", "verdict", "draw", "control"
+RHS, LHS, VERDICT, BAND, WINDOW, DRAW, CONTROL = (
+    "rhs x1.01", "lhs x0.99", "verdict", "band", "window swap", "draw", "control"
+)
 
 
 @dataclass(frozen=True)
@@ -110,8 +118,8 @@ MUTANTS = (
     ),
     Mutant(
         "rhs_additive_sums", ("INT_ADD", "WEIGHTED_ADD"), BOUNDS,
-        "return sa2 * sb2 - sab * sab, _min(branch_a, branch_b), sa2 * sb2, details",
-        "return sa2 * sb2 - sab * sab, 1.01 * _min(branch_a, branch_b), sa2 * sb2, details",
+        "return sa2 * sb2 - sab * sab, np.minimum(branch_a, branch_b), sa2 * sb2, details",
+        "return sa2 * sb2 - sab * sab, 1.01 * np.minimum(branch_a, branch_b), sa2 * sb2, details",
     ),
     Mutant(
         "rhs_multiplicative_sums", ("INT_MULT",), BOUNDS,
@@ -165,8 +173,8 @@ MUTANTS = (
     ),
     Mutant(
         "lhs_additive_sums", ("INT_ADD", "WEIGHTED_ADD"), BOUNDS,
-        "return sa2 * sb2 - sab * sab, _min(branch_a, branch_b), sa2 * sb2, details",
-        "return 0.99 * (sa2 * sb2 - sab * sab), _min(branch_a, branch_b), sa2 * sb2, details",
+        "return sa2 * sb2 - sab * sab, np.minimum(branch_a, branch_b), sa2 * sb2, details",
+        "return 0.99 * (sa2 * sb2 - sab * sab), np.minimum(branch_a, branch_b), sa2 * sb2, details",
         LHS,
     ),
     Mutant(
@@ -204,6 +212,37 @@ MUTANTS = (
         "holds = margin >= -(tol.atol + np.maximum(norms, floor))",
         "holds = margin > -(tol.atol + np.maximum(norms, floor))",
         VERDICT,
+    ),
+    Mutant(
+        "band_rtol_x10", INEQUALITY_IDS, MATALG,
+        "rtol: float = 1e-9",
+        "rtol: float = 1e-8",
+        BAND,
+    ),
+    Mutant(
+        "band_rtol_x0.1", INEQUALITY_IDS, MATALG,
+        "rtol: float = 1e-9",
+        "rtol: float = 1e-10",
+        BAND,
+    ),
+    Mutant(
+        "window_swap_matrix", ("ADD_MATRIX", "MULT_MATRIX"), BOUNDS,
+        "omega, Omega = pairs.T",
+        "Omega, omega = pairs.T",
+        WINDOW,
+    ),
+    Mutant(
+        "window_swap_functional", ("ADD_FUNCTIONAL", "MULT_FUNCTIONAL", "OP_PAIR_ADD", "OP_PAIR_MULT"),
+        BOUNDS,
+        "omega, Omega = pairs[:, 0], pairs[:, 1]",
+        "Omega, omega = pairs[:, 0], pairs[:, 1]",
+        WINDOW,
+    ),
+    Mutant(
+        "window_swap_re_term", INEQUALITY_IDS[:6], FORMS,
+        "for j in (0, 1))",
+        "for j in (1, 0))",
+        WINDOW,
     ),
     Mutant(
         "draw_words_next_index", INEQUALITY_IDS, RNG,
