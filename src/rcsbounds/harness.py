@@ -1,4 +1,4 @@
-"""Randomized instance generators, independent oracles, and the fuzz loop.
+"""Randomized instance generators and the fuzz loop.
 
 Determinism contract: every trial draws from a Philox stream keyed by
 (seed, trial_index), so a trial's outcome depends only on the
@@ -48,7 +48,6 @@ gen_re_valid_instance are these builders for one instance.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -80,10 +79,7 @@ from .forms import (
 )
 from .matalg import (
     DEFAULT_TOL,
-    NotHermitianError,
     Tolerance,
-    as_element,
-    frobenius,
     re_part,
 )
 from .rng import _check_key, _complex_normals, _integers, _unit, _words, stream
@@ -91,7 +87,6 @@ from .rng import _check_key, _complex_normals, _integers, _unit, _words, stream
 __all__ = [
     "REJECTION_CAP",
     "RejectionCapExceededError",
-    "DimTooLargeError",
     "GeneratorConfig",
     "FuzzSummary",
     "gen_random_unitary",
@@ -99,7 +94,6 @@ __all__ = [
     "gen_bounded_sequences",
     "gen_re_valid_instance",
     "gen_argmin_families",
-    "oracle_psd_minors",
     "sample_window",
     "run_trials",
     "run_trial",
@@ -130,10 +124,6 @@ if TYPE_CHECKING:  # numpy.random stays off the import path
 
 class RejectionCapExceededError(FormError):
     """Rejection sampling failed to produce an admissible instance."""
-
-
-class DimTooLargeError(Exception):
-    """The exact-minor oracle only supports d <= 4."""
 
 
 def _as_rng(rng: RngLike) -> np.random.Generator:
@@ -375,9 +365,7 @@ def _functional_attempts(forms: _FunctionalForms, u: np.ndarray, tol: Tolerance)
     return x, y, pairs, kept & _re_accepts(forms, x, y, pairs, tol)
 
 
-def _functional_instances(
-    d: int, kinds, u, indices, tol: Tolerance, restart, cap: int = REJECTION_CAP
-) -> list:
+def _functional_instances(d: int, kinds, u, indices, tol: Tolerance, restart) -> list:
     """The "functional_form" batch columns (forms, x, y, pairs) of N trials
     at dimension d from their kinds and (N, 3d + _attempt_width(d)) rows u: the
     functionals (_functionals) and the first attempts
@@ -387,19 +375,19 @@ def _functional_instances(
     instance its draws alone give, whatever else is in the stack."""
     forms = _functionals(d, kinds, u[:, : 3 * d])
     x, y, pairs, kept = _functional_attempts(forms, u[:, 3 * d :], tol)
-    # The first attempt is one of the cap attempts.
-    for k in np.flatnonzero(~kept | (cap < 1)):
-        x[k], y[k], pairs[k] = _functional_rejections(forms, k, restart(indices[k]), tol, cap)
+    for k in np.flatnonzero(~kept):
+        x[k], y[k], pairs[k] = _functional_rejections(forms, k, restart(indices[k]), tol)
     return [forms, x, y, pairs]
 
 
-def _functional_rejections(forms: _FunctionalForms, k: int, g: np.random.Generator, tol, cap):
+def _functional_rejections(forms: _FunctionalForms, k: int, g: np.random.Generator, tol):
     """x, y and the window pair of functional instance k of forms, whose
-    first attempt was rejected: the first kept of attempts 2..cap, rows of
-    _functional_attempts drawn from g in turn, else
-    RejectionCapExceededError.  They are drawn and checked _ATTEMPT_BLOCK
-    at a time, each on its own, so the block changes no instance."""
-    d = forms.states.shape[1]
+    first attempt was rejected: the first kept of attempts 2..REJECTION_CAP
+    (the module constant, read at each call), rows of _functional_attempts
+    drawn from g in turn, else RejectionCapExceededError.  They are drawn
+    and checked _ATTEMPT_BLOCK at a time, each on its own, so the block
+    changes no instance."""
+    d, cap = forms.states.shape[1], REJECTION_CAP
     for start in range(1, cap, _ATTEMPT_BLOCK):
         u = g.random((min(_ATTEMPT_BLOCK, cap - start), _attempt_width(d)))
         rows = (forms.kinds, forms.states, forms.weights)
@@ -417,7 +405,6 @@ def gen_re_valid_instance(
     kind: str,
     d: int,
     rng: RngLike = 0,
-    cap: int = REJECTION_CAP,
     tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[FormInstance, np.ndarray, np.ndarray, OmegaPair]:
     """Instance (form, x, y, pair) satisfying the Re hypothesis.
@@ -430,9 +417,9 @@ def gen_re_valid_instance(
     g.integers) with x sampled in the disk spanned by (omega, Omega) around
     y plus a small admissible perturbation, each attempt at y, the window,
     the perturbation and its share drawn anew until the Re check passes
-    (cap attempts, then RejectionCapExceededError), built as a campaign
-    builds its functional instances (_functional_instances).  The window
-    pair always satisfies Re(conj(omega) * Omega) > 0.
+    (REJECTION_CAP attempts, then RejectionCapExceededError), built as a
+    campaign builds its functional instances (_functional_instances).  The
+    window pair always satisfies Re(conj(omega) * Omega) > 0.
 
     tol is the band of the window and Re checks.
     """
@@ -445,7 +432,7 @@ def gen_re_valid_instance(
         raise ValueError(f"unknown instance kind {kind!r}")
     kinds = np.array([g.integers(len(_FUNCTIONAL_KINDS))])
     u = g.random((1, _ROW_WIDTHS["functional_form"](d)))
-    forms, x, y, pairs = _functional_instances(d, kinds, u, [None], tol, lambda _: g, cap)
+    forms, x, y, pairs = _functional_instances(d, kinds, u, [None], tol, lambda _: g)
     return forms.form(0), x[0], y[0], OmegaPair(*pairs[0].tolist())
 
 
@@ -473,44 +460,6 @@ def gen_argmin_families(n: int) -> list[tuple[str, WeightedSequences]]:
         ramp, ramp[::-1].copy(), ones, ScalarWindow(1.0, 2.0, 1.0, 2.0)
     )
     return [("family_c2", fam_c2), ("family_c1", fam_c1), ("family_c3", fam_c3)]
-
-
-def _det_cofactor(m: list[list[complex]]) -> complex:
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0 + 0j
-    for j in range(k):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * m[0][j] * _det_cofactor(minor)
-    return total
-
-
-def oracle_psd_minors(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Exact-minor positive-semidefiniteness oracle for d <= 4.
-
-    Checks the real parts of all principal minors computed by cofactor
-    expansion, allowing -1e-12 * max(1, ||a||_F)^k slack for a k x k
-    minor.  Independent of the Jacobi eigensolver.
-    """
-    m = as_element(a)
-    d = m.shape[0]
-    if d > 4:
-        raise DimTooLargeError(f"minor oracle supports d <= 4, got {d}")
-    defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > tol.band(frobenius(m)):
-        raise NotHermitianError("minor oracle requires a Hermitian matrix")
-    base = max(1.0, frobenius(m))
-    for k in range(1, d + 1):
-        for subset in itertools.combinations(range(d), k):
-            sub = [[complex(m[i, j]) for j in subset] for i in subset]
-            det = _det_cofactor(sub).real
-            if det < -1e-12 * base**k:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

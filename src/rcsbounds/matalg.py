@@ -354,7 +354,7 @@ def _jacobi_sweep(
 
 
 def _jacobi(
-    h: np.ndarray, shrink: np.ndarray, norm: np.ndarray, max_sweeps=JACOBI_MAX_SWEEPS, *, start=None
+    h: np.ndarray, shrink: np.ndarray, norm: np.ndarray, *, start=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Jacobi core behind every eigensolve of this module.
 
@@ -367,9 +367,10 @@ def _jacobi(
     one block rotation, applied to every unconverged matrix at once.  A
     matrix leaves the active set once its off-diagonal Frobenius mass drops
     to JACOBI_REL_TARGET times its norm, so slice k is solved as it would
-    be alone; NoConvergenceError after max_sweeps sweeps.  start (one basis
-    B per slice, or None) is checked unitary here, and the iteration then
-    begins at B* h B, symmetrized, with B as the rotations.
+    be alone; NoConvergenceError after JACOBI_MAX_SWEEPS sweeps (the
+    module constant, read at each call).  start (one basis B per slice, or
+    None) is checked unitary here, and the iteration then begins at
+    B* h B, symmetrized, with B as the rotations.
 
     Returns the real diagonal of the converged stack over shrink (_unscaled),
     shape (N, d), unsorted, and the rotations, shape (N, d, d), whose column j
@@ -392,7 +393,7 @@ def _jacobi(
         hs = (hs + _adjoint(hs)) / 2.0
         vs = start
     out_h = out_v = None
-    for sweeps in range(max_sweeps + 1):
+    for sweeps in range(JACOBI_MAX_SWEEPS + 1):
         mass = _root_sumsq(hs.reshape(-1, d * d).take(off, axis=1))
         done = mass <= target
         if np.count_nonzero(done):
@@ -408,10 +409,10 @@ def _jacobi(
                 break
             active, target, mass = active[keep], target[keep], mass[keep]
             hs, vs = hs[keep], vs[keep]
-        if sweeps == max_sweeps:
+        if sweeps == JACOBI_MAX_SWEEPS:
             k = active[0]
             raise NoConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps (off-diagonal "
+                f"Jacobi did not converge in {sweeps} sweeps (off-diagonal "
                 f"mass {mass[0] / shrink[k]:.3e}, target {target[0] / shrink[k]:.3e})"
             )
         hs, vs = _jacobi_sweep(hs, vs, eye[: active.size], steps)
@@ -436,18 +437,12 @@ def _edges(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[rows, lam.argmin(axis=1)], lam[rows, last - lam[:, ::-1].argmax(axis=1)]
 
 
-def eig_hermitian_stack(
-    a,
-    tol: Tolerance = DEFAULT_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-    *,
-    start=None,
-) -> SpectralDecomposition:
+def eig_hermitian_stack(a, tol: Tolerance = DEFAULT_TOL, *, start=None) -> SpectralDecomposition:
     """Eigendecompositions of a stack of Hermitian matrices, shape (N, d, d).
 
     Each slice is checked Hermitian within tol, symmetrized and solved in
     the Jacobi core (_jacobi) at its own exact power-of-two scale, with at
-    most max_sweeps sweeps, so slice k of the result is bit-equal to the
+    most JACOBI_MAX_SWEEPS sweeps, so slice k of the result is bit-equal to the
     decomposition of a[k] alone.  start, shape (N, d, d), is one unitary
     start basis per slice, such as the eigenvectors of a commuting matrix:
     it saves sweeps and changes no eigenvalue, and a slice not unitary to
@@ -461,7 +456,7 @@ def eig_hermitian_stack(
     if m.ndim != 3:
         raise DimMismatchError(f"expected a stack of square matrices, got shape {m.shape}")
     h, shrink, norm = _hermitian_scaled(_validated(m), tol, "eig_hermitian")
-    lam, v = _jacobi(h, shrink, norm, max_sweeps, start=start)
+    lam, v = _jacobi(h, shrink, norm, start=start)
     order = np.argsort(lam, axis=1, kind="stable")
     rows = np.arange(len(lam))[:, None]
     return SpectralDecomposition(
@@ -485,15 +480,11 @@ def _unitary_start(start, shape: tuple[int, ...]) -> np.ndarray:
     return b
 
 
-def eig_hermitian(
-    a,
-    tol: Tolerance = DEFAULT_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> SpectralDecomposition:
+def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of one Hermitian matrix: the N = 1 case of
-    eig_hermitian_stack, with its tol and max_sweeps.  Returns real
-    eigenvalues in ascending order and unitary eigenvectors."""
-    dec = eig_hermitian_stack(as_element(a)[None], tol, max_sweeps)
+    eig_hermitian_stack, with its tol and its JACOBI_MAX_SWEEPS sweep cap.
+    Returns real eigenvalues in ascending order and unitary eigenvectors."""
+    dec = eig_hermitian_stack(as_element(a)[None], tol)
     return SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
 
 

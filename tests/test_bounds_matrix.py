@@ -124,6 +124,16 @@ def test_multiplicative_rejects_nonpositive_re_cross():
 
 
 @pytest.mark.parametrize("bound", [additive_matrix_bound, multiplicative_matrix_bound])
+def test_matrix_reports_carry_their_window_in_order(bound):
+    # Both constants are symmetric in the pair (|Omega - omega|^2 and
+    # Re(conj(omega) Omega)), so only the details tell omega from Omega.
+    pair = OmegaPair(1.0, 3.0 + 1.0j)
+    rep = bound(FormInstance.module_form(2), 2.0 * np.eye(2), np.eye(2), pair)
+    assert rep.verdict == HOLDS
+    assert (rep.details["omega"], rep.details["Omega"]) == (pair.omega, pair.Omega)
+
+
+@pytest.mark.parametrize("bound", [additive_matrix_bound, multiplicative_matrix_bound])
 def test_matrix_bounds_reject_stacked_arguments(bound):
     form = FormInstance.module_form(2)
     stack = np.stack([np.diag([2.0, 3.0]), np.diag([4.0, 5.0])])

@@ -37,7 +37,7 @@ from rcsbounds import (
 from rcsbounds.harness import WINDOW_RANGE
 from rcsbounds.matalg import DEFAULT_TOL, KernelError, NoConvergenceError
 from rcsbounds.rng import stream
-from test_equality_verdicts import _exact_sides
+from reference import sequence_sides
 from test_forms import BAD_FORMS
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "docs", "instances")
@@ -92,13 +92,13 @@ NECESSITY_WITNESSES = sorted(n for n in os.listdir(INSTANCES) if n.startswith("n
 def _sides_without_evaluator(doc: dict) -> tuple:
     """(lhs, rhs, size) of a witness whose evaluator raises before any
     sides exist, size that of the products a cancelling lhs is formed
-    from: a sequence id's exact sums (_exact_sides), or OP_PAIR_ADD's
+    from: a sequence id's exact sums (sequence_sides), or OP_PAIR_ADD's
     closed forms from the operator_pair_bounds docstring, with the
     spectral edges from numpy's eigvalsh."""
     if doc["target"] != "OP_PAIR_ADD":
         seq = doc["sequences"]
         data = SimpleNamespace(**seq | {"window": SimpleNamespace(**seq["window"])})
-        return _exact_sides(doc["target"], data)
+        return sequence_sides(doc["target"], data)
     pair = {k: np.asarray(m, float) for k, m in doc["operator_pair"].items()}
     t, s, v = (pair[k][..., 0] + 1j * pair[k][..., 1] for k in "tsv")
     (mt, *_, big_t), (ms, *_, big_s) = np.linalg.eigvalsh(t), np.linalg.eigvalsh(s)

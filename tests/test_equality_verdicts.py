@@ -33,6 +33,7 @@ from rcsbounds.forms import FormInstance, OmegaPair, PositiveFunctional
 from rcsbounds.harness import SPACE_DIMS, WINDOW_RANGE
 from rcsbounds.matalg import DEFAULT_TOL, Tolerance, loewner_leq, re_part
 from rcsbounds.rng import stream
+from reference import sequence_sides
 
 # Constant sequences on their point window: the true lhs and rhs are 0,
 # and the lhs cancels from products of about 1.1e16.
@@ -187,36 +188,6 @@ def test_rhs_scaled_by_099_is_violated(monkeypatch):
 
 
 
-def _decimal(x: Fraction) -> Decimal:
-    return Decimal(x.numerator) / Decimal(x.denominator)
-
-
-def _exact_sides(target: str, data: WeightedSequences) -> tuple:
-    """(lhs, rhs, lhs size) of a sequence id from the paper's formulas in
-    exact arithmetic on the float inputs: Fractions, or for INT_MULT's
-    roots Decimals at the context's precision.  The lhs size is that of
-    the products a difference lhs is formed from, else |lhs|."""
-    w, a, b = ([Fraction(v) for v in seq] for seq in (data.w_seq, data.a_seq, data.b_seq))
-    window = data.window
-    lo_a, hi_a, lo_b, hi_b = (Fraction(v) for v in (window.a, window.A, window.b, window.B))
-    sff, sgg, sfg = (
-        sum(wi * ui * vi for wi, ui, vi in zip(w, u, v)) for u, v in ((a, a), (b, b), (a, b))
-    )
-    if target == "INT_MULT":
-        ratio = _decimal(lo_a * lo_b / (hi_a * hi_b))
-        lhs = _decimal(sff).sqrt() * _decimal(sgg).sqrt()
-        return lhs, (ratio.sqrt() + (1 / ratio).sqrt()) / 2 * _decimal(sfg), lhs
-    gap = (hi_a * hi_b - lo_a * lo_b) ** 2 / 4
-    c1 = gap * sff**2 / (hi_a * lo_a) ** 2
-    c2 = gap * sgg**2 / (hi_b * lo_b) ** 2
-    c3 = gap * sfg**2 / (lo_a * lo_b * hi_a * hi_b)
-    if target in ("PS_MULT", "GREUB_RHEINBOLDT"):
-        ab = lo_a * lo_b * hi_a * hi_b
-        return sff * sgg, (hi_a * hi_b + lo_a * lo_b) ** 2 / (4 * ab) * sfg**2, sff * sgg
-    rhs = {"PS_ADD": c3, "PS_IMPROVED": min(c1, c2, c3)}.get(target, min(c1, c2))
-    return sff * sgg - sfg**2, rhs, sff * sgg
-
-
 def _sequence_corpus():
     """(instance, its unit-weights twin): 50 drawn instances, seeds 0-49 at
     n = 4, 8 and 16 in turn, then the point-window instance."""
@@ -238,7 +209,7 @@ def test_sequence_sides_agree_with_exact_arithmetic():
             for target in ("INT_ADD", "INT_MULT", "GREUB_RHEINBOLDT", "WEIGHTED_ADD", *units):
                 data = unit if target in units else weighted
                 report = bounds._evaluate_one(target, data, DEFAULT_TOL)
-                lhs, rhs, size = _exact_sides(target, data)
+                lhs, rhs, size = sequence_sides(target, data)
                 exact = Decimal if target == "INT_MULT" else Fraction
                 assert abs(exact(report.lhs) - lhs) <= exact(1e-12) * size, (k, target, "lhs")
                 assert abs(exact(report.rhs) - rhs) <= exact(1e-12) * rhs, (k, target, "rhs")

@@ -23,7 +23,7 @@ from rcsbounds.forms import (
     omega_from_spectra,
     validate_positivity,
 )
-from rcsbounds.harness import gen_commuting_positive_pair, gen_random_unitary, oracle_psd_minors
+from rcsbounds.harness import gen_commuting_positive_pair, gen_random_unitary
 from rcsbounds.matalg import (
     DEFAULT_TOL,
     DimMismatchError,
@@ -38,6 +38,7 @@ from rcsbounds.matalg import (
     spectrum_bounds,
 )
 from rcsbounds.rng import _complex_normals, stream
+from reference import oracle_psd_minors
 
 
 def rand_matrix(d, g):

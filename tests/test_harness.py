@@ -22,7 +22,6 @@ from rcsbounds import (
     PS_IMPROVED,
     WEIGHTED_ADD,
     BoundReport,
-    DimTooLargeError,
     FormError,
     FuzzSummary,
     GeneratorConfig,
@@ -51,7 +50,6 @@ from rcsbounds import (
     gen_re_valid_instance,
     loewner_leq,
     omega_from_spectra,
-    oracle_psd_minors,
     precondition_failed_report,
     run_trial,
     run_trials,
@@ -60,6 +58,7 @@ from rcsbounds import (
 from rcsbounds import bounds, forms, harness, matalg, rng
 from rcsbounds.harness import REJECTION_CAP
 from rcsbounds.rng import stream
+from reference import DimTooLargeError, oracle_psd_minors
 
 
 def test_random_unitary_is_unitary():
@@ -455,9 +454,9 @@ def test_rejected_slice_continues_on_its_own_stream(monkeypatch, rejection, ineq
     restarts = []
     continued = harness._functional_rejections
 
-    def counted(forms_, k, g, tol, cap):
+    def counted(forms_, k, g, tol):
         restarts.append(k)
-        return continued(forms_, k, g, tol, cap)
+        return continued(forms_, k, g, tol)
 
     monkeypatch.setattr(harness, "_functional_rejections", counted)
     config = GeneratorConfig(seed=31, trials=40, dims=(1, 2, 4))
@@ -492,9 +491,11 @@ def test_functional_rejection_cap_is_a_failed_precondition(monkeypatch, inequali
             "error": "RejectionCapExceededError",
             "message": f"no admissible x found in {REJECTION_CAP} attempts (kind=functional, d={d})",
         }
-    for cap in (0, 3):
+    # The lone builder reads the cap at each call; the first attempt is one of them.
+    for cap in (1, 3):
+        monkeypatch.setattr(harness, "REJECTION_CAP", cap)
         with pytest.raises(RejectionCapExceededError, match=f"in {cap} attempts"):
-            gen_re_valid_instance("functional", 2, stream(32, 0), cap=cap)
+            gen_re_valid_instance("functional", 2, stream(32, 0))
 
 
 def _uniform_sequences(g, n, unit_weights):

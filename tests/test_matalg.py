@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcsbounds import matalg
-from rcsbounds.harness import gen_random_unitary, oracle_psd_minors
+from rcsbounds.harness import gen_random_unitary
 from rcsbounds.matalg import (
     DEFAULT_TOL,
-    JACOBI_MAX_SWEEPS,
     MAX_DIM,
     DimMismatchError,
     KernelError,
@@ -34,6 +33,7 @@ from rcsbounds.matalg import (
     sqrt_psd,
 )
 from rcsbounds.rng import stream
+from reference import oracle_psd_minors
 
 RECON_RTOL = 1e-10
 
@@ -129,10 +129,11 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian([[0.0, 1.0], [0.0, 0.0]])
 
 
-def test_eig_sweep_cap():
+def test_eig_sweep_cap(monkeypatch):
     a = rand_hermitian(4, stream(7, 0))
+    monkeypatch.setattr(matalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(NoConvergenceError):
-        eig_hermitian(a, max_sweeps=0)
+        eig_hermitian(a)
 
 
 def test_sqrt_examples():
@@ -276,7 +277,7 @@ def test_eig_adversarial_inputs_every_dim(kind):
         for trial in range(3):
             a = adversarial_hermitian(kind, d, stream(700 + d, trial))
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                dec = eig_hermitian(a, max_sweeps=JACOBI_MAX_SWEEPS)
+                dec = eig_hermitian(a)
             norm = frobenius(a)
             assert np.all(np.diff(dec.eigenvalues) >= 0.0)
             assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(a))) <= 1e-12 * norm

@@ -50,6 +50,22 @@ def test_dual_route_agreement_on_hand_instance():
         assert rep.rhs == pytest.approx(cf_rhs, rel=1e-12, abs=1e-12)
 
 
+def test_additive_report_carries_both_windows():
+    # The ts window (min t / max s, max t / min s) and the mirrored st
+    # window, against spectral edges from numpy's eigvalsh.
+    t, s = gen_commuting_positive_pair(3, stream(412, 0))
+    (mt, *_, big_t), (ms, *_, big_s) = np.linalg.eigvalsh(t), np.linalg.eigvalsh(s)
+    details = operator_pair_bounds(t, s, [1.0, 2.0, -1.0]).additive.details
+    expected = {
+        "omega_ts": mt / big_s,
+        "Omega_ts": big_t / ms,
+        "omega_st": ms / big_t,
+        "Omega_st": big_s / mt,
+    }
+    for key, value in expected.items():
+        assert details[key] == pytest.approx(value, rel=1e-12), key
+
+
 def test_equal_operators_multiplicative_equality():
     # T = S makes <Tv, Sv> = ||Tv||^2, so lhs = rhs = ||Tv||^2 up to the
     # window factor, which collapses only when the spectrum is a point.

@@ -22,7 +22,7 @@ EXPORTED = """
     __version__ ADD_FUNCTIONAL ADD_MATRIX GREUB_RHEINBOLDT HOLDS INEQUALITY_IDS INT_ADD
     INT_MULT MULT_FUNCTIONAL MULT_MATRIX OP_PAIR_ADD OP_PAIR_MULT PRECONDITION_FAILED PS_ADD
     PS_IMPROVED PS_MULT VIOLATED WEIGHTED_ADD BoundReport DegenerateSpaceError
-    DimMismatchError DimTooLargeError DEFAULT_TOL FormError FormInstance FuzzSummary
+    DimMismatchError DEFAULT_TOL FormError FormInstance FuzzSummary
     GeneratorConfig ImprovedResult IntegralBoundsResult KernelError NoConvergenceError
     NonPositiveReOmegaError NotCommutingError NotHermitianError NotPositiveError
     NotStrictlyPositiveError OmegaPair OperatorPairResult PositiveFunctional
@@ -33,7 +33,7 @@ EXPORTED = """
     functional_additive_bound functional_multiplicative_bound fuzz_run gen_argmin_families
     gen_bounded_sequences gen_commuting_positive_pair gen_random_unitary gen_re_valid_instance
     greub_rheinboldt integral_bounds is_normal loewner_leq multiplicative_matrix_bound
-    omega_from_spectra operator_pair_bounds oracle_psd_minors polya_szego_additive
+    omega_from_spectra operator_pair_bounds polya_szego_additive
     polya_szego_improved polya_szego_multiplicative re_part run_trial run_trials
     sample_window sharpness_witness spectrum_bounds sqrt_psd stream validate_positivity
     weighted_additive
@@ -41,7 +41,7 @@ EXPORTED = """
 
 
 def test_all_names_resolve():
-    assert len(EXPORTED) == len(set(EXPORTED)) == 89
+    assert len(EXPORTED) == len(set(EXPORTED)) == 87
     assert set(EXPORTED) <= set(rcsbounds.__all__)
     assert len(rcsbounds.__all__) == len(set(rcsbounds.__all__))
     for name in rcsbounds.__all__:

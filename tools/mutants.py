@@ -64,6 +64,7 @@ SELECTION = (
     "tests/test_bounds_matrix.py",
     "tests/test_operator_pairs.py",
     "tests/test_equality_verdicts.py",
+    "tests/test_reference.py",
     "tests/test_cli.py::test_necessity_witness_fails_its_hypothesis_and_its_bound",
 )
 
